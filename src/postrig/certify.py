@@ -4,8 +4,12 @@ A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between them:
 on a cell of width w the sum cannot fall below (f_l + f_r)/2 - L*w/2, with L
 a uniform bound on |d/dtheta|.  Cells that fail the test are bisected (only
-they are), up to a depth limit; any non-positive sample refutes with a
-witness.  Inconclusive is a first-class outcome and is never upgraded.
+they are), up to a depth limit.  Every sample lies on the dyadic grid
+wlo + i*h/2^depth, so cells are integer indices and each batch goes through
+`TrigPolynomial.values_grid`.  A sample below minus the evaluation roundoff
+bound refutes with a witness; a non-positive sample inside that bound is no
+witness, and the cells it bounds never certify.  Inconclusive is a
+first-class outcome and is never upgraded.
 
 Endpoints where the sum vanishes identically (sine sums at multiples of pi,
 the quarter-phase sums at 2*pi, ...) are detected structurally, inset by eps,
@@ -17,13 +21,13 @@ necessity direction of that criterion executable here.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterDomainError
+from .kernels import KERNEL_TOL
 from .trigeval import TrigPolynomial
 
 _HALF_PI = 0.5 * math.pi
@@ -194,21 +198,7 @@ def endpoint_vanishes(poly: TrigPolynomial, t: float) -> bool:
     """
     if vanishes_structurally(poly, t):
         return True
-    return abs(poly.value(t)) <= 1e-12 * coefficient_mass(poly)
-
-
-def _eval(poly: TrigPolynomial, xs: np.ndarray, workers: int) -> np.ndarray:
-    """Chunked parallel evaluation; values are identical for any worker count."""
-    if workers <= 1 or xs.size < 4096:
-        return poly.values(xs)
-    chunks = np.array_split(np.arange(xs.size), workers)
-    out = np.empty_like(xs)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [(idx, pool.submit(poly.values, xs[idx])) for idx in chunks
-                   if idx.size]
-        for idx, fut in futures:
-            out[idx] = fut.result()
-    return out
+    return abs(poly.value(t)) <= KERNEL_TOL * coefficient_mass(poly)
 
 
 def derivative_poly(poly: TrigPolynomial) -> TrigPolynomial | None:
@@ -224,24 +214,32 @@ def derivative_poly(poly: TrigPolynomial) -> TrigPolynomial | None:
     return TrigPolynomial(0.0, new_cos, new_sin, poly.shift, poly.stride)
 
 
+def roundoff_bound(poly: TrigPolynomial) -> float:
+    """Largest error of a computed value of the sum.
+
+    Each kernel sum is within KERNEL_TOL * mass of the exact one; the shift
+    peel combines a C and an S with unit-modulus weights, hence the factor 2.
+    A computed value at or above minus this bound is no proof of a
+    non-positive value.
+    """
+    return 2.0 * KERNEL_TOL * coefficient_mass(poly)
+
+
 def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,
-                  span: float, eps: float):
-    """Probe inward from a vanishing endpoint for a non-positive sample.
+                  span: float, eps: float, noise: float):
+    """Probe inward from a vanishing endpoint for a sample below -noise.
 
     Largest offsets first so a genuine sign change yields a well-separated
-    witness rather than an epsilon-scale one.
+    witness rather than an epsilon-scale one; the probes are evaluated in one
+    batch and counted up to the first witness.
     """
-    evals = 0
-    for j in range(7, -21, -1):
-        delta = eps * 2.0 ** j
-        if delta >= 0.25 * span:
-            continue
-        t = endpoint + math.copysign(delta, inward)
-        v = poly.value(t)
-        evals += 1
-        if v <= 0.0:
-            return (t, v), evals
-    return None, evals
+    deltas = [eps * 2.0 ** j for j in range(7, -21, -1) if eps * 2.0 ** j < 0.25 * span]
+    ts = endpoint + np.copysign(deltas, inward)
+    vs = poly.values(ts)
+    for i, (t, v) in enumerate(zip(ts, vs)):
+        if v < -noise:
+            return (float(t), float(v)), i + 1
+    return None, len(deltas)
 
 
 def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
@@ -256,6 +254,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
 
     L = lipschitz_bound(poly)
     L2 = curvature_bound(poly)
+    noise = roundoff_bound(poly)
     span = hi - lo
     notes: list[str] = []
     wlo, whi = lo, hi
@@ -287,7 +286,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                              f"order; curvature {curv:.9g} > 0 covers the eps-zone")
                 settled = True
         if not settled:
-            hit, used = _hunt_witness(poly, endpoint, sign, span, opts.eps)
+            hit, used = _hunt_witness(poly, endpoint, sign, span, opts.eps, noise)
             total_evals += used
             if hit is not None:
                 notes.append(f"non-positive boundary behaviour at the {side} "
@@ -301,27 +300,38 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         else:
             whi = hi - opts.eps
 
-    xs = np.linspace(wlo, whi, opts.grid0)
-    vals = _eval(poly, xs, opts.workers)
-    total_evals += xs.size
+    # Every sample lies on the dyadic grid wlo + i*h/2^depth: cells are kept
+    # as integer left indices il at the current depth, so each batch is a
+    # uniform-grid evaluation and the points are exact grid points.
+    h = (whi - wlo) / (opts.grid0 - 1)
+
+    def point(i, step) -> float:
+        # the grid's last point may round an ulp beyond whi
+        return min(float(wlo + i * step), whi)
+
+    vals = poly.values_grid(wlo, h, np.arange(opts.grid0), opts.workers)
+    total_evals += opts.grid0
     imin = int(np.argmin(vals))
-    if vals[imin] <= 0.0:
-        return failure(REFUTED, (float(xs[imin]), float(vals[imin])), 0)
+    if vals[imin] < -noise:
+        return failure(REFUTED, (point(imin, h), float(vals[imin])), 0)
 
     # Cell arrays, kept in ascending-theta order so ties resolve
     # deterministically.  Each cell carries its own |f'| bound Lc, tightened
     # on subdivision to |f'(parent mid)| + L2 * parent_width / 2, which is
     # what lets cells near a vanishing endpoint (tiny slope, tiny values)
-    # certify without driving h below the global L scale.
+    # certify without driving h below the global L scale.  A cell with a
+    # sample at or below 0 that is no witness (inside the roundoff bound)
+    # never certifies.
     deriv = derivative_poly(poly)
-    xl, xr = xs[:-1], xs[1:]
+    il = np.arange(opts.grid0 - 1)
     fl, fr = vals[:-1], vals[1:]
-    Lc = np.full(xl.size, L)
+    Lc = np.full(il.size, L)
+    dx = h
     depth = 0
     lower = math.inf
     while True:
-        bound = 0.5 * (fl + fr) - 0.5 * Lc * (xr - xl)
-        fail = bound <= 0.0
+        bound = 0.5 * (fl + fr) - 0.5 * Lc * dx
+        fail = (bound <= 0.0) | (fl <= 0.0) | (fr <= 0.0)
         if bound[~fail].size:
             lower = min(lower, float(bound[~fail].min()))
         if not fail.any():
@@ -329,32 +339,25 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         if depth >= opts.max_depth:
             worst = int(np.argmin(bound))
             notes.append(f"refinement depth exhausted near theta = "
-                         f"{0.5 * (xl[worst] + xr[worst]):.9g}")
+                         f"{point(il[worst] + 0.5, dx):.9g}")
             return failure(INCONCLUSIVE, None, depth)
         depth += 1
-        keep = fail
-        xl, xr, fl, fr, Lc = xl[keep], xr[keep], fl[keep], fr[keep], Lc[keep]
-        xm = 0.5 * (xl + xr)
-        fm = _eval(poly, xm, opts.workers)
-        total_evals += xm.size
+        dx *= 0.5
+        il, fl, fr, Lc = il[fail], fl[fail], fr[fail], Lc[fail]
+        im = 2 * il + 1
+        fm = poly.values_grid(wlo, dx, im, opts.workers)
+        total_evals += im.size
         jmin = int(np.argmin(fm))
-        if fm[jmin] <= 0.0:
-            return failure(REFUTED, (float(xm[jmin]), float(fm[jmin])), depth)
+        if fm[jmin] < -noise:
+            return failure(REFUTED, (point(im[jmin], dx), float(fm[jmin])), depth)
         if deriv is not None:
-            dm = np.abs(_eval(deriv, xm, opts.workers))
-            total_evals += xm.size
-            Lc = np.minimum(Lc, dm + 0.5 * L2 * (xr - xl))
-        nxl = np.empty(2 * xl.size)
-        nxr = np.empty_like(nxl)
-        nfl = np.empty_like(nxl)
-        nfr = np.empty_like(nxl)
-        nLc = np.empty_like(nxl)
-        nxl[0::2], nxl[1::2] = xl, xm
-        nxr[0::2], nxr[1::2] = xm, xr
-        nfl[0::2], nfl[1::2] = fl, fm
-        nfr[0::2], nfr[1::2] = fm, fr
-        nLc[0::2], nLc[1::2] = Lc, Lc
-        xl, xr, fl, fr, Lc = nxl, nxr, nfl, nfr, nLc
+            dm = np.abs(deriv.values_grid(wlo, dx, im, opts.workers))
+            total_evals += im.size
+            Lc = np.minimum(Lc, dm + L2 * dx)
+        il = np.stack((2 * il, im), axis=1).ravel()
+        fl = np.stack((fl, fm), axis=1).ravel()
+        fr = np.stack((fm, fr), axis=1).ravel()
+        Lc = np.repeat(Lc, 2)
 
     if not math.isfinite(lower) or lower <= 0.0:
         return failure(INCONCLUSIVE, None, depth)

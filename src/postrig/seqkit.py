@@ -28,7 +28,8 @@ from typing import Mapping
 
 from .errors import ParameterDomainError, SizeError
 
-#: absolute slack below which an inequality is still accepted (roundoff guard)
+#: slack below which an inequality is still accepted (roundoff guard):
+#: absolute, and in the taper-ratio check relative to terms larger than 1
 CRITERION_TOL = 1e-12
 
 FAMILIES = frozenset({"vietoris", "qk", "ratio-qk", "koumandos", "ck", "custom"})
@@ -316,10 +317,13 @@ def check_taper_ratio_condition(seq: CoefficientSequence, b: float, c: float,
     margin = math.inf
     violation: int | None = None
     for k in range(1, n + 1):
-        slack = min(a[k - 1] - a[k],
-                    (c + n - k) * (k - alpha) * a[k - 1] - (b + n - k) * k * a[k])
-        margin = min(margin, slack)
-        if violation is None and slack < -CRITERION_TOL:
+        lhs = (c + n - k) * (k - alpha) * a[k - 1]
+        rhs = (b + n - k) * k * a[k]
+        drop, taper = a[k - 1] - a[k], lhs - rhs
+        margin = min(margin, drop, taper)
+        # the taper terms grow like n^2/4: the tolerance scales with them
+        if violation is None and (drop < -CRITERION_TOL * max(1.0, a[k - 1])
+                                  or taper < -CRITERION_TOL * max(1.0, lhs, rhs)):
             violation = k
     if not math.isfinite(margin):
         margin = 0.0

@@ -11,21 +11,31 @@ k = 0 (j0 = 0).  This covers the plain partial Fourier sums, the phase-shifted
 sums cos((k+lam)*theta) / sin((k+mu)*theta), and the stride-2 shape
 cos((2k+1/2)*theta).
 
-All evaluators route through the Clenshaw kernel (`postrig.kernels`); the
-shift is peeled off with the two angle-addition identities, so a shifted sum
-is computed from two unshifted kernel sums.
+All evaluators route through the kernels of `postrig.kernels`; the shift is
+peeled off with the two angle-addition identities, so a shifted sum is
+computed from two unshifted kernel sums.  `TrigPolynomial.values` takes any
+angles and runs the Clenshaw kernel.  `TrigPolynomial.values_grid` takes the
+points t0 + idx*dt of a uniform grid (idx integer), as the certifier's
+initial grid and its refinement midpoints are, and lets the kernels' fixed
+cost model (`kernels.chirp_cheaper`) pick, once per batch, the chirp-z grid
+kernel or Clenshaw at the points t0 + idx*dt.  Its optional thread split is
+made after that choice, so the values do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import pair_sums
+from .kernels import chirp_cheaper, pair_sums, pair_sums_grid
+
+#: batches smaller than this are never split across threads
+_THREAD_MIN_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -62,12 +72,12 @@ class TrigPolynomial:
         k0 = self.index_start
         return [self.stride * (j + k0) + self.shift for j in range(len(coeffs))]
 
-    def values(self, theta) -> np.ndarray:
-        """Evaluate at an array of angles."""
-        th = np.asarray(theta, dtype=np.float64)
-        out = np.full(th.shape, 0.5 * self.a0)
+    def _peel(self, theta: np.ndarray,
+              sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+        """a0/2 plus both trig parts at angles theta, given ``sums(body)``:
+        the kernel pair (C, S) of an unshifted coefficient body at stride*theta."""
+        out = np.full(theta.shape, 0.5 * self.a0)
         k0 = self.index_start
-        x = th if self.stride == 1 else self.stride * th
         for kind, coeffs in (("cos", self.cos_coeffs), ("sin", self.sin_coeffs)):
             if not coeffs:
                 continue
@@ -75,18 +85,51 @@ class TrigPolynomial:
                 head, body = coeffs[0], np.asarray(coeffs[1:])
             else:
                 head, body = 0.0, np.asarray(coeffs)
-            C, S = pair_sums(body, x)
+            C, S = sums(body)
             if k0 == 0:
                 C = C + head  # cos(0*x) = 1 term; its sine partner vanishes
             if self.shift == 0.0:
                 out = out + (C if kind == "cos" else S)
             else:
-                ph = self.shift * th
+                ph = self.shift * theta
                 cph, sph = np.cos(ph), np.sin(ph)
                 if kind == "cos":
                     out = out + cph * C - sph * S
                 else:
                     out = out + sph * C + cph * S
+        return out
+
+    def values(self, theta) -> np.ndarray:
+        """Evaluate at an array of angles."""
+        th = np.asarray(theta, dtype=np.float64)
+        x = th if self.stride == 1 else self.stride * th
+        return self._peel(th, lambda body: pair_sums(body, x))
+
+    def values_grid(self, t0: float, dt: float, idx, workers: int = 1) -> np.ndarray:
+        """Evaluate at the grid points t0 + idx*dt for an integer array idx.
+
+        The kernel is chosen once for the whole batch; with workers > 1 a
+        large batch is then split across threads, and every point gets the
+        same value as without the split.
+        """
+        j = np.asarray(idx, dtype=np.int64)
+        degree = max(len(self.cos_coeffs), len(self.sin_coeffs))
+        s = self.stride
+        if chirp_cheaper(degree, j):
+            def part(jp):
+                return self._peel(t0 + jp * dt,
+                                  lambda body: pair_sums_grid(body, s * t0, s * dt, jp))
+        else:
+            def part(jp):
+                return self.values(t0 + jp * dt)
+        if workers <= 1 or j.size < _THREAD_MIN_POINTS:
+            return part(j)
+        out = np.empty(j.shape)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [(sel, pool.submit(part, j[sel]))
+                       for sel in np.array_split(np.arange(j.size), workers)]
+            for sel, fut in futures:
+                out[sel] = fut.result()
         return out
 
     def value(self, theta: float) -> float:

@@ -8,8 +8,10 @@ import pytest
 
 from postrig import (CertifyOptions, PositivityReport, bracket_zeros,
                      certify_positive, cosine_poly, find_min, lipschitz_bound,
-                     qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import CERTIFIED, INCONCLUSIVE, REFUTED, vanishes_structurally
+                     koumandos_bk, qk_sequence, shifted_poly, sine_poly)
+from postrig.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, roundoff_bound,
+                             vanishes_structurally)
+from postrig.kernels import chirp_cheaper
 from postrig.errors import ParameterDomainError
 
 PI = math.pi
@@ -156,6 +158,30 @@ class TestCertifyPositive:
             assert reports[0] == reports[1] == reports[2]
             payloads = {json.dumps(r.to_dict(), sort_keys=True) for r in reports}
             assert len(payloads) == 1
+
+    def test_fejer_jackson_gronwall_even_n_not_refuted(self):
+        # sum_{k<=8} sin(k t)/k > 0 on (0, pi) but touches 0 at pi to third
+        # order; samples there are pure roundoff and are no witness
+        poly = sine_poly([1.0 / k for k in range(1, 9)])
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict != REFUTED, rep.witness
+
+    def test_witness_lies_below_roundoff_bound(self):
+        for poly in (sine_poly([1.0, 1.0]), cosine_poly(0.2, [1.0])):
+            rep = certify_positive(poly, 0.0, PI)
+            assert rep.verdict == REFUTED
+            assert rep.witness[1] < -roundoff_bound(poly)
+
+    def test_determinism_across_workers_on_chirp_grids(self):
+        # degree 600: both the initial grid and the refinement levels run
+        # through the chirp-z grid kernel, and the thread split comes after
+        b = koumandos_bk(600, 0.5).values
+        poly = cosine_poly(2.0 * b[0], b[1:])
+        assert chirp_cheaper(600, np.arange(4096))
+        reports = [certify_positive(poly, 0.0, PI, CertifyOptions(workers=w))
+                   for w in (1, 2, 3)]
+        assert reports[0].verdict == CERTIFIED
+        assert reports[0] == reports[1] == reports[2]
 
     def test_report_roundtrip(self):
         s20, _ = fig1_polys(20)

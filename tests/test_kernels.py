@@ -1,10 +1,10 @@
-"""Kernel backend contract: Clenshaw vs naive summation, backend parity."""
+"""Kernel contracts: Clenshaw and the chirp-z grid kernel against naive sums, backend parity."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from postrig import _kernels_py, kernels
 from conftest import naive_sine_sum, naive_cosine_sum
@@ -79,3 +79,92 @@ def test_backend_parity():
         mass = np.abs(coeffs).sum()
         assert np.max(np.abs(C1 - C2)) <= 1e-12 * mass
         assert np.max(np.abs(S1 - S2)) <= 1e-12 * mass
+
+
+# ---------------------------------------------------------------------------
+# the uniform-grid kernel
+
+def _naive_pair(coeffs, thetas):
+    """Per-frequency sums at the double points thetas, in row chunks."""
+    ks = np.arange(1, coeffs.size + 1, dtype=np.float64)
+    C = np.empty(thetas.size)
+    S = np.empty(thetas.size)
+    for i in range(0, thetas.size, 256):
+        arg = np.outer(thetas[i:i + 256], ks)
+        C[i:i + 256] = np.cos(arg) @ coeffs
+        S[i:i + 256] = np.sin(arg) @ coeffs
+    return C, S
+
+
+def _grid_error(coeffs, x0, dx, idx):
+    C, S = kernels.pair_sums_grid(coeffs, x0, dx, idx)
+    ref_c, ref_s = _naive_pair(coeffs, x0 + idx * dx)
+    return max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) / np.abs(coeffs).sum()
+
+
+@pytest.mark.parametrize("n", [10_000, 20_000])
+def test_grid_kernel_contract_at_large_n(n):
+    """<= 1e-12 sum|c| on the certifier's initial grid and deep in a depth-14
+    level, where the chirp phases k^2 dx/2 and k x0 are largest."""
+    rng = np.random.default_rng(n)
+    coeffs = rng.uniform(0.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
+    x0, h = 1e-4, (math.pi - 2e-4) / 4095
+    assert _grid_error(coeffs, x0, h, np.arange(4096)) <= 1e-12
+    deep = np.sort(rng.integers(0, 4095 * 2 ** 13, 64)) * 2 + 1
+    assert _grid_error(coeffs, x0, h / 2 ** 14, deep) <= 1e-12
+
+
+@pytest.mark.parametrize("x0", [0.0, 1e-9, math.pi - 1e-9, math.pi, -3.7, 13.1,
+                                2 * math.pi + 1e-3])
+def test_grid_kernel_origins(x0):
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=300)
+    idx = np.concatenate([np.arange(-5, 40), [4095, 4096, 9000, 123456]])
+    assert _grid_error(coeffs, x0, 7.7e-4, idx) <= 1e-12
+
+
+def test_grid_kernel_empty_and_small():
+    C, S = kernels.pair_sums_grid(np.array([]), 0.1, 0.01, np.arange(5))
+    assert not C.any() and not S.any()
+    C, S = kernels.pair_sums_grid(np.array([1.0]), 0.1, 0.01, np.array([], dtype=int))
+    assert C.size == 0 and S.size == 0
+    C, S = kernels.pair_sums_grid(np.array([2.0]), 0.25, 0.5, np.array([3]))
+    assert C[0] == pytest.approx(2.0 * math.cos(1.75), abs=2e-12)
+    assert S[0] == pytest.approx(2.0 * math.sin(1.75), abs=2e-12)
+
+
+def test_inverse_two_pi_constant():
+    import mpmath as mp
+    with mp.workprec(400):
+        assert kernels._INV_TWO_PI == int(mp.floor(mp.mpf(2) ** 256 / (2 * mp.pi)))
+
+
+def test_cost_model():
+    grid = np.arange(4096)
+    assert not kernels.chirp_cheaper(10, grid)          # low degree: Clenshaw
+    assert kernels.chirp_cheaper(1000, grid)            # high degree: chirp-z
+    assert not kernels.chirp_cheaper(1000, np.arange(0, 2 ** 22, 2 ** 16))  # one point a block
+    assert not kernels.chirp_cheaper(kernels.GRID_MAX_DEGREE + 1, grid)
+    with pytest.raises(ValueError):
+        kernels.pair_sums_grid(np.ones(kernels.GRID_MAX_DEGREE + 1), 0.0, 0.1, grid[:1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5), st.floats(-5, -1e-3)),
+                min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
+       st.sampled_from(["cosine", "sine"]), st.floats(-7.0, 7.0),
+       st.floats(1e-6, 0.05), st.lists(st.integers(-3000, 3000), min_size=1, max_size=30),
+       st.booleans())
+def test_values_grid_matches_values(coeffs, shift, stride, kind, t0, dt, idx, chirp):
+    """values_grid(t0, dt, idx) == values(t0 + idx*dt) through either kernel."""
+    from unittest import mock
+    from postrig import trigeval
+    assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
+    poly = trigeval.shifted_poly(coeffs, shift, kind, stride)
+    j = np.array(idx)
+    with mock.patch.object(trigeval, "chirp_cheaper", lambda n, idx: chirp):
+        got = poly.values_grid(t0, dt, j)
+    want = poly.values(t0 + j * dt)
+    mass = sum(abs(c) for c in coeffs) or 1.0
+    assert np.max(np.abs(got - want)) <= 2e-12 * mass

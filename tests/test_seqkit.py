@@ -267,6 +267,24 @@ class TestCor34Condition:
             assert rep.satisfied, (n, alpha, b, c, rep.margin)
             assert abs(rep.margin) <= 1e-10
 
+    def test_ck_equality_holds_at_large_n(self):
+        # the taper terms grow like n^2/4; roundoff in their difference must
+        # not read as a violation (ck(176, 0.1, 1.5, 1) gives -1.36e-12)
+        for n in range(1, 401, 7):
+            for alpha, b in ((0.1, 1.5), (0.35, 2.0)):
+                rep = check_taper_ratio_condition(ck_sequence(n, alpha, b, 1.0),
+                                                  b, 1.0, alpha)
+                assert rep.satisfied, (n, alpha, b, rep.margin)
+
+    def test_genuine_violation_at_large_n(self):
+        # a ck sequence checked above its own alpha breaks the condition at
+        # k = 1 by a relative 1e-9, far above roundoff
+        seq = ck_sequence(300, 0.3, 1.5, 1.0)
+        rep = check_taper_ratio_condition(seq, 1.5, 1.0, 0.3 + 1e-9)
+        assert not rep.satisfied
+        assert rep.first_violation_index == 1
+        assert rep.margin < -1e-7
+
     def test_koumandos_reduction_b_equals_c(self):
         seq = koumandos_bk(21, 0.4)
         rep = check_taper_ratio_condition(seq, 1.0, 1.0, 0.4)
