@@ -126,22 +126,12 @@ class ZeroBracketList:
 
 def lipschitz_bound(poly: TrigPolynomial) -> float:
     """sum over terms of frequency * |coefficient|: a uniform |d/dtheta| bound."""
-    total = 0.0
-    for kind in ("cos", "sin"):
-        coeffs = poly.cos_coeffs if kind == "cos" else poly.sin_coeffs
-        for nu, c in zip(poly.frequencies(kind), coeffs):
-            total += nu * abs(c)
-    return total
+    return float(sum(nu @ np.abs(c) for nu, c in poly.terms()))
 
 
 def curvature_bound(poly: TrigPolynomial) -> float:
     """Same with frequency^2: a uniform |d^2/dtheta^2| bound."""
-    total = 0.0
-    for kind in ("cos", "sin"):
-        coeffs = poly.cos_coeffs if kind == "cos" else poly.sin_coeffs
-        for nu, c in zip(poly.frequencies(kind), coeffs):
-            total += nu * nu * abs(c)
-    return total
+    return float(sum((nu * nu) @ np.abs(c) for nu, c in poly.terms()))
 
 
 def vanishes_structurally(poly: TrigPolynomial, t: float) -> bool:
@@ -174,18 +164,13 @@ def vanishes_structurally(poly: TrigPolynomial, t: float) -> bool:
 
 
 def coefficient_mass(poly: TrigPolynomial) -> float:
-    return 0.5 * abs(poly.a0) + sum(abs(c) for c in poly.cos_coeffs) \
-        + sum(abs(s) for s in poly.sin_coeffs)
+    return 0.5 * abs(poly.a0) + float(sum(np.abs(c).sum() for _, c in poly.terms()))
 
 
 def second_derivative_value(poly: TrigPolynomial, t: float) -> float:
-    acc = 0.0
-    for kind in ("cos", "sin"):
-        coeffs = poly.cos_coeffs if kind == "cos" else poly.sin_coeffs
-        for nu, c in zip(poly.frequencies(kind), coeffs):
-            wave = math.cos(nu * t) if kind == "cos" else math.sin(nu * t)
-            acc -= c * nu * nu * wave
-    return acc
+    (nu_c, cc), (nu_s, sc) = poly.terms()
+    return -float((cc * nu_c * nu_c) @ np.cos(nu_c * t)
+                  + (sc * nu_s * nu_s) @ np.sin(nu_s * t))
 
 
 def endpoint_vanishes(poly: TrigPolynomial, t: float) -> bool:
@@ -207,9 +192,9 @@ def derivative_poly(poly: TrigPolynomial) -> TrigPolynomial | None:
     Coefficient positions keep their frequencies, so the same shift/stride
     layout carries over with the lists swapped and frequency-scaled.
     """
-    new_cos = tuple(nu * s for nu, s in zip(poly.frequencies("sin"), poly.sin_coeffs))
-    new_sin = tuple(-nu * c for nu, c in zip(poly.frequencies("cos"), poly.cos_coeffs))
-    if not any(new_cos) and not any(new_sin):
+    (nu_c, cc), (nu_s, sc) = poly.terms()
+    new_cos, new_sin = nu_s * sc, -nu_c * cc
+    if not (new_cos.any() or new_sin.any()):
         return None
     return TrigPolynomial(0.0, new_cos, new_sin, poly.shift, poly.stride)
 
@@ -233,13 +218,14 @@ def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,
     witness rather than an epsilon-scale one; the probes are evaluated in one
     batch and counted up to the first witness.
     """
-    deltas = [eps * 2.0 ** j for j in range(7, -21, -1) if eps * 2.0 ** j < 0.25 * span]
-    ts = endpoint + np.copysign(deltas, inward)
+    deltas = eps * 2.0 ** np.arange(7, -21, -1)
+    ts = endpoint + np.copysign(deltas[deltas < 0.25 * span], inward)
     vs = poly.values(ts)
-    for i, (t, v) in enumerate(zip(ts, vs)):
-        if v < -noise:
-            return (float(t), float(v)), i + 1
-    return None, len(deltas)
+    hits = np.flatnonzero(vs < -noise)
+    if hits.size:
+        i = int(hits[0])
+        return (float(ts[i]), float(vs[i])), i + 1
+    return None, ts.size
 
 
 def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
@@ -370,13 +356,18 @@ _INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
              eps: float = 1e-4, tol: float = 1e-8) -> tuple[float, float]:
-    """Grid scan plus golden-section refinement; |theta error| <= tol.
+    """Grid scan plus golden-section refinement; |theta error| <= tol, or
+    the bracket's floating-point resolution when that is coarser.
 
     Vanishing endpoints are inset by eps exactly as in certify_positive; ties
     between equal minima resolve to the smallest theta.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
+    if grid0 < 2:
+        raise ParameterDomainError(f"grid0 must be >= 2, got {grid0}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterDomainError(f"tol must be a finite number > 0, got {tol}")
     wlo = lo + (eps if endpoint_vanishes(poly, lo) else 0.0)
     whi = hi - (eps if endpoint_vanishes(poly, hi) else 0.0)
     xs = np.linspace(wlo, whi, grid0)
@@ -388,7 +379,9 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
     x1 = b - _INV_GOLDEN * (b - a)
     x2 = a + _INV_GOLDEN * (b - a)
     f1, f2 = poly.value(x1), poly.value(x2)
-    while b - a > tol:
+    width = math.inf
+    while tol < b - a < width:  # stop once rounding stops the bracket shrinking
+        width = b - a
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INV_GOLDEN * (b - a)
@@ -411,26 +404,26 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
     """
     if kind not in ("p", "q"):
         raise ParameterDomainError(f"kind must be p or q, got {kind!r}")
-    a = [float(v) for v in coeffs]
-    if not a:
+    a = np.array(coeffs, dtype=np.float64)
+    if not a.size:
         raise ParameterDomainError("need at least one coefficient")
     if a[-1] <= 0:
         raise ParameterDomainError("coefficients must be positive")
-    if len(a) > 1 and not a[0] > a[1]:
+    if a.size > 1 and not a[0] > a[1]:
         raise ParameterDomainError(f"a_0 > a_1 violated ({a[0]} <= {a[1]})")
-    for j in range(1, len(a) - 1):
-        if a[j] < a[j + 1]:
-            raise ParameterDomainError(
-                f"a_{j} >= a_{j + 1} violated ({a[j]} < {a[j + 1]})")
+    rises = np.flatnonzero(a[1:-1] < a[2:]) + 1
+    if rises.size:
+        j = int(rises[0])
+        raise ParameterDomainError(f"a_{j} >= a_{j + 1} violated ({a[j]} < {a[j + 1]})")
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
 
     if kind == "p":
-        n = len(a) - 1
-        poly = TrigPolynomial(a0=2.0 * a[n], cos_coeffs=tuple(reversed(a[:n])))
+        n = a.size - 1
+        poly = TrigPolynomial(a0=2.0 * a[n], cos_coeffs=a[:n][::-1])
     else:
-        n = len(a)
-        poly = TrigPolynomial(sin_coeffs=tuple(reversed(a)))
+        n = a.size
+        poly = TrigPolynomial(sin_coeffs=a[::-1])
     min_grid = max(2, 16 * n)
     if grid < min_grid:
         raise ParameterDomainError(
@@ -439,16 +432,13 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
     xs = np.linspace(lo, hi, grid + 1)
     vals = poly.values(xs)
     h = (hi - lo) / grid
-    for i in np.nonzero(vals == 0.0)[0]:
+    zero = np.flatnonzero(vals == 0.0)
+    if zero.size:
         # nudge exact-zero samples off the zero; inward at the boundaries so
         # endpoint zeros of the open interval do not fake a crossing
-        step = -1e-6 * h if i == grid else 1e-6 * h
-        xs[i] = xs[i] + step
-        vals[i] = poly.value(float(xs[i]))
-    brackets = []
-    for i in range(grid):
-        if vals[i] * vals[i + 1] < 0.0:
-            brackets.append((float(xs[i]), float(xs[i + 1]),
-                             1 if vals[i] > 0 else -1,
-                             1 if vals[i + 1] > 0 else -1))
-    return ZeroBracketList(tuple(brackets), kind)
+        xs[zero] += np.where(zero == grid, -1e-6 * h, 1e-6 * h)
+        vals[zero] = poly.values(xs[zero])
+    sign = np.where(vals > 0, 1, -1)
+    cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    return ZeroBracketList(tuple((float(xs[i]), float(xs[i + 1]), int(sign[i]),
+                                  int(sign[i + 1])) for i in cross.tolist()), kind)

@@ -1,37 +1,53 @@
-"""Evaluation kernels: Clenshaw at arbitrary angles, chirp-z on uniform grids.
+"""Evaluation kernels: one contract, three paths.
 
-Both kernels return the pair of sums
+Every path returns the pair of sums
 
     C(x) = sum_{k=1}^n c_k cos(k x)    and    S(x) = sum_{k=1}^n c_k sin(k x)
 
-and meet one contract: the error of either sum is at most
+and meets one contract: the error of either sum is at most
 ``KERNEL_TOL * sum |c_k|`` at every point.
 
-``pair_sums(coeffs, x)`` runs the Reinsch-modified Clenshaw recurrence at any
-angles.  It imports the compiled extension when it was built, otherwise the
-numpy implementation; set POSTRIG_FORCE_PYTHON_KERNELS=1 to force the
-fallback (used by the backend-parity tests).
+``pair_sums(coeffs, x)`` takes any angles and runs, for the whole batch, one
+of two paths:
+
+- the Reinsch-modified Clenshaw recurrence, from the compiled extension when
+  it was built, otherwise the numpy implementation (set
+  POSTRIG_FORCE_PYTHON_KERNELS=1 to force the fallback; the backend-parity
+  tests do);
+- direct sums for small batches: each angle is reduced exactly to a
+  fraction of a turn, every phase k*x is then formed exactly (see below),
+  and one dot product with the coefficients gives C + iS.  Angles are taken
+  in row chunks of about ``_DIRECT_CHUNK`` phases, so the working set stays
+  O(n); a non-finite angle gives nan, as in Clenshaw.
 
 ``pair_sums_grid(coeffs, x0, dx, idx)`` evaluates at the grid points
 x0 + idx*dx (idx an integer array) by blocked Bluestein chirp-z through
 numpy.fft.  With k*j = (k^2 + j^2 - (j - k)^2)/2 the sums over one block of
 ``GRID_BLOCK`` consecutive outputs become one convolution with the chirp
 exp(-i m^2 dx/2), whose FFT is shared by all blocks of a call; only blocks
-that hold a requested index are computed.  Every phase (k x0, k J dx for the
-block start J, k^2 dx/2) is reduced exactly: angles become 96-bit
-fixed-point fractions of a turn (Python integers times a 256-bit 1/(2 pi)),
-and their integer multiples are taken limb by limb in uint64, so the phase
-error stays near 2^-53 turn whatever the degree or the grid depth.  The
-squares k^2 must stay below 2^32, which bounds the degree by
-``GRID_MAX_DEGREE``.
+that hold a requested index are computed.  The squares k^2 must stay below
+2^32, which bounds the degree by ``GRID_MAX_DEGREE``.
 
-``chirp_cheaper(n, idx)`` is the fixed cost model that picks between them
-for one batch: Clenshaw costs about n * (m + 1000) point steps for m points
-(the 1000 stands for the numpy-call overhead of each recurrence step), and
-chirp-z about 2 * (blocks + 1) * N log2 N point steps, N the padded
-convolution length (n + GRID_BLOCK rounded up to a 5-smooth size) and the
-extra block the shared chirp kernel.  The weights were measured on the numpy
-backend; only the batch's degree and indices enter, never the worker count.
+Exact phases: angles become 96-bit fixed-point fractions of a turn (Python
+integers times a 256-bit 1/(2 pi)), and their integer multiples are taken
+limb by limb in uint64, so every phase -- k x in the direct sums, k x0,
+k J dx for a block start J and k^2 dx/2 in chirp-z -- is within about
+2^-53 turn whatever the degree or the grid depth, for angles up to 2^150.
+
+The cost model is fixed, in Clenshaw point steps (one coefficient at one
+point), with weights measured on the numpy backend; only a batch's degree n
+and its points enter, never the worker count:
+
+- Clenshaw: n * (m + 1000) for m points, the 1000 standing for the
+  numpy-call overhead of each recurrence step;
+- direct: m * (14 n + 500) + 10000, for the phases, cos, sin and dot of each
+  coefficient, the integer reduction of each angle and the calls of a
+  batch; ``direct_cheaper`` picks it over Clenshaw, and never for
+  ``DIRECT_MAX_POINTS`` points or more;
+- chirp-z: 2 * (blocks + 1) * N log2 N, N the padded convolution length
+  (n + GRID_BLOCK rounded up to a 5-smooth size) and the extra block the
+  shared chirp kernel; ``chirp_cheaper`` picks it over the cheaper of the
+  other two.
 """
 
 from __future__ import annotations
@@ -53,14 +69,15 @@ else:
         _impl = _kernels_py
 
 BACKEND: str = _impl.BACKEND
-pair_sums = _impl.pair_sums
 
-#: both kernels' error bound, relative to sum |c_k|
+#: every path's error bound, relative to sum |c_k|
 KERNEL_TOL = 1e-12
 #: outputs per chirp-z block
 GRID_BLOCK = 4096
 #: largest degree the grid kernel takes (k^2 < 2^32 for every chirp index)
 GRID_MAX_DEGREE = 65535
+#: batches of this many points or more never take the direct path
+DIRECT_MAX_POINTS = 256
 
 _INV_TWO_PI = 0x28BE60DB9391054A7F09D5F47D4D377036D8A5664F10E4107F9458EAF7AEF158
 """floor(2**256 / (2 pi))"""
@@ -70,6 +87,10 @@ _RAD_PER_UNIT = 2.0 * math.pi / 2.0 ** 64
 # cost model weights, in Clenshaw point steps (one coefficient at one point)
 _CLENSHAW_CALL_POINTS = 1000  # numpy-call overhead of one recurrence step
 _FFT_STEP = 2.0               # one of N log2 N in a block: two FFTs and the phases
+_DIRECT_STEP = 14.0           # one phase, its cos and sin, and its share of the dot
+_DIRECT_POINT = 500           # reducing one angle in Python integers
+_DIRECT_CALL = 10000          # numpy-call overhead of one direct batch
+_DIRECT_CHUNK = 8192          # phases per row chunk of the direct path
 
 
 def _turns(num: int, den: int) -> int:
@@ -77,17 +98,23 @@ def _turns(num: int, den: int) -> int:
     return ((num * _INV_TWO_PI) // (den << 160)) & ((1 << 96) - 1)
 
 
-def _multiple(k: np.ndarray, turns: int) -> np.ndarray:
-    """frac(k * turns / 2**96) in units of 2**-64 turn, for uint64 k < 2**32.
+def _limbs(turns: list[int]) -> np.ndarray:
+    """The 32-bit limbs (high, middle, low) of 96-bit fractions, as a
+    (3, len(turns)) uint64 array."""
+    return np.array([[(t >> s) & _M32 for t in turns] for s in (64, 32, 0)],
+                    dtype=np.uint64)
 
-    Each product of k with a 32-bit limb of ``turns`` is exact in uint64;
-    the high limb's product counts only modulo 2**32 (whole turns above it)
-    and the additions wrap modulo 2**64, i.e. modulo one turn.
+
+def _multiple(k: np.ndarray, limbs: np.ndarray) -> np.ndarray:
+    """frac(k * turns / 2**96) in units of 2**-64 turn, for uint64 k < 2**32
+    and ``limbs`` the `_limbs` of the turns, shaped to broadcast against k.
+
+    Each product of k with a 32-bit limb is exact in uint64; the high limb's
+    product counts only modulo 2**32 (whole turns above it) and the
+    additions wrap modulo 2**64, i.e. modulo one turn.
     """
-    hi = k * np.uint64(turns >> 64)
-    mid = k * np.uint64((turns >> 32) & _M32)
-    lo = k * np.uint64(turns & _M32)
-    return (hi << np.uint64(32)) + mid + (lo >> np.uint64(32))
+    hi, mid, lo = limbs
+    return ((k * hi) << np.uint64(32)) + k * mid + ((k * lo) >> np.uint64(32))
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -116,16 +143,52 @@ def _fft_length(size: int) -> int:
     return best
 
 
+def _direct_cost(n: int, m: int) -> float:
+    return m * (_DIRECT_STEP * n + _DIRECT_POINT) + _DIRECT_CALL
+
+
+def direct_cheaper(n: int, m: int) -> bool:
+    """True when direct sums should evaluate degree n at m arbitrary angles."""
+    return 0 < m < DIRECT_MAX_POINTS and n < 1 << 32 \
+        and _direct_cost(n, m) < n * (m + _CLENSHAW_CALL_POINTS)
+
+
 def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
     """True when chirp-z should evaluate degree n at grid indices idx."""
     if n == 0 or n > GRID_MAX_DEGREE:
         return False
     size = _fft_length(n + GRID_BLOCK)
     per_block = _FFT_STEP * size * math.log2(size)
-    clenshaw = n * (idx.size + _CLENSHAW_CALL_POINTS)
-    if clenshaw <= 2 * per_block:  # chirp-z loses even with a single block
+    m = idx.size
+    other = _direct_cost(n, m) if direct_cheaper(n, m) \
+        else n * (m + _CLENSHAW_CALL_POINTS)
+    if other <= 2 * per_block:  # chirp-z loses even with a single block
         return False
-    return (np.unique(idx // GRID_BLOCK).size + 1) * per_block < clenshaw
+    return (np.unique(idx // GRID_BLOCK).size + 1) * per_block < other
+
+
+def _direct_sums(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at the angles x by direct sums over exactly reduced phases."""
+    flat = x.ravel()
+    out = np.full(flat.size, complex(np.nan, np.nan))
+    finite = np.flatnonzero(np.isfinite(flat))
+    ks = np.arange(1, c.size + 1, dtype=np.uint64)
+    rows = max(1, _DIRECT_CHUNK // c.size)
+    for start in range(0, finite.size, rows):
+        sel = finite[start:start + rows]
+        turns = [_turns(*v.as_integer_ratio()) for v in flat[sel].tolist()]
+        out[sel] = _cis(_multiple(ks, _limbs(turns)[:, :, None])) @ c
+    out = out.reshape(x.shape)
+    return out.real, out.imag
+
+
+def pair_sums(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at the angles x, by direct sums or Clenshaw as the cost model picks."""
+    c = np.ascontiguousarray(coeffs, dtype=np.float64)
+    xs = np.asarray(x, dtype=np.float64)
+    if direct_cheaper(c.size, xs.size):
+        return _direct_sums(c, xs)
+    return _impl.pair_sums(c, xs)
 
 
 @functools.lru_cache(maxsize=1)
@@ -138,7 +201,7 @@ def _chirp_plan(n: int, dx: float) -> tuple[int, np.ndarray, np.ndarray]:
     size = _fft_length(n + B)
     p, q = dx.as_integer_ratio()
     chirp = _cis(_multiple(np.arange(max(n + 1, B), dtype=np.uint64) ** 2,
-                           _turns(p, 2 * q)))
+                           _limbs([_turns(p, 2 * q)])))
     kernel = np.zeros(size, dtype=np.complex128)
     kernel[:B] = chirp[:B].conj()              # t - k = 0 .. B-1
     kernel[size - n:] = chirp[n:0:-1].conj()   # t - k = -n .. -1
@@ -173,7 +236,7 @@ def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
         first = int(flat[sel[0]] // B) * B
         # block start x0 + first*dx, exactly, over the common denominator
         lead = _turns(p0 * q1 + first * p1 * q0, q0 * q1)
-        a[1:n + 1] = weighted * _cis(_multiple(ks, lead))
+        a[1:n + 1] = weighted * _cis(_multiple(ks, _limbs([lead])))
         y = np.fft.ifft(np.fft.fft(a) * kernel)
         t = flat[sel] - first
         out[sel] = chirp[t] * y[t]

@@ -11,15 +11,20 @@ k = 0 (j0 = 0).  This covers the plain partial Fourier sums, the phase-shifted
 sums cos((k+lam)*theta) / sin((k+mu)*theta), and the stride-2 shape
 cos((2k+1/2)*theta).
 
+Each polynomial keeps one read-only array view of its terms, (nu, c) for
+the cosine and for the sine part (`TrigPolynomial.terms`); the derivative
+values here and the bounds in `postrig.certify` are array expressions on it.
+
 All evaluators route through the kernels of `postrig.kernels`; the shift is
 peeled off with the two angle-addition identities, so a shifted sum is
 computed from two unshifted kernel sums.  `TrigPolynomial.values` takes any
-angles and runs the Clenshaw kernel.  `TrigPolynomial.values_grid` takes the
-points t0 + idx*dt of a uniform grid (idx integer), as the certifier's
-initial grid and its refinement midpoints are, and lets the kernels' fixed
-cost model (`kernels.chirp_cheaper`) pick, once per batch, the chirp-z grid
-kernel or Clenshaw at the points t0 + idx*dt.  Its optional thread split is
-made after that choice, so the values do not depend on the worker count.
+angles and runs `kernels.pair_sums` (direct sums for small batches,
+Clenshaw otherwise).  `TrigPolynomial.values_grid` takes the points
+t0 + idx*dt of a uniform grid (idx integer), as the certifier's initial grid
+and its refinement midpoints are, and lets the kernels' fixed cost model
+(`kernels.chirp_cheaper`) pick, once per batch, the chirp-z grid kernel or
+`values` at the points t0 + idx*dt.  Its optional thread split is made
+after that choice, so the values do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import chirp_cheaper, pair_sums, pair_sums_grid
+from .kernels import DIRECT_MAX_POINTS, chirp_cheaper, pair_sums, pair_sums_grid
 
 #: batches smaller than this are never split across threads
 _THREAD_MIN_POINTS = 4096
@@ -49,54 +54,64 @@ class TrigPolynomial:
     stride: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "cos_coeffs", tuple(float(v) for v in self.cos_coeffs))
-        object.__setattr__(self, "sin_coeffs", tuple(float(v) for v in self.sin_coeffs))
-        object.__setattr__(self, "a0", float(self.a0))
-        if self.a0 == 0.0 and not self.cos_coeffs and not self.sin_coeffs:
+        a0 = float(self.a0)
+        cos = np.array(self.cos_coeffs, dtype=np.float64)
+        sin = np.array(self.sin_coeffs, dtype=np.float64)
+        if cos.ndim != 1 or sin.ndim != 1:
+            raise ParameterDomainError("coefficients must be flat sequences")
+        if a0 == 0.0 and not cos.size and not sin.size:
             raise ParameterDomainError("empty polynomial: a0 = 0 and no coefficients")
-        for v in (self.a0, *self.cos_coeffs, *self.sin_coeffs):
-            if not math.isfinite(v):
-                raise ParameterDomainError("coefficients must be finite")
+        if not (math.isfinite(a0) and np.isfinite(cos).all() and np.isfinite(sin).all()):
+            raise ParameterDomainError("coefficients must be finite")
         if self.stride not in (1, 2):
             raise ParameterDomainError(f"stride must be 1 or 2, got {self.stride}")
         if not (0.0 <= self.shift < 1.0):
             raise ParameterDomainError(f"shift must lie in [0, 1), got {self.shift}")
+        object.__setattr__(self, "a0", a0)
+        object.__setattr__(self, "cos_coeffs", tuple(cos.tolist()))
+        object.__setattr__(self, "sin_coeffs", tuple(sin.tolist()))
+        view = []
+        for c in (cos, sin):
+            nu = self.stride * np.arange(self.index_start, self.index_start + c.size,
+                                         dtype=np.float64) + self.shift
+            nu.flags.writeable = c.flags.writeable = False
+            view.append((nu, c))
+        object.__setattr__(self, "_view", tuple(view))
 
     @property
     def index_start(self) -> int:
         """First coefficient index k: 1 in the standard layout, 0 when shifted."""
         return 0 if self.shift != 0.0 else 1
 
-    def frequencies(self, kind: str) -> list[float]:
-        coeffs = self.cos_coeffs if kind == "cos" else self.sin_coeffs
-        k0 = self.index_start
-        return [self.stride * (j + k0) + self.shift for j in range(len(coeffs))]
+    def terms(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """((nu, c) of the cosine part, (nu, c) of the sine part) as read-only
+        arrays: frequencies and coefficients, built once per polynomial."""
+        return self._view
+
+    def frequencies(self, kind: str) -> np.ndarray:
+        return self._view[0 if kind == "cos" else 1][0]
 
     def _peel(self, theta: np.ndarray,
               sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """a0/2 plus both trig parts at angles theta, given ``sums(body)``:
         the kernel pair (C, S) of an unshifted coefficient body at stride*theta."""
         out = np.full(theta.shape, 0.5 * self.a0)
-        k0 = self.index_start
-        for kind, coeffs in (("cos", self.cos_coeffs), ("sin", self.sin_coeffs)):
-            if not coeffs:
+        shifted = self.shift != 0.0
+        if shifted:
+            ph = self.shift * theta
+            cph, sph = np.cos(ph), np.sin(ph)
+        for kind, (_, c) in zip(("cos", "sin"), self._view):
+            if not c.size:
                 continue
-            if k0 == 0:
-                head, body = coeffs[0], np.asarray(coeffs[1:])
-            else:
-                head, body = 0.0, np.asarray(coeffs)
-            C, S = sums(body)
-            if k0 == 0:
-                C = C + head  # cos(0*x) = 1 term; its sine partner vanishes
-            if self.shift == 0.0:
+            C, S = sums(c[1:] if shifted else c)
+            if not shifted:
                 out = out + (C if kind == "cos" else S)
+                continue
+            C = C + c[0]  # cos(0*x) = 1 term; its sine partner vanishes
+            if kind == "cos":
+                out = out + cph * C - sph * S
             else:
-                ph = self.shift * theta
-                cph, sph = np.cos(ph), np.sin(ph)
-                if kind == "cos":
-                    out = out + cph * C - sph * S
-                else:
-                    out = out + sph * C + cph * S
+                out = out + sph * C + cph * S
         return out
 
     def values(self, theta) -> np.ndarray:
@@ -109,8 +124,9 @@ class TrigPolynomial:
         """Evaluate at the grid points t0 + idx*dt for an integer array idx.
 
         The kernel is chosen once for the whole batch; with workers > 1 a
-        large batch is then split across threads, and every point gets the
-        same value as without the split.
+        large batch is then split across threads into parts too large for
+        the direct path, so every point gets the same value as without the
+        split.
         """
         j = np.asarray(idx, dtype=np.int64)
         degree = max(len(self.cos_coeffs), len(self.sin_coeffs))
@@ -125,9 +141,10 @@ class TrigPolynomial:
         if workers <= 1 or j.size < _THREAD_MIN_POINTS:
             return part(j)
         out = np.empty(j.shape)
+        parts = min(workers, j.size // DIRECT_MAX_POINTS)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [(sel, pool.submit(part, j[sel]))
-                       for sel in np.array_split(np.arange(j.size), workers)]
+                       for sel in np.array_split(np.arange(j.size), parts)]
             for sel, fut in futures:
                 out[sel] = fut.result()
         return out
@@ -136,26 +153,20 @@ class TrigPolynomial:
         return float(self.values(np.array([theta]))[0])
 
     def derivative_value(self, theta: float) -> float:
-        """d/dtheta at a point, term by term (used for endpoint slopes)."""
-        k0 = self.index_start
-        acc = 0.0
-        for j, c in enumerate(self.cos_coeffs):
-            nu = self.stride * (j + k0) + self.shift
-            acc -= c * nu * math.sin(nu * theta)
-        for j, s in enumerate(self.sin_coeffs):
-            nu = self.stride * (j + k0) + self.shift
-            acc += s * nu * math.cos(nu * theta)
-        return acc
+        """d/dtheta at a point (used for endpoint slopes)."""
+        (nu_c, cc), (nu_s, sc) = self._view
+        return float((sc * nu_s) @ np.cos(nu_s * theta)
+                     - (cc * nu_c) @ np.sin(nu_c * theta))
 
 
 def sine_poly(coeffs: Sequence[float]) -> TrigPolynomial:
     """sum_{k>=1} coeffs[k-1] sin(k theta)."""
-    return TrigPolynomial(sin_coeffs=tuple(coeffs))
+    return TrigPolynomial(sin_coeffs=coeffs)
 
 
 def cosine_poly(a0: float, coeffs: Sequence[float] = ()) -> TrigPolynomial:
     """a0/2 + sum_{k>=1} coeffs[k-1] cos(k theta)."""
-    return TrigPolynomial(a0=a0, cos_coeffs=tuple(coeffs))
+    return TrigPolynomial(a0=a0, cos_coeffs=coeffs)
 
 
 def shifted_poly(coeffs: Sequence[float], shift: float, kind: str,
@@ -166,15 +177,15 @@ def shifted_poly(coeffs: Sequence[float], shift: float, kind: str,
     cosine sums and drops for sine sums), so the reduction to the unshifted
     evaluators is exact.
     """
-    e = tuple(float(v) for v in coeffs)
-    if not e:
+    e = np.array(coeffs, dtype=np.float64)
+    if not e.size:
         raise SizeError("need at least one coefficient")
     if kind not in ("cosine", "sine"):
         raise ParameterDomainError(f"kind must be cosine or sine, got {kind!r}")
     if shift == 0.0:
         if kind == "cosine":
             return TrigPolynomial(a0=2.0 * e[0], cos_coeffs=e[1:], stride=stride)
-        return TrigPolynomial(sin_coeffs=e[1:], stride=stride) if len(e) > 1 \
+        return TrigPolynomial(sin_coeffs=e[1:], stride=stride) if e.size > 1 \
             else TrigPolynomial(a0=0.0, sin_coeffs=(0.0,), stride=stride)
     if kind == "cosine":
         return TrigPolynomial(cos_coeffs=e, shift=shift, stride=stride)
@@ -182,7 +193,7 @@ def shifted_poly(coeffs: Sequence[float], shift: float, kind: str,
 
 
 def eval_sine_sum(coeffs: Sequence[float], theta) -> float | np.ndarray:
-    """sum_{k=1}^n coeffs[k-1] sin(k theta), Clenshaw-evaluated."""
+    """sum_{k=1}^n coeffs[k-1] sin(k theta), through `kernels.pair_sums`."""
     arr = np.asarray(coeffs, dtype=np.float64)
     th = np.asarray(theta, dtype=np.float64)
     _, S = pair_sums(arr, np.atleast_1d(th))
@@ -230,11 +241,10 @@ def eval_halfangle_product_derivative(n: int, alpha: float, beta: float, lam: fl
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
-    w = [qk_weight(k, alpha, beta, lam, mu) for k in range(2, n + 1)]
-    c_coeffs = [1.0] + [1.0 / (k * wk) for k, wk in zip(range(2, n + 1), w)]
-    s_coeffs = [1.0] + [1.0 / wk for wk in w]
-    C = eval_cosine_sum(2.0, c_coeffs, theta)
-    S = eval_sine_sum(s_coeffs, theta)
+    k = np.arange(2, n + 1)
+    w = qk_weight(k, alpha, beta, lam, mu)
+    C = eval_cosine_sum(2.0, np.concatenate(([1.0], 1.0 / (k * w))), theta)
+    S = eval_sine_sum(np.concatenate(([1.0], 1.0 / w)), theta)
     return -0.5 * math.sin(0.5 * theta) * C - math.cos(0.5 * theta) * S
 
 
@@ -248,28 +258,28 @@ def halfangle_product_negated_poly(n: int, alpha: float, beta: float, lam: float
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
-    c = [1.0, 1.0] + [1.0 / (k * qk_weight(k, alpha, beta, lam, mu))
-                      for k in range(2, n + 1)] + [0.0]
-    s = [0.0, 1.0] + [1.0 / qk_weight(k, alpha, beta, lam, mu)
-                      for k in range(2, n + 1)] + [0.0]
-    e = [0.5 * c[0] - 0.25 * c[1] + 0.5 * s[1]]
-    for m in range(1, n + 1):
-        e.append(0.25 * (c[m] - c[m + 1]) + 0.5 * (s[m] + s[m + 1]))
-    return TrigPolynomial(sin_coeffs=tuple(e), shift=0.5, stride=1)
+    k = np.arange(2, n + 1)
+    w = qk_weight(k, alpha, beta, lam, mu)
+    c = np.concatenate(([1.0, 1.0], 1.0 / (k * w), [0.0]))
+    s = np.concatenate(([0.0, 1.0], 1.0 / w, [0.0]))
+    e = np.concatenate(([0.5 * c[0] - 0.25 * c[1] + 0.5 * s[1]],
+                        0.25 * (c[1:-1] - c[2:]) + 0.5 * (s[1:-1] + s[2:])))
+    return TrigPolynomial(sin_coeffs=e, shift=0.5, stride=1)
 
 
 def fejer_sigma(k: int, x: float) -> float:
     """sigma_k(x) = sum_{j=1}^k (k - j + 1) sin(j x)."""
     if k < 1:
         raise ParameterDomainError("k must be >= 1")
-    return math.fsum((k - j + 1) * math.sin(j * x) for j in range(1, k + 1))
+    j = np.arange(1, k + 1)
+    return math.fsum((k - j + 1) * np.sin(j * x))
 
 
 def fejer_h(k: int, x: float) -> float:
     """h_k(x) = sin(x) + ... + sin((k-1)x) + sin(kx)/2."""
     if k < 1:
         raise ParameterDomainError("k must be >= 1")
-    return math.fsum(math.sin(j * x) for j in range(1, k)) + 0.5 * math.sin(k * x)
+    return math.fsum(np.sin(np.arange(1, k) * x)) + 0.5 * math.sin(k * x)
 
 
 def abel_resum(b_seq: Iterable[float], c_seq: Iterable[float]) -> float:
@@ -278,16 +288,11 @@ def abel_resum(b_seq: Iterable[float], c_seq: Iterable[float]) -> float:
     sum_k b_k c_k = sum_{k=0}^{n-1} (b_k - b_{k+1}) * (sum_{j<=k} c_j)
                     + b_n * sum_{k<=n} c_k
     """
-    b = [float(v) for v in b_seq]
-    c = [float(v) for v in c_seq]
-    if len(b) != len(c):
-        raise SizeError(f"length mismatch: {len(b)} vs {len(c)}")
-    if not b:
+    b = np.fromiter(b_seq, dtype=np.float64)
+    c = np.fromiter(c_seq, dtype=np.float64)
+    if b.size != c.size:
+        raise SizeError(f"length mismatch: {b.size} vs {c.size}")
+    if not b.size:
         raise SizeError("need at least one term")
-    acc = 0.0
-    prefix = 0.0
-    for k in range(len(b) - 1):
-        prefix += c[k]
-        acc += (b[k] - b[k + 1]) * prefix
-    prefix += c[-1]
-    return acc + b[-1] * prefix
+    prefix = np.cumsum(c)
+    return float((b[:-1] - b[1:]) @ prefix[:-1] + b[-1] * prefix[-1])

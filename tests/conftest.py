@@ -17,17 +17,20 @@ import numpy as np
 import pytest
 
 
+def naive_terms(poly):
+    """(kind, frequency, coefficient) of every term of a TrigPolynomial, in
+    plain Python floats from its coefficient tuples."""
+    k0 = 0 if poly.shift != 0.0 else 1
+    return [(kind, poly.stride * (j + k0) + poly.shift, c)
+            for kind, coeffs in (("cos", poly.cos_coeffs), ("sin", poly.sin_coeffs))
+            for j, c in enumerate(coeffs)]
+
+
 def naive_trig_value(poly, theta: float) -> float:
     """Term-by-term fsum evaluation of a TrigPolynomial."""
-    terms = [0.5 * poly.a0]
-    k0 = 0 if poly.shift != 0.0 else 1
-    for j, c in enumerate(poly.cos_coeffs):
-        nu = poly.stride * (j + k0) + poly.shift
-        terms.append(c * math.cos(nu * theta))
-    for j, s in enumerate(poly.sin_coeffs):
-        nu = poly.stride * (j + k0) + poly.shift
-        terms.append(s * math.sin(nu * theta))
-    return math.fsum(terms)
+    return math.fsum([0.5 * poly.a0] + [
+        c * (math.cos(nu * theta) if kind == "cos" else math.sin(nu * theta))
+        for kind, nu, c in naive_terms(poly)])
 
 
 def naive_sine_sum(coeffs, theta: float) -> float:

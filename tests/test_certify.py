@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from postrig import (CertifyOptions, PositivityReport, bracket_zeros,
+from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
                      certify_positive, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, roundoff_bound,
-                             vanishes_structurally)
+from postrig.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, coefficient_mass,
+                             curvature_bound, derivative_poly, roundoff_bound,
+                             second_derivative_value, vanishes_structurally)
 from postrig.kernels import chirp_cheaper
 from postrig.errors import ParameterDomainError
+from conftest import naive_terms
 
 PI = math.pi
 
@@ -36,6 +39,60 @@ class TestLipschitz:
         ths = np.linspace(0.0, 2 * PI, 10_000)
         deriv = np.array([s40.derivative_value(t) for t in ths[::7]])
         assert np.max(np.abs(deriv)) <= L
+
+
+class TestArrayView:
+    """Bounds and derivative values from the (nu, c) array view against the
+    term-by-term fsum definitions."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=40),
+           st.lists(st.floats(-5, 5), max_size=40), st.floats(-3, 3),
+           st.sampled_from([0.0, 0.125, 0.25, 0.5]), st.sampled_from([1, 2]),
+           st.floats(-7.0, 7.0))
+    def test_matches_termwise_fsum(self, cc, sc, a0, shift, stride, t):
+        poly = TrigPolynomial(a0, tuple(cc), tuple(sc), shift, stride)
+        terms = naive_terms(poly)
+
+        def fsum(f):
+            return math.fsum(f(kind, nu, c) for kind, nu, c in terms)
+
+        def close(got, want, scale):
+            assert abs(got - want) <= 1e-14 * (scale + 1e-300)
+
+        L = fsum(lambda k, nu, c: nu * abs(c))
+        L2 = fsum(lambda k, nu, c: nu * nu * abs(c))
+        close(lipschitz_bound(poly), L, L)
+        close(curvature_bound(poly), L2, L2)
+        mass = 0.5 * abs(a0) + fsum(lambda k, nu, c: abs(c))
+        close(coefficient_mass(poly), mass, mass)
+        d1 = fsum(lambda k, nu, c: -c * nu * math.sin(nu * t) if k == "cos"
+                  else c * nu * math.cos(nu * t))
+        d2 = fsum(lambda k, nu, c: -c * nu * nu * (math.cos(nu * t) if k == "cos"
+                                                    else math.sin(nu * t)))
+        close(poly.derivative_value(t), d1, L)
+        close(second_derivative_value(poly, t), d2, L2)
+        assert list(poly.frequencies("cos")) == [nu for k, nu, _ in terms if k == "cos"]
+        deriv = derivative_poly(poly)
+        new_cos = [nu * c for k, nu, c in terms if k == "sin"]
+        new_sin = [-nu * c for k, nu, c in terms if k == "cos"]
+        if not any(new_cos) and not any(new_sin):
+            assert deriv is None
+        else:
+            assert (deriv.cos_coeffs, deriv.sin_coeffs) == (tuple(new_cos), tuple(new_sin))
+            assert (deriv.shift, deriv.stride, deriv.a0) == (shift, stride, 0.0)
+
+    def test_view_is_read_only(self):
+        poly = sine_poly([1.0, 0.5])
+        (nu, c), _ = poly.terms()
+        with pytest.raises(ValueError):
+            c[0] = 2.0
+        with pytest.raises(ValueError):
+            nu[0] = 2.0
+
+    def test_rejects_nested_coefficients(self):
+        with pytest.raises(ParameterDomainError):
+            TrigPolynomial(cos_coeffs=((1.0, 2.0),))
 
 
 class TestVanishDetection:
@@ -209,6 +266,21 @@ class TestFindMin:
         assert theta == pytest.approx(3.0411811, abs=1e-4)
         assert m > 0
 
+    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": math.nan},
+                                    {"tol": math.inf}, {"grid0": 0}, {"grid0": 1}])
+    def test_rejects_bad_tol_and_grid(self, kw):
+        _, c30 = fig1_polys(30)
+        with pytest.raises(ParameterDomainError):
+            find_min(c30, 0.0, PI, **kw)
+
+    @pytest.mark.parametrize("tol", [1e-17, 5e-324])
+    def test_tol_below_resolution_returns(self, tol):
+        # the bracket cannot shrink below an ulp of theta; the search stops there
+        _, c30 = fig1_polys(30)
+        theta, m = find_min(c30, 0.0, PI, tol=tol)
+        assert m == pytest.approx(0.242148015546, abs=1e-9)
+        assert theta == pytest.approx(3.0411811, abs=1e-4)
+
 
 class TestTaperedFamilyThresholds:
     """The tapered-coefficient cosine sums: where positivity really holds.
@@ -264,7 +336,52 @@ class TestTaperedFamilyThresholds:
         assert value == pytest.approx(naive, abs=1e-10)
 
 
+def _reference_brackets(kind, coeffs, lo, hi, grid):
+    """bracket_zeros' scan as a loop over the grid, one nudge at a time."""
+    a = [float(v) for v in coeffs]
+    if kind == "p":
+        poly = TrigPolynomial(a0=2.0 * a[-1], cos_coeffs=tuple(reversed(a[:-1])))
+    else:
+        poly = TrigPolynomial(sin_coeffs=tuple(reversed(a)))
+    xs = np.linspace(lo, hi, grid + 1)
+    vals = poly.values(xs)
+    h = (hi - lo) / grid
+    for i in np.nonzero(vals == 0.0)[0]:
+        xs[i] += -1e-6 * h if i == grid else 1e-6 * h
+        vals[i] = poly.value(float(xs[i]))
+    out = []
+    for i in range(grid):
+        if vals[i] * vals[i + 1] < 0.0:
+            out.append((float(xs[i]), float(xs[i + 1]), 1 if vals[i] > 0 else -1,
+                        1 if vals[i + 1] > 0 else -1))
+    return tuple(out)
+
+
 class TestBracketZeros:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_reference_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 60))
+        a = np.sort(rng.uniform(0.1, 2.0, n + 1))[::-1]
+        a[0] += 0.5
+        kind = ("p", "q")[seed % 2]
+        # q vanishes exactly at 0: a left or right endpoint sample of 0.0
+        lo, hi = ((0.0, 2 * PI), (-PI, 0.0), (0.3, 5.0))[seed % 3]
+        grid = 16 * (n + 1) + int(rng.integers(0, 50))
+        got = bracket_zeros(kind, a, lo, hi, grid)
+        assert got.brackets == _reference_brackets(kind, a, lo, hi, grid)
+        assert got.brackets
+
+    def test_exact_zero_sample_is_nudged(self):
+        # q is odd, so it vanishes exactly at the grid point 0.0 of this
+        # grid; only the nudge turns that sample into a bracket around 0
+        a = [3.0, 2.0, 1.5, 1.0]
+        lo, hi, grid = -PI, PI, 64
+        assert np.linspace(lo, hi, grid + 1)[grid // 2] == 0.0
+        got = bracket_zeros("q", a, lo, hi, grid)
+        assert got.brackets == _reference_brackets("q", a, lo, hi, grid)
+        assert any(b[0] < 0.0 < b[1] for b in got.brackets)
+
     def test_constant_p_has_no_zeros(self):
         out = bracket_zeros("p", [1.0], 0.0, 2 * PI, 512)
         assert out.brackets == ()

@@ -1,13 +1,15 @@
-"""Kernel contracts: Clenshaw and the chirp-z grid kernel against naive sums, backend parity."""
+"""Kernel contracts: Clenshaw, the direct sums and the chirp-z grid kernel
+against naive and exact sums, the cost models, backend parity."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from postrig import _kernels_py, kernels
-from conftest import naive_sine_sum, naive_cosine_sum
+from postrig import TrigPolynomial, _kernels_py, kernels, shifted_poly, trigeval
+from conftest import naive_sine_sum, naive_cosine_sum, naive_trig_value
 
 try:
     from postrig import _kernels
@@ -158,8 +160,6 @@ def test_cost_model():
        st.booleans())
 def test_values_grid_matches_values(coeffs, shift, stride, kind, t0, dt, idx, chirp):
     """values_grid(t0, dt, idx) == values(t0 + idx*dt) through either kernel."""
-    from unittest import mock
-    from postrig import trigeval
     assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
     poly = trigeval.shifted_poly(coeffs, shift, kind, stride)
     j = np.array(idx)
@@ -168,3 +168,110 @@ def test_values_grid_matches_values(coeffs, shift, stride, kind, t0, dt, idx, ch
     want = poly.values(t0 + j * dt)
     mass = sum(abs(c) for c in coeffs) or 1.0
     assert np.max(np.abs(got - want)) <= 2e-12 * mass
+
+
+# ---------------------------------------------------------------------------
+# the direct path of pair_sums
+
+def _exact_pair(coeffs, x, bits=256):
+    """(C, S) at the double x: mpmath's cis(x) to `bits` bits, then the sum
+    of c_k w^k by Horner's rule in `bits`-bit fixed-point Python integers."""
+    import mpmath as mp
+    with mp.workprec(bits + 64):
+        w = mp.expj(mp.mpf(float(x)))
+        wr = int(mp.nint(w.real * 2 ** bits))
+        wi = int(mp.nint(w.imag * 2 ** bits))
+    re = im = 0
+    for c in reversed(coeffs.tolist()):  # acc = (acc + c_k) * w, k = n .. 1
+        p, q = c.as_integer_ratio()
+        re += (p << bits) // q
+        re, im = (re * wr - im * wi) >> bits, (re * wi + im * wr) >> bits
+    return re / 2.0 ** bits, im / 2.0 ** bits
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-10, 10), min_size=1, max_size=60),
+       st.lists(st.floats(-20.0, 20.0), min_size=1, max_size=8))
+def test_direct_against_naive_property(coeffs, thetas):
+    C, S = kernels._direct_sums(np.array(coeffs), np.array(thetas))
+    tol = kernels.KERNEL_TOL * (sum(abs(c) for c in coeffs) or 1.0)
+    for i, t in enumerate(thetas):
+        assert abs(C[i] - naive_trig_value(TrigPolynomial(cos_coeffs=coeffs), t)) <= tol
+        assert abs(S[i] - naive_trig_value(TrigPolynomial(sin_coeffs=coeffs), t)) <= tol
+
+
+@pytest.mark.parametrize("n", [10_000, 65_535])
+def test_direct_contract_against_mpmath(n):
+    """Within KERNEL_TOL * sum|c| of exact sums near 0, pi and 2 pi, at
+    negative angles and at |x| ~ 1e6, where the phases k x are largest."""
+    rng = np.random.default_rng(n)
+    coeffs = rng.uniform(-1.0, 1.0, n) / np.arange(1, n + 1) ** 0.25
+    xs = np.array([0.0, 1e-9, -1e-7, math.pi, math.pi - 1e-9, math.pi + 1e-7,
+                   2 * math.pi - 1e-9, 2 * math.pi, -2.5, 1e6 + 0.1234, -1e6 - 0.7])
+    C, S = kernels._direct_sums(coeffs, xs)
+    tol = kernels.KERNEL_TOL * np.abs(coeffs).sum()
+    for i, x in enumerate(xs):
+        ref_c, ref_s = _exact_pair(coeffs, x)
+        assert abs(C[i] - ref_c) <= tol and abs(S[i] - ref_s) <= tol, x
+
+
+def test_direct_nonfinite_angles_give_nan_like_clenshaw():
+    coeffs = np.array([0.5, -1.0, 2.0])
+    xs = np.array([[math.inf, 0.3], [math.nan, -math.inf]])
+    C, S = kernels._direct_sums(coeffs, xs)
+    with np.errstate(invalid="ignore"):
+        C2, S2 = _kernels_py.pair_sums(coeffs, xs)
+    assert C.shape == S.shape == xs.shape
+    assert (np.isnan(C) == np.isnan(C2)).all() and (np.isnan(S) == np.isnan(S2)).all()
+    assert np.isnan(C).sum() == 3
+    assert C[0, 1] == pytest.approx(C2[0, 1], abs=1e-15)
+
+
+def test_direct_cost_model():
+    assert kernels.direct_cheaper(400, 1)             # single points: direct
+    assert kernels.direct_cheaper(4000, 16)
+    assert not kernels.direct_cheaper(2, 1)           # tiny degree: Clenshaw
+    assert not kernels.direct_cheaper(400, 4096)      # large batch: Clenshaw
+    assert not kernels.direct_cheaper(10 ** 6, kernels.DIRECT_MAX_POINTS)
+    assert not kernels.direct_cheaper(0, 1) and not kernels.direct_cheaper(400, 0)
+    # a few grid points in distinct blocks: chirp-z beats Clenshaw, direct beats both
+    idx = np.array([0, 5000, 9000])
+    assert kernels.chirp_cheaper(4000, np.arange(4096))
+    assert not kernels.chirp_cheaper(4000, idx)
+    with mock.patch.object(kernels, "_direct_sums", wraps=kernels._direct_sums) as direct:
+        kernels.pair_sums(np.ones(400), np.array([0.3]))
+        assert direct.call_count == 1
+        kernels.pair_sums(np.ones(400), np.linspace(0.0, 1.0, 4096))
+        assert direct.call_count == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5), st.floats(-5, -1e-3)),
+                min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
+       st.sampled_from(["cosine", "sine"]),
+       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
+def test_values_agree_through_both_paths(coeffs, shift, stride, kind, thetas):
+    """TrigPolynomial.values through the direct sums equals it through Clenshaw."""
+    assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
+    poly = shifted_poly(coeffs, shift, kind, stride)
+    got = {}
+    for direct in (False, True):
+        # the cost model never sends an empty body (shift peel) to direct sums
+        with mock.patch.object(kernels, "direct_cheaper", lambda n, m: direct and n > 0):
+            got[direct] = poly.values(np.array(thetas))
+    mass = sum(abs(c) for c in coeffs) or 1.0
+    assert np.max(np.abs(got[True] - got[False])) <= 2 * kernels.KERNEL_TOL * mass
+
+
+def test_thread_split_keeps_the_batch_kernel():
+    """With more workers than DIRECT_MAX_POINTS-sized parts, every part still
+    runs the kernel the whole batch would (Clenshaw), so values do not move."""
+    poly = trigeval.cosine_poly(1.0, np.linspace(1.0, 0.1, 40))
+    j = np.arange(4096)
+    assert not kernels.chirp_cheaper(40, j)
+    want = poly.values_grid(0.1, 1e-3, j)
+    with mock.patch.object(kernels, "_direct_sums") as direct:
+        got = poly.values_grid(0.1, 1e-3, j, workers=64)
+    assert not direct.called
+    assert np.array_equal(got, want)
