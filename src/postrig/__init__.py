@@ -1,7 +1,6 @@
 """postrig: certified positivity of trigonometric and orthogonal-polynomial
 sums, plus the special constants their sharp thresholds are built from."""
 
-from .kernels import BACKEND as kernel_backend
 from .certify import (CertifyOptions, PositivityReport, ZeroBracketList,
                       bracket_zeros, certify_positive, find_min, lipschitz_bound)
 from .seqkit import (CoefficientSequence, CriterionReport, check_belov,

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterDomainError
-from .kernels import KERNEL_TOL
+from .kernels import KERNEL_TOL, error_bound
 from .trigeval import TrigPolynomial
 
 _HALF_PI = 0.5 * math.pi
@@ -202,12 +202,14 @@ def derivative_poly(poly: TrigPolynomial) -> TrigPolynomial | None:
 def roundoff_bound(poly: TrigPolynomial) -> float:
     """Largest error of a computed value of the sum.
 
-    Each kernel sum is within KERNEL_TOL * mass of the exact one; the shift
-    peel combines a C and an S with unit-modulus weights, hence the factor 2.
-    A computed value at or above minus this bound is no proof of a
-    non-positive value.
+    Each kernel sum is within `kernels.error_bound` of the exact one; the
+    shift peel combines a C and an S with unit-modulus weights, hence the
+    factor 2, and the peel's own products, two per part, may underflow as
+    well, hence two more terms.  A computed value at or above minus this
+    bound is no proof of a non-positive value.
     """
-    return 2.0 * KERNEL_TOL * coefficient_mass(poly)
+    terms = sum(c.size for _, c in poly.terms())
+    return 2.0 * error_bound(coefficient_mass(poly), terms + 2)
 
 
 def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,

@@ -4,21 +4,35 @@ Every path returns the pair of sums
 
     C(x) = sum_{k=1}^n c_k cos(k x)    and    S(x) = sum_{k=1}^n c_k sin(k x)
 
-and meets one contract: the error of either sum is at most
-``KERNEL_TOL * sum |c_k|`` at every point.
+and meets one contract, ``error_bound(sum |c_k|, n)``: the error of either
+sum is at most
+
+    KERNEL_TOL * sum |c_k|  +  (n + 1) * 2^-1074
+
+at every point.  The first term is the roundoff of the normal range.  The
+second is underflow: a product whose result is subnormal is off by less
+than the subnormal spacing 2^-1074, whatever its size.  The Clenshaw
+recurrence forms one product a step, and an error d made in the step of
+c_k is the error of changing c_k by d, which moves C and S by at most |d|;
+with the last product that makes n + 1.  The direct sums form n products.
+Chirp-z's FFTs round more products; they were measured within the term
+from degree 20 up (up to twice it below), and ``chirp_cheaper`` never
+picks chirp-z below degree 26.
 
 ``pair_sums(coeffs, x)`` takes any angles and runs, for the whole batch, one
 of two paths:
 
-- the Reinsch-modified Clenshaw recurrence, from the compiled extension when
-  it was built, otherwise the numpy implementation (set
-  POSTRIG_FORCE_PYTHON_KERNELS=1 to force the fallback; the backend-parity
-  tests do);
-- direct sums for small batches: each angle is reduced exactly to a
+- ``_clenshaw_sums``: the backward three-term (Clenshaw) recurrence in its
+  Reinsch-modified forms, branched on the sign of cos x, so it stays stable
+  near x = 0 and x = pi.  Angles outside [0, 2 pi) are first reduced
+  exactly (below) to [-pi, pi); the others need no reduction;
+- ``_direct_sums`` for small batches: each angle is reduced exactly to a
   fraction of a turn, every phase k*x is then formed exactly (see below),
   and one dot product with the coefficients gives C + iS.  Angles are taken
   in row chunks of about ``_DIRECT_CHUNK`` phases, so the working set stays
-  O(n); a non-finite angle gives nan, as in Clenshaw.
+  O(n).
+
+A non-finite angle gives nan on either path.
 
 ``pair_sums_grid(coeffs, x0, dx, idx)`` evaluates at the grid points
 x0 + idx*dx (idx an integer array) by blocked Bluestein chirp-z through
@@ -30,13 +44,14 @@ that hold a requested index are computed.  The squares k^2 must stay below
 
 Exact phases: angles become 96-bit fixed-point fractions of a turn (Python
 integers times a 256-bit 1/(2 pi)), and their integer multiples are taken
-limb by limb in uint64, so every phase -- k x in the direct sums, k x0,
-k J dx for a block start J and k^2 dx/2 in chirp-z -- is within about
-2^-53 turn whatever the degree or the grid depth, for angles up to 2^150.
+limb by limb in uint64, so every phase -- x itself in Clenshaw, k x in the
+direct sums, k x0, k J dx for a block start J and k^2 dx/2 in chirp-z -- is
+within about 2^-53 turn whatever the degree or the grid depth, for angles up
+to 2^150.
 
 The cost model is fixed, in Clenshaw point steps (one coefficient at one
-point), with weights measured on the numpy backend; only a batch's degree n
-and its points enter, never the worker count:
+point), with weights measured on the numpy code here; only a batch's degree
+n and its points enter, never the worker count:
 
 - Clenshaw: n * (m + 1000) for m points, the 1000 standing for the
   numpy-call overhead of each recurrence step;
@@ -54,24 +69,13 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 
 import numpy as np
 
-from . import _kernels_py
-
-if os.environ.get("POSTRIG_FORCE_PYTHON_KERNELS"):
-    _impl = _kernels_py
-else:
-    try:
-        from . import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        _impl = _kernels_py
-
-BACKEND: str = _impl.BACKEND
-
-#: every path's error bound, relative to sum |c_k|
+#: the contract's roundoff term, relative to sum |c_k|
 KERNEL_TOL = 1e-12
+#: 2^-1074, the subnormal spacing: the contract's underflow term per product
+SUBNORMAL = math.ulp(0.0)
 #: outputs per chirp-z block
 GRID_BLOCK = 4096
 #: largest degree the grid kernel takes (k^2 < 2^32 for every chirp index)
@@ -82,7 +86,8 @@ DIRECT_MAX_POINTS = 256
 _INV_TWO_PI = 0x28BE60DB9391054A7F09D5F47D4D377036D8A5664F10E4107F9458EAF7AEF158
 """floor(2**256 / (2 pi))"""
 _M32 = 0xFFFFFFFF
-_RAD_PER_UNIT = 2.0 * math.pi / 2.0 ** 64
+_TWO_PI = 2.0 * math.pi
+_RAD_PER_UNIT = _TWO_PI / 2.0 ** 64
 
 # cost model weights, in Clenshaw point steps (one coefficient at one point)
 _CLENSHAW_CALL_POINTS = 1000  # numpy-call overhead of one recurrence step
@@ -91,6 +96,12 @@ _DIRECT_STEP = 14.0           # one phase, its cos and sin, and its share of the
 _DIRECT_POINT = 500           # reducing one angle in Python integers
 _DIRECT_CALL = 10000          # numpy-call overhead of one direct batch
 _DIRECT_CHUNK = 8192          # phases per row chunk of the direct path
+
+
+def error_bound(mass: float, n: int) -> float:
+    """The contract: the largest error of either sum of n coefficients whose
+    absolute values sum to ``mass``."""
+    return KERNEL_TOL * mass + (n + 1) * SUBNORMAL
 
 
 def _turns(num: int, den: int) -> int:
@@ -167,6 +178,54 @@ def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
     return (np.unique(idx // GRID_BLOCK).size + 1) * per_block < other
 
 
+def _clenshaw_sums(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at the angles x by the Reinsch-modified Clenshaw recurrence."""
+    C = np.zeros(x.shape)
+    S = np.zeros(x.shape)
+    n = c.size
+    if n == 0 or x.size == 0:
+        return C, S
+
+    xr = x.ravel()
+    far = np.flatnonzero(np.isfinite(xr) & ~((0.0 <= xr) & (xr < _TWO_PI)))
+    if far.size:
+        turns = [_turns(*v.as_integer_ratio()) for v in xr[far].tolist()]
+        xr = xr.copy()
+        xr[far] = _multiple(np.uint64(1), _limbs(turns)).view(np.int64) * _RAD_PER_UNIT
+    half = 0.5 * xr.reshape(x.shape)
+    s2 = np.sin(half)
+    c2 = np.cos(half)
+    cosx = 1.0 - 2.0 * s2 * s2
+    sinx = 2.0 * s2 * c2
+
+    near_zero = cosx > 0.0
+    for mask, flip in ((near_zero, False), (~near_zero, True)):
+        if not mask.any():
+            continue
+        if flip:
+            # kappa = 2 cos x + 2 = 4 cos^2(x/2); e_k = c_k + kappa*u_{k+1} - e_{k+1}
+            kappa = 4.0 * c2[mask] * c2[mask]
+            u = np.zeros(kappa.shape)
+            e = np.zeros(kappa.shape)
+            for k in range(n - 1, -1, -1):
+                e_new = c[k] + kappa * u - e
+                u = e_new - u
+                e = e_new
+            C[mask] = u * (0.5 * kappa) - e
+        else:
+            # kappa = 2 cos x - 2 = -4 sin^2(x/2); d_k = c_k + kappa*u_{k+1} + d_{k+1}
+            kappa = -4.0 * s2[mask] * s2[mask]
+            u = np.zeros(kappa.shape)
+            d = np.zeros(kappa.shape)
+            for k in range(n - 1, -1, -1):
+                d_new = c[k] + kappa * u + d
+                u = d_new + u
+                d = d_new
+            C[mask] = u * (0.5 * kappa) + d
+        S[mask] = u * sinx[mask]
+    return C, S
+
+
 def _direct_sums(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(C, S) at the angles x by direct sums over exactly reduced phases."""
     flat = x.ravel()
@@ -188,7 +247,7 @@ def pair_sums(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     xs = np.asarray(x, dtype=np.float64)
     if direct_cheaper(c.size, xs.size):
         return _direct_sums(c, xs)
-    return _impl.pair_sums(c, xs)
+    return _clenshaw_sums(c, xs)
 
 
 @functools.lru_cache(maxsize=1)
