@@ -170,12 +170,12 @@ def cmd_constants(args) -> int:
         if wanted("alpha0_prime"):
             payload["alpha0_prime"] = []
             for d in args.d:
-                quad = specfun.alpha0_prime(d, "quadrature-root")
-                hyp = specfun.alpha0_prime(d, "hyp2f3-root")
+                # one solve gives both routes' roots
+                quad, hyp_value = specfun._solve_alpha0_prime(d, "quadrature-root")
                 entry = _constant_dict(quad)
                 entry["d"] = d
-                entry["hyp2f3_value"] = hyp.value
-                entry["route_difference"] = abs(quad.value - hyp.value)
+                entry["hyp2f3_value"] = hyp_value
+                entry["route_difference"] = abs(quad.value - hyp_value)
                 payload["alpha0_prime"].append(entry)
                 print(f"alpha0_prime({d:g}) = {quad.value:.9f}")
         if wanted("beta0") or wanted("beta1"):

@@ -15,9 +15,11 @@ than the subnormal spacing 2^-1074, whatever its size.  The Clenshaw
 recurrence forms one product a step, and an error d made in the step of
 c_k is the error of changing c_k by d, which moves C and S by at most |d|;
 with the last product that makes n + 1.  The direct sums form n products.
-Chirp-z's FFTs round more products; they were measured within the term
-from degree 20 up (up to twice it below), and ``chirp_cheaper`` never
-picks chirp-z below degree 26.
+Chirp-z scales the coefficients by the power of two that brings max |c_k|
+into [1/2, 1) before its FFTs and scales the sums back.  The scaling is
+exact; an underflow inside the FFTs is then below 2^-1074 max |c_k|, far
+inside the roundoff term, and only the scaling back of a subnormal sum
+rounds, by at most half the subnormal spacing.
 
 ``pair_sums(coeffs, x)`` takes any angles and runs, for the whole batch, one
 of two paths:
@@ -281,7 +283,10 @@ def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
         return np.zeros(j.shape), np.zeros(j.shape)
     B = GRID_BLOCK
     size, chirp, kernel = _chirp_plan(n, float(dx))
-    weighted = c * chirp[1:n + 1]                 # c_k exp(i k^2 dx/2)
+    # scaling by 2^e, max|c| 2^e in [1/2, 1), is exact and keeps the FFTs'
+    # products clear of underflow; values in the normal range do not move
+    e = -math.frexp(float(np.max(np.abs(c))))[1]
+    weighted = np.ldexp(c, e) * chirp[1:n + 1]    # c_k 2^e exp(i k^2 dx/2)
     ks = np.arange(1, n + 1, dtype=np.uint64)
     p0, q0 = float(x0).as_integer_ratio()
     p1, q1 = float(dx).as_integer_ratio()
@@ -300,4 +305,4 @@ def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
         t = flat[sel] - first
         out[sel] = chirp[t] * y[t]
     out = out.reshape(j.shape)
-    return out.real, out.imag
+    return np.ldexp(out.real, -e), np.ldexp(out.imag, -e)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from postrig import cli
+from postrig import cli, specfun
 from postrig.certify import PositivityReport
 
 
@@ -85,6 +85,31 @@ class TestConstantsCommand:
         assert code == 0
         payload = json.loads(out.read_text())
         assert abs(payload["alpha0_prime"][0]["value"]) <= 1e-6
+
+    def test_alpha0_prime_solved_once_per_d(self, tmp_path, monkeypatch):
+        """Each d costs one solve of both routes (two root scans), and the
+        entry holds what the two single-route calls return."""
+        scans = []
+        root_in_alpha = specfun._root_in_alpha
+
+        def counted(fn, d, **kwargs):
+            scans.append(d)
+            return root_in_alpha(fn, d, **kwargs)
+
+        monkeypatch.setattr(specfun, "_root_in_alpha", counted)
+        out = tmp_path / "c.json"
+        code = run(["constants", "--only", "alpha0_prime", "--d", "0.1,0.3",
+                    "-o", str(out)])
+        assert code == 0
+        assert scans == [0.1, 0.1, 0.3, 0.3]
+        monkeypatch.undo()
+        for entry in json.loads(out.read_text())["alpha0_prime"]:
+            quad = specfun.alpha0_prime(entry["d"], "quadrature-root")
+            hyp = specfun.alpha0_prime(entry["d"], "hyp2f3-root")
+            assert entry["value"] == quad.value
+            assert entry["residual"] == quad.residual
+            assert entry["hyp2f3_value"] == hyp.value
+            assert entry["route_difference"] == abs(quad.value - hyp.value)
 
     def test_solver_error_exit_four(self):
         code = run(["constants", "--only", "alpha0_prime", "--d", "4.0"])

@@ -122,6 +122,25 @@ def test_grid_kernel_empty_and_small():
     assert S[0] == pytest.approx(2.0 * math.sin(1.75), abs=2e-12)
 
 
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_grid_kernel_underflow_term(n):
+    """Coefficients of 2^-1040 .. 2^-1070 on the certifier's initial grid stay
+    within error_bound against the direct sums of the coefficients scaled
+    exactly by 2^1100 (all normal) and scaled back; unscaled, the FFTs'
+    subnormal products broke it by up to 2.0x at n = 1."""
+    x0, h = 1e-4, (math.pi - 2e-4) / 4095
+    idx = np.arange(4096)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        coeffs = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n),
+                          -rng.integers(1040, 1071, n))
+        C, S = kernels.pair_sums_grid(coeffs, x0, h, idx)
+        ref_c, ref_s = kernels._direct_sums(np.ldexp(coeffs, 1100), x0 + idx * h)
+        bound = kernels.error_bound(np.abs(coeffs).sum(), n)
+        assert np.abs(C - np.ldexp(ref_c, -1100)).max() <= bound
+        assert np.abs(S - np.ldexp(ref_s, -1100)).max() <= bound
+
+
 def test_inverse_two_pi_constant():
     import mpmath as mp
     with mp.workprec(400):
