@@ -372,8 +372,8 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
         raise ParameterDomainError(f"tol must be a finite number > 0, got {tol}")
     wlo = lo + (eps if endpoint_vanishes(poly, lo) else 0.0)
     whi = hi - (eps if endpoint_vanishes(poly, hi) else 0.0)
-    xs = np.linspace(wlo, whi, grid0)
-    vals = poly.values(xs)
+    xs = np.linspace(wlo, whi, grid0)  # wlo + i*h, the last point exactly whi
+    vals = poly.values_grid(wlo, (whi - wlo) / (grid0 - 1), np.arange(grid0))
     i = int(np.argmin(vals))
     best_x, best_v = float(xs[i]), float(vals[i])
     a = float(xs[max(0, i - 1)])
@@ -431,13 +431,14 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    xs = np.linspace(lo, hi, grid + 1)
-    vals = poly.values(xs)
+    xs = np.linspace(lo, hi, grid + 1)  # lo + i*h, the last point exactly hi
     h = (hi - lo) / grid
-    zero = np.flatnonzero(vals == 0.0)
+    vals = poly.values_grid(lo, h, np.arange(grid + 1))
+    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly))
     if zero.size:
-        # nudge exact-zero samples off the zero; inward at the boundaries so
-        # endpoint zeros of the open interval do not fake a crossing
+        # nudge samples whose sign is roundoff off the zero; inward at the
+        # boundaries so endpoint zeros of the open interval do not fake a
+        # crossing
         xs[zero] += np.where(zero == grid, -1e-6 * h, 1e-6 * h)
         vals[zero] = poly.values(xs[zero])
     sign = np.where(vals > 0, 1, -1)

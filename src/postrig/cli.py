@@ -199,6 +199,9 @@ def cmd_plotdata(args) -> int:
     if not args.n:
         print("plotdata: empty --n list", file=sys.stderr)
         return 1
+    if args.points < 1:
+        print(f"plotdata: --points must be >= 1, got {args.points}", file=sys.stderr)
+        return 1
     try:
         os.makedirs(args.outdir, exist_ok=True)
     except OSError as exc:
@@ -207,7 +210,8 @@ def cmd_plotdata(args) -> int:
     pts = args.points
     try:
         if args.figure == "fig1":
-            thetas = np.linspace(0.0, PI, pts + 2)[1:-1]
+            idx = np.arange(1, pts + 1)
+            thetas = idx * (PI / (pts + 1))
             for n in args.n:
                 seq = seqkit.qk_sequence(n, args.alpha, args.beta, args.lam, args.mu)
                 cos_poly = trigeval.cosine_poly(seq.values[0], seq.values[1:])
@@ -215,7 +219,7 @@ def cmd_plotdata(args) -> int:
                 for tag, poly in (("cos", cos_poly), ("sin", sin_poly)):
                     path = os.path.join(args.outdir, f"fig1_{tag}_n{n}.csv")
                     _write_csv(path, ["theta", "value"],
-                               zip(thetas, poly.values(thetas)))
+                               zip(thetas, poly.values_grid(0.0, PI / (pts + 1), idx)))
         else:
             angles = np.linspace(0.0, 2.0 * PI, pts, endpoint=False)
             for n in args.n:

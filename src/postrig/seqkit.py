@@ -16,7 +16,9 @@ first entry is a_1.  The criterion checkers that are inherently sine-side
 hypotheses involve a_0 (Vietoris, the taper-ratio check) always read values[0] as a_0.
 
 Pochhammer symbols are built by forward products; pair-equal entries are
-stored from one computation so the pairing is bit-exact.
+stored from one computation so the pairing is bit-exact.  The three paired
+families share one recurrence for (1-alpha)_k / k! (`_pochhammer_ratios`):
+vietoris is koumandos at alpha = 1/2, bit for bit.
 """
 
 from __future__ import annotations
@@ -103,21 +105,27 @@ def pochhammer(x: float, k: int) -> float:
     return acc
 
 
-def vietoris_gamma(n: int) -> CoefficientSequence:
-    """[gamma_0..gamma_n] with gamma_{2k} = gamma_{2k+1} = (1/2)_k / k!."""
+def _pochhammer_ratios(count: int, alpha: float) -> list[float]:
+    """[(1-alpha)_k / k! for k < count] by one forward product; at alpha =
+    1/2 each step matches the check_vietoris slack bit for bit."""
+    out: list[float] = []
+    r = 1.0
+    for k in range(1, count + 1):
+        out.append(r)
+        r = r * (k - alpha) / k
+    return out
+
+
+def _paired(n: int, alpha: float) -> tuple[float, ...]:
+    """[b_0..b_n] with b_{2k} = b_{2k+1} = (1-alpha)_k / k!."""
     if n < 0:
         raise ParameterDomainError("n must be >= 0")
-    vals: list[float] = []
-    pair = 1.0
-    k = 0
-    while len(vals) <= n:
-        vals.append(pair)
-        if len(vals) <= n:
-            vals.append(pair)
-        k += 1
-        # same operation order as the check_vietoris slack; see that function
-        pair = pair * (k - 0.5) / k
-    return CoefficientSequence(tuple(vals[: n + 1]), "vietoris", {"n": n})
+    return tuple(v for v in _pochhammer_ratios(n // 2 + 1, alpha) for _ in (0, 1))[: n + 1]
+
+
+def vietoris_gamma(n: int) -> CoefficientSequence:
+    """[gamma_0..gamma_n] with gamma_{2k} = gamma_{2k+1} = (1/2)_k / k!."""
+    return CoefficientSequence(_paired(n, 0.5), "vietoris", {"n": n})
 
 
 def qk_sequence(n: int, alpha: float, beta: float, lam: float, mu: float) -> CoefficientSequence:
@@ -158,20 +166,9 @@ def ratio_qk_sequence(n: int, alpha: float, beta: float, lam: float, mu: float) 
 
 def koumandos_bk(n: int, alpha: float) -> CoefficientSequence:
     """[b_0..b_n] with b_{2k} = b_{2k+1} = (1-alpha)_k / k!, 0 < alpha < 1."""
-    if n < 0:
-        raise ParameterDomainError("n must be >= 0")
     if not 0 < alpha < 1:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
-    vals: list[float] = []
-    pair = 1.0
-    k = 0
-    while len(vals) <= n:
-        vals.append(pair)
-        if len(vals) <= n:
-            vals.append(pair)
-        k += 1
-        pair = pair * (k - alpha) / k
-    return CoefficientSequence(tuple(vals[: n + 1]), "koumandos", {"n": n, "alpha": alpha})
+    return CoefficientSequence(_paired(n, alpha), "koumandos", {"n": n, "alpha": alpha})
 
 
 def ck_sequence(n: int, alpha: float, b: float, c: float) -> CoefficientSequence:
@@ -190,12 +187,9 @@ def ck_sequence(n: int, alpha: float, b: float, c: float) -> CoefficientSequence
     for k in range(2, n + 1):
         B.append(B[-1] * (b + k - 1) / (c + k - 1))
     vals: list[float] = []
-    poch = 1.0  # (1-alpha)_k / k!
-    for k in range(n + 1):
+    for k, poch in enumerate(_pochhammer_ratios(n + 1, alpha)):
         v = B[n - k] / B[n] * poch
-        vals.append(v)
-        vals.append(v)
-        poch = poch * (k + 1 - alpha) / (k + 1)
+        vals += (v, v)
     return CoefficientSequence(tuple(vals), "ck",
                                {"n": n, "alpha": alpha, "b": b, "c": c})
 

@@ -435,7 +435,8 @@ def expansion_fit(ds: Sequence[float] | None = None
 
 def bessel_j(nu: float, t: float | np.ndarray, max_terms: int = 500
              ) -> float | np.ndarray:
-    """Bessel J_nu(t) by the ascending series; validated for nu > -1, 0 <= t <= 30.
+    """Bessel J_nu(t) by the ascending series, for nu > -1 and 0 <= t <= 30;
+    within 1e-13 of J_nu(t) for t up to about 10 only (see the last lines).
 
     t may be an array, which gives an array of J_nu at each point; a scalar t
     gives a float.  J_nu(0) is 1, 0 or inf as nu is 0, positive or negative;
@@ -444,7 +445,9 @@ def bessel_j(nu: float, t: float | np.ndarray, max_terms: int = 500
     the operations of a term-by-term loop: the terms of all points form one
     table, multiplied down its rows by one cumprod and summed by one cumsum.
     The series alternates, so its absolute error grows with the sum of |terms|,
-    I_nu(t): about 1e-16 I_nu(t), 2e-5 at t = 30.
+    I_nu(t): about 1e-16 I_nu(t).  Against mpmath (nu = -0.9 .. 2.5) it is
+    below 6e-14 up to t = 10, passes 1e-13 between t = 10.5 and 11, and
+    reaches ~1e-5 near t = 30.  lambda' needs t <= j_{a,2}, about 5.
     """
     if nu <= -1:
         raise ParameterDomainError(f"nu > -1 violated (nu = {nu})")
@@ -452,7 +455,7 @@ def bessel_j(nu: float, t: float | np.ndarray, max_terms: int = 500
     inside = (ts >= 0) & (ts <= 30)
     if not inside.all():
         raise ParameterDomainError(
-            f"t = {ts[~inside].flat[0]} outside the validated range [0, 30]")
+            f"t = {ts[~inside].flat[0]} outside the accepted range [0, 30]")
     flat = ts.ravel()
     out = np.full(flat.size, 1.0 if nu == 0.0 else (0.0 if nu > 0 else math.inf))
     pos = flat > 0

@@ -15,16 +15,17 @@ Each polynomial keeps one read-only array view of its terms, (nu, c) for
 the cosine and for the sine part (`TrigPolynomial.terms`); the derivative
 values here and the bounds in `postrig.certify` are array expressions on it.
 
-All evaluators route through the kernels of `postrig.kernels`; the shift is
-peeled off with the two angle-addition identities, so a shifted sum is
-computed from two unshifted kernel sums.  `TrigPolynomial.values` takes any
-angles and runs `kernels.pair_sums` (direct sums for small batches,
-Clenshaw otherwise).  `TrigPolynomial.values_grid` takes the points
-t0 + idx*dt of a uniform grid (idx integer), as the certifier's initial grid
-and its refinement midpoints are, and lets the kernels' fixed cost model
-(`kernels.chirp_cheaper`) pick, once per batch, the chirp-z grid kernel or
-`values` at the points t0 + idx*dt.  Its optional thread split is made
-after that choice, so the values do not depend on the worker count.
+All evaluators route through the two kernel paths of `postrig.kernels`;
+the shift is peeled off with the two angle-addition identities, so a
+shifted sum is computed from two unshifted kernel sums.
+`TrigPolynomial.values` takes any angles and runs the direct sums
+(`kernels.pair_sums`).  `TrigPolynomial.values_grid` takes the points
+t0 + idx*dt of a uniform grid (idx integer), as the certifier's grids, the
+scans of `find_min` and `bracket_zeros` and the CLI's plot points are, and
+lets the kernels' fixed cost model (`kernels.chirp_cheaper`) pick, once per
+batch, the chirp-z grid kernel or `values` at the points t0 + idx*dt.  Its
+optional thread split is made after that choice, so the values do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import DIRECT_MAX_POINTS, chirp_cheaper, pair_sums, pair_sums_grid
+from .kernels import chirp_cheaper, pair_sums, pair_sums_grid
 
 #: batches smaller than this are never split across threads
 _THREAD_MIN_POINTS = 4096
@@ -124,9 +125,8 @@ class TrigPolynomial:
         """Evaluate at the grid points t0 + idx*dt for an integer array idx.
 
         The kernel is chosen once for the whole batch; with workers > 1 a
-        large batch is then split across threads into parts too large for
-        the direct path, so every point gets the same value as without the
-        split.
+        large batch is then split across threads, and every point gets the
+        same value as without the split.
         """
         j = np.asarray(idx, dtype=np.int64)
         degree = max(len(self.cos_coeffs), len(self.sin_coeffs))
@@ -141,10 +141,9 @@ class TrigPolynomial:
         if workers <= 1 or j.size < _THREAD_MIN_POINTS:
             return part(j)
         out = np.empty(j.shape)
-        parts = min(workers, j.size // DIRECT_MAX_POINTS)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             futures = [(sel, pool.submit(part, j[sel]))
-                       for sel in np.array_split(np.arange(j.size), parts)]
+                       for sel in np.array_split(np.arange(j.size), workers)]
             for sel, fut in futures:
                 out[sel] = fut.result()
         return out

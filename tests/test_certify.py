@@ -336,17 +336,23 @@ class TestTaperedFamilyThresholds:
         assert value == pytest.approx(naive, abs=1e-10)
 
 
-def _reference_brackets(kind, coeffs, lo, hi, grid):
-    """bracket_zeros' scan as a loop over the grid, one nudge at a time."""
-    a = [float(v) for v in coeffs]
+def _qp_poly(kind, a):
+    """p(theta) = sum a_k cos((n-k)theta) or q(theta) = sum a_k sin((n-k)theta)."""
+    a = [float(v) for v in a]
     if kind == "p":
-        poly = TrigPolynomial(a0=2.0 * a[-1], cos_coeffs=tuple(reversed(a[:-1])))
-    else:
-        poly = TrigPolynomial(sin_coeffs=tuple(reversed(a)))
+        return TrigPolynomial(a0=2.0 * a[-1], cos_coeffs=tuple(reversed(a[:-1])))
+    return TrigPolynomial(sin_coeffs=tuple(reversed(a)))
+
+
+def _reference_brackets(kind, coeffs, lo, hi, grid):
+    """bracket_zeros' scan as a loop over the grid, one nudge at a time: a
+    sample within the roundoff bound of 0 has no reliable sign and is nudged
+    (the direct sums here, chirp-z in the library, differ by roundoff)."""
+    poly = _qp_poly(kind, coeffs)
     xs = np.linspace(lo, hi, grid + 1)
     vals = poly.values(xs)
     h = (hi - lo) / grid
-    for i in np.nonzero(vals == 0.0)[0]:
+    for i in np.nonzero(np.abs(vals) <= roundoff_bound(poly))[0]:
         xs[i] += -1e-6 * h if i == grid else 1e-6 * h
         vals[i] = poly.value(float(xs[i]))
     out = []
@@ -381,6 +387,25 @@ class TestBracketZeros:
         got = bracket_zeros("q", a, lo, hi, grid)
         assert got.brackets == _reference_brackets("q", a, lo, hi, grid)
         assert any(b[0] < 0.0 < b[1] for b in got.brackets)
+
+    def test_q_through_chirp_z_has_every_zero_once(self):
+        """q of degree 300 on [0, 2pi] has 2n - 1 simple zeros inside.  q
+        vanishes at 0 and 2pi, where chirp-z gives roundoff (and the last
+        grid point 2pi + O(ulp), of either sign); the roundoff zero rule
+        nudges those samples inward instead of taking their sign.  Taking
+        only exact zeros adds a bracket at 2pi on grids 4808 and 4813."""
+        n = 300
+        a = np.linspace(1.0, 0.1, n)
+        a[0] += 0.5
+        for grid in (4800, 4808, 4813):
+            assert chirp_cheaper(n, np.arange(grid + 1))
+            got = bracket_zeros("q", a, 0.0, 2 * PI, grid).brackets
+            assert len(got) == 2 * n - 1, grid
+            for lo, hi, s_lo, s_hi in got:
+                for theta, sign in ((lo, s_lo), (hi, s_hi)):
+                    value = math.fsum(ak * math.sin((n - k) * theta)
+                                      for k, ak in enumerate(a))
+                    assert value * sign > 0, (grid, theta, value, sign)
 
     def test_constant_p_has_no_zeros(self):
         out = bracket_zeros("p", [1.0], 0.0, 2 * PI, 512)

@@ -149,6 +149,11 @@ class TestPlotdataCommand:
         assert run(["plotdata", "--figure", "fig1",
                     "--outdir", str(tmp_path)]) == 1
 
+    @pytest.mark.parametrize("points", ["0", "-1", "-3"])
+    def test_points_below_one_usage_error(self, tmp_path, points):
+        assert run(["plotdata", "--figure", "fig1", "--n", "20", "--points", points,
+                    "--outdir", str(tmp_path)]) == 1
+
     def test_lf_line_endings(self, tmp_path):
         run(["plotdata", "--figure", "fig1", "--n", "20",
              "--outdir", str(tmp_path)])

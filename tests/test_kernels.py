@@ -1,5 +1,5 @@
-"""Kernel contracts: Clenshaw, the direct sums and the chirp-z grid kernel
-against naive and exact sums, and the cost models."""
+"""Kernel contracts: the direct sums and the chirp-z grid kernel against
+naive and exact sums, and the cost model between them."""
 
 import math
 from unittest import mock
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from postrig import TrigPolynomial, kernels, shifted_poly, trigeval
+from postrig import TrigPolynomial, kernels, trigeval
 from conftest import naive_sine_sum, naive_cosine_sum, naive_trig_value
 
 
@@ -91,14 +91,17 @@ def _grid_error(coeffs, x0, dx, idx):
     return max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) / np.abs(coeffs).sum()
 
 
-@pytest.mark.parametrize("n", [10_000, 20_000])
+@pytest.mark.parametrize("n", [10_000, 20_000, 70_000])
 def test_grid_kernel_contract_at_large_n(n):
     """<= 1e-12 sum|c| on the certifier's initial grid and deep in a depth-14
-    level, where the chirp phases k^2 dx/2 and k x0 are largest."""
+    level, where the chirp phases k^2 dx/2 and k x0 are largest.  Above
+    degree 65535 the squares k^2 exceed 2^32; the initial grid is checked on
+    a 64-point subset there, to keep the naive reference cheap."""
     rng = np.random.default_rng(n)
     coeffs = rng.uniform(0.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
     x0, h = 1e-4, (math.pi - 2e-4) / 4095
-    assert _grid_error(coeffs, x0, h, np.arange(4096)) <= 1e-12
+    grid = np.arange(4096) if n < 65_536 else np.sort(rng.choice(4096, 64, replace=False))
+    assert _grid_error(coeffs, x0, h, grid) <= 1e-12
     deep = np.sort(rng.integers(0, 4095 * 2 ** 13, 64)) * 2 + 1
     assert _grid_error(coeffs, x0, h / 2 ** 14, deep) <= 1e-12
 
@@ -149,12 +152,29 @@ def test_inverse_two_pi_constant():
 
 def test_cost_model():
     grid = np.arange(4096)
-    assert not kernels.chirp_cheaper(10, grid)          # low degree: Clenshaw
+    assert kernels.chirp_cheaper(10, grid)              # low degree: chirp-z
     assert kernels.chirp_cheaper(1000, grid)            # high degree: chirp-z
+    assert kernels.chirp_cheaper(70_000, grid)          # above 65535: chirp-z
     assert not kernels.chirp_cheaper(1000, np.arange(0, 2 ** 22, 2 ** 16))  # one point a block
-    assert not kernels.chirp_cheaper(kernels.GRID_MAX_DEGREE + 1, grid)
-    with pytest.raises(ValueError):
-        kernels.pair_sums_grid(np.ones(kernels.GRID_MAX_DEGREE + 1), 0.0, 0.1, grid[:1])
+    assert not kernels.chirp_cheaper(1000, np.array([0, 5000, 9000]))       # scattered: direct
+    assert not kernels.chirp_cheaper(10, grid[:3])      # a few points: direct
+    assert not kernels.chirp_cheaper(0, grid)
+    assert kernels.MAX_DEGREE == 2 ** 32 - 1
+
+
+def test_square_phases_are_exact_up_to_the_degree_limit():
+    """The chirp phases k^2 dx/2, split as (k^2 >> 32) * 2^32 dx/2 +
+    (k^2 mod 2^32) * dx/2, within 2 units of 2^-64 turn of the turns of
+    k^2 dx/2 formed in Python integers, for k up to MAX_DEGREE.  Taking the
+    high part's turns by shifting the 96-bit turns of dx/2 instead leaves
+    errors of ~3e9 units (~2^-32 turn) at k = 2^32 - 1."""
+    ks = [0, 1, 65_535, 65_536, 70_000, 2 ** 31 + 7, kernels.MAX_DEGREE]
+    for dx in (1.2345e-3, (math.pi - 2e-4) / 4095 / 2 ** 14, 3.0, 1e6 + 0.1):
+        p, q = dx.as_integer_ratio()
+        got = kernels._square_phases(np.array(ks, dtype=np.uint64), dx)
+        for k, phase in zip(ks, got.tolist()):
+            exact = kernels._turns(k * k * p, 2 * q) >> 32
+            assert min((phase - exact) % 2 ** 64, (exact - phase) % 2 ** 64) <= 2, (dx, k)
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,79 +228,37 @@ def test_direct_against_naive_property(coeffs, thetas):
 
 @pytest.mark.parametrize("n", [10_000, 65_535])
 def test_direct_contract_against_mpmath(n):
-    """The direct sums and Clenshaw within the contract of exact sums near 0,
-    pi and 2 pi, at negative angles and at |x| ~ 1e6, where the phases k x
-    are largest and Clenshaw needs its exact angle reduction."""
+    """The direct sums within the contract of exact sums near 0, pi and
+    2 pi, at negative angles and at |x| ~ 1e6, where the phases k x are
+    largest."""
     rng = np.random.default_rng(n)
     coeffs = rng.uniform(-1.0, 1.0, n) / np.arange(1, n + 1) ** 0.25
     xs = np.array([0.0, 1e-9, -1e-7, math.pi, math.pi - 1e-9, math.pi + 1e-7,
                    2 * math.pi - 1e-9, 2 * math.pi, -2.5, 1e6 + 0.1234, -1e6 - 0.7])
     tol = kernels.error_bound(np.abs(coeffs).sum(), n)
-    ref = [_exact_pair(coeffs, x) for x in xs]
-    for sums in (kernels._direct_sums, kernels._clenshaw_sums):
-        C, S = sums(coeffs, xs)
-        for i, x in enumerate(xs):
-            ref_c, ref_s = ref[i]
-            assert abs(C[i] - ref_c) <= tol and abs(S[i] - ref_s) <= tol, (sums, x)
-
-
-def test_direct_nonfinite_angles_give_nan_like_clenshaw():
-    coeffs = np.array([0.5, -1.0, 2.0])
-    xs = np.array([[math.inf, 0.3], [math.nan, -math.inf]])
     C, S = kernels._direct_sums(coeffs, xs)
-    with np.errstate(invalid="ignore"):
-        C2, S2 = kernels._clenshaw_sums(coeffs, xs)
+    for i, x in enumerate(xs):
+        ref_c, ref_s = _exact_pair(coeffs, x)
+        assert abs(C[i] - ref_c) <= tol and abs(S[i] - ref_s) <= tol, x
+
+
+def test_direct_nonfinite_angles_give_nan():
+    coeffs = [0.5, -1.0, 2.0]
+    xs = np.array([[math.inf, 0.3], [math.nan, -math.inf]])
+    C, S = kernels._direct_sums(np.array(coeffs), xs)
     assert C.shape == S.shape == xs.shape
-    assert (np.isnan(C) == np.isnan(C2)).all() and (np.isnan(S) == np.isnan(S2)).all()
+    assert (np.isnan(C) == np.isnan(S)).all()
     assert np.isnan(C).sum() == 3
-    assert C[0, 1] == pytest.approx(C2[0, 1], abs=1e-15)
+    assert C[0, 1] == pytest.approx(naive_cosine_sum(0.0, coeffs, 0.3), abs=1e-15)
+    assert S[0, 1] == pytest.approx(naive_sine_sum(coeffs, 0.3), abs=1e-15)
 
 
 def test_direct_cost_model():
-    assert kernels.direct_cheaper(400, 1)             # single points: direct
-    assert kernels.direct_cheaper(4000, 16)
-    assert not kernels.direct_cheaper(2, 1)           # tiny degree: Clenshaw
-    assert not kernels.direct_cheaper(400, 4096)      # large batch: Clenshaw
-    assert not kernels.direct_cheaper(10 ** 6, kernels.DIRECT_MAX_POINTS)
-    assert not kernels.direct_cheaper(0, 1) and not kernels.direct_cheaper(400, 0)
-    # a few grid points in distinct blocks: chirp-z beats Clenshaw, direct beats both
-    idx = np.array([0, 5000, 9000])
+    # a few grid points in distinct blocks: direct beats chirp-z
     assert kernels.chirp_cheaper(4000, np.arange(4096))
-    assert not kernels.chirp_cheaper(4000, idx)
+    assert not kernels.chirp_cheaper(4000, np.array([0, 5000, 9000]))
+    # arbitrary angles always take the direct sums, one point or a large batch
     with mock.patch.object(kernels, "_direct_sums", wraps=kernels._direct_sums) as direct:
         kernels.pair_sums(np.ones(400), np.array([0.3]))
-        assert direct.call_count == 1
         kernels.pair_sums(np.ones(400), np.linspace(0.0, 1.0, 4096))
-        assert direct.call_count == 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5), st.floats(-5, -1e-3)),
-                min_size=1, max_size=40),
-       st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
-       st.sampled_from(["cosine", "sine"]),
-       st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=20))
-def test_values_agree_through_both_paths(coeffs, shift, stride, kind, thetas):
-    """TrigPolynomial.values through the direct sums equals it through Clenshaw."""
-    assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
-    poly = shifted_poly(coeffs, shift, kind, stride)
-    got = {}
-    for direct in (False, True):
-        # the cost model never sends an empty body (shift peel) to direct sums
-        with mock.patch.object(kernels, "direct_cheaper", lambda n, m: direct and n > 0):
-            got[direct] = poly.values(np.array(thetas))
-    mass = sum(abs(c) for c in coeffs) or 1.0
-    assert np.max(np.abs(got[True] - got[False])) <= 2 * kernels.KERNEL_TOL * mass
-
-
-def test_thread_split_keeps_the_batch_kernel():
-    """With more workers than DIRECT_MAX_POINTS-sized parts, every part still
-    runs the kernel the whole batch would (Clenshaw), so values do not move."""
-    poly = trigeval.cosine_poly(1.0, np.linspace(1.0, 0.1, 40))
-    j = np.arange(4096)
-    assert not kernels.chirp_cheaper(40, j)
-    want = poly.values_grid(0.1, 1e-3, j)
-    with mock.patch.object(kernels, "_direct_sums") as direct:
-        got = poly.values_grid(0.1, 1e-3, j, workers=64)
-    assert not direct.called
-    assert np.array_equal(got, want)
+        assert direct.call_count == 2

@@ -40,6 +40,13 @@ class TestVietorisGamma:
         with pytest.raises(ParameterDomainError):
             vietoris_gamma(-1)
 
+    def test_is_koumandos_at_one_half(self):
+        # one recurrence for both families: equal bit for bit, labels kept
+        for n in range(2001):
+            assert vietoris_gamma(n).values == koumandos_bk(n, 0.5).values
+        assert vietoris_gamma(4).family == "vietoris"
+        assert koumandos_bk(4, 0.5).family == "koumandos"
+
 
 class TestQkSequence:
     def test_harmonic_case(self):
@@ -122,8 +129,7 @@ class TestCkSequence:
             ck = ck_sequence(n, alpha, 1.0, 1.0).values
             bk = koumandos_bk(2 * n + 1, alpha).values
             assert len(ck) == 2 * n + 2
-            for x, y in zip(ck, bk):
-                assert x == pytest.approx(y, rel=1e-14)
+            assert ck == bk
 
     def test_hand_computed_example(self):
         assert ck_sequence(1, 0.5, 2.0, 1.0).values == (1.0, 1.0, 0.25, 0.25)

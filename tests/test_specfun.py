@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -340,7 +341,6 @@ class TestArrayContract:
         reference substitutes t = u^(1/(1-a)) for a > 0, which removes the
         t^-a singularity that mpmath.quad alone resolves only to ~1e-4 at
         a = 0.85."""
-        mpmath = pytest.importorskip("mpmath")
         mp = mpmath.mp.clone()
         mp.dps = 30
         c = 2.0 / (3.0 * math.pi)
@@ -415,7 +415,6 @@ class TestArrayContract:
         """Within 1e-13 + 1e-15 I_nu(t) on [0, 30]: the series alternates, so
         cancellation grows its error with the sum of |terms|, I_nu(t) (8e11 at
         t = 30); on the range lambda' uses, t <= 6, that is <= 1.7e-13."""
-        mpmath = pytest.importorskip("mpmath")
         ts = np.linspace(0.0, 30.0, 121)[1:]
         got = bessel_j(nu, ts)
         for t, v in zip(ts, got):
@@ -443,7 +442,6 @@ class TestArrayContract:
         """mpmath.besseljzero for nu >= 0; below it (which besseljzero does
         not take) the m-th sign change of mpmath.besselj on a 0.01 grid,
         refined by mpmath.findroot."""
-        mpmath = pytest.importorskip("mpmath")
         if nu >= 0:
             want = mpmath.besseljzero(nu, m)
         else:
