@@ -5,7 +5,11 @@ families from the two-factor binomial generating function
     (1 - omega z)^-(b+1) (1 - z)^-(b+1) = sum_k F_k^b(omega) z^k .
 
 Everything is recurrence-based; no closed-form hypergeometric evaluation is
-used for polynomial values.
+used for polynomial values.  Each family's three-term recurrence is written
+once, as a table builder returning the list P_0(x)..P_n(x) at a float or an
+ndarray x (`_chebyshev_table`, `_gegenbauer_table`, `_jacobi_table`), and
+every Pochhammer ratio (x)_k/(y)_k z^k comes from one product,
+`_rising_ratios`; the public functions are reductions over these.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 
 from .errors import ParameterDomainError
 from .seqkit import CoefficientSequence, CriterionReport, CRITERION_TOL
+from .trigeval import qk_weight
 
 
 @dataclass(frozen=True)
@@ -36,16 +41,59 @@ class SeriesCoefficients:
             raise ParameterDomainError("tail_bound must be >= 0")
 
 
+def _one(x):
+    """P_0 = 1 in the shape of x: an array of ones for an ndarray, else 1.0."""
+    return np.ones_like(x) if isinstance(x, np.ndarray) else 1.0
+
+
+def _chebyshev_table(n: int, t) -> list:
+    """[T_0(t), ..., T_n(t)] by the three-term recurrence."""
+    prev, cur = _one(t), t
+    T = [prev, cur]
+    for _ in range(n - 1):
+        prev, cur = cur, 2.0 * t * cur - prev
+        T.append(cur)
+    return T if n else T[:1]
+
+
+def _gegenbauer_table(n: int, lam: float, x) -> list:
+    """[C_0^lam(x), ..., C_n^lam(x)] by the three-term recurrence."""
+    prev, cur = _one(x), 2.0 * lam * x
+    C = [prev, cur]
+    for j in range(1, n):
+        prev, cur = cur, (2.0 * (j + lam) * x * cur - (j + 2.0 * lam - 1.0) * prev) / (j + 1.0)
+        C.append(cur)
+    return C if n else C[:1]
+
+
+def _jacobi_table(n: int, a: float, b: float, x) -> list:
+    """[P_0^{(a,b)}(x), ..., P_n^{(a,b)}(x)] by the standard three-term recurrence."""
+    prev, cur = _one(x), 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
+    P = [prev, cur]
+    for j in range(2, n + 1):
+        c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
+        c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
+        c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
+        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
+        prev, cur = cur, ((c2 + c3 * x) * cur - c4 * prev) / c1
+        P.append(cur)
+    return P if n else P[:1]
+
+
+def _rising_ratios(n: int, x: float, y: float = 1.0, z: float = 1.0):
+    """Yield (x)_k / (y)_k * z^k for k = 0..n, each term from the last."""
+    r = 1.0
+    yield r
+    for k in range(n):
+        r = r * ((x + k) / (y + k)) * z
+        yield r
+
+
 def chebyshev_T(k: int, t: float) -> float:
     """Chebyshev T_k(t) by the three-term recurrence."""
     if k < 0:
         raise ParameterDomainError("k must be >= 0")
-    if k == 0:
-        return 1.0
-    prev, cur = 1.0, t
-    for _ in range(k - 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-    return cur
+    return _chebyshev_table(k, t)[-1]
 
 
 def gegenbauer_C(k: int, lam: float, x) -> float | np.ndarray:
@@ -55,21 +103,15 @@ def gegenbauer_C(k: int, lam: float, x) -> float | np.ndarray:
     if lam <= 0:
         raise ParameterDomainError(f"lam > 0 violated (lam = {lam})")
     xs = np.asarray(x, dtype=np.float64)
-    prev = np.ones_like(xs)
-    if k == 0:
-        return float(prev) if xs.ndim == 0 else prev
-    cur = 2.0 * lam * xs
-    for j in range(1, k):
-        prev, cur = cur, (2.0 * (j + lam) * xs * cur - (j + 2.0 * lam - 1.0) * prev) / (j + 1.0)
-    return float(cur) if xs.ndim == 0 else cur
+    return _gegenbauer_table(k, lam, float(xs) if xs.ndim == 0 else xs)[-1]
 
 
 def gegenbauer_C1(k: int, lam: float) -> float:
     """C_k^lam(1) = (2 lam)_k / k!."""
-    acc = 1.0
-    for j in range(k):
-        acc *= (2.0 * lam + j) / (j + 1.0)
-    return acc
+    if k < 0:
+        raise ParameterDomainError("k must be >= 0")
+    *_, c1 = _rising_ratios(k, 2.0 * lam)
+    return c1
 
 
 def jacobi_P(k: int, a: float, b: float, x: float) -> float:
@@ -78,17 +120,7 @@ def jacobi_P(k: int, a: float, b: float, x: float) -> float:
         raise ParameterDomainError("k must be >= 0")
     if a <= -1 or b <= -1:
         raise ParameterDomainError("Jacobi parameters must exceed -1")
-    if k == 0:
-        return 1.0
-    prev = 1.0
-    cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-    for j in range(2, k + 1):
-        c1 = 2.0 * j * (j + a + b) * (2.0 * j + a + b - 2.0)
-        c2 = (2.0 * j + a + b - 1.0) * (a * a - b * b)
-        c3 = (2.0 * j + a + b - 1.0) * (2.0 * j + a + b) * (2.0 * j + a + b - 2.0)
-        c4 = 2.0 * (j + a - 1.0) * (j + b - 1.0) * (2.0 * j + a + b)
-        prev, cur = cur, ((c2 + c3 * x) * cur - c4 * prev) / c1
-    return cur
+    return _jacobi_table(k, a, b, x)[-1]
 
 
 def chebyshev_qk_sum(n: int, alpha: float, beta: float, lam: float, mu: float,
@@ -104,12 +136,9 @@ def chebyshev_qk_sum(n: int, alpha: float, beta: float, lam: float, mu: float,
         raise ParameterDomainError("alpha and beta must be >= 0")
     if abs(t) >= 1:
         raise ParameterDomainError(f"|t| < 1 violated (t = {t})")
-    prev, cur = 1.0, t
-    acc = prev + cur
-    for k in range(2, n + 1):
-        prev, cur = cur, 2.0 * t * cur - prev
-        acc += cur / ((k + alpha) ** lam * (k + beta) ** mu)
-    return acc
+    T = _chebyshev_table(n, t)
+    w = qk_weight(np.arange(2.0, n + 1), alpha, beta, lam, mu)
+    return T[0] + T[1] + float(np.dot(T[2:], 1.0 / w))
 
 
 def gegenbauer_fejer_sum(n: int, lam: float, x: float) -> float:
@@ -120,15 +149,7 @@ def gegenbauer_fejer_sum(n: int, lam: float, x: float) -> float:
         raise ParameterDomainError(f"lam > 0 violated (lam = {lam})")
     if abs(x) >= 1:
         raise ParameterDomainError(f"|x| < 1 violated (x = {x})")
-    prev = 1.0
-    if n == 0:
-        return prev
-    cur = 2.0 * lam * x
-    acc = prev + cur
-    for j in range(1, n):
-        prev, cur = cur, (2.0 * (j + lam) * x * cur - (j + 2.0 * lam - 1.0) * prev) / (j + 1.0)
-        acc += cur
-    return acc
+    return sum(_gegenbauer_table(n, lam, x))
 
 
 def gegenbauer_normalized_sum(a_seq: CoefficientSequence | Sequence[float],
@@ -145,18 +166,8 @@ def gegenbauer_normalized_sum(a_seq: CoefficientSequence | Sequence[float],
         raise ParameterDomainError(f"lam > 0 violated (lam = {lam})")
     if abs(x) >= 1:
         raise ParameterDomainError(f"|x| < 1 violated (x = {x})")
-    prev = 1.0
-    acc = values[0] * prev
-    if n == 0:
-        return acc
-    cur = 2.0 * lam * x
-    norm = 2.0 * lam  # C_k^lam(1) advanced alongside the polynomial
-    acc += values[1] * cur / norm
-    for j in range(1, n):
-        prev, cur = cur, (2.0 * (j + lam) * x * cur - (j + 2.0 * lam - 1.0) * prev) / (j + 1.0)
-        norm *= (2.0 * lam + j) / (j + 1.0)
-        acc += values[j + 1] * cur / norm
-    return acc
+    terms = zip(values, _gegenbauer_table(n, lam, x), _rising_ratios(n, 2.0 * lam))
+    return sum(a * c / norm for a, c, norm in terms)
 
 
 def scan_normalized_gegenbauer(lam: float, n_max: int, x_grid: np.ndarray
@@ -166,20 +177,19 @@ def scan_normalized_gegenbauer(lam: float, n_max: int, x_grid: np.ndarray
     Used to exhibit that the sums are not bounded below once lam drops under
     the positivity threshold; scans n upward so the minimal failing n returns.
     """
+    if lam <= 0:
+        raise ParameterDomainError(f"lam > 0 violated (lam = {lam})")
+    if n_max < 1:
+        raise ParameterDomainError("n_max must be >= 1")
     xs = np.asarray(x_grid, dtype=np.float64)
-    prev = np.ones_like(xs)
-    acc = prev.copy()
-    cur = 2.0 * lam * xs
-    norm = 2.0 * lam
-    acc = acc + cur / norm
-    for n in range(1, n_max + 1):
-        if n >= 2:
-            j = n - 1
-            prev, cur = cur, (2.0 * (j + lam) * xs * cur - (j + 2.0 * lam - 1.0) * prev) / (j + 1.0)
-            norm *= (2.0 * lam + j) / (j + 1.0)
-            acc = acc + cur / norm
-        i = int(np.argmin(acc))
-        if acc[i] < 0.0:
+    if xs.size == 0 or not np.all(np.abs(xs) < 1):
+        raise ParameterDomainError("x_grid must be non-empty with every |x| < 1")
+    acc = np.zeros_like(xs)
+    norms = _rising_ratios(n_max, 2.0 * lam)
+    for n, (c, norm) in enumerate(zip(_gegenbauer_table(n_max, lam, xs), norms)):
+        acc += c / norm
+        if acc.min() < 0.0:
+            i = int(np.argmin(acc))
             return n, float(xs[i]), float(acc[i])
     return None
 
@@ -195,13 +205,8 @@ def opuc_coeffs(b: float, omega: float, N: int) -> SeriesCoefficients:
         raise ParameterDomainError(f"b > -1 violated (b = {b})")
     if N < 0:
         raise ParameterDomainError("N must be >= 0")
-    fa = np.empty(N + 1)
-    fb = np.empty(N + 1)
-    fa[0] = fb[0] = 1.0
-    for m in range(N):
-        ratio = (b + 1.0 + m) / (m + 1.0)
-        fa[m + 1] = fa[m] * ratio * omega
-        fb[m + 1] = fb[m] * ratio
+    fa = np.fromiter(_rising_ratios(N, b + 1.0, 1.0, omega), np.float64, N + 1)
+    fb = np.fromiter(_rising_ratios(N, b + 1.0), np.float64, N + 1)
     F = np.convolve(fa, fb)[: N + 1]
     if N >= 1 and F[N - 1] != 0.0:
         tail = abs(F[N] * (F[N] / F[N - 1]))
@@ -244,11 +249,8 @@ def opuc_cumulative_positive(b: float, omega: float, N: int) -> CriterionReport:
     cum = np.cumsum(F)
     psi = opuc_log_route_cumulative(b, omega, N)
     margin = float(min(cum.min(), psi.min()))
-    violation = None
-    for n in range(N + 1):
-        if cum[n] < -CRITERION_TOL or psi[n] < -CRITERION_TOL:
-            violation = n
-            break
+    bad = np.flatnonzero((cum < -CRITERION_TOL) | (psi < -CRITERION_TOL))
+    violation = int(bad[0]) if bad.size else None
     return CriterionReport(violation is None, violation, margin,
                            tuple(float(v) for v in cum))
 
@@ -265,31 +267,12 @@ def jacobi_sum_check(n: int, lam_p: float, delta: float, a: float, b: float,
         raise ParameterDomainError("need delta > -1 and lam_p >= 0")
     if abs(x) > 1:
         raise ParameterDomainError(f"|x| <= 1 violated (x = {x})")
-    w = np.empty(n + 1)
-    w[0] = 1.0
-    for j in range(n):
-        w[j + 1] = w[j] * (1.0 + lam_p + j) / (1.0 + delta + j)
+    w = list(_rising_ratios(n, 1.0 + lam_p, 1.0 + delta))
     z = complex(math.cos(z_angle), math.sin(z_angle))
     acc = 0.0 + 0.0j
     zp = 1.0 + 0.0j
-    norm = 1.0  # P_k(1) = (a+1)_k / k!
-    prev = 1.0
-    cur = None
-    for k in range(n + 1):
-        if k == 0:
-            pk = 1.0
-        elif k == 1:
-            cur = 0.5 * (a - b) + 0.5 * (a + b + 2.0) * x
-            norm *= (a + 1.0)
-            pk = cur
-        else:
-            c1 = 2.0 * k * (k + a + b) * (2.0 * k + a + b - 2.0)
-            c2 = (2.0 * k + a + b - 1.0) * (a * a - b * b)
-            c3 = (2.0 * k + a + b - 1.0) * (2.0 * k + a + b) * (2.0 * k + a + b - 2.0)
-            c4 = 2.0 * (k + a - 1.0) * (k + b - 1.0) * (2.0 * k + a + b)
-            prev, cur = cur, ((c2 + c3 * x) * cur - c4 * prev) / c1
-            norm *= (a + k) / k
-            pk = cur
+    # P_k(1) = (a+1)_k / k!
+    for k, (pk, norm) in enumerate(zip(_jacobi_table(n, a, b, x), _rising_ratios(n, a + 1.0))):
         acc += w[n - k] * w[k] * (pk / norm) * zp
         zp *= z
     return abs(acc)

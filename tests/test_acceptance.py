@@ -118,7 +118,7 @@ def test_criterion_6_identity_suite():
                 quad = _weighted_integral(a, d, 1e-13)
                 assert quad == pytest.approx(K_closed(a) + h_corr(a, d), abs=1e-8)
                 assert quad == pytest.approx(P_closed(a, d), abs=1e-8)
-        # Clenshaw vs naive at n = 1e4, 1e-12 of the coefficient mass
+        # direct sums vs naive at n = 1e4, 1e-12 of the coefficient mass
         n = 10_000
         coeffs = rng.uniform(0.0, 1.0, n) / np.arange(1, n + 1)
         mass = coeffs.sum()

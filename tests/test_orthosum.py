@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -64,6 +65,79 @@ class TestRecurrences:
             jacobi_P(2, -1.0, 0.0, 0.5)
         with pytest.raises(ParameterDomainError):
             chebyshev_T(-1, 0.5)
+        with pytest.raises(ParameterDomainError):
+            gegenbauer_C1(-1, 0.5)
+        xs = np.linspace(-0.9, 0.9, 7)
+        for lam, n_max, grid in ((0.0, 10, xs), (-0.3, 10, xs), (0.3, 0, xs),
+                                 (0.3, 10, np.append(xs, 1.5)), (0.3, 10, np.append(xs, -1.0)),
+                                 (0.3, 10, np.array([]))):
+            with pytest.raises(ParameterDomainError):
+                scan_normalized_gegenbauer(lam, n_max, grid)
+
+    def test_fejer_sum_adds_the_polynomials(self):
+        # one recurrence: the Fejer sum adds, in order, the very C_k that
+        # gegenbauer_C returns (builtin sum adds floats left to right up to
+        # Python 3.11 and compensated from 3.12, on both sides alike)
+        for n, lam, x in ((0, 0.3, 0.2), (1, 0.3, -0.6), (9, 0.05, 0.93), (120, 0.45, -0.81)):
+            want = sum([gegenbauer_C(k, lam, x) for k in range(n + 1)])
+            assert gegenbauer_fejer_sum(n, lam, x) == want
+
+
+class TestMpmathReferences:
+    """Each recurrence and sum against 30-digit mpmath, to 1e-12 relative."""
+
+    POINTS = ((0, 0.3, 0.5), (1, 1.2, -0.7), (7, 0.3, 0.41), (25, 0.05, 0.93),
+              (60, 2.5, -0.37), (200, 0.45, 0.12))
+    JACOBI = ((0, 1.6, 0.4, 0.3), (1, -0.5, 0.7, -0.8), (6, 1.0, 0.5, 0.2),
+              (17, 2.3, -0.6, 0.83), (40, 0.25, 0.25, -0.47))
+
+    @staticmethod
+    def geg_mp(k, lam, x):
+        return mpmath.gegenbauer(k, mpmath.mpf(lam), mpmath.mpf(x))
+
+    def test_gegenbauer_C(self):
+        with mpmath.workdps(30):
+            for k, lam, x in self.POINTS:
+                want = float(self.geg_mp(k, lam, x))
+                assert gegenbauer_C(k, lam, x) == pytest.approx(want, rel=1e-12)
+                assert gegenbauer_C(k, lam, np.array([x]))[0] == pytest.approx(want, rel=1e-12)
+                assert gegenbauer_C1(k, lam) == pytest.approx(
+                    float(self.geg_mp(k, lam, 1)), rel=1e-12)
+
+    def test_jacobi_P(self):
+        with mpmath.workdps(30):
+            for k, a, b, x in self.JACOBI:
+                want = float(mpmath.jacobi(k, mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(x)))
+                assert jacobi_P(k, a, b, x) == pytest.approx(want, rel=1e-12)
+
+    def test_fejer_sum(self):
+        with mpmath.workdps(30):
+            for n, lam, x in self.POINTS:
+                want = float(mpmath.fsum(self.geg_mp(k, lam, x) for k in range(n + 1)))
+                assert gegenbauer_fejer_sum(n, lam, x) == pytest.approx(want, rel=1e-12)
+
+    def test_normalized_sum(self):
+        a = [1.0 / (k + 1) ** 0.5 for k in range(201)]
+        with mpmath.workdps(30):
+            for n, lam, x in self.POINTS:
+                want = float(mpmath.fsum(
+                    mpmath.mpf(a[k]) * self.geg_mp(k, lam, x) / self.geg_mp(k, lam, 1)
+                    for k in range(n + 1)))
+                assert gegenbauer_normalized_sum(a, n, lam, x) == pytest.approx(want, rel=1e-12)
+
+    def test_jacobi_sum_check(self):
+        cases = ((0, 0.5, 1.0, 1.0, 0.5, 0.3, 1.2), (5, 0.75, 1.0, 1.0, 0.5, -0.4, 2.5),
+                 (12, 1.5, 1.0, 2.0, 1.0, 0.9, 0.3), (20, 0.2, 2.0, 0.6, 0.1, -0.95, 5.9))
+        with mpmath.workdps(30):
+            for n, lam_p, delta, a, b, x, ang in cases:
+                w = [mpmath.rf(1 + mpmath.mpf(lam_p), k) / mpmath.rf(1 + mpmath.mpf(delta), k)
+                     for k in range(n + 1)]
+                z = mpmath.expj(mpmath.mpf(ang))
+                want = float(abs(mpmath.fsum(
+                    w[n - k] * w[k] * mpmath.jacobi(k, a, b, mpmath.mpf(x))
+                    / mpmath.jacobi(k, a, b, 1) * z ** k for k in range(n + 1))))
+                got = jacobi_sum_check(n, lam_p, delta, a, b, x, ang)
+                assert got == pytest.approx(want, rel=1e-12)
 
 
 class TestChebyshevPullback:
