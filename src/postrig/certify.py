@@ -49,8 +49,8 @@ class CertifyOptions:
             raise ParameterDomainError("grid0 must be >= 2")
         if self.max_depth < 0:
             raise ParameterDomainError("max_depth must be >= 0")
-        if self.eps <= 0:
-            raise ParameterDomainError("eps must be > 0")
+        if not (self.eps > 0 and math.isfinite(self.eps)):
+            raise ParameterDomainError(f"eps must be > 0 and finite, got {self.eps}")
         if self.workers < 1:
             raise ParameterDomainError("workers must be >= 1")
 
@@ -230,15 +230,22 @@ def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,
     return None, ts.size
 
 
+def _check_window(lo: float, hi: float, eps: float) -> None:
+    """A finite interval lo < hi, and an endpoint inset 0 < eps < (hi - lo)/4."""
+    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+        raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ParameterDomainError(f"eps must be > 0 and finite, got {eps}")
+    if eps >= 0.25 * (hi - lo):
+        raise ParameterDomainError(
+            f"eps = {eps} must be below a quarter of the interval width")
+
+
 def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
     opts = opts or CertifyOptions()
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
-    if opts.eps >= 0.25 * (hi - lo):
-        raise ParameterDomainError(
-            f"eps = {opts.eps} must be below a quarter of the interval width")
+    _check_window(lo, hi, opts.eps)
 
     L = lipschitz_bound(poly)
     L2 = curvature_bound(poly)
@@ -361,7 +368,8 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
     """Grid scan plus golden-section refinement; |theta error| <= tol, or
     the bracket's floating-point resolution when that is coarser.
 
-    Vanishing endpoints are inset by eps exactly as in certify_positive; ties
+    eps obeys certify_positive's rule (finite, > 0, below a quarter of the
+    interval width) and insets vanishing endpoints exactly as there; ties
     between equal minima resolve to the smallest theta.
 
     At a flat minimum (f' = 0) on an end of the interval, theta is resolved
@@ -370,8 +378,7 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
     each other span ~5e-8 of theta, and at tol = 1e-8 the theta returned
     has moved by 1.1e-8 to 4.7e-8 with the kernel that evaluated it.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
+    _check_window(lo, hi, eps)
     if grid0 < 2:
         raise ParameterDomainError(f"grid0 must be >= 2, got {grid0}")
     if not (math.isfinite(tol) and tol > 0.0):

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -25,6 +26,28 @@ from .errors import PostrigError
 PI = math.pi
 
 FIG1_PARAMS = {"alpha": 0.2, "beta": 0.4, "lam": 0.3, "mu": 0.7}
+#: the names `constants --only` selects from
+_CONSTANTS = ("alpha0", "alpha0_prime", "beta0", "beta1", "lambda_prime")
+
+#: seqkit family name -> builder of the sequence from the parsed arguments
+_SEQUENCES = {
+    "vietoris": lambda a: seqkit.vietoris_gamma(a.n),
+    "qk": lambda a: seqkit.qk_sequence(a.n, a.alpha, a.beta, a.lam, a.mu),
+    "ratio-qk": lambda a: seqkit.ratio_qk_sequence(a.n, a.alpha, a.beta, a.lam, a.mu),
+    "koumandos": lambda a: seqkit.koumandos_bk(a.n, a.alpha),
+    "ck": lambda a: seqkit.ck_sequence(a.n, a.alpha, a.b, a.c),
+    "custom": lambda a: seqkit.CoefficientSequence(tuple(a.coeffs), "custom"),
+}
+
+#: certify family -> (seqkit family, a_0 of the cosine sum as a multiple of
+#: values[0], or None for the sine sum of `sine_view`).  cosine_poly takes
+#: a_0/2 as its constant term: q_0 = 2 already is the qk sum's a_0, while the
+#: paired families' sums start with b_0 itself, so their a_0 is 2 b_0.
+_CERTIFY_SEQUENCES = {
+    "qk-sine": ("qk", None), "qk-cosine": ("qk", 1.0), "ratio-sine": ("ratio-qk", None),
+    "koumandos-cosine": ("koumandos", 2.0), "koumandos-sine": ("koumandos", None),
+    "ck-cosine": ("ck", 2.0), "ck-sine": ("ck", None),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,30 +105,15 @@ def _family_poly(args) -> tuple[trigeval.TrigPolynomial, tuple[float, float]]:
         return poly, (0.0, 2.0 * PI)
     if args.n is None or args.n < 1:
         raise PostrigError(f"family {fam} needs --n >= 1")
-    n = args.n
-    if fam in ("qk-sine", "qk-cosine"):
-        seq = seqkit.qk_sequence(n, args.alpha, args.beta, args.lam, args.mu)
-        if fam == "qk-sine":
-            return trigeval.sine_poly(seq.values[1:]), (0.0, PI)
-        return trigeval.cosine_poly(seq.values[0], seq.values[1:]), (0.0, PI)
-    if fam == "ratio-sine":
-        seq = seqkit.ratio_qk_sequence(n, args.alpha, args.beta, args.lam, args.mu)
-        return trigeval.sine_poly(seq.values), (0.0, PI)
-    if fam in ("koumandos-cosine", "koumandos-sine"):
-        seq = seqkit.koumandos_bk(n, args.alpha)
-        if fam == "koumandos-cosine":
-            return trigeval.cosine_poly(2.0 * seq.values[0], seq.values[1:]), (0.0, PI)
-        return trigeval.sine_poly(seq.values[1:]), (0.0, PI)
-    if fam in ("ck-cosine", "ck-sine"):
-        seq = seqkit.ck_sequence(n, args.alpha, args.b, args.c)
-        if fam == "ck-cosine":
-            return trigeval.cosine_poly(2.0 * seq.values[0], seq.values[1:]), (0.0, PI)
-        return trigeval.sine_poly(seq.values[1:]), (0.0, PI)
     if fam == "halfangle-product":
-        poly = trigeval.halfangle_product_negated_poly(n, args.alpha, args.beta,
-                                               args.lam, args.mu)
+        poly = trigeval.halfangle_product_negated_poly(args.n, args.alpha, args.beta,
+                                                       args.lam, args.mu)
         return poly, (0.0, PI)
-    raise PostrigError(f"unknown family {fam!r}")
+    name, a0_multiple = _CERTIFY_SEQUENCES[fam]
+    seq = _SEQUENCES[name](args)
+    if a0_multiple is None:
+        return trigeval.sine_poly([v for _, v in seq.sine_view()]), (0.0, PI)
+    return trigeval.cosine_poly(a0_multiple * seq.values[0], seq.values[1:]), (0.0, PI)
 
 
 def cmd_certify(args) -> int:
@@ -149,20 +157,24 @@ def _config_dict(args, lo, hi) -> dict:
     return cfg
 
 
-def _constant_dict(c: specfun.SpecialConstant) -> dict:
-    return {"name": c.name, "value": c.value, "route": c.route,
-            "residual": c.residual, "tol": c.tol}
-
-
 def cmd_constants(args) -> int:
-    only = set(args.only.split(",")) if args.only else None
+    only = {t.strip() for t in (args.only or "").split(",") if t.strip()} or None
     wanted = lambda name: only is None or name in only
+    unknown = sorted(only - set(_CONSTANTS)) if only else []
+    if unknown:
+        print(f"constants: unknown --only name(s) {','.join(unknown)}; "
+              f"choose from {','.join(_CONSTANTS)}", file=sys.stderr)
+        return 1
+    bad_d = [d for d in args.d if not d >= 0] if wanted("alpha0_prime") else []
+    if bad_d:
+        print(f"constants: d >= 0 violated (d = {bad_d[0]})", file=sys.stderr)
+        return 1
     payload: dict = {}
     try:
         if wanted("alpha0"):
             quad = specfun.alpha0("quadrature-root")
             hyp = specfun.alpha0("hyp2f3-root")
-            payload["alpha0"] = _constant_dict(quad)
+            payload["alpha0"] = asdict(quad)
             payload["alpha0"]["hyp2f3_value"] = hyp.value
             payload["alpha0"]["route_difference"] = abs(quad.value - hyp.value)
             print(f"alpha0         = {quad.value:.9f}  (routes differ by "
@@ -172,7 +184,7 @@ def cmd_constants(args) -> int:
             for d in args.d:
                 # one solve gives both routes' roots
                 quad, hyp_value = specfun._solve_alpha0_prime(d, "quadrature-root")
-                entry = _constant_dict(quad)
+                entry = asdict(quad)
                 entry["d"] = d
                 entry["hyp2f3_value"] = hyp_value
                 entry["route_difference"] = abs(quad.value - hyp_value)
@@ -180,13 +192,13 @@ def cmd_constants(args) -> int:
                 print(f"alpha0_prime({d:g}) = {quad.value:.9f}")
         if wanted("beta0") or wanted("beta1"):
             beta0, beta1 = specfun.expansion_fit()
-            payload["beta0"] = _constant_dict(beta0)
-            payload["beta1"] = _constant_dict(beta1)
+            payload["beta0"] = asdict(beta0)
+            payload["beta1"] = asdict(beta1)
             print(f"beta0          = {beta0.value:.7f}")
             print(f"beta1          = {beta1.value:.8f}")
         if wanted("lambda_prime"):
             lp = specfun.lambda_prime()
-            payload["lambda_prime"] = _constant_dict(lp)
+            payload["lambda_prime"] = asdict(lp)
             print(f"lambda_prime   = {lp.value:.8f}")
     except PostrigError as exc:
         print(f"constants: {exc}", file=sys.stderr)
@@ -268,21 +280,9 @@ def _criteria_sequence(args) -> seqkit.CoefficientSequence:
     if fam == "custom":
         if not args.coeffs:
             raise PostrigError("custom family needs --coeffs")
-        return seqkit.CoefficientSequence(tuple(args.coeffs), "custom")
-    if args.n is None:
+    elif args.n is None:
         raise PostrigError(f"family {fam} needs --n")
-    if fam == "vietoris":
-        return seqkit.vietoris_gamma(args.n)
-    if fam == "qk":
-        return seqkit.qk_sequence(args.n, args.alpha, args.beta, args.lam, args.mu)
-    if fam == "ratio-qk":
-        return seqkit.ratio_qk_sequence(args.n, args.alpha, args.beta,
-                                        args.lam, args.mu)
-    if fam == "koumandos":
-        return seqkit.koumandos_bk(args.n, args.alpha)
-    if fam == "ck":
-        return seqkit.ck_sequence(args.n, args.alpha, args.b, args.c)
-    raise PostrigError(f"unknown family {fam!r}")
+    return _SEQUENCES[fam](args)
 
 
 def cmd_criteria(args) -> int:
@@ -335,9 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="certify a sum positive on an interval")
     p.add_argument("--family", required=True,
-                   choices=["qk-sine", "qk-cosine", "ratio-sine",
-                            "koumandos-cosine", "koumandos-sine",
-                            "ck-cosine", "ck-sine", "raw-sine", "raw-cosine",
+                   choices=[*_CERTIFY_SEQUENCES, "raw-sine", "raw-cosine",
                             "shifted-cosine", "shifted-sine", "halfangle-product"])
     _add_family_params(p)
     p.add_argument("--shift", type=float, default=0.0)
@@ -355,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_float_list, default=[0.0],
                    help="comma-separated b-c offsets for alpha0_prime")
     p.add_argument("--only", default=None,
-                   help="comma-separated subset: alpha0,alpha0_prime,beta0,"
-                        "beta1,lambda_prime")
+                   help=f"comma-separated subset: {','.join(_CONSTANTS)}")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_constants)
 
@@ -383,9 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("criteria", help="run the coefficient criteria")
     p.add_argument("--check", choices=["vietoris", "belov", "chain", "taper"],
                    required=True)
-    p.add_argument("--family", default="custom",
-                   choices=["vietoris", "qk", "ratio-qk", "koumandos", "ck",
-                            "custom"])
+    p.add_argument("--family", default="custom", choices=list(_SEQUENCES))
     _add_family_params(p)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_criteria)

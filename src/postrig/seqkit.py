@@ -15,6 +15,12 @@ first entry is a_1.  The criterion checkers that are inherently sine-side
 (Belov, the weighted chain) honour that split; the checkers whose
 hypotheses involve a_0 (Vietoris, the taper-ratio check) always read values[0] as a_0.
 
+Verdicts: each check writes its inequalities as slacks (>= 0 where one
+holds) in numpy and passes them to one reduction, `_report`.  The first
+index with a slack below -CRITERION_TOL (scaled with the terms in the
+taper-ratio check) is the violation; the margin is the smallest slack, NaN
+skipped, or 0.0 when there is none.
+
 Pochhammer symbols are built by forward products; pair-equal entries are
 stored from one computation so the pairing is bit-exact.  The three paired
 families share one recurrence for (1-alpha)_k / k! (`_pochhammer_ratios`):
@@ -28,7 +34,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Mapping
 
+import numpy as np
+
 from .errors import ParameterDomainError, SizeError
+from .trigeval import qk_weight
 
 #: slack below which an inequality is still accepted (roundoff guard):
 #: absolute, and in the taper-ratio check relative to terms larger than 1
@@ -136,8 +145,6 @@ def qk_sequence(n: int, alpha: float, beta: float, lam: float, mu: float) -> Coe
         raise ParameterDomainError("alpha and beta must be >= 0")
     vals = [2.0, 1.0]
     for k in range(2, n + 1):
-        if k + alpha <= 0 or k + beta <= 0:
-            raise ParameterDomainError("k+alpha and k+beta must stay positive")
         vals.append((k + alpha) ** (-lam) * (k + beta) ** (-mu))
     return CoefficientSequence(tuple(vals), "qk",
                                {"n": n, "alpha": alpha, "beta": beta, "lam": lam, "mu": mu})
@@ -200,6 +207,19 @@ def _require_positive(seq: CoefficientSequence) -> None:
             raise ParameterDomainError(f"entry {i} is not positive ({v})")
 
 
+def _report(index, slack, tol=CRITERION_TOL, partial_sums=None) -> CriterionReport:
+    """The verdict policy (module notes): column j of `slack`, one row per
+    inequality, belongs to index[j]; `tol` broadcasts against `slack`."""
+    slack = np.atleast_2d(slack)
+    bad = np.flatnonzero((slack < -np.asarray(tol)).any(axis=0))
+    violation = int(index[bad[0]]) if bad.size else None
+    margin = float(np.fmin.reduce(slack, axis=None, initial=math.nan))
+    if math.isnan(margin):
+        margin = 0.0  # nothing to check
+    return CriterionReport(violation is None, violation, margin, partial_sums)
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def check_vietoris(seq: CoefficientSequence) -> CriterionReport:
     """Vietoris hypotheses: non-increasing and 2k a_{2k} <= (2k-1) a_{2k-1}.
 
@@ -208,19 +228,11 @@ def check_vietoris(seq: CoefficientSequence) -> CriterionReport:
     products used by vietoris_gamma, so that family reports margin exactly 0.
     """
     _require_positive(seq)
-    a = seq.values
-    margin = math.inf
-    violation: int | None = None
-    for i in range(1, len(a)):
-        slack = a[i - 1] - a[i]
-        if i % 2 == 0:
-            slack = min(slack, a[i - 1] * (i - 1) / i - a[i])
-        margin = min(margin, slack)
-        if violation is None and slack < -CRITERION_TOL:
-            violation = i
-    if not math.isfinite(margin):
-        margin = 0.0  # single entry: nothing to check
-    return CriterionReport(violation is None, violation, margin)
+    a = np.array(seq.values)
+    i = np.arange(1, len(a), dtype=float)
+    slack = a[:-1] - a[1:]
+    slack[1::2] = np.minimum(slack[1::2], a[1:-1:2] * i[:-1:2] / i[1::2] - a[2::2])
+    return _report(range(1, len(a)), slack)
 
 
 def check_belov(seq: CoefficientSequence) -> CriterionReport:
@@ -242,8 +254,6 @@ def check_belov(seq: CoefficientSequence) -> CriterionReport:
     partial: list[float] = []
     acc = 0.0
     comp = 0.0
-    margin = math.inf
-    violation: int | None = None
     for k, v in terms:
         term = k * v if k % 2 else -k * v
         y = term - comp
@@ -251,13 +261,10 @@ def check_belov(seq: CoefficientSequence) -> CriterionReport:
         comp = (t - acc) - y
         acc = t
         partial.append(acc)
-        if k >= 2:
-            margin = min(margin, acc)
-            if violation is None and acc < -CRITERION_TOL:
-                violation = k
-    return CriterionReport(violation is None, violation, margin, tuple(partial))
+    return _report(range(2, len(terms) + 1), partial[1:], partial_sums=tuple(partial))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_chain_condition(seq: CoefficientSequence, alpha: float, beta: float,
                           lam: float, mu: float) -> CriterionReport:
     """Weighted chain condition: w_{k+1} a_{k+1} <= w_k a_k with w_1 = 1 and
@@ -266,31 +273,19 @@ def check_chain_condition(seq: CoefficientSequence, alpha: float, beta: float,
     if alpha < 0 or beta < 0 or lam < 0 or mu < 0:
         raise ParameterDomainError("alpha, beta, lam, mu must be >= 0")
     _require_positive(seq)
-    if seq.family in A0_FAMILIES:
-        a0, a = seq.values[0], seq.values[1:]
-        if not a:
-            raise SizeError("need a_1 in addition to a_0")
-    else:
-        a0, a = None, seq.values
-    margin = math.inf
-    violation: int | None = None
-    if a0 is not None:
-        slack = 0.5 * a0 - a[0]
-        margin = min(margin, slack)
-        if slack < -CRITERION_TOL:
-            violation = 1
-    weights = [1.0] + [(k + alpha) ** lam * (k + beta) ** mu
-                       for k in range(2, len(a) + 1)]
-    for j in range(len(a) - 1):
-        slack = weights[j] * a[j] - weights[j + 1] * a[j + 1]
-        margin = min(margin, slack)
-        if violation is None and slack < -CRITERION_TOL:
-            violation = j + 2  # index of a_{k+1} in a_k numbering
-    if not math.isfinite(margin):
-        margin = 0.0
-    return CriterionReport(violation is None, violation, margin)
+    head = int(seq.family in A0_FAMILIES)  # a_0 stored first
+    a = np.array(seq.values[head:])
+    if not a.size:
+        raise SizeError("need a_1 in addition to a_0")
+    wa = np.array([1.0] + [qk_weight(k, alpha, beta, lam, mu)
+                           for k in range(2, a.size + 1)]) * a
+    slack = wa[:-1] - wa[1:]
+    if head:
+        slack = np.concatenate(([0.5 * seq.values[0] - a[0]], slack))
+    return _report(range(2 - head, a.size + 1), slack)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def check_taper_ratio_condition(seq: CoefficientSequence, b: float, c: float,
                           alpha: float) -> CriterionReport:
     """Taper-ratio condition (b+n-k) k a_k <= (c+n-k) (k-alpha) a_{k-1}, 1 <= k <= n.
@@ -306,19 +301,12 @@ def check_taper_ratio_condition(seq: CoefficientSequence, b: float, c: float,
     if not 0 < alpha < 1:
         raise ParameterDomainError(f"alpha must lie in (0, 1), got {alpha}")
     _require_positive(seq)
-    a = seq.pair_values()
+    a = np.array(seq.pair_values())
     n = len(a) - 1
-    margin = math.inf
-    violation: int | None = None
-    for k in range(1, n + 1):
-        lhs = (c + n - k) * (k - alpha) * a[k - 1]
-        rhs = (b + n - k) * k * a[k]
-        drop, taper = a[k - 1] - a[k], lhs - rhs
-        margin = min(margin, drop, taper)
-        # the taper terms grow like n^2/4: the tolerance scales with them
-        if violation is None and (drop < -CRITERION_TOL * max(1.0, a[k - 1])
-                                  or taper < -CRITERION_TOL * max(1.0, lhs, rhs)):
-            violation = k
-    if not math.isfinite(margin):
-        margin = 0.0
-    return CriterionReport(violation is None, violation, margin)
+    k = np.arange(1, n + 1, dtype=float)
+    lhs = (c + n - k) * (k - alpha) * a[:-1]
+    rhs = (b + n - k) * k * a[1:]
+    # the taper terms grow like n^2/4: the tolerance scales with them
+    tol = CRITERION_TOL * np.array([np.maximum(1.0, a[:-1]),
+                                    np.maximum(np.maximum(1.0, lhs), rhs)])
+    return _report(range(1, n + 1), [a[:-1] - a[1:], lhs - rhs], tol)

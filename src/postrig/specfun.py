@@ -1,6 +1,6 @@
 """Special-function kernel and the derived constants.
 
-Provides Gamma (Lanczos, reflection for the left half-line), the generalized
+Provides Gamma (from ``math.gamma``, PoleError at its poles), the generalized
 hypergeometric 2F3 by direct term recurrence, tanh-sinh quadrature for
 integrands with algebraic endpoint singularities, a bracketing Brent solver,
 the ascending Bessel-J series with its first two positive zeros, and on top of
@@ -44,20 +44,6 @@ _BATCH_LEVEL = 4
 #: scan points of bessel_zero per call of bessel_j
 _ZERO_CHUNK = 128
 
-# Lanczos g = 7, 9 terms; classic coefficient set, ~1e-14 relative on (0, 20]
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
 
 @dataclass(frozen=True)
 class SpecialConstant:
@@ -76,18 +62,10 @@ class SpecialConstant:
 
 
 def gamma_fn(x: float) -> float:
-    """Gamma(x); reflection formula for x < 0.5, PoleError at 0, -1, -2, ..."""
+    """Gamma(x) from `math.gamma`; PoleError at 0, -1, -2, ..."""
     if x <= 0 and x == math.floor(x):
         raise PoleError(f"Gamma pole at {x}")
-    if x < 0.5:
-        # Gamma(x) Gamma(1-x) = pi / sin(pi x)
-        return math.pi / (math.sin(math.pi * x) * gamma_fn(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
+    return math.gamma(x)
 
 
 def hyp2f3(a1: float, a2: float, b1: float, b2: float, b3: float, z: float,

@@ -183,6 +183,11 @@ class TestCertifyPositive:
         with pytest.raises(ParameterDomainError):
             certify_positive(sine_poly([1.0]), 0.0, 1.0, CertifyOptions(eps=0.3))
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
+    def test_eps_must_be_finite_and_positive(self, eps):
+        with pytest.raises(ParameterDomainError):
+            CertifyOptions(eps=eps)
+
     def test_invalid_interval(self):
         with pytest.raises(ParameterDomainError):
             certify_positive(sine_poly([1.0]), 1.0, 1.0)
@@ -272,6 +277,13 @@ class TestFindMin:
         _, c30 = fig1_polys(30)
         with pytest.raises(ParameterDomainError):
             find_min(c30, 0.0, PI, **kw)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0, 2.0, 0.25 * PI])
+    def test_rejects_bad_eps(self, eps):
+        # eps = -1 used to return theta = 4.14 outside (0, pi), eps = 2 scanned
+        # a reversed window
+        with pytest.raises(ParameterDomainError):
+            find_min(sine_poly([1.0]), 0.0, PI, eps=eps)
 
     @pytest.mark.parametrize("tol", [1e-17, 5e-324])
     def test_tol_below_resolution_returns(self, tol):

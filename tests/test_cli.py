@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from postrig import cli, specfun
+from postrig import cli, seqkit, specfun, trigeval
 from postrig.certify import PositivityReport
 
 
@@ -58,6 +58,10 @@ class TestCertifyCommand:
         code = run(["certify", "--family", "shifted-cosine",
                     "--coeffs", "1,0.6,0.3", "--shift", "0.25"])
         assert code == 0
+
+    def test_nan_eps_usage_error(self):
+        assert run(["certify", "--family", "qk-sine", "--n", "10",
+                    "--eps", "nan"]) == 1
 
     def test_halfangle_product_family(self):
         code = run(["certify", "--family", "halfangle-product", "--n", "30",
@@ -114,6 +118,53 @@ class TestConstantsCommand:
     def test_solver_error_exit_four(self):
         code = run(["constants", "--only", "alpha0_prime", "--d", "4.0"])
         assert code == 4
+
+    def test_unknown_only_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "c.json"
+        assert run(["constants", "--only", "alpha0,foo", "-o", str(out)]) == 1
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "foo" in err
+        assert "alpha0,alpha0_prime,beta0,beta1,lambda_prime" in err
+
+    @pytest.mark.parametrize("d", ["-1", "0.1,nan"])
+    def test_bad_d_usage_error(self, d):
+        assert run(["constants", "--d", d]) == 1
+
+
+# certify families built from a seqkit sequence, written out by hand
+_PARAMS = {"alpha": 0.45, "beta": 0.6, "lam": 0.3, "mu": 1.5, "b": 2.0, "c": 1.0}
+_QK = (0.45, 0.6, 0.3, 1.5)
+_DIRECT = {
+    "qk-sine": lambda n: trigeval.sine_poly(seqkit.qk_sequence(n, *_QK).values[1:]),
+    "qk-cosine": lambda n: trigeval.cosine_poly(seqkit.qk_sequence(n, *_QK).values[0],
+                                                seqkit.qk_sequence(n, *_QK).values[1:]),
+    "ratio-sine": lambda n: trigeval.sine_poly(seqkit.ratio_qk_sequence(n, *_QK).values),
+    "koumandos-cosine": lambda n: trigeval.cosine_poly(
+        2.0 * seqkit.koumandos_bk(n, 0.45).values[0], seqkit.koumandos_bk(n, 0.45).values[1:]),
+    "koumandos-sine": lambda n: trigeval.sine_poly(seqkit.koumandos_bk(n, 0.45).values[1:]),
+    "ck-cosine": lambda n: trigeval.cosine_poly(
+        2.0 * seqkit.ck_sequence(n, 0.45, 2.0, 1.0).values[0],
+        seqkit.ck_sequence(n, 0.45, 2.0, 1.0).values[1:]),
+    "ck-sine": lambda n: trigeval.sine_poly(seqkit.ck_sequence(n, 0.45, 2.0, 1.0).values[1:]),
+}
+
+
+def test_family_table_covers_every_sequence_family():
+    assert set(cli._CERTIFY_SEQUENCES) == set(_DIRECT)
+    assert {name for name, _ in cli._CERTIFY_SEQUENCES.values()} <= set(cli._SEQUENCES)
+
+
+@pytest.mark.parametrize("family", sorted(_DIRECT))
+@pytest.mark.parametrize("n", [1, 2, 9, 120])
+def test_family_poly_matches_direct_build(family, n):
+    args = cli.build_parser().parse_args(["certify", "--family", family, "--n", str(n)])
+    vars(args).update(_PARAMS)
+    poly, interval = cli._family_poly(args)
+    want = _DIRECT[family](n)
+    assert interval == (0.0, math.pi)
+    assert (poly.a0, poly.cos_coeffs, poly.sin_coeffs) == \
+        (want.a0, want.cos_coeffs, want.sin_coeffs)
 
 
 class TestPlotdataCommand:

@@ -1,6 +1,7 @@
 """seqkit: coefficient families and criteria."""
 
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,7 @@ from postrig import (CoefficientSequence, check_belov, check_chain_condition,
                      koumandos_bk, qk_sequence, ratio_qk_sequence,
                      vietoris_gamma)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.seqkit import pochhammer
+from postrig.seqkit import A0_FAMILIES, CRITERION_TOL, pochhammer
 from conftest import poch_fraction
 
 
@@ -310,6 +311,135 @@ class TestCor34Condition:
             check_taper_ratio_condition(seq, 1.0, 2.0, 0.5)  # b < c
         with pytest.raises(ParameterDomainError):
             check_taper_ratio_condition(seq, 1.0, 1.0, 1.5)  # alpha outside (0,1)
+
+
+# Plain-Python references: one loop per criterion, as each check was written
+# before the checks shared one slack reduction.  Each returns
+# (first violation index, margin, partial sums).
+
+def _ref_vietoris(seq):
+    a = seq.values
+    margin = math.inf
+    violation = None
+    for i in range(1, len(a)):
+        slack = a[i - 1] - a[i]
+        if i % 2 == 0:
+            slack = min(slack, a[i - 1] * (i - 1) / i - a[i])
+        margin = min(margin, slack)
+        if violation is None and slack < -CRITERION_TOL:
+            violation = i
+    return violation, margin if math.isfinite(margin) else 0.0, None
+
+
+def _ref_belov(seq):
+    partial = []
+    acc = comp = 0.0
+    margin = math.inf
+    violation = None
+    for k, v in seq.sine_view():
+        term = k * v if k % 2 else -k * v
+        y = term - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+        partial.append(acc)
+        if k >= 2:
+            margin = min(margin, acc)
+            if violation is None and acc < -CRITERION_TOL:
+                violation = k
+    return violation, margin, tuple(partial)
+
+
+def _ref_chain(seq, alpha, beta, lam, mu):
+    if seq.family in A0_FAMILIES:
+        a0, a = seq.values[0], seq.values[1:]
+    else:
+        a0, a = None, seq.values
+    margin = math.inf
+    violation = None
+    if a0 is not None:
+        slack = 0.5 * a0 - a[0]
+        margin = min(margin, slack)
+        if slack < -CRITERION_TOL:
+            violation = 1
+    weights = [1.0] + [(k + alpha) ** lam * (k + beta) ** mu
+                       for k in range(2, len(a) + 1)]
+    for j in range(len(a) - 1):
+        slack = weights[j] * a[j] - weights[j + 1] * a[j + 1]
+        margin = min(margin, slack)
+        if violation is None and slack < -CRITERION_TOL:
+            violation = j + 2
+    return violation, margin if math.isfinite(margin) else 0.0, None
+
+
+def _ref_taper(seq, b, c, alpha):
+    a = seq.pair_values()
+    n = len(a) - 1
+    margin = math.inf
+    violation = None
+    for k in range(1, n + 1):
+        lhs = (c + n - k) * (k - alpha) * a[k - 1]
+        rhs = (b + n - k) * k * a[k]
+        drop, taper = a[k - 1] - a[k], lhs - rhs
+        margin = min(margin, drop, taper)
+        if violation is None and (drop < -CRITERION_TOL * max(1.0, a[k - 1])
+                                  or taper < -CRITERION_TOL * max(1.0, lhs, rhs)):
+            violation = k
+    return violation, margin if math.isfinite(margin) else 0.0, None
+
+
+def _assert_matches_references(seq, chain_params, taper_params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # Belov's monotonicity warning
+        pairs = [(check_vietoris(seq), _ref_vietoris(seq)),
+                 (check_belov(seq), _ref_belov(seq)),
+                 (check_chain_condition(seq, *chain_params), _ref_chain(seq, *chain_params)),
+                 (check_taper_ratio_condition(seq, *taper_params),
+                  _ref_taper(seq, *taper_params))]
+    for got, (violation, margin, partial) in pairs:
+        assert got.first_violation_index == violation
+        assert got.satisfied == (violation is None)
+        assert got.margin.hex() == margin.hex()
+        assert got.partial_sums == partial
+        if partial is not None:
+            assert [v.hex() for v in got.partial_sums] == [v.hex() for v in partial]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["custom", "vietoris", "qk", "koumandos", "ck"]),
+       st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=60), st.booleans(),
+       st.tuples(*[st.floats(0.0, 2.0)] * 4),
+       st.floats(0.1, 2.0), st.floats(0.0, 2.0), st.floats(0.01, 0.99))
+def test_checks_match_reference_loops(family, vals, descending, chain_params,
+                                      c, b_minus_c, alpha):
+    """Bit for bit, satisfied and violated sequences alike, for the custom
+    layout and every family that stores a_0 first."""
+    if descending:
+        vals = sorted(vals, reverse=True)
+    if family == "ck":
+        vals = [v for v in vals for _ in (0, 1)]
+    _assert_matches_references(CoefficientSequence(tuple(vals), family),
+                               chain_params, (c + b_minus_c, c, alpha))
+
+
+@pytest.mark.parametrize("seq, chain_params, taper_params", [
+    (vietoris_gamma(101), (0.0, 0.0, 0.0, 0.0), (1.0, 1.0, 0.5)),
+    (qk_sequence(80, 0.2, 0.4, 0.3, 0.7), (0.2, 0.4, 0.3, 0.7), (1.5, 1.0, 0.3)),
+    (koumandos_bk(77, 0.45), (0.0, 0.0, 1.0, 0.0), (1.0, 1.0, 0.45)),
+    (ck_sequence(40, 0.35, 2.0, 1.0), (0.1, 0.2, 0.5, 0.5), (2.0, 1.0, 0.35)),
+    (ratio_qk_sequence(60, 0.2, 0.4, 0.3, 1.5), (0.2, 0.4, 0.3, 1.5), (1.0, 1.0, 0.5)),
+])
+def test_families_match_reference_loops(seq, chain_params, taper_params):
+    # the built families sit on or near equality: margins of exactly 0
+    _assert_matches_references(seq, chain_params, taper_params)
+
+
+def test_overflowed_slack_is_the_margin():
+    # w_2 a_2 overflows: the violated report carries margin -inf, not 0.0
+    seq = CoefficientSequence((1e308, 1e308))
+    rep = check_chain_condition(seq, 0.0, 0.0, 1.0, 0.0)
+    assert rep.first_violation_index == 2
+    assert rep.margin == -math.inf
 
 
 @settings(max_examples=40, deadline=None)
