@@ -1,13 +1,23 @@
-"""Grid + Lipschitz positivity certification for trigonometric polynomials.
+"""Grid + curvature-bound positivity certification for trigonometric polynomials.
 
 A sum is certified strictly positive on a working interval when, cell by
-cell, the sampled endpoint values beat the largest possible dip between them:
-on a cell of width w the sum cannot fall below (f_l + f_r)/2 - L*w/2, with L
-a uniform bound on |d/dtheta|.  Cells that fail the test are bisected (only
-they are), up to a depth limit.  Every sample lies on the dyadic grid
-wlo + i*h/2^depth, so cells are integer indices and each batch goes through
-`TrigPolynomial.values_grid`.  A sample below minus the evaluation roundoff
-bound refutes with a witness; a non-positive sample inside that bound is no
+cell, the sampled endpoint values beat the largest possible dip between them.
+On a cell of width w the sum cannot fall below the larger of
+
+    (f_l + f_r)/2 - L*w/2        first order, L a uniform bound on |f'|,
+    min(f_l, f_r) - L2*w^2/8     second order, L2 a uniform bound on |f''|
+                                 (the linear interpolant's error bound);
+
+the first wins on coarse cells, the second on fine ones and next to a
+vanishing endpoint, where values are small.  Computed values are within the
+evaluation roundoff bound of the exact ones, so a cell certifies only when
+its bound beats that bound, and the certified lower bound is the smallest
+cell bound net of it.  Cells that fail the test are bisected (only they
+are), up to a depth limit; each level evaluates the sum once, at the failing
+cells' midpoints.  Every sample lies on the dyadic grid wlo + i*h/2^depth,
+so cells are integer indices and each batch goes through
+`TrigPolynomial.values_grid`.  A sample below minus the roundoff bound
+refutes with a witness; a non-positive sample inside that bound is no
 witness, and the cells it bounds never certify.  Inconclusive is a
 first-class outcome and is never upgraded.
 
@@ -186,19 +196,6 @@ def endpoint_vanishes(poly: TrigPolynomial, t: float) -> bool:
     return abs(poly.value(t)) <= KERNEL_TOL * coefficient_mass(poly)
 
 
-def derivative_poly(poly: TrigPolynomial) -> TrigPolynomial | None:
-    """d/dtheta of the sum as another TrigPolynomial; None if constant.
-
-    Coefficient positions keep their frequencies, so the same shift/stride
-    layout carries over with the lists swapped and frequency-scaled.
-    """
-    (nu_c, cc), (nu_s, sc) = poly.terms()
-    new_cos, new_sin = nu_s * sc, -nu_c * cc
-    if not (new_cos.any() or new_sin.any()):
-        return None
-    return TrigPolynomial(0.0, new_cos, new_sin, poly.shift, poly.stride)
-
-
 def roundoff_bound(poly: TrigPolynomial) -> float:
     """Largest error of a computed value of the sum.
 
@@ -311,21 +308,18 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         return failure(REFUTED, (point(imin, h), float(vals[imin])), 0)
 
     # Cell arrays, kept in ascending-theta order so ties resolve
-    # deterministically.  Each cell carries its own |f'| bound Lc, tightened
-    # on subdivision to |f'(parent mid)| + L2 * parent_width / 2, which is
-    # what lets cells near a vanishing endpoint (tiny slope, tiny values)
-    # certify without driving h below the global L scale.  A cell with a
-    # sample at or below 0 that is no witness (inside the roundoff bound)
-    # never certifies.
-    deriv = derivative_poly(poly)
+    # deterministically: left index il at the current depth and the two
+    # endpoint values.  A cell's bound is the larger of the first- and
+    # second-order ones (module docstring) net of the roundoff bound; a cell
+    # with a sample at or below 0 that is no witness never certifies.
     il = np.arange(opts.grid0 - 1)
     fl, fr = vals[:-1], vals[1:]
-    Lc = np.full(il.size, L)
     dx = h
     depth = 0
     lower = math.inf
     while True:
-        bound = 0.5 * (fl + fr) - 0.5 * Lc * dx
+        bound = np.maximum(0.5 * (fl + fr) - 0.5 * L * dx,
+                           np.minimum(fl, fr) - 0.125 * L2 * dx * dx) - noise
         fail = (bound <= 0.0) | (fl <= 0.0) | (fr <= 0.0)
         if bound[~fail].size:
             lower = min(lower, float(bound[~fail].min()))
@@ -338,21 +332,16 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             return failure(INCONCLUSIVE, None, depth)
         depth += 1
         dx *= 0.5
-        il, fl, fr, Lc = il[fail], fl[fail], fr[fail], Lc[fail]
+        il, fl, fr = il[fail], fl[fail], fr[fail]
         im = 2 * il + 1
         fm = poly.values_grid(wlo, dx, im, opts.workers)
         total_evals += im.size
         jmin = int(np.argmin(fm))
         if fm[jmin] < -noise:
             return failure(REFUTED, (point(im[jmin], dx), float(fm[jmin])), depth)
-        if deriv is not None:
-            dm = np.abs(deriv.values_grid(wlo, dx, im, opts.workers))
-            total_evals += im.size
-            Lc = np.minimum(Lc, dm + L2 * dx)
         il = np.stack((2 * il, im), axis=1).ravel()
         fl = np.stack((fl, fm), axis=1).ravel()
         fr = np.stack((fm, fr), axis=1).ravel()
-        Lc = np.repeat(Lc, 2)
 
     if not math.isfinite(lower) or lower <= 0.0:
         return failure(INCONCLUSIVE, None, depth)

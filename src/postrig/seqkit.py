@@ -18,8 +18,9 @@ hypotheses involve a_0 (Vietoris, the taper-ratio check) always read values[0] a
 Verdicts: each check writes its inequalities as slacks (>= 0 where one
 holds) in numpy and passes them to one reduction, `_report`.  The first
 index with a slack below -CRITERION_TOL (scaled with the terms in the
-taper-ratio check) is the violation; the margin is the smallest slack, NaN
-skipped, or 0.0 when there is none.
+taper-ratio check), or with a slack that overflowed to -inf or NaN, is the
+violation; the margin is the smallest slack, NaN skipped, or 0.0 when there
+is none.
 
 Pochhammer symbols are built by forward products; pair-equal entries are
 stored from one computation so the pairing is bit-exact.  The three paired
@@ -211,7 +212,10 @@ def _report(index, slack, tol=CRITERION_TOL, partial_sums=None) -> CriterionRepo
     """The verdict policy (module notes): column j of `slack`, one row per
     inequality, belongs to index[j]; `tol` broadcasts against `slack`."""
     slack = np.atleast_2d(slack)
-    bad = np.flatnonzero((slack < -np.asarray(tol)).any(axis=0))
+    # an overflowed side proves nothing, whatever the tolerance (which is inf
+    # once a taper term is): -inf and inf - inf = NaN slacks are violations
+    bad = np.flatnonzero(((slack < -np.asarray(tol)) | (slack == -np.inf)
+                          | np.isnan(slack)).any(axis=0))
     violation = int(index[bad[0]]) if bad.size else None
     margin = float(np.fmin.reduce(slack, axis=None, initial=math.nan))
     if math.isnan(margin):

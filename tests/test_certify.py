@@ -11,11 +11,11 @@ from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_z
                      certify_positive, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
 from postrig.certify import (CERTIFIED, INCONCLUSIVE, REFUTED, coefficient_mass,
-                             curvature_bound, derivative_poly, roundoff_bound,
+                             curvature_bound, roundoff_bound,
                              second_derivative_value, vanishes_structurally)
 from postrig.kernels import chirp_cheaper
 from postrig.errors import ParameterDomainError
-from conftest import naive_terms
+from conftest import naive_terms, naive_trig_value
 
 PI = math.pi
 
@@ -73,14 +73,6 @@ class TestArrayView:
         close(poly.derivative_value(t), d1, L)
         close(second_derivative_value(poly, t), d2, L2)
         assert list(poly.frequencies("cos")) == [nu for k, nu, _ in terms if k == "cos"]
-        deriv = derivative_poly(poly)
-        new_cos = [nu * c for k, nu, c in terms if k == "sin"]
-        new_sin = [-nu * c for k, nu, c in terms if k == "cos"]
-        if not any(new_cos) and not any(new_sin):
-            assert deriv is None
-        else:
-            assert (deriv.cos_coeffs, deriv.sin_coeffs) == (tuple(new_cos), tuple(new_sin))
-            assert (deriv.shift, deriv.stride, deriv.a0) == (shift, stride, 0.0)
 
     def test_view_is_read_only(self):
         poly = sine_poly([1.0, 0.5])
@@ -250,6 +242,87 @@ class TestCertifyPositive:
         rep = certify_positive(s20, 0.0, PI)
         clone = PositivityReport.from_dict(json.loads(json.dumps(rep.to_dict())))
         assert clone == rep
+
+
+def _koumandos_cosine(n, alpha):
+    b = koumandos_bk(n, alpha).values
+    return cosine_poly(2.0 * b[0], b[1:])
+
+
+class TestSecondOrderCells:
+    """The cell bound min(f_l, f_r) - L2*w^2/8 and the sums it certifies."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6),
+           st.lists(st.floats(-5, 5), max_size=6), st.floats(-3, 3),
+           st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
+           st.floats(-PI, PI), st.floats(-7.0, 0.5))
+    def test_curvature_bound_under_cell_minimum(self, cc, sc, a0, shift, stride,
+                                                left, log_w):
+        poly = TrigPolynomial(a0, tuple(cc), tuple(sc), shift, stride)
+        w = math.exp(log_w)
+        fl, fr = poly.values(np.array([left, left + w]))
+        bound = min(fl, fr) - curvature_bound(poly) * w * w / 8.0
+        cell_min = min(naive_trig_value(poly, t)
+                       for t in np.linspace(left, left + w, 129))
+        assert bound <= cell_min + roundoff_bound(poly)
+
+    def test_tight_at_a_midpoint_minimum(self):
+        # f = 1.001 + cos(theta) on [pi - 1, pi + 1]: with an even grid0 the
+        # minimum at pi is a cell midpoint, where f'' = L2 and the second-order
+        # bound is exact up to O(w^4); a looser factor than 1/8 would put the
+        # lower bound above the minimum, the first-order bound alone 2e-4 below
+        poly = cosine_poly(2.002, [1.0])
+        rep = certify_positive(poly, PI - 1.0, PI + 1.0)
+        f_min = naive_trig_value(poly, PI)
+        assert f_min - 1e-9 <= rep.lower_bound <= f_min
+
+    def test_koumandos_cosine_n8000_certified(self):
+        # positive by Koumandos' theorem; certified at the default depth limit
+        poly = _koumandos_cosine(8000, 0.4)
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict == CERTIFIED
+        theta, _ = find_min(poly, 0.0, PI)
+        step = PI / 4095 / 2 ** 8  # the finest cell width
+        naive_min = min(naive_trig_value(poly, theta + k * step) for k in range(-20, 21))
+        assert rep.lower_bound <= naive_min
+
+    @pytest.mark.parametrize("poly, note", [
+        (_koumandos_cosine(2029, 0.45), "vanishes to second order"),
+        (sine_poly(qk_sequence(4000, 0.2, 0.4, 0.3, 0.7).values[1:]), "to first order"),
+    ])
+    def test_high_degree_certified_endpoint_note_kept(self, poly, note):
+        # the cells certify; the eps-zone at the vanishing endpoint is still
+        # settled by the weaker argument, and the note says so
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict == CERTIFIED
+        assert note in rep.boundary_notes
+
+    def test_one_kernel_batch_per_level(self, monkeypatch):
+        sizes = []
+        grid = TrigPolynomial.values_grid
+
+        def counted(self, t0, dt, idx, workers=1):
+            sizes.append(len(idx))
+            return grid(self, t0, dt, idx, workers)
+
+        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
+        rep = certify_positive(_koumandos_cosine(2029, 0.45), 0.0, PI)
+        assert rep.refinement_depth >= 2
+        assert len(sizes) == 1 + rep.refinement_depth
+        assert sum(sizes) == rep.grid_points
+
+    def test_lower_bound_is_net_of_roundoff(self):
+        poly = cosine_poly(2.0, [])  # f = 1: every cell bound is exactly 1
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.lower_bound == 1.0 - roundoff_bound(poly)
+
+    def test_margin_inside_roundoff_never_certifies(self):
+        # f = 2e-323 > 0, but inside the roundoff bound (3e-323): no proof
+        poly = cosine_poly(8 * 2.0 ** -1074, [])
+        assert poly.values(np.array([1.0]))[0] <= roundoff_bound(poly)
+        rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=16, max_depth=2))
+        assert rep.verdict == INCONCLUSIVE
 
 
 class TestFindMin:

@@ -442,6 +442,23 @@ def test_overflowed_slack_is_the_margin():
     assert rep.margin == -math.inf
 
 
+def test_overflowed_taper_side_is_a_violation():
+    # rhs = 2*a_1 overflows: the tolerance is inf, the slack -inf
+    rep = check_taper_ratio_condition(CoefficientSequence((1.7e308, 1.7e308)),
+                                      2.0, 1.0, 0.5)
+    assert not rep.satisfied
+    assert rep.first_violation_index == 1
+    assert rep.margin == -math.inf
+
+
+def test_undecided_overflow_is_a_violation():
+    # both taper sides overflow at every k: inf - inf decides nothing
+    rep = check_taper_ratio_condition(CoefficientSequence((1.7e308,) * 4),
+                                      1.0, 1.0, 0.5)
+    assert not rep.satisfied
+    assert rep.first_violation_index == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 80), st.floats(0.05, 0.95))
 def test_paired_families_pairing_property(n, alpha):
