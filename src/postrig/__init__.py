@@ -2,7 +2,7 @@
 sums, plus the special constants their sharp thresholds are built from."""
 
 from .certify import (CertifyOptions, PositivityReport, ZeroBracketList,
-                      bracket_zeros, certify_positive, find_min, lipschitz_bound)
+                      bracket_zeros, certify_positive, find_min)
 from .seqkit import (CoefficientSequence, CriterionReport, check_belov,
                      check_chain_condition, check_taper_ratio_condition,
                      check_vietoris, ck_sequence, koumandos_bk, qk_sequence,
@@ -11,9 +11,8 @@ from .specfun import (SpecialConstant, alpha0, alpha0_prime, bessel_j,
                       bessel_zero, brent_root, expansion_fit, gamma_fn,
                       h_corr, hyp2f3, K_closed, lambda_prime, P_closed,
                       quad_singular)
-from .trigeval import (TrigPolynomial, abel_resum, cosine_poly,
-                       eval_cosine_sum, eval_shifted_sum, eval_sine_sum,
-                       eval_halfangle_product_derivative, fejer_h, fejer_sigma,
-                       shifted_poly, sine_poly, halfangle_product_negated_poly)
+from .trigeval import (TrigPolynomial, abel_resum, cosine_poly, fejer_h,
+                       fejer_sigma, halfangle_product_negated_poly,
+                       lipschitz_bound, shifted_poly, sine_poly)
 
 __version__ = "0.1.0"

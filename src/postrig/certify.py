@@ -1,5 +1,8 @@
 """Grid + curvature-bound positivity certification for trigonometric polynomials.
 
+This module is the engine (endpoint policy, `certify_positive`, `find_min`,
+`bracket_zeros`); L, L2 and the roundoff bound come from `postrig.trigeval`.
+
 A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between them.
 On a cell of width w the sum cannot fall below the larger of
@@ -37,8 +40,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterDomainError
-from .kernels import KERNEL_TOL, error_bound
-from .trigeval import TrigPolynomial
+from .kernels import KERNEL_TOL
+from .trigeval import (TrigPolynomial, coefficient_mass, curvature_bound,
+                       lipschitz_bound, roundoff_bound, second_derivative_value)
 
 _HALF_PI = 0.5 * math.pi
 
@@ -134,16 +138,6 @@ class ZeroBracketList:
         }
 
 
-def lipschitz_bound(poly: TrigPolynomial) -> float:
-    """sum over terms of frequency * |coefficient|: a uniform |d/dtheta| bound."""
-    return float(sum(nu @ np.abs(c) for nu, c in poly.terms()))
-
-
-def curvature_bound(poly: TrigPolynomial) -> float:
-    """Same with frequency^2: a uniform |d^2/dtheta^2| bound."""
-    return float(sum((nu * nu) @ np.abs(c) for nu, c in poly.terms()))
-
-
 def vanishes_structurally(poly: TrigPolynomial, t: float) -> bool:
     """True when every term of the sum is zero at t by the trig zero pattern.
 
@@ -173,16 +167,6 @@ def vanishes_structurally(poly: TrigPolynomial, t: float) -> bool:
     return True
 
 
-def coefficient_mass(poly: TrigPolynomial) -> float:
-    return 0.5 * abs(poly.a0) + float(sum(np.abs(c).sum() for _, c in poly.terms()))
-
-
-def second_derivative_value(poly: TrigPolynomial, t: float) -> float:
-    (nu_c, cc), (nu_s, sc) = poly.terms()
-    return -float((cc * nu_c * nu_c) @ np.cos(nu_c * t)
-                  + (sc * nu_s * nu_s) @ np.sin(nu_s * t))
-
-
 def endpoint_vanishes(poly: TrigPolynomial, t: float) -> bool:
     """Endpoint where the sum is analytically zero.
 
@@ -194,19 +178,6 @@ def endpoint_vanishes(poly: TrigPolynomial, t: float) -> bool:
     if vanishes_structurally(poly, t):
         return True
     return abs(poly.value(t)) <= KERNEL_TOL * coefficient_mass(poly)
-
-
-def roundoff_bound(poly: TrigPolynomial) -> float:
-    """Largest error of a computed value of the sum.
-
-    Each kernel sum is within `kernels.error_bound` of the exact one; the
-    shift peel combines a C and an S with unit-modulus weights, hence the
-    factor 2, and the peel's own products, two per part, may underflow as
-    well, hence two more terms.  A computed value at or above minus this
-    bound is no proof of a non-positive value.
-    """
-    terms = sum(c.size for _, c in poly.terms())
-    return 2.0 * error_bound(coefficient_mass(poly), terms + 2)
 
 
 def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,

@@ -194,9 +194,9 @@ def _square_phases(k: np.ndarray, dx: float) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _chirp_plan(n: int, dx: float) -> tuple[int, np.ndarray, np.ndarray]:
     """FFT length, chirp exp(i k^2 dx/2) for k < max(n + 1, GRID_BLOCK), and
-    the FFT of the conjugate-chirp kernel; shared by every block of a call
-    and by the calls of one refinement level (f and f' have one degree).
-    One plan is kept, so the working set is one level's kernel and one block."""
+    the FFT of the conjugate-chirp kernel, shared by every block of a call and
+    by the parts of a thread split.  One plan is kept, so the working set is
+    one level's kernel and one block."""
     B = GRID_BLOCK
     size = _fft_length(n + B)
     chirp = _cis(_square_phases(np.arange(max(n + 1, B), dtype=np.uint64), dx))

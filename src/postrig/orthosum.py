@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError
-from .seqkit import CoefficientSequence, CriterionReport, CRITERION_TOL
+from .seqkit import CoefficientSequence, CriterionReport, _report
 from .trigeval import qk_weight
 
 
@@ -248,11 +248,8 @@ def opuc_cumulative_positive(b: float, omega: float, N: int) -> CriterionReport:
     F = np.asarray(opuc_coeffs(b, omega, N).coeffs)
     cum = np.cumsum(F)
     psi = opuc_log_route_cumulative(b, omega, N)
-    margin = float(min(cum.min(), psi.min()))
-    bad = np.flatnonzero((cum < -CRITERION_TOL) | (psi < -CRITERION_TOL))
-    violation = int(bad[0]) if bad.size else None
-    return CriterionReport(violation is None, violation, margin,
-                           tuple(float(v) for v in cum))
+    return _report(np.arange(N + 1), np.vstack((cum, psi)),
+                   partial_sums=tuple(float(v) for v in cum))
 
 
 def jacobi_sum_check(n: int, lam_p: float, delta: float, a: float, b: float,

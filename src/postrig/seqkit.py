@@ -20,7 +20,7 @@ holds) in numpy and passes them to one reduction, `_report`.  The first
 index with a slack below -CRITERION_TOL (scaled with the terms in the
 taper-ratio check), or with a slack that overflowed to -inf or NaN, is the
 violation; the margin is the smallest slack, NaN skipped, or 0.0 when there
-is none.
+is none, and NaN when the violation rests on NaN slacks alone.
 
 Pochhammer symbols are built by forward products; pair-equal entries are
 stored from one computation so the pairing is bit-exact.  The three paired
@@ -214,11 +214,13 @@ def _report(index, slack, tol=CRITERION_TOL, partial_sums=None) -> CriterionRepo
     slack = np.atleast_2d(slack)
     # an overflowed side proves nothing, whatever the tolerance (which is inf
     # once a taper term is): -inf and inf - inf = NaN slacks are violations
-    bad = np.flatnonzero(((slack < -np.asarray(tol)) | (slack == -np.inf)
-                          | np.isnan(slack)).any(axis=0))
+    broken = (slack < -np.asarray(tol)) | (slack == -np.inf)
+    bad = np.flatnonzero((broken | np.isnan(slack)).any(axis=0))
     violation = int(index[bad[0]]) if bad.size else None
     margin = float(np.fmin.reduce(slack, axis=None, initial=math.nan))
-    if math.isnan(margin):
+    if bad.size and not broken.any():
+        margin = math.nan  # the violation rests on NaN slacks alone
+    elif math.isnan(margin):
         margin = 0.0  # nothing to check
     return CriterionReport(violation is None, violation, margin, partial_sums)
 

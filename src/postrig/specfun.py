@@ -257,12 +257,11 @@ def _weighted_integral(alpha: float, d: float, tol: float = 1e-13) -> float:
                          0.0, THREE_PI_OVER_2, tol)
 
 
-def K_closed(alpha: float) -> float:
-    """Closed form of int_0^{3pi/2} t^-alpha cos t dt (Gamma-prefactored 2F3)."""
-    return (gamma_fn(1.0 - alpha) / gamma_fn(2.0 - alpha)
-            * THREE_PI_OVER_2 ** (1.0 - alpha)
-            * hyp2f3(0.5 * (1.0 - alpha), 1.0 - 0.5 * alpha,
-                     0.5, 0.5 * (2.0 - alpha), 0.5 * (3.0 - alpha), HYP_ARG))
+def _hyp_factor(alpha: float, d: float) -> float:
+    """The 2F3 factor of P_closed; its zero in alpha defines alpha0_prime
+    (the prefactor is > 0)."""
+    return hyp2f3(0.5 * (1.0 - alpha), 1.0 - 0.5 * alpha,
+                  0.5, 0.5 * (2.0 - alpha + d), 0.5 * (3.0 - alpha + d), HYP_ARG)
 
 
 def P_closed(alpha: float, d: float) -> float:
@@ -270,15 +269,13 @@ def P_closed(alpha: float, d: float) -> float:
     if d < 0:
         raise ParameterDomainError(f"d >= 0 violated (d = {d})")
     return (gamma_fn(1.0 + d) * gamma_fn(1.0 - alpha) / gamma_fn(2.0 - alpha + d)
-            * THREE_PI_OVER_2 ** (1.0 - alpha)
-            * hyp2f3(0.5 * (1.0 - alpha), 1.0 - 0.5 * alpha,
-                     0.5, 0.5 * (2.0 - alpha + d), 0.5 * (3.0 - alpha + d), HYP_ARG))
+            * THREE_PI_OVER_2 ** (1.0 - alpha) * _hyp_factor(alpha, d))
 
 
-def hyp_route_fn(alpha: float, d: float) -> float:
-    """The 2F3 factor whose zero in alpha defines alpha0_prime (prefactor > 0)."""
-    return hyp2f3(0.5 * (1.0 - alpha), 1.0 - 0.5 * alpha,
-                  0.5, 0.5 * (2.0 - alpha + d), 0.5 * (3.0 - alpha + d), HYP_ARG)
+def K_closed(alpha: float) -> float:
+    """Closed form of int_0^{3pi/2} t^-alpha cos t dt (Gamma-prefactored 2F3):
+    P_closed at d = 0, bit for bit, since Gamma(1) = 1 exactly."""
+    return P_closed(alpha, 0.0)
 
 
 def h_corr(alpha: float, d: float, max_terms: int = 500) -> float:
@@ -370,7 +367,7 @@ def _solve_alpha0_prime(d: float, route: str, cross_check_tol: float = 1e-8
     if d < 0:
         raise ParameterDomainError(f"d >= 0 violated (d = {d})")
     quad_fn = lambda a: _weighted_integral(a, d)
-    hyp_fn = lambda a: hyp_route_fn(a, d)
+    hyp_fn = lambda a: _hyp_factor(a, d)
     # the root never exceeds alpha0 for d >= 0; capping the quadrature scan at
     # 0.9 keeps it clear of the nearly non-integrable t^(alpha-1) regime
     root_q = _root_in_alpha(quad_fn, d, hi=0.9)

@@ -13,9 +13,10 @@ cos((2k+1/2)*theta).
 
 Each polynomial keeps one read-only array view of its terms, (nu, c) for
 the cosine and for the sine part (`TrigPolynomial.terms`); the derivative
-values here and the bounds in `postrig.certify` are array expressions on it.
+values, the uniform bounds on |f'| and |f''|, the coefficient mass and the
+roundoff bound that `postrig.certify` works with are array expressions on it.
 
-All evaluators route through the two kernel paths of `postrig.kernels`;
+Every evaluation routes through the two kernel paths of `postrig.kernels`;
 the shift is peeled off with the two angle-addition identities, so a
 shifted sum is computed from two unshifted kernel sums.
 `TrigPolynomial.values` takes any angles and runs the direct sums
@@ -38,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import chirp_cheaper, pair_sums, pair_sums_grid
+from .kernels import chirp_cheaper, error_bound, pair_sums, pair_sums_grid
 
 #: batches smaller than this are never split across threads
 _THREAD_MIN_POINTS = 4096
@@ -88,9 +89,6 @@ class TrigPolynomial:
         """((nu, c) of the cosine part, (nu, c) of the sine part) as read-only
         arrays: frequencies and coefficients, built once per polynomial."""
         return self._view
-
-    def frequencies(self, kind: str) -> np.ndarray:
-        return self._view[0 if kind == "cos" else 1][0]
 
     def _peel(self, theta: np.ndarray,
               sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -158,6 +156,39 @@ class TrigPolynomial:
                      - (cc * nu_c) @ np.sin(nu_c * theta))
 
 
+def second_derivative_value(poly: TrigPolynomial, t: float) -> float:
+    (nu_c, cc), (nu_s, sc) = poly.terms()
+    return -float((cc * nu_c * nu_c) @ np.cos(nu_c * t)
+                  + (sc * nu_s * nu_s) @ np.sin(nu_s * t))
+
+
+def lipschitz_bound(poly: TrigPolynomial) -> float:
+    """sum over terms of frequency * |coefficient|: a uniform |d/dtheta| bound."""
+    return float(sum(nu @ np.abs(c) for nu, c in poly.terms()))
+
+
+def curvature_bound(poly: TrigPolynomial) -> float:
+    """Same with frequency^2: a uniform |d^2/dtheta^2| bound."""
+    return float(sum((nu * nu) @ np.abs(c) for nu, c in poly.terms()))
+
+
+def coefficient_mass(poly: TrigPolynomial) -> float:
+    return 0.5 * abs(poly.a0) + float(sum(np.abs(c).sum() for _, c in poly.terms()))
+
+
+def roundoff_bound(poly: TrigPolynomial) -> float:
+    """Largest error of a computed value of the sum.
+
+    Each kernel sum is within `kernels.error_bound` of the exact one; the
+    shift peel combines a C and an S with unit-modulus weights, hence the
+    factor 2, and the peel's own products, two per part, may underflow as
+    well, hence two more terms.  A computed value at or above minus this
+    bound is no proof of a non-positive value.
+    """
+    terms = sum(c.size for _, c in poly.terms())
+    return 2.0 * error_bound(coefficient_mass(poly), terms + 2)
+
+
 def sine_poly(coeffs: Sequence[float]) -> TrigPolynomial:
     """sum_{k>=1} coeffs[k-1] sin(k theta)."""
     return TrigPolynomial(sin_coeffs=coeffs)
@@ -173,8 +204,7 @@ def shifted_poly(coeffs: Sequence[float], shift: float, kind: str,
     """sum_{k>=0} coeffs[k] trig((stride*k + shift) theta) for trig = cos|sin.
 
     shift = 0 folds into the standard layout (e0 becomes the constant for
-    cosine sums and drops for sine sums), so the reduction to the unshifted
-    evaluators is exact.
+    cosine sums and drops for sine sums).
     """
     e = np.array(coeffs, dtype=np.float64)
     if not e.size:
@@ -191,65 +221,15 @@ def shifted_poly(coeffs: Sequence[float], shift: float, kind: str,
     return TrigPolynomial(sin_coeffs=e, shift=shift, stride=stride)
 
 
-def eval_sine_sum(coeffs: Sequence[float], theta) -> float | np.ndarray:
-    """sum_{k=1}^n coeffs[k-1] sin(k theta), through `kernels.pair_sums`."""
-    arr = np.asarray(coeffs, dtype=np.float64)
-    th = np.asarray(theta, dtype=np.float64)
-    _, S = pair_sums(arr, np.atleast_1d(th))
-    return float(S[0]) if th.ndim == 0 else S
-
-
-def eval_cosine_sum(a0: float, coeffs: Sequence[float], theta) -> float | np.ndarray:
-    """a0/2 + sum_{k=1}^n coeffs[k-1] cos(k theta)."""
-    arr = np.asarray(coeffs, dtype=np.float64)
-    th = np.asarray(theta, dtype=np.float64)
-    C, _ = pair_sums(arr, np.atleast_1d(th))
-    out = 0.5 * a0 + C
-    return float(out[0]) if th.ndim == 0 else out
-
-
-def eval_shifted_sum(poly: TrigPolynomial, theta, kind: str) -> float | np.ndarray:
-    """Evaluate a phase-shifted sum sum_k e_k trig((stride*k + shift) theta).
-
-    ``kind`` names which trig family the polynomial's coefficients belong to
-    and must match how the polynomial was built (see :func:`shifted_poly`).
-    """
-    if kind not in ("cosine", "sine"):
-        raise ParameterDomainError(f"kind must be cosine or sine, got {kind!r}")
-    if kind == "cosine" and not (poly.cos_coeffs or poly.a0):
-        raise ParameterDomainError("polynomial carries no cosine part")
-    if kind == "sine" and not poly.sin_coeffs:
-        raise ParameterDomainError("polynomial carries no sine part")
-    th = np.asarray(theta, dtype=np.float64)
-    out = poly.values(np.atleast_1d(th))
-    return float(out[0]) if th.ndim == 0 else out
-
-
 def qk_weight(k: int, alpha: float, beta: float, lam: float, mu: float) -> float:
     """(k+alpha)^lam * (k+beta)^mu."""
     return (k + alpha) ** lam * (k + beta) ** mu
 
 
-def eval_halfangle_product_derivative(n: int, alpha: float, beta: float, lam: float,
-                              mu: float, theta: float) -> float:
-    """Analytic d/dtheta of cos(theta/2) * (1 + cos(theta) + sum_{k=2}^n cos(k theta)/(k w_k)).
-
-    Returns -(1/2) sin(theta/2) C(theta) - cos(theta/2) S(theta) with
-    C = 1 + cos(theta) + sum cos(k theta)/(k w_k) and
-    S = sin(theta) + sum sin(k theta)/w_k, w_k = (k+alpha)^lam (k+beta)^mu.
-    """
-    if n < 1:
-        raise ParameterDomainError("n must be >= 1")
-    k = np.arange(2, n + 1)
-    w = qk_weight(k, alpha, beta, lam, mu)
-    C = eval_cosine_sum(2.0, np.concatenate(([1.0], 1.0 / (k * w))), theta)
-    S = eval_sine_sum(np.concatenate(([1.0], 1.0 / w)), theta)
-    return -0.5 * math.sin(0.5 * theta) * C - math.cos(0.5 * theta) * S
-
-
 def halfangle_product_negated_poly(n: int, alpha: float, beta: float, lam: float,
                            mu: float) -> TrigPolynomial:
-    """The negated half-angle-product derivative as a shift-1/2 sine polynomial.
+    """Minus d/dtheta of cos(theta/2) * (1 + cos(theta) + sum_{k=2}^n
+    cos(k theta)/(k w_k)), w_k = `qk_weight`, as a shift-1/2 sine polynomial.
 
     Using sin(A)cos(B)/cos(A)sin(B) product identities, the negated derivative
     collapses to sum_{m=0}^n E_m sin((m + 1/2) theta), which the positivity

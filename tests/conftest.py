@@ -42,6 +42,18 @@ def naive_cosine_sum(a0, coeffs, theta: float) -> float:
                                 for k, c in enumerate(coeffs))
 
 
+def naive_halfangle_derivative(n, alpha, beta, lam, mu, theta: float) -> float:
+    """d/dtheta of cos(theta/2) * C(theta), term by term:
+    -(1/2) sin(theta/2) C(theta) - cos(theta/2) S(theta) with
+    C = 1 + cos(theta) + sum_{k=2}^n cos(k theta)/(k w_k),
+    S = sin(theta) + sum_{k=2}^n sin(k theta)/w_k, w_k = (k+alpha)^lam (k+beta)^mu."""
+    w = {k: (k + alpha) ** lam * (k + beta) ** mu for k in range(2, n + 1)}
+    C = math.fsum([1.0, math.cos(theta)]
+                  + [math.cos(k * theta) / (k * w[k]) for k in w])
+    S = math.fsum([math.sin(theta)] + [math.sin(k * theta) / w[k] for k in w])
+    return -0.5 * math.sin(0.5 * theta) * C - math.cos(0.5 * theta) * S
+
+
 def poch_fraction(x: Fraction, k: int) -> Fraction:
     """Exact rising factorial for rational x."""
     acc = Fraction(1)

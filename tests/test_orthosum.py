@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from postrig import eval_cosine_sum, qk_sequence
+from postrig import cosine_poly, orthosum, qk_sequence
 from postrig.errors import ParameterDomainError
 from postrig.orthosum import (SeriesCoefficients, chebyshev_T, chebyshev_qk_sum,
                               gegenbauer_C, gegenbauer_C1, gegenbauer_fejer_sum,
@@ -146,7 +146,7 @@ class TestChebyshevPullback:
             seq = qk_sequence(n, 0.2, 0.4, 0.3, 0.7)
             for theta in np.linspace(0.05, math.pi - 0.05, 9):
                 via_t = chebyshev_qk_sum(n, 0.2, 0.4, 0.3, 0.7, math.cos(theta))
-                direct = eval_cosine_sum(seq.values[0], seq.values[1:], theta)
+                direct = cosine_poly(seq.values[0], seq.values[1:]).value(theta)
                 assert via_t == pytest.approx(direct, abs=1e-12)
 
     def test_n1_positive(self):
@@ -279,6 +279,18 @@ class TestOpucPositivity:
         assert weighted > 0
         rep = opuc_cumulative_positive(0.5, 0.3, 20)
         assert rep.satisfied
+
+    def test_nan_is_a_violation(self, monkeypatch):
+        # the criteria's verdict policy: a NaN cumulative sum proves nothing
+        def log_route(b, omega, N):
+            psi = opuc_log_route_cumulative(b, omega, N)
+            psi[3] = math.nan
+            return psi
+        monkeypatch.setattr(orthosum, "opuc_log_route_cumulative", log_route)
+        rep = opuc_cumulative_positive(0.0, 0.0, 10)
+        assert not rep.satisfied
+        assert rep.first_violation_index == 3
+        assert math.isnan(rep.margin)
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):

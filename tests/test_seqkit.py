@@ -457,6 +457,8 @@ def test_undecided_overflow_is_a_violation():
                                       1.0, 1.0, 0.5)
     assert not rep.satisfied
     assert rep.first_violation_index == 1
+    # the violation rests on NaN slacks alone: no margin >= 0 goes with it
+    assert math.isnan(rep.margin)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,4 +1,4 @@
-"""trigeval: evaluators, shifted sums, helper kernels, Abel identity."""
+"""trigeval: TrigPolynomial values, shifted sums, helper kernels, Abel identity."""
 
 import math
 
@@ -6,46 +6,57 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from postrig import (TrigPolynomial, abel_resum, eval_cosine_sum,
-                     eval_shifted_sum, eval_sine_sum,
-                     eval_halfangle_product_derivative, fejer_h, fejer_sigma,
-                     qk_sequence, shifted_poly, halfangle_product_negated_poly)
+import postrig
+from postrig import (TrigPolynomial, abel_resum, cosine_poly, fejer_h, fejer_sigma,
+                     qk_sequence, shifted_poly, sine_poly,
+                     halfangle_product_negated_poly)
 from postrig.errors import ParameterDomainError, SizeError
 from postrig.trigeval import qk_weight
-from conftest import naive_trig_value, naive_sine_sum
+from conftest import (naive_cosine_sum, naive_halfangle_derivative,
+                      naive_trig_value, naive_sine_sum)
 
 PI = math.pi
 
 
 class TestEvalSums:
+    """sine_poly and cosine_poly values against exact values and the naive
+    term-by-term sums."""
+
     def test_single_sine(self):
-        assert eval_sine_sum([1.0], PI / 2) == pytest.approx(1.0, abs=1e-15)
+        assert sine_poly([1.0]).value(PI / 2) == pytest.approx(1.0, abs=1e-15)
+        assert sine_poly([1.0]).value(PI / 2) == pytest.approx(
+            naive_sine_sum([1.0], PI / 2), abs=1e-15)
 
     def test_two_term_sine(self):
-        assert eval_sine_sum([1.0, 1.0], PI / 2) == pytest.approx(1.0, abs=1e-15)
+        assert sine_poly([1.0, 1.0]).value(PI / 2) == pytest.approx(1.0, abs=1e-15)
 
     def test_qk_tail_matches_naive(self):
         seq = qk_sequence(40, 0.2, 0.4, 0.3, 0.7)
         coeffs = seq.values[1:]  # the sine-sum coefficients
         mass = sum(abs(c) for c in coeffs)
-        got = eval_sine_sum(coeffs, 0.1)
+        got = sine_poly(coeffs).value(0.1)
         assert abs(got - naive_sine_sum(coeffs, 0.1)) <= 1e-12 * mass
 
     def test_cosine_constant_only(self):
-        assert eval_cosine_sum(2.0, [], 1.234) == pytest.approx(1.0, abs=0)
+        assert cosine_poly(2.0, []).value(1.234) == pytest.approx(1.0, abs=0)
 
     def test_cosine_single(self):
-        assert eval_cosine_sum(0.0, [1.0], PI) == pytest.approx(-1.0, abs=1e-15)
+        assert cosine_poly(0.0, [1.0]).value(PI) == pytest.approx(-1.0, abs=1e-15)
+        assert cosine_poly(0.0, [1.0]).value(PI) == pytest.approx(
+            naive_cosine_sum(0.0, [1.0], PI), abs=1e-15)
 
     def test_cosine_exact_quarter(self):
-        got = eval_cosine_sum(2.0, [1.0, 0.5], 2 * PI / 3)
+        got = cosine_poly(2.0, [1.0, 0.5]).value(2 * PI / 3)
         assert got == pytest.approx(0.25, abs=1e-14)
+        assert got == pytest.approx(naive_cosine_sum(2.0, [1.0, 0.5], 2 * PI / 3),
+                                    abs=1e-14)
 
     def test_array_evaluation(self):
         ths = np.linspace(0.1, 3.0, 7)
-        vals = eval_sine_sum([1.0, 0.5], ths)
+        vals = sine_poly([1.0, 0.5]).values(ths)
         assert vals.shape == ths.shape
-        assert vals[0] == pytest.approx(eval_sine_sum([1.0, 0.5], ths[0]))
+        assert vals[0] == pytest.approx(sine_poly([1.0, 0.5]).value(ths[0]))
+        assert vals == pytest.approx([naive_sine_sum([1.0, 0.5], t) for t in ths])
 
 
 class TestTrigPolynomial:
@@ -81,30 +92,30 @@ class TestTrigPolynomial:
 class TestShiftedSums:
     def test_single_coefficient(self):
         poly = shifted_poly([1.0], 0.25, "cosine")
-        assert eval_shifted_sum(poly, PI, "cosine") == pytest.approx(
-            math.cos(PI / 4), abs=1e-15)
+        assert poly.value(PI) == pytest.approx(math.cos(PI / 4), abs=1e-15)
 
     def test_shift_zero_reduces_to_cosine(self):
         e = [0.9, 0.5, 0.2]
         poly = shifted_poly(e, 0.0, "cosine")
         for theta in (0.3, 1.0, 2.5, 5.0):
-            assert eval_shifted_sum(poly, theta, "cosine") == \
-                eval_cosine_sum(2 * e[0], e[1:], theta)
+            assert poly.value(theta) == cosine_poly(2 * e[0], e[1:]).value(theta)
+            assert poly.value(theta) == pytest.approx(
+                naive_cosine_sum(2 * e[0], e[1:], theta), abs=1e-15)
 
     def test_shift_zero_reduces_to_sine(self):
         e = [0.9, 0.5, 0.2]
         poly = shifted_poly(e, 0.0, "sine")
         for theta in (0.3, 1.0, 2.5):
-            assert eval_shifted_sum(poly, theta, "sine") == \
-                eval_sine_sum(e[1:], theta)
+            assert poly.value(theta) == sine_poly(e[1:]).value(theta)
+            assert poly.value(theta) == pytest.approx(
+                naive_sine_sum(e[1:], theta), abs=1e-15)
 
     def test_two_route_agreement_stride2(self):
         # direct angle evaluation vs the angle-addition decomposition
         poly = shifted_poly([1.0, 1.0], 0.25, "cosine", stride=2)
         theta = PI / 3
         direct = math.fsum(math.cos((2 * k + 0.25) * theta) for k in range(2))
-        assert eval_shifted_sum(poly, theta, "cosine") == pytest.approx(
-            direct, abs=1e-14)
+        assert poly.value(theta) == pytest.approx(direct, abs=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.floats(0.01, 3), min_size=1, max_size=25),
@@ -116,21 +127,26 @@ class TestShiftedSums:
         direct = math.fsum(ek * math.sin((stride * k + shift) * theta)
                            for k, ek in enumerate(e))
         mass = sum(map(abs, e))
-        assert abs(eval_shifted_sum(poly, theta, "sine") - direct) <= 1e-12 * mass
+        assert abs(poly.value(theta) - direct) <= 1e-12 * mass
+        assert abs(poly.value(theta) - naive_trig_value(poly, theta)) <= 1e-12 * mass
 
     def test_kind_mismatch_raises(self):
-        poly = shifted_poly([1.0, 0.5], 0.25, "cosine")
+        # the kind is checked once, where the sum is built
         with pytest.raises(ParameterDomainError):
-            eval_shifted_sum(poly, 1.0, "sine")
+            shifted_poly([1.0, 0.5], 0.25, "tangent")
 
 
 class TestHalfangleProduct:
+    """halfangle_product_negated_poly is minus the derivative of
+    cos(theta/2) * (1 + cos(theta) + sum_{k=2}^n cos(k theta)/(k w_k))."""
+
     def test_closed_form_n1(self):
         # d/dtheta [cos(theta/2)(1 + cos theta)] at pi/2
         want = -0.5 * math.sin(PI / 4) - math.cos(PI / 4)
-        got = eval_halfangle_product_derivative(1, 0.7, 1.3, 0.2, 0.9, PI / 2)
-        assert got == pytest.approx(want, abs=1e-14)
-        assert got == pytest.approx(-1.5 * math.sqrt(2) / 2, abs=1e-14)
+        for got in (naive_halfangle_derivative(1, 0.7, 1.3, 0.2, 0.9, PI / 2),
+                    -halfangle_product_negated_poly(1, 0.7, 1.3, 0.2, 0.9).value(PI / 2)):
+            assert got == pytest.approx(want, abs=1e-14)
+            assert got == pytest.approx(-1.5 * math.sqrt(2) / 2, abs=1e-14)
 
     def test_finite_difference_oracle(self, rng):
         h = 1e-6
@@ -141,25 +157,25 @@ class TestHalfangleProduct:
             theta = rng.uniform(0.05, PI - 0.05)
 
             def bracket(t):
-                c = eval_cosine_sum(
+                c = naive_cosine_sum(
                     2.0, [1.0] + [1.0 / (k * qk_weight(k, alpha, beta, lam, mu))
                                   for k in range(2, n + 1)], t)
                 return math.cos(0.5 * t) * c
 
             fd = (bracket(theta + h) - bracket(theta - h)) / (2 * h)
-            got = eval_halfangle_product_derivative(n, alpha, beta, lam, mu, theta)
-            assert got == pytest.approx(fd, abs=1e-6)
+            poly = halfangle_product_negated_poly(n, alpha, beta, lam, mu)
+            assert -poly.value(theta) == pytest.approx(fd, abs=1e-6)
 
     def test_brown_koumandos_case_negative(self):
         # lam = mu = 0 special case: derivative stays negative
-        got = eval_halfangle_product_derivative(10, 0.0, 0.0, 0.0, 0.0, 1.0)
+        got = -halfangle_product_negated_poly(10, 0.0, 0.0, 0.0, 0.0).value(1.0)
         assert got < 0
 
     def test_negated_poly_matches(self, rng):
         for n in (1, 5, 20):
             poly = halfangle_product_negated_poly(n, 0.2, 0.4, 0.3, 0.7)
             for theta in rng.uniform(0.01, PI, 10):
-                direct = eval_halfangle_product_derivative(n, 0.2, 0.4, 0.3, 0.7, theta)
+                direct = naive_halfangle_derivative(n, 0.2, 0.4, 0.3, 0.7, theta)
                 assert poly.value(theta) == pytest.approx(-direct, abs=1e-12)
 
 
@@ -225,8 +241,8 @@ class TestProofRearrangements:
         coeffs = seq.values[1:]
         alt = [c if k % 2 == 0 else -c for k, c in enumerate(coeffs)]
         for t in (0.05, 0.4, 1.1):
-            assert eval_sine_sum(coeffs, PI - t) == pytest.approx(
-                eval_sine_sum(alt, t), abs=1e-13)
+            assert sine_poly(coeffs).value(PI - t) == pytest.approx(
+                sine_poly(alt).value(t), abs=1e-13)
 
     def test_cosine_double_abel_rearrangement(self):
         """The summation-by-parts decomposition of the cosine sum (first in
@@ -241,5 +257,18 @@ class TestProofRearrangements:
                 parts += math.fsum((b[k] - b[k + 1]) * inner(k)
                                    for k in range(2, n))
                 seq = qk_sequence(n, alpha, beta, lam, mu)
-                direct = eval_cosine_sum(seq.values[0], seq.values[1:], theta)
+                direct = cosine_poly(seq.values[0], seq.values[1:]).value(theta)
                 assert direct == pytest.approx(parts, abs=1e-10)
+
+
+def test_public_surface():
+    """The wrapper evaluators are gone; the bounds and closed forms stay."""
+    for name in ("eval_sine_sum", "eval_cosine_sum", "eval_shifted_sum",
+                 "eval_halfangle_product_derivative"):
+        assert not hasattr(postrig, name)
+        assert not hasattr(postrig.trigeval, name)
+    assert not hasattr(TrigPolynomial, "frequencies")
+    assert not hasattr(postrig.specfun, "hyp_route_fn")
+    from postrig import K_closed, P_closed, lipschitz_bound
+    assert lipschitz_bound is postrig.trigeval.lipschitz_bound
+    assert K_closed(0.25) == P_closed(0.25, 0.0)
