@@ -17,8 +17,9 @@ evaluation roundoff bound of the exact ones, so a cell certifies only when
 its bound beats that bound, and the certified lower bound is the smallest
 cell bound net of it.  Cells that fail the test are bisected (only they
 are), up to a depth limit; each level evaluates the sum once, at the failing
-cells' midpoints.  Every sample lies on the dyadic grid wlo + i*h/2^depth,
-so cells are integer indices and each batch goes through
+cells' midpoints.  A constant sum (L = 0) is not refined: no cell bound
+depends on the cell width.  Every sample lies on the dyadic grid
+wlo + i*h/2^depth, so cells are integer indices and each batch goes through
 `TrigPolynomial.values_grid`.  A sample below minus the roundoff bound
 refutes with a witness; a non-positive sample inside that bound is no
 witness, and the cells it bounds never certify.  Inconclusive is a
@@ -296,6 +297,10 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             lower = min(lower, float(bound[~fail].min()))
         if not fail.any():
             break
+        if L == 0.0:
+            notes.append("the sum is constant (L = 0): no cell bound depends on "
+                         "the cell width, so refinement cannot settle it")
+            return failure(INCONCLUSIVE, None, depth)
         if depth >= opts.max_depth:
             worst = int(np.argmin(bound))
             notes.append(f"refinement depth exhausted near theta = "

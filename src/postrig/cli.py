@@ -81,10 +81,22 @@ def _threads(args) -> int:
     return max(1, args.threads)
 
 
+def _strict(obj):
+    """obj with every non-finite float replaced by the string "NaN",
+    "Infinity" or "-Infinity", so the file is strict JSON."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _strict(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_strict(v) for v in obj]
+    return obj
+
+
 def _write_json(path: str | None, payload: dict) -> None:
     if path is None:
         return
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = json.dumps(_strict(payload), indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
 

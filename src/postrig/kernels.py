@@ -10,47 +10,69 @@ sum is at most
     KERNEL_TOL * sum |c_k|  +  (n + 1) * 2^-1074
 
 at every point.  The first term is the roundoff of the normal range.  The
-second is underflow: a product whose result is subnormal is off by less
-than the subnormal spacing 2^-1074, whatever its size, and the direct sums
-form n products.  Chirp-z scales the coefficients by the power of two that
+second is underflow: a product whose result is subnormal is off by at most
+half the subnormal spacing 2^-1074, whatever its size; in the direct sums
+the 2n coefficient products reach each sum through the cos and sin of one
+phase (sqrt(2) together at most) and 2R more products follow (R below),
+less than n + 1 spacings in all.  Chirp-z scales the coefficients by the power of two that
 brings max |c_k| into [1/2, 1) before its FFTs and scales the sums back.
 The scaling is exact; an underflow inside the FFTs is then below
 2^-1074 max |c_k|, far inside the roundoff term, and only the scaling back
 of a subnormal sum rounds, by at most half the subnormal spacing.
 
-``pair_sums(coeffs, x)`` takes any angles and runs ``_direct_sums``: each
-angle is reduced exactly to a fraction of a turn, every phase k*x is then
-formed exactly (see below), and one dot product with the coefficients gives
-C + iS.  Angles are taken in row chunks of about ``_DIRECT_CHUNK`` phases,
-so the working set stays O(n).  A non-finite angle gives nan.
+``pair_sums(coeffs, x)`` takes any angles and runs ``_direct_sums``.  With
+T = ceil(sqrt(n)), R = ceil(n/T) and k = r*T + s + 1 (0 <= s < T,
+0 <= r < R),
+
+    C + iS = sum_r exp(i rT x) * sum_s c_{rT+s+1} exp(i (s+1) x),
+
+so each angle needs the T + R phases (s+1) x and rT x, each formed exactly
+(see below), instead of n; the inner sums are one (R x T) @ (T x 2) matrix
+product per point (the same call whatever the batch, so a point's value
+does not depend on the other points), and one sum over the R rows follows.
+The worst-case roundoff is about (T + R + 5) * 2^-53 * sum |c_k|, which
+stays below KERNEL_TOL * sum |c_k| up to n ~ 2e7; a flat sum over all n
+terms exceeds it from n ~ 9000.  Angles are taken in row chunks of about
+``_DIRECT_CHUNK`` phases, so the working set stays O(sqrt(n)) per point.
+A non-finite angle gives nan.
 
 ``pair_sums_grid(coeffs, x0, dx, idx)`` evaluates at the grid points
 x0 + idx*dx (idx an integer array) by blocked Bluestein chirp-z through
-numpy.fft.  With k*j = (k^2 + j^2 - (j - k)^2)/2 the sums over one block of
-``GRID_BLOCK`` consecutive outputs become one convolution with the chirp
-exp(-i m^2 dx/2), whose FFT is shared by all blocks of a call; only blocks
-that hold a requested index are computed.
+numpy.fft.  The indices are written idx = r + s*q (`sub_lattice`: r the
+smallest index, s the largest power of two dividing every idx - r), and
+chirp-z runs over q with the step s*dx, which is exact because s is a power
+of two.  With k*j = (k^2 + j^2 - (j - k)^2)/2 the sums over one block of
+``GRID_BLOCK`` consecutive q become one convolution with the chirp
+exp(-i m^2 s dx/2), whose FFT (the plan) is shared by all blocks of a call
+and kept for the next call; only blocks that hold a requested index are
+computed, and each block's lead phase is taken exactly from r + s*first.
+The certifier's odd midpoints at depth d thus fill half as many blocks as
+their index range, and at depth 1 the step 2*(h/2) = h reuses the initial
+grid's plan.
 
 Exact phases: angles become 96-bit fixed-point fractions of a turn (Python
 integers times a 256-bit 1/(2 pi)), and their integer multiples are taken
-limb by limb in uint64, so every phase -- k x in the direct sums, k x0,
-k J dx for a block start J and k^2 dx/2 in chirp-z -- is within about
-2^-53 turn whatever the degree or the grid depth, for angles up to 2^150.
-A multiplier must stay below 2^32, which bounds the degree of both paths by
-``MAX_DEGREE``; the squares k^2 are split as hi * 2^32 + lo, and hi takes
-the turns of 2^32 dx/2, formed as exactly as those of dx/2.
+in uint64 (the top 64 bits wrapping modulo one turn), so every phase -- j x
+in the direct sums, k x0, k J dx for a block start J and k^2 dx/2 in
+chirp-z -- is within about 2^-53 turn whatever the degree or the grid
+depth, for angles up to 2^150.  A multiplier must stay below 2^32, which
+bounds the degree of both paths by ``MAX_DEGREE``; the squares k^2 are
+split as hi * 2^32 + lo, and hi takes the turns of 2^32 dx/2, formed as
+exactly as those of dx/2.
 
-The cost model is fixed, in direct steps (one coefficient at one point of
-the direct sums: its phase, cos, sin and share of the dot product), with
-weights measured on the numpy code here; only a batch's degree n and its
-points enter, never the worker count:
+The cost model is fixed, in ns with weights measured on the numpy code here
+(2-core Intel Xeon virtual machine, one BLAS thread); only a batch's degree
+n and its points enter, never the worker count, and `TrigPolynomial.values_grid`
+decides the path and the sub-lattice once per batch, before any thread split:
 
-- direct: m * (n + 36) + 700 for m points, the 36 standing for the integer
-  reduction of each angle and the 700 for the calls of a batch;
-- chirp-z: (blocks + 1) * N log2 N / 7, N the padded convolution length
-  (n + GRID_BLOCK rounded up to a 5-smooth size) and the extra block the
-  shared chirp kernel; ``chirp_cheaper`` picks it over the direct sums at
-  the same grid points.
+- direct: m * (1500 + 45 (T + R) + 0.35 n) + 35000 for m points: the
+  integer reduction of each angle, its T + R phases and their cos and sin,
+  the matrix product, and the numpy calls of a batch;
+- chirp-z: (blocks + 1) * (6 N log2 N + 20000), N the padded convolution
+  length (n + GRID_BLOCK rounded up to a 5-smooth size), blocks counted on
+  the sub-lattice from sorted block numbers, the extra block the plan, and
+  20000 the numpy calls of a block; ``chirp_cheaper`` picks it over the
+  direct sums at the same grid points.
 """
 
 from __future__ import annotations
@@ -72,14 +94,17 @@ MAX_DEGREE = 2 ** 32 - 1
 _INV_TWO_PI = 0x28BE60DB9391054A7F09D5F47D4D377036D8A5664F10E4107F9458EAF7AEF158
 """floor(2**256 / (2 pi))"""
 _M32 = 0xFFFFFFFF
+_U32 = np.uint64(32)
 _RAD_PER_UNIT = 2.0 * math.pi / 2.0 ** 64
 
-# cost model weights, in direct steps (one phase, its cos and sin, and its
-# share of the dot product)
-_FFT_STEP = 1.0 / 7.0   # one of N log2 N in a block: two FFTs and the phases
-_DIRECT_POINT = 36      # reducing one angle in Python integers
-_DIRECT_CALL = 700      # numpy-call overhead of one direct batch
-_DIRECT_CHUNK = 8192    # phases per row chunk of the direct path
+# cost model weights, in ns
+_DIRECT_CALL = 35_000   # one direct batch: its numpy calls
+_DIRECT_POINT = 1_500   # one angle: its reduction in Python integers
+_DIRECT_CIS = 45        # one phase exp(i j x) of the split
+_DIRECT_MAC = 0.35      # one coefficient at one point of the product
+_FFT_STEP = 6.0         # one of N log2 N in a block: two FFTs and the phases
+_BLOCK_CALL = 20_000    # one block: its numpy calls
+_DIRECT_CHUNK = 65536   # phases per row chunk of the direct path
 
 
 def error_bound(mass: float, n: int) -> float:
@@ -94,9 +119,9 @@ def _turns(num: int, den: int) -> int:
 
 
 def _limbs(turns: list[int]) -> np.ndarray:
-    """The 32-bit limbs (high, middle, low) of 96-bit fractions, as a
-    (3, len(turns)) uint64 array."""
-    return np.array([[(t >> s) & _M32 for t in turns] for s in (64, 32, 0)],
+    """The top 64 and the low 32 bits of 96-bit fractions, as a
+    (2, len(turns)) uint64 array."""
+    return np.array([[t >> 32 for t in turns], [t & _M32 for t in turns]],
                     dtype=np.uint64)
 
 
@@ -104,12 +129,12 @@ def _multiple(k: np.ndarray, limbs: np.ndarray) -> np.ndarray:
     """frac(k * turns / 2**96) in units of 2**-64 turn, for uint64 k < 2**32
     and ``limbs`` the `_limbs` of the turns, shaped to broadcast against k.
 
-    Each product of k with a 32-bit limb is exact in uint64; the high limb's
-    product counts only modulo 2**32 (whole turns above it) and the
-    additions wrap modulo 2**64, i.e. modulo one turn.
+    The product of k with the top 64 bits wraps modulo 2**64, i.e. modulo
+    one turn; the product with the low 32 bits is exact in uint64 and adds
+    its carry into units of 2**-64 turn.
     """
-    hi, mid, lo = limbs
-    return ((k * hi) << np.uint64(32)) + k * mid + ((k * lo) >> np.uint64(32))
+    top, lo = limbs
+    return k * top + ((k * lo) >> _U32)
 
 
 def _cis(phase: np.ndarray) -> np.ndarray:
@@ -138,16 +163,44 @@ def _fft_length(size: int) -> int:
     return best
 
 
-def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
-    """True when chirp-z should evaluate degree n at grid indices idx."""
+@functools.lru_cache(maxsize=16)
+def _split(n: int) -> tuple[int, int, np.ndarray]:
+    """T = ceil(sqrt(n)), R = ceil(n/T) and the multipliers 1 .. T, then
+    0, T, .., (R-1)T of the direct sums' phases: k = rT + s + 1."""
+    T = math.isqrt(n - 1) + 1 if n else 1
+    R = -(-n // T)
+    ks = np.concatenate((np.arange(1, T + 1), np.arange(0, R * T, T))).astype(np.uint64)
+    ks.flags.writeable = False
+    return T, R, ks
+
+
+def sub_lattice(idx) -> tuple[int, int]:
+    """(r, s) with idx = r + s*q for integers q >= 0: r = min(idx) and s the
+    largest power of two dividing every idx - r (1 for fewer than two
+    distinct indices)."""
+    j = np.asarray(idx, dtype=np.int64)
+    if not j.size:
+        return 0, 1
+    r = int(j.min())
+    d = int(np.bitwise_or.reduce(j - r, axis=None))
+    return r, (d & -d) or 1
+
+
+def chirp_cheaper(n: int, idx: np.ndarray, lattice: tuple[int, int] | None = None) -> bool:
+    """True when chirp-z should evaluate degree n at grid indices idx, whose
+    `sub_lattice` is ``lattice``."""
     if n == 0:
         return False
+    T, R, _ = _split(n)
+    direct = (idx.size * (_DIRECT_POINT + _DIRECT_CIS * (T + R) + _DIRECT_MAC * n)
+              + _DIRECT_CALL)
     size = _fft_length(n + GRID_BLOCK)
-    per_block = _FFT_STEP * size * math.log2(size)
-    direct = idx.size * (n + _DIRECT_POINT) + _DIRECT_CALL
+    per_block = _FFT_STEP * size * math.log2(size) + _BLOCK_CALL
     if direct <= 2 * per_block:  # chirp-z loses even with a single block
         return False
-    return (np.unique(idx // GRID_BLOCK).size + 1) * per_block < direct
+    r, s = lattice or sub_lattice(idx)
+    blocks = np.sort((idx.ravel() - r) // s // GRID_BLOCK)
+    return (np.count_nonzero(np.diff(blocks)) + 2) * per_block < direct
 
 
 def _coefficients(coeffs) -> np.ndarray:
@@ -159,16 +212,24 @@ def _coefficients(coeffs) -> np.ndarray:
 
 
 def _direct_sums(c: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) at the angles x by direct sums over exactly reduced phases."""
+    """(C, S) at the angles x by the factored direct sums
+    sum_r exp(i rT x) sum_s c_{rT+s+1} exp(i (s+1) x), every phase exact."""
     flat = x.ravel()
     out = np.full(flat.size, complex(np.nan, np.nan))
     finite = np.flatnonzero(np.isfinite(flat))
-    ks = np.arange(1, c.size + 1, dtype=np.uint64)
-    rows = max(1, _DIRECT_CHUNK // max(c.size, 1))
+    T, R, ks = _split(c.size)
+    table = np.zeros(R * T)
+    table[:c.size] = c
+    table = table.reshape(R, T)            # row r: c_{rT+1} .. c_{rT+T}
+    rows = max(1, _DIRECT_CHUNK // (T + R))
     for start in range(0, finite.size, rows):
         sel = finite[start:start + rows]
         turns = [_turns(*v.as_integer_ratio()) for v in flat[sel].tolist()]
-        out[sel] = _cis(_multiple(ks, _limbs(turns)[:, :, None])) @ c
+        w = _cis(_multiple(ks, _limbs(turns)[:, :, None]))   # (m, T + R)
+        # one (R x T) @ (T x 2) product per point, the same call whatever
+        # the batch, so a point's value does not depend on its neighbours
+        inner = table @ w.view(np.float64).reshape(sel.size, T + R, 2)[:, :T]
+        out[sel] = (inner.view(np.complex128)[:, :, 0] * w[:, T:]).sum(axis=1)
     out = out.reshape(x.shape)
     return out.real, out.imag
 
@@ -187,7 +248,7 @@ def _square_phases(k: np.ndarray, dx: float) -> np.ndarray:
     """
     p, q = dx.as_integer_ratio()
     sq = k * k
-    return (_multiple(sq >> np.uint64(32), _limbs([_turns(p << 32, 2 * q)]))
+    return (_multiple(sq >> _U32, _limbs([_turns(p << 32, 2 * q)]))
             + _multiple(sq & np.uint64(_M32), _limbs([_turns(p, 2 * q)])))
 
 
@@ -208,36 +269,39 @@ def _chirp_plan(n: int, dx: float) -> tuple[int, np.ndarray, np.ndarray]:
     return size, chirp, kernel
 
 
-def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
-                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) at x0 + idx*dx by blocked chirp-z; see the module docstring."""
+def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float, idx: np.ndarray,
+                   lattice: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at x0 + idx*dx by blocked chirp-z on the `sub_lattice` of idx,
+    or on ``lattice``, which idx must lie on; see the module docstring."""
     c = _coefficients(coeffs)
     j = np.asarray(idx, dtype=np.int64)
     n = c.size
     if n == 0 or j.size == 0:
         return np.zeros(j.shape), np.zeros(j.shape)
     B = GRID_BLOCK
-    size, chirp, kernel = _chirp_plan(n, float(dx))
+    r, s = lattice or sub_lattice(j)
+    # the step s*dx is exact, s being a power of two
+    size, chirp, kernel = _chirp_plan(n, s * float(dx))
     # scaling by 2^e, max|c| 2^e in [1/2, 1), is exact and keeps the FFTs'
     # products clear of underflow; values in the normal range do not move
     e = -math.frexp(float(np.max(np.abs(c))))[1]
-    weighted = np.ldexp(c, e) * chirp[1:n + 1]    # c_k 2^e exp(i k^2 dx/2)
+    weighted = np.ldexp(c, e) * chirp[1:n + 1]    # c_k 2^e exp(i k^2 s dx/2)
     ks = np.arange(1, n + 1, dtype=np.uint64)
     p0, q0 = float(x0).as_integer_ratio()
     p1, q1 = float(dx).as_integer_ratio()
     a = np.zeros(size, dtype=np.complex128)
 
-    flat = j.ravel()
-    order = np.argsort(flat, kind="stable")
-    cuts = np.flatnonzero(np.diff(flat[order] // B)) + 1
-    out = np.empty(flat.size, dtype=np.complex128)
+    q = (j.ravel() - r) // s
+    order = np.argsort(q, kind="stable")
+    cuts = np.flatnonzero(np.diff(q[order] // B)) + 1
+    out = np.empty(q.size, dtype=np.complex128)
     for sel in np.split(order, cuts):
-        first = int(flat[sel[0]] // B) * B
-        # block start x0 + first*dx, exactly, over the common denominator
-        lead = _turns(p0 * q1 + first * p1 * q0, q0 * q1)
+        first = int(q[sel[0]] // B) * B
+        # block start x0 + (r + s*first)*dx, exactly, over the common denominator
+        lead = _turns(p0 * q1 + (r + s * first) * p1 * q0, q0 * q1)
         a[1:n + 1] = weighted * _cis(_multiple(ks, _limbs([lead])))
         y = np.fft.ifft(np.fft.fft(a) * kernel)
-        t = flat[sel] - first
+        t = q[sel] - first
         out[sel] = chirp[t] * y[t]
     out = out.reshape(j.shape)
     return np.ldexp(out.real, -e), np.ldexp(out.imag, -e)

@@ -24,9 +24,9 @@ shifted sum is computed from two unshifted kernel sums.
 t0 + idx*dt of a uniform grid (idx integer), as the certifier's grids, the
 scans of `find_min` and `bracket_zeros` and the CLI's plot points are, and
 lets the kernels' fixed cost model (`kernels.chirp_cheaper`) pick, once per
-batch, the chirp-z grid kernel or `values` at the points t0 + idx*dt.  Its
-optional thread split is made after that choice, so the values do not
-depend on the worker count.
+batch, the chirp-z grid kernel on the batch's `kernels.sub_lattice` or
+`values` at the points t0 + idx*dt.  Its optional thread split is made
+after that choice, so the values do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import chirp_cheaper, error_bound, pair_sums, pair_sums_grid
+from .kernels import chirp_cheaper, error_bound, pair_sums, pair_sums_grid, sub_lattice
 
 #: batches smaller than this are never split across threads
 _THREAD_MIN_POINTS = 4096
@@ -122,17 +122,18 @@ class TrigPolynomial:
     def values_grid(self, t0: float, dt: float, idx, workers: int = 1) -> np.ndarray:
         """Evaluate at the grid points t0 + idx*dt for an integer array idx.
 
-        The kernel is chosen once for the whole batch; with workers > 1 a
-        large batch is then split across threads, and every point gets the
-        same value as without the split.
+        The kernel and the chirp-z sub-lattice are chosen once for the whole
+        batch; with workers > 1 a large batch is then split across threads,
+        and every point gets the same value as without the split.
         """
         j = np.asarray(idx, dtype=np.int64)
         degree = max(len(self.cos_coeffs), len(self.sin_coeffs))
         s = self.stride
-        if chirp_cheaper(degree, j):
+        lattice = sub_lattice(j)
+        if chirp_cheaper(degree, j, lattice):
             def part(jp):
-                return self._peel(t0 + jp * dt,
-                                  lambda body: pair_sums_grid(body, s * t0, s * dt, jp))
+                return self._peel(t0 + jp * dt, lambda body: pair_sums_grid(
+                    body, s * t0, s * dt, jp, lattice))
         else:
             def part(jp):
                 return self.values(t0 + jp * dt)

@@ -325,6 +325,16 @@ class TestSecondOrderCells:
         rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=16, max_depth=2))
         assert rep.verdict == INCONCLUSIVE
 
+    def test_constant_sum_is_decided_at_depth_zero(self):
+        # L = 0: no cell bound depends on the cell width, so bisecting cannot
+        # help; the initial grid decides (it took 1,048,321 samples over 8
+        # levels before)
+        poly = cosine_poly(8 * 2.0 ** -1074, [])
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict == INCONCLUSIVE
+        assert (rep.grid_points, rep.refinement_depth) == (4096, 0)
+        assert "constant" in rep.boundary_notes
+
 
 class TestFindMin:
     def test_sine_on_open_interval(self):

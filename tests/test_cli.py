@@ -256,6 +256,24 @@ class TestCriteriaCommand:
     def test_custom_needs_coeffs(self):
         assert run(["criteria", "--check", "belov", "--family", "custom"]) == 1
 
+    def test_non_finite_margin_is_strict_json(self, tmp_path):
+        # both taper sides overflow: the margin is NaN, written as a string
+        out = tmp_path / "c.json"
+        code = run(["criteria", "--check", "taper", "--family", "custom",
+                    "--coeffs", "1.7e308,1.7e308,1.7e308,1.7e308", "--b", "1",
+                    "--c", "1", "--alpha", "0.5", "-o", str(out)])
+        assert code == 2
+
+        def reject(token):
+            raise ValueError(f"non-JSON token {token}")
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        assert payload["margin"] == "NaN"
+        assert payload["satisfied"] is False
+
+    def test_strict_json_spells_every_non_finite_float(self):
+        assert cli._strict({"a": [math.inf, -math.inf, (math.nan, 1.5)], "b": None}) == \
+            {"a": ["Infinity", "-Infinity", ["NaN", 1.5]], "b": None}
+
 
 class TestThreadsEnvAndDeterminism:
     def test_env_overrides_flag_and_output_identical(self, tmp_path, monkeypatch):

@@ -144,6 +144,58 @@ def test_grid_kernel_underflow_term(n):
         assert np.abs(S - np.ldexp(ref_s, -1100)).max() <= bound
 
 
+def test_sub_lattice():
+    assert kernels.sub_lattice(np.arange(4096)) == (0, 1)
+    assert kernels.sub_lattice(np.arange(1, 8191, 2)) == (1, 2)
+    assert kernels.sub_lattice(np.array([[13, 5], [9, 29]])) == (5, 4)
+    assert kernels.sub_lattice(np.array([-3, 5, 13])) == (-3, 8)
+    assert kernels.sub_lattice(np.array([7, 7])) == (7, 1)
+    assert kernels.sub_lattice(np.array([], dtype=np.int64)) == (0, 1)
+
+
+_ODD = np.arange(1, 8 * 4095, 2)
+
+
+@pytest.mark.parametrize("idx", [
+    _ODD[::3],                                           # odd: step 2
+    _ODD[1::10] + 2,                                     # step 4
+    np.array([[32001, 5, 4097], [12289, 77, 9]]),       # unsorted, step 4
+    np.array([12345]),                                   # a single index
+], ids=["odd", "stride-4", "unsorted", "single"])
+def test_sub_lattice_chirp_matches_direct(idx):
+    """Chirp-z over q, idx = r + s*q, with the step s*dx, equals the direct
+    sums at x0 + idx*dx; a part of the batch on the batch's lattice gets
+    bitwise the batch's values (the thread split of values_grid)."""
+    rng = np.random.default_rng(11)
+    coeffs = rng.normal(size=700)
+    x0, dx = 1e-4, (math.pi - 2e-4) / 4095 / 8
+    C, S = kernels.pair_sums_grid(coeffs, x0, dx, idx)
+    assert C.shape == S.shape == idx.shape
+    ref_c, ref_s = kernels._direct_sums(coeffs, x0 + idx * dx)
+    mass = np.abs(coeffs).sum()
+    assert max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) <= 1e-12 * mass
+    flat = idx.ravel()
+    part = flat[flat.size // 2:]
+    c1, s1 = kernels.pair_sums_grid(coeffs, x0, dx, part, kernels.sub_lattice(flat))
+    assert np.array_equal(c1, C.ravel()[flat.size // 2:])
+    assert np.array_equal(s1, S.ravel()[flat.size // 2:])
+
+
+def test_level_one_reuses_the_level_zero_plan():
+    """A level's odd midpoints at h/2 lie on the step-h lattice: they reuse
+    level 0's chirp plan, and all 4095 fill one block where two were used."""
+    coeffs = np.random.default_rng(2).normal(size=1000)
+    x0, h = 1e-4, (math.pi - 2e-4) / 4095
+    kernels._chirp_plan.cache_clear()
+    kernels.pair_sums_grid(coeffs, x0, h, np.arange(4096))
+    before = kernels._chirp_plan.cache_info()
+    with mock.patch.object(kernels.np.fft, "fft", wraps=np.fft.fft) as fft:
+        kernels.pair_sums_grid(coeffs, x0, h / 2, np.arange(1, 8190, 2))
+    after = kernels._chirp_plan.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
+    assert fft.call_count == 1
+
+
 def test_inverse_two_pi_constant():
     import mpmath as mp
     with mp.workprec(400):
@@ -155,7 +207,8 @@ def test_cost_model():
     assert kernels.chirp_cheaper(10, grid)              # low degree: chirp-z
     assert kernels.chirp_cheaper(1000, grid)            # high degree: chirp-z
     assert kernels.chirp_cheaper(70_000, grid)          # above 65535: chirp-z
-    assert not kernels.chirp_cheaper(1000, np.arange(0, 2 ** 22, 2 ** 16))  # one point a block
+    assert not kernels.chirp_cheaper(1000, np.arange(512) * 4097)  # one point a block
+    assert kernels.chirp_cheaper(1000, np.arange(512) * 4096)      # one sub-lattice block
     assert not kernels.chirp_cheaper(1000, np.array([0, 5000, 9000]))       # scattered: direct
     assert not kernels.chirp_cheaper(10, grid[:3])      # a few points: direct
     assert not kernels.chirp_cheaper(0, grid)
@@ -189,7 +242,7 @@ def test_values_grid_matches_values(coeffs, shift, stride, kind, t0, dt, idx, ch
     assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
     poly = trigeval.shifted_poly(coeffs, shift, kind, stride)
     j = np.array(idx)
-    with mock.patch.object(trigeval, "chirp_cheaper", lambda n, idx: chirp):
+    with mock.patch.object(trigeval, "chirp_cheaper", lambda n, idx, lattice: chirp):
         got = poly.values_grid(t0, dt, j)
     want = poly.values(t0 + j * dt)
     mass = sum(abs(c) for c in coeffs) or 1.0
@@ -240,6 +293,39 @@ def test_direct_contract_against_mpmath(n):
     for i, x in enumerate(xs):
         ref_c, ref_s = _exact_pair(coeffs, x)
         assert abs(C[i] - ref_c) <= tol and abs(S[i] - ref_s) <= tol, x
+
+
+@pytest.mark.parametrize("n", [1, 2, 4095, 4096, 4097])
+def test_factored_direct_sums_at_split_edges(n):
+    """k = rT + s + 1 with T = ceil(sqrt(n)), R = ceil(n/T): at n = T*R, one
+    short of it and one past a square, the factored sums stay within the
+    contract of exact sums."""
+    T, R, ks = kernels._split(n)
+    assert (T - 1) ** 2 < n <= T * T and (R - 1) * T < n <= R * T
+    assert ks.tolist() == list(range(1, T + 1)) + list(range(0, R * T, T))
+    rng = np.random.default_rng(n)
+    coeffs = rng.uniform(-1.0, 1.0, n)
+    xs = np.array([1e-9, 0.7, math.pi - 1e-9, -2.5, 1e6 + 0.1234])
+    tol = kernels.error_bound(np.abs(coeffs).sum(), n)
+    C, S = kernels._direct_sums(coeffs, xs)
+    for i, x in enumerate(xs):
+        ref_c, ref_s = _exact_pair(coeffs, x)
+        assert abs(C[i] - ref_c) <= tol and abs(S[i] - ref_s) <= tol, x
+
+
+@pytest.mark.parametrize("n", [7, 400, 20_000])
+def test_direct_value_does_not_depend_on_the_batch(n):
+    """A point's sums are bitwise the same alone, in another batch and in
+    another row chunk, so a thread split of the points cannot move them."""
+    rng = np.random.default_rng(n)
+    coeffs = rng.uniform(-1.0, 1.0, n)
+    xs = rng.uniform(-4.0, 4.0, 600)
+    C, S = kernels._direct_sums(coeffs, xs)
+    for i in (0, 17, 599):
+        c1, s1 = kernels._direct_sums(coeffs, xs[i:i + 1])
+        assert (c1[0], s1[0]) == (C[i], S[i])
+    c2, s2 = kernels._direct_sums(coeffs, xs[::-1][:301])
+    assert np.array_equal(c2, C[::-1][:301]) and np.array_equal(s2, S[::-1][:301])
 
 
 def test_direct_nonfinite_angles_give_nan():
