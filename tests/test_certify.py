@@ -327,8 +327,7 @@ class TestSecondOrderCells:
 
     def test_constant_sum_is_decided_at_depth_zero(self):
         # L = 0: no cell bound depends on the cell width, so bisecting cannot
-        # help; the initial grid decides (it took 1,048,321 samples over 8
-        # levels before)
+        # help and the initial grid decides
         poly = cosine_poly(8 * 2.0 ** -1074, [])
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict == INCONCLUSIVE
