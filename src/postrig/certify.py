@@ -25,25 +25,27 @@ refutes with a witness; a non-positive sample inside that bound is no
 witness, and the cells it bounds never certify.  Inconclusive is a
 first-class outcome and is never upgraded.
 
-Endpoints where the sum vanishes identically (sine sums at multiples of pi,
-the quarter-phase sums at 2*pi, ...) are detected structurally, inset by eps,
-and settled by the analytic boundary slope; for a plain sine sum the inward
-slope at pi is exactly the alternating Belov sum, which is what makes the
-necessity direction of that criterion executable here.
+At a multiple of pi/2 each term and its first two derivatives carry a
+factor exactly 0 or +-1 (`vanishing_endpoint`), so whether the sum vanishes
+there is a fact about the coefficients.  Endpoints where it does (sine sums
+at multiples of pi, paired cosine sums at pi, quarter-phase sums at 2*pi)
+are inset by eps and settled by the exact slope, or curvature; all others
+are sampled.  For a plain sine sum the inward slope at pi is exactly the
+alternating Belov sum, which is what makes the necessity direction of that
+criterion executable here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ParameterDomainError
-from .kernels import KERNEL_TOL
-from .trigeval import (TrigPolynomial, coefficient_mass, curvature_bound,
-                       lipschitz_bound, roundoff_bound, second_derivative_value)
+from .trigeval import TrigPolynomial, curvature_bound, lipschitz_bound, roundoff_bound
 
 _HALF_PI = 0.5 * math.pi
 
@@ -139,46 +141,48 @@ class ZeroBracketList:
         }
 
 
-def vanishes_structurally(poly: TrigPolynomial, t: float) -> bool:
-    """True when every term of the sum is zero at t by the trig zero pattern.
+#: cos(m*pi/2) for m mod 4
+_QUARTER_TURN = (1.0, 0.0, -1.0, 0.0)
 
-    Only multiples of pi/2 can host such termwise zeros for the frequency
-    families stride*k + shift; anything else reports False and the endpoint is
-    simply sampled.
+
+@np.errstate(over="ignore", invalid="ignore")
+def vanishing_endpoint(poly: TrigPolynomial, t: float):
+    """(value, slope, curvature) at the multiple q*pi/2 within 1e-9 of t when
+    the value there is exactly 0, else None.
+
+    At q*pi/2 the k-th derivative of trig(nu*theta) is nu^k*cos((m + k)*pi/2),
+    m = nu*q (less 1 for sin).  When shift*q is an integer so is m, the
+    factor is exactly 0 or +-1, and m mod 4 depends only on the term's index
+    mod 4; otherwise the endpoint is sampled.  A float sum far from 0 settles
+    "not zero", and `math.fsum`, correctly rounded, the rest.
     """
     q = round(t / _HALF_PI)
     if abs(t - q * _HALF_PI) > 1e-9 * max(1.0, abs(t)):
-        return False
-    if poly.a0 != 0.0:
-        return False
-    for kind, coeffs in (("cos", poly.cos_coeffs), ("sin", poly.sin_coeffs)):
-        if not coeffs:
-            continue
-        if (poly.stride * q) % 2 != 0:
-            return False
-        r = math.fmod(poly.shift * q, 2.0)
-        if r < 0:
-            r += 2.0
-        if kind == "sin":
-            if min(r, 2.0 - r) > 1e-9:
-                return False
-        else:
-            if abs(r - 1.0) > 1e-9:
-                return False
-    return True
-
-
-def endpoint_vanishes(poly: TrigPolynomial, t: float) -> bool:
-    """Endpoint where the sum is analytically zero.
-
-    Either every term vanishes (structural pattern), or the terms cancel in
-    pairs -- e.g. cosine sums with equal coefficient pairs at theta = pi --
-    which shows up as a value at roundoff scale relative to the coefficient
-    mass.
-    """
-    if vanishes_structurally(poly, t):
-        return True
-    return abs(poly.value(t)) <= KERNEL_TOL * coefficient_mass(poly)
+        return None
+    num, den = poly.shift.as_integer_ratio()
+    half = 0.5 * poly.a0
+    # a halved a0 that rounds is an odd multiple of 2^-1075, which no sum of
+    # floats (multiples of 2^-1074) cancels
+    if q % den or 2.0 * half != poly.a0:
+        return None
+    step = poly.stride * q
+    classes = [((step * (r + poly.index_start) + num * (q // den) - p) % 4,
+                nu[r::4], c[r::4])
+               for p, (nu, c) in enumerate(poly.terms()) for r in range(min(4, c.size))]
+    even = [(_QUARTER_TURN[m], nu, c) for m, nu, c in classes if m % 2 == 0]
+    terms = np.concatenate([[half]] + [w * c for w, _, c in even])
+    if abs(terms.sum()) > 2.0 ** -52 * terms.size * np.abs(terms).sum():
+        return None
+    try:
+        zero = math.fsum(terms.tolist()) == 0.0
+    except OverflowError:  # a partial sum beyond the float range
+        zero = sum(map(Fraction, terms.tolist())) == 0
+    if not zero:
+        return None
+    slope = sum((_QUARTER_TURN[(m + 1) % 4] * float(nu @ c)
+                 for m, nu, c in classes if m % 2), 0.0)
+    curvature = -sum((w * float((nu * nu) @ c) for w, nu, c in even), 0.0)
+    return 0.0, slope, curvature
 
 
 def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,
@@ -230,26 +234,22 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
 
     slope_tol = 1e-12 * max(L, 1e-300)
     curv_tol = 1e-12 * max(L2, 1e-300)
-    for side, endpoint in (("left", lo), ("right", hi)):
-        if not endpoint_vanishes(poly, endpoint):
+    for side, endpoint, sign in (("left", lo, 1.0), ("right", hi, -1.0)):
+        jet = vanishing_endpoint(poly, endpoint)
+        if jet is None:
             notes.append(f"{side} endpoint {endpoint:.9g} sampled directly")
             continue
-        sign = 1.0 if side == "left" else -1.0
-        slope = sign * poly.derivative_value(endpoint)
-        settled = False
+        _, slope, curv = jet
+        slope *= sign
         if slope > slope_tol:
             covered = "rigorously (slope > curvature*eps)" \
                 if slope > L2 * opts.eps else "to first order"
             notes.append(f"{side} endpoint {endpoint:.9g} vanishes identically; "
                          f"inward slope {slope:.9g} covers the eps-zone {covered}")
-            settled = True
-        elif abs(slope) <= slope_tol:
-            curv = second_derivative_value(poly, endpoint)
-            if curv > curv_tol:
-                notes.append(f"{side} endpoint {endpoint:.9g} vanishes to second "
-                             f"order; curvature {curv:.9g} > 0 covers the eps-zone")
-                settled = True
-        if not settled:
+        elif abs(slope) <= slope_tol and curv > curv_tol:
+            notes.append(f"{side} endpoint {endpoint:.9g} vanishes to second "
+                         f"order; curvature {curv:.9g} > 0 covers the eps-zone")
+        else:
             hit, used = _hunt_witness(poly, endpoint, sign, span, opts.eps, noise)
             total_evals += used
             if hit is not None:
@@ -348,8 +348,8 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
         raise ParameterDomainError(f"grid0 must be >= 2, got {grid0}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ParameterDomainError(f"tol must be a finite number > 0, got {tol}")
-    wlo = lo + (eps if endpoint_vanishes(poly, lo) else 0.0)
-    whi = hi - (eps if endpoint_vanishes(poly, hi) else 0.0)
+    wlo = lo + (eps if vanishing_endpoint(poly, lo) is not None else 0.0)
+    whi = hi - (eps if vanishing_endpoint(poly, hi) is not None else 0.0)
     xs = np.linspace(wlo, whi, grid0)  # wlo + i*h, the last point exactly whi
     vals = poly.values_grid(wlo, (whi - wlo) / (grid0 - 1), np.arange(grid0))
     i = int(np.argmin(vals))

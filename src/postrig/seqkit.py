@@ -60,22 +60,22 @@ class CoefficientSequence:
     params: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        v = np.fromiter(self.values, dtype=np.float64)
+        object.__setattr__(self, "values", tuple(v.tolist()))
         object.__setattr__(self, "params", dict(self.params))
-        if not self.values:
+        if not v.size:
             raise SizeError("coefficient sequence must be non-empty")
         if self.family not in FAMILIES:
             raise ParameterDomainError(f"unknown family {self.family!r}")
-        if any(not math.isfinite(v) for v in self.values):
+        if not np.isfinite(v).all():
             raise ParameterDomainError("all entries must be finite")
-        if self.family in POSITIVE_FAMILIES and any(v <= 0.0 for v in self.values):
+        if self.family in POSITIVE_FAMILIES and (v <= 0.0).any():
             raise ParameterDomainError(f"family {self.family!r} requires positive entries")
         if self.family == "ck":
-            if len(self.values) % 2:
+            if v.size % 2:
                 raise SizeError("ck sequences have even length 2n+2")
-            for k in range(len(self.values) // 2):
-                if self.values[2 * k] != self.values[2 * k + 1]:
-                    raise ParameterDomainError("ck pairing value[2k] == value[2k+1] broken")
+            if (v[::2] != v[1::2]).any():
+                raise ParameterDomainError("ck pairing value[2k] == value[2k+1] broken")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -130,7 +130,7 @@ def _paired(n: int, alpha: float) -> tuple[float, ...]:
     """[b_0..b_n] with b_{2k} = b_{2k+1} = (1-alpha)_k / k!."""
     if n < 0:
         raise ParameterDomainError("n must be >= 0")
-    return tuple(v for v in _pochhammer_ratios(n // 2 + 1, alpha) for _ in (0, 1))[: n + 1]
+    return tuple(np.repeat(_pochhammer_ratios(n // 2 + 1, alpha), 2)[: n + 1].tolist())
 
 
 def vietoris_gamma(n: int) -> CoefficientSequence:

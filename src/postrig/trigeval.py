@@ -13,8 +13,8 @@ cos((2k+1/2)*theta).
 
 Each polynomial keeps one read-only array view of its terms, (nu, c) for
 the cosine and for the sine part (`TrigPolynomial.terms`); the derivative
-values, the uniform bounds on |f'| and |f''|, the coefficient mass and the
-roundoff bound that `postrig.certify` works with are array expressions on it.
+value, and the uniform bounds on |f'| and |f''|, the coefficient mass and the
+roundoff bound that `postrig.certify` works with, are array expressions on it.
 
 Every evaluation routes through the two kernel paths of `postrig.kernels`;
 the shift is peeled off with the two angle-addition identities, so a
@@ -151,16 +151,10 @@ class TrigPolynomial:
         return float(self.values(np.array([theta]))[0])
 
     def derivative_value(self, theta: float) -> float:
-        """d/dtheta at a point (used for endpoint slopes)."""
+        """d/dtheta at a point."""
         (nu_c, cc), (nu_s, sc) = self._view
         return float((sc * nu_s) @ np.cos(nu_s * theta)
                      - (cc * nu_c) @ np.sin(nu_c * theta))
-
-
-def second_derivative_value(poly: TrigPolynomial, t: float) -> float:
-    (nu_c, cc), (nu_s, sc) = poly.terms()
-    return -float((cc * nu_c * nu_c) @ np.cos(nu_c * t)
-                  + (sc * nu_s * nu_s) @ np.sin(nu_s * t))
 
 
 def lipschitz_bound(poly: TrigPolynomial) -> float:

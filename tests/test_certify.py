@@ -2,17 +2,17 @@
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
                      certify_positive, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import CERTIFIED, INCONCLUSIVE, REFUTED, vanishes_structurally
-from postrig.trigeval import (coefficient_mass, curvature_bound, roundoff_bound,
-                              second_derivative_value)
+from postrig.certify import CERTIFIED, INCONCLUSIVE, REFUTED, vanishing_endpoint
+from postrig.trigeval import coefficient_mass, curvature_bound, roundoff_bound
 from postrig.kernels import chirp_cheaper
 from postrig.errors import ParameterDomainError
 from conftest import naive_terms, naive_trig_value
@@ -68,10 +68,7 @@ class TestArrayView:
         close(coefficient_mass(poly), mass, mass)
         d1 = fsum(lambda k, nu, c: -c * nu * math.sin(nu * t) if k == "cos"
                   else c * nu * math.cos(nu * t))
-        d2 = fsum(lambda k, nu, c: -c * nu * nu * (math.cos(nu * t) if k == "cos"
-                                                    else math.sin(nu * t)))
         close(poly.derivative_value(t), d1, L)
-        close(second_derivative_value(poly, t), d2, L2)
         assert [list(nu) for nu, _ in poly.terms()] == [
             [nu for k, nu, _ in terms if k == kind] for kind in ("cos", "sin")]
 
@@ -88,31 +85,111 @@ class TestArrayView:
             TrigPolynomial(cos_coeffs=((1.0, 2.0),))
 
 
+def _vanishes(poly, t):
+    return vanishing_endpoint(poly, t) is not None
+
+
+#: cos(m*pi/2) for m mod 4, exactly
+_QUARTER_TURN = (1, 0, -1, 0)
+
+
+def _exact_value(poly, q):
+    """The sum at q*pi/2 in Fractions, None when shift*q is no integer (the
+    phases are then no multiples of pi/2)."""
+    shift = Fraction(poly.shift) * q
+    if shift.denominator != 1:
+        return None
+    k0 = 0 if poly.shift != 0.0 else 1
+    value = Fraction(poly.a0) / 2
+    for part, coeffs in enumerate((poly.cos_coeffs, poly.sin_coeffs)):
+        for j, c in enumerate(coeffs):
+            m = poly.stride * (j + k0) * q + int(shift) - part  # sin x = cos(x - pi/2)
+            value += Fraction(c) * _QUARTER_TURN[m % 4]
+    return value
+
+
+_DYADIC = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+_COEFF = st.one_of(_DYADIC, st.floats(-5, 5))
+
+
 class TestVanishDetection:
     def test_sine_at_multiples_of_pi(self):
         p = sine_poly([1.0, 0.3])
         for t, want in ((0.0, True), (PI, True), (2 * PI, True), (1.0, False)):
-            assert vanishes_structurally(p, t) is want
+            assert _vanishes(p, t) is want
 
     def test_cosine_never(self):
         p = cosine_poly(2.0, [1.0])
-        for t in (0.0, PI, 2 * PI):
-            assert not vanishes_structurally(p, t)
+        for t in (0.0, 2 * PI):
+            assert not _vanishes(p, t)
+
+    def test_cosine_cancelling_at_pi_is_exact(self):
+        # 1 + cos(pi) = 0 exactly: value, slope and curvature (1 + cos)'' = 1
+        assert vanishing_endpoint(cosine_poly(2.0, [1.0]), PI) == (0.0, 0.0, 1.0)
 
     def test_quarter_shift_cosine_at_two_pi(self):
         p = shifted_poly([1.0, 0.5], 0.25, "cosine")
-        assert vanishes_structurally(p, 2 * PI)
-        assert not vanishes_structurally(p, 0.0)
+        assert _vanishes(p, 2 * PI)
+        assert not _vanishes(p, 0.0)
 
     def test_half_shift_sine_at_two_pi(self):
         p = shifted_poly([1.0, 0.5], 0.5, "sine")
-        assert vanishes_structurally(p, 2 * PI)
-        assert vanishes_structurally(p, 0.0)
+        assert _vanishes(p, 2 * PI)
+        assert _vanishes(p, 0.0)
 
     def test_double_stride_half_shift_at_pi(self):
         p = shifted_poly([1.0, 0.5], 0.5, "cosine", stride=2)
-        assert vanishes_structurally(p, PI)
-        assert not vanishes_structurally(p, 0.0)
+        assert _vanishes(p, PI)
+        assert not _vanishes(p, 0.0)
+
+    def test_subnormal_constant(self):
+        # a0/2 rounds to 0.0 for a0 = 2^-1074, yet the sum is 2^-1075 > 0
+        assert not _vanishes(cosine_poly(2.0 ** -1074), 0.0)
+        # a0 = 2^-1073 halves exactly and cancels against cos(pi)*2^-1074
+        assert _vanishes(cosine_poly(2.0 ** -1073, [2.0 ** -1074]), PI)
+
+    def test_partial_sums_beyond_float_range(self):
+        # the signed terms 1e308, 1e308, -1e308, -1e308 cancel exactly,
+        # although their running sum overflows
+        assert _vanishes(cosine_poly(0.0, [-1e308, 1e308, 1e308, -1e308]), PI)
+        assert not _vanishes(cosine_poly(0.0, [-1e308, 1e308, 1e308, -0.5e308]), PI)
+
+    def test_inexact_phase_is_sampled(self):
+        # shift 0.1 at 2*pi: 0.4 turns of a quarter, no exact factor
+        p = shifted_poly([1.0, 0.5], 0.1, "sine")
+        assert _exact_value(p, 4) is None
+        assert not _vanishes(p, 2 * PI)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(_DYADIC, st.floats(-3, 3), st.just(2.0 ** -1074)),
+           st.lists(_COEFF, max_size=12), st.lists(_COEFF, max_size=12),
+           st.sampled_from([0.0, 0.25, 0.5, 0.75]), st.sampled_from([1, 2]),
+           st.sampled_from([None, 0, 1, 2, 3, 4]))
+    def test_matches_exact_reference(self, a0, cc, sc, shift, stride, cancel_at):
+        assume(a0 != 0.0 or cc or sc)
+        poly = TrigPolynomial(a0, tuple(cc), tuple(sc), shift, stride)
+        exact = _exact_value(poly, cancel_at) if cancel_at is not None else None
+        if (cc or sc) and exact is not None and float(a0 - 2 * exact) == a0 - 2 * exact:
+            # the a0 that cancels the rest exactly at cancel_at*pi/2
+            poly = TrigPolynomial(float(a0 - 2 * exact), tuple(cc), tuple(sc),
+                                  shift, stride)
+        L, L2 = lipschitz_bound(poly), curvature_bound(poly)
+        for q in range(5):
+            t = q * PI / 2
+            exact = _exact_value(poly, q)
+            got = vanishing_endpoint(poly, t)
+            assert (got is not None) is (exact == 0), (q, exact)
+            if got is None:
+                continue
+            value, slope, curv = got
+            assert value == 0.0
+            terms = naive_terms(poly)
+            d1 = math.fsum(-c * nu * math.sin(nu * t) if k == "cos"
+                           else c * nu * math.cos(nu * t) for k, nu, c in terms)
+            d2 = math.fsum(-c * nu * nu * (math.cos(nu * t) if k == "cos"
+                                           else math.sin(nu * t)) for k, nu, c in terms)
+            assert abs(slope - d1) <= 1e-12 * L
+            assert abs(curv - d2) <= 1e-12 * L2
 
 
 class TestCertifyPositive:
@@ -154,8 +231,8 @@ class TestCertifyPositive:
             for poly in fig1_polys(n):
                 rep = certify_positive(poly, 0.0, PI)
                 assert rep.verdict == CERTIFIED
-                lo = 1e-4 if vanishes_structurally(poly, 0.0) else 0.0
-                hi = PI - (1e-4 if vanishes_structurally(poly, PI) else 0.0)
+                lo = 1e-4 if _vanishes(poly, 0.0) else 0.0
+                hi = PI - (1e-4 if _vanishes(poly, PI) else 0.0)
                 xs = np.linspace(lo, hi, 10 * 4096)
                 assert poly.values(xs).min() >= rep.lower_bound
 
@@ -213,6 +290,16 @@ class TestCertifyPositive:
             assert reports[0] == reports[1] == reports[2]
             payloads = {json.dumps(r.to_dict(), sort_keys=True) for r in reports}
             assert len(payloads) == 1
+
+    @pytest.mark.parametrize("excess", [2.0 ** -52, 2.0 ** -40])
+    def test_roundoff_zero_at_pi_is_not_certified(self, excess):
+        # f = 1 + (1 + excess) cos(theta) is -excess at pi: within roundoff of
+        # 0 but not 0, so pi is sampled and the eps-zone is not inset
+        poly = cosine_poly(2.0, [1.0 + excess])
+        assert not _vanishes(poly, PI)
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict != CERTIFIED
+        assert "right endpoint 3.14159265 sampled directly" in rep.boundary_notes
 
     def test_fejer_jackson_gronwall_even_n_not_refuted(self):
         # sum_{k<=8} sin(k t)/k > 0 on (0, pi) but touches 0 at pi to third
