@@ -29,8 +29,9 @@ At a multiple of pi/2 each term and its first two derivatives carry a
 factor exactly 0 or +-1 (`vanishing_endpoint`), so whether the sum vanishes
 there is a fact about the coefficients.  Endpoints where it does (sine sums
 at multiples of pi, paired cosine sums at pi, quarter-phase sums at 2*pi)
-are inset by eps and settled by the exact slope, or curvature; all others
-are sampled.  For a plain sine sum the inward slope at pi is exactly the
+are inset by eps and settled by the exact slope, or curvature.  All other
+endpoints are sampled, and so is every endpoint that is not q*pi/2 rounded
+to a float.  For a plain sine sum the inward slope at pi is exactly the
 alternating Belov sum, which is what makes the necessity direction of that
 criterion executable here.
 """
@@ -145,19 +146,20 @@ class ZeroBracketList:
 _QUARTER_TURN = (1.0, 0.0, -1.0, 0.0)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def vanishing_endpoint(poly: TrigPolynomial, t: float):
-    """(value, slope, curvature) at the multiple q*pi/2 within 1e-9 of t when
-    the value there is exactly 0, else None.
+    """(slope, curvature) at t when t is q*pi/2 rounded to a float and the
+    sum is exactly 0 there, else None.
 
-    At q*pi/2 the k-th derivative of trig(nu*theta) is nu^k*cos((m + k)*pi/2),
-    m = nu*q (less 1 for sin).  When shift*q is an integer so is m, the
-    factor is exactly 0 or +-1, and m mod 4 depends only on the term's index
-    mod 4; otherwise the endpoint is sampled.  A float sum far from 0 settles
-    "not zero", and `math.fsum`, correctly rounded, the rest.
+    Any other t is sampled: next to a cancelling zero the sum is about
+    slope*(t - q*pi/2), which can be negative.  At q*pi/2 the k-th
+    derivative of trig(nu*theta) is nu^k*cos((m + k)*pi/2), m = nu*q (less 1
+    for sin).  When shift*q is an integer so is m, the factor is exactly 0
+    or +-1, and m mod 4 depends only on the term's index mod 4; otherwise
+    the endpoint is sampled too.  `math.fsum`, correctly rounded, decides
+    whether the signed sum of coefficients is 0.
     """
     q = round(t / _HALF_PI)
-    if abs(t - q * _HALF_PI) > 1e-9 * max(1.0, abs(t)):
+    if t != q * _HALF_PI:
         return None
     num, den = poly.shift.as_integer_ratio()
     half = 0.5 * poly.a0
@@ -170,19 +172,18 @@ def vanishing_endpoint(poly: TrigPolynomial, t: float):
                 nu[r::4], c[r::4])
                for p, (nu, c) in enumerate(poly.terms()) for r in range(min(4, c.size))]
     even = [(_QUARTER_TURN[m], nu, c) for m, nu, c in classes if m % 2 == 0]
-    terms = np.concatenate([[half]] + [w * c for w, _, c in even])
-    if abs(terms.sum()) > 2.0 ** -52 * terms.size * np.abs(terms).sum():
-        return None
+    terms = np.concatenate([[half]] + [w * c for w, _, c in even]).tolist()
     try:
-        zero = math.fsum(terms.tolist()) == 0.0
+        zero = math.fsum(terms) == 0.0
     except OverflowError:  # a partial sum beyond the float range
-        zero = sum(map(Fraction, terms.tolist())) == 0
+        zero = sum(map(Fraction, terms)) == 0
     if not zero:
         return None
-    slope = sum((_QUARTER_TURN[(m + 1) % 4] * float(nu @ c)
-                 for m, nu, c in classes if m % 2), 0.0)
-    curvature = -sum((w * float((nu * nu) @ c) for w, nu, c in even), 0.0)
-    return 0.0, slope, curvature
+    with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients
+        slope = sum((_QUARTER_TURN[(m + 1) % 4] * float(nu @ c)
+                     for m, nu, c in classes if m % 2), 0.0)
+        curvature = -sum((w * float((nu * nu) @ c) for w, nu, c in even), 0.0)
+    return slope, curvature
 
 
 def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,
@@ -239,7 +240,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         if jet is None:
             notes.append(f"{side} endpoint {endpoint:.9g} sampled directly")
             continue
-        _, slope, curv = jet
+        slope, curv = jet
         slope *= sign
         if slope > slope_tol:
             covered = "rigorously (slope > curvature*eps)" \

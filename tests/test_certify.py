@@ -125,7 +125,7 @@ class TestVanishDetection:
 
     def test_cosine_cancelling_at_pi_is_exact(self):
         # 1 + cos(pi) = 0 exactly: value, slope and curvature (1 + cos)'' = 1
-        assert vanishing_endpoint(cosine_poly(2.0, [1.0]), PI) == (0.0, 0.0, 1.0)
+        assert vanishing_endpoint(cosine_poly(2.0, [1.0]), PI) == (0.0, 1.0)
 
     def test_quarter_shift_cosine_at_two_pi(self):
         p = shifted_poly([1.0, 0.5], 0.25, "cosine")
@@ -154,6 +154,19 @@ class TestVanishDetection:
         assert _vanishes(cosine_poly(0.0, [-1e308, 1e308, 1e308, -1e308]), PI)
         assert not _vanishes(cosine_poly(0.0, [-1e308, 1e308, 1e308, -0.5e308]), PI)
 
+    def test_only_the_rounded_multiple_counts(self):
+        # -2 + cos + sin is exactly 0 at 0 with slope 1, so it is negative on
+        # (-5e-10, 0): an endpoint near a multiple of pi/2 is not that multiple
+        p = TrigPolynomial(-2.0, (1.0,), (1.0,))
+        assert vanishing_endpoint(p, 0.0) == (1.0, -1.0)
+        for t in (-5e-10, 5e-324, 1e-12):
+            assert not _vanishes(p, t)
+        s = sine_poly([1.0, 0.3])
+        for t in (PI, 2 * PI, -PI, math.radians(360)):
+            assert _vanishes(s, t), t
+        for t in (math.nextafter(PI, 4.0), math.nextafter(2 * PI, 0.0), PI + 4e-10):
+            assert not _vanishes(s, t), t
+
     def test_inexact_phase_is_sampled(self):
         # shift 0.1 at 2*pi: 0.4 turns of a quarter, no exact factor
         p = shifted_poly([1.0, 0.5], 0.1, "sine")
@@ -181,8 +194,7 @@ class TestVanishDetection:
             assert (got is not None) is (exact == 0), (q, exact)
             if got is None:
                 continue
-            value, slope, curv = got
-            assert value == 0.0
+            slope, curv = got
             terms = naive_terms(poly)
             d1 = math.fsum(-c * nu * math.sin(nu * t) if k == "cos"
                            else c * nu * math.cos(nu * t) for k, nu, c in terms)
@@ -300,6 +312,15 @@ class TestCertifyPositive:
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict != CERTIFIED
         assert "right endpoint 3.14159265 sampled directly" in rep.boundary_notes
+
+    def test_cancelling_zero_just_outside_is_refuted(self):
+        # -2 + cos + sin vanishes at 0 with inward slope 1, and is negative on
+        # (-5e-10, 0); a 1e-9 window around 0 would inset lo and certify it
+        poly = TrigPolynomial(-2.0, (1.0,), (1.0,))
+        rep = certify_positive(poly, -5e-10, 1.0)
+        assert rep.verdict == REFUTED
+        assert rep.witness[0] < 0.0
+        assert certify_positive(poly, 0.0, 1.0).verdict == CERTIFIED
 
     def test_fejer_jackson_gronwall_even_n_not_refuted(self):
         # sum_{k<=8} sin(k t)/k > 0 on (0, pi) but touches 0 at pi to third

@@ -35,6 +35,14 @@ class TestCertifyCommand:
         assert w["value"] <= 0
         assert w["theta"] > 2.0
 
+    def test_endpoints_near_a_zero_are_sampled(self):
+        # sin is negative on (-5e-10, 0), and 1 + cos vanishes at pi inside
+        # (0, pi + 4e-10): neither endpoint is a multiple of pi/2
+        assert run(["certify", "--family", "raw-sine", "--coeffs", "1",
+                    "--lo=-5e-10", "--hi", "1"]) == 2
+        assert run(["certify", "--family", "raw-cosine", "--coeffs", "2,1",
+                    "--hi", "3.1415926540"]) == 3
+
     def test_n_zero_usage_error(self):
         assert run(["certify", "--family", "qk-sine", "--n", "0"]) == 1
 
