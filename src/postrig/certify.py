@@ -60,7 +60,6 @@ class CertifyOptions:
     grid0: int = 4096
     max_depth: int = 8
     eps: float = 1e-4
-    workers: int = 1
 
     def __post_init__(self):
         if self.grid0 < 2:
@@ -69,8 +68,14 @@ class CertifyOptions:
             raise ParameterDomainError("max_depth must be >= 0")
         if not (self.eps > 0 and math.isfinite(self.eps)):
             raise ParameterDomainError(f"eps must be > 0 and finite, got {self.eps}")
-        if self.workers < 1:
-            raise ParameterDomainError("workers must be >= 1")
+
+
+_NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
+
+
+def _number(v):
+    """v, or the float that a strict-JSON string for a non-finite float names."""
+    return _NON_FINITE.get(v, v) if isinstance(v, str) else v
 
 
 @dataclass(frozen=True)
@@ -109,15 +114,17 @@ class PositivityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "PositivityReport":
-        w = d["witness"]
+        """Inverse of `to_dict`, also of its strict-JSON form, in which the
+        non-finite floats are the strings "NaN", "Infinity" and "-Infinity"."""
+        w, iv = d["witness"], d["interval"]
         return cls(
             verdict=d["verdict"],
-            lower_bound=d["lower_bound"],
-            witness=None if w is None else (w["theta"], w["value"]),
+            lower_bound=_number(d["lower_bound"]),
+            witness=None if w is None else (_number(w["theta"]), _number(w["value"])),
             grid_points=d["grid_points"],
             refinement_depth=d["refinement_depth"],
-            lipschitz=d["lipschitz"],
-            interval=(d["interval"]["lo"], d["interval"]["hi"]),
+            lipschitz=_number(d["lipschitz"]),
+            interval=(_number(iv["lo"]), _number(iv["hi"])),
             boundary_notes=d["boundary_notes"],
         )
 
@@ -274,7 +281,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         # the grid's last point may round an ulp beyond whi
         return min(float(wlo + i * step), whi)
 
-    vals = poly.values_grid(wlo, h, np.arange(opts.grid0), opts.workers)
+    vals = poly.values_grid(wlo, h, np.arange(opts.grid0))
     total_evals += opts.grid0
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
@@ -311,7 +318,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         dx *= 0.5
         il, fl, fr = il[fail], fl[fail], fr[fail]
         im = 2 * il + 1
-        fm = poly.values_grid(wlo, dx, im, opts.workers)
+        fm = poly.values_grid(wlo, dx, im)
         total_evals += im.size
         jmin = int(np.argmin(fm))
         if fm[jmin] < -noise:

@@ -4,7 +4,6 @@ Subcommands: certify | constants | plotdata | zeros | criteria.
 Exit codes are the machine contract: 0 success/certified, 1 usage error,
 2 refuted/violated, 3 inconclusive, 4 solver error, 5 I/O error.  Standard
 output stays human-readable; --output / --outdir write the JSON and CSV data.
-POSTRIG_THREADS overrides --threads.
 """
 
 from __future__ import annotations
@@ -71,16 +70,6 @@ def _int_list(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
 
 
-def _threads(args) -> int:
-    env = os.environ.get("POSTRIG_THREADS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            print(f"warning: ignoring bad POSTRIG_THREADS={env!r}", file=sys.stderr)
-    return max(1, args.threads)
-
-
 def _strict(obj):
     """obj with every non-finite float replaced by the string "NaN",
     "Infinity" or "-Infinity", so the file is strict JSON."""
@@ -138,7 +127,7 @@ def cmd_certify(args) -> int:
     hi = args.hi if args.hi is not None else default_iv[1]
     try:
         opts = certify_mod.CertifyOptions(grid0=args.grid, max_depth=args.depth,
-                                          eps=args.eps, workers=_threads(args))
+                                          eps=args.eps)
         report = certify_mod.certify_positive(poly, lo, hi, opts)
     except PostrigError as exc:
         print(f"certify: {exc}", file=sys.stderr)
@@ -165,7 +154,6 @@ def _config_dict(args, lo, hi) -> dict:
     cfg = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
     cfg["coeffs"] = args.coeffs if args.coeffs else None
     cfg["lo"], cfg["hi"] = lo, hi
-    cfg["threads"] = _threads(args)
     return cfg
 
 
@@ -357,7 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--eps", type=float, default=1e-4)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_certify)
 

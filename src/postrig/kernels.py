@@ -62,8 +62,8 @@ exactly as those of dx/2.
 
 The cost model is fixed, in ns with weights measured on the numpy code here
 (2-core Intel Xeon virtual machine, one BLAS thread); only a batch's degree
-n and its points enter, never the worker count, and `TrigPolynomial.values_grid`
-decides the path and the sub-lattice once per batch, before any thread split:
+n and its points enter, and `TrigPolynomial.values_grid` decides the path
+once per batch:
 
 - direct: m * (1500 + 45 (T + R) + 0.35 n) + 35000 for m points: the
   integer reduction of each angle, its T + R phases and their cos and sin,
@@ -186,9 +186,9 @@ def sub_lattice(idx) -> tuple[int, int]:
     return r, (d & -d) or 1
 
 
-def chirp_cheaper(n: int, idx: np.ndarray, lattice: tuple[int, int] | None = None) -> bool:
-    """True when chirp-z should evaluate degree n at grid indices idx, whose
-    `sub_lattice` is ``lattice``."""
+def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
+    """True when chirp-z should evaluate degree n at grid indices idx, on
+    their `sub_lattice`."""
     if n == 0:
         return False
     T, R, _ = _split(n)
@@ -198,7 +198,7 @@ def chirp_cheaper(n: int, idx: np.ndarray, lattice: tuple[int, int] | None = Non
     per_block = _FFT_STEP * size * math.log2(size) + _BLOCK_CALL
     if direct <= 2 * per_block:  # chirp-z loses even with a single block
         return False
-    r, s = lattice or sub_lattice(idx)
+    r, s = sub_lattice(idx)
     blocks = np.sort((idx.ravel() - r) // s // GRID_BLOCK)
     return (np.count_nonzero(np.diff(blocks)) + 2) * per_block < direct
 
@@ -255,9 +255,9 @@ def _square_phases(k: np.ndarray, dx: float) -> np.ndarray:
 @functools.lru_cache(maxsize=1)
 def _chirp_plan(n: int, dx: float) -> tuple[int, np.ndarray, np.ndarray]:
     """FFT length, chirp exp(i k^2 dx/2) for k < max(n + 1, GRID_BLOCK), and
-    the FFT of the conjugate-chirp kernel, shared by every block of a call and
-    by the parts of a thread split.  One plan is kept, so the working set is
-    one level's kernel and one block."""
+    the FFT of the conjugate-chirp kernel, shared by every block of a call.
+    One plan is kept, so the working set is one level's kernel and one
+    block."""
     B = GRID_BLOCK
     size = _fft_length(n + B)
     chirp = _cis(_square_phases(np.arange(max(n + 1, B), dtype=np.uint64), dx))
@@ -269,17 +269,17 @@ def _chirp_plan(n: int, dx: float) -> tuple[int, np.ndarray, np.ndarray]:
     return size, chirp, kernel
 
 
-def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float, idx: np.ndarray,
-                   lattice: tuple[int, int] | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) at x0 + idx*dx by blocked chirp-z on the `sub_lattice` of idx,
-    or on ``lattice``, which idx must lie on; see the module docstring."""
+def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
+                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at x0 + idx*dx by blocked chirp-z on the `sub_lattice` of idx;
+    see the module docstring."""
     c = _coefficients(coeffs)
     j = np.asarray(idx, dtype=np.int64)
     n = c.size
     if n == 0 or j.size == 0:
         return np.zeros(j.shape), np.zeros(j.shape)
     B = GRID_BLOCK
-    r, s = lattice or sub_lattice(j)
+    r, s = sub_lattice(j)
     # the step s*dx is exact, s being a power of two
     size, chirp, kernel = _chirp_plan(n, s * float(dx))
     # scaling by 2^e, max|c| 2^e in [1/2, 1), is exact and keeps the FFTs'

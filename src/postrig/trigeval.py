@@ -25,24 +25,19 @@ t0 + idx*dt of a uniform grid (idx integer), as the certifier's grids, the
 scans of `find_min` and `bracket_zeros` and the CLI's plot points are, and
 lets the kernels' fixed cost model (`kernels.chirp_cheaper`) pick, once per
 batch, the chirp-z grid kernel on the batch's `kernels.sub_lattice` or
-`values` at the points t0 + idx*dt.  Its optional thread split is made
-after that choice, so the values do not depend on the worker count.
+`values` at the points t0 + idx*dt.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import chirp_cheaper, error_bound, pair_sums, pair_sums_grid, sub_lattice
-
-#: batches smaller than this are never split across threads
-_THREAD_MIN_POINTS = 4096
+from .kernels import chirp_cheaper, error_bound, pair_sums, pair_sums_grid
 
 
 @dataclass(frozen=True)
@@ -119,33 +114,15 @@ class TrigPolynomial:
         x = th if self.stride == 1 else self.stride * th
         return self._peel(th, lambda body: pair_sums(body, x))
 
-    def values_grid(self, t0: float, dt: float, idx, workers: int = 1) -> np.ndarray:
-        """Evaluate at the grid points t0 + idx*dt for an integer array idx.
-
-        The kernel and the chirp-z sub-lattice are chosen once for the whole
-        batch; with workers > 1 a large batch is then split across threads,
-        and every point gets the same value as without the split.
-        """
+    def values_grid(self, t0: float, dt: float, idx) -> np.ndarray:
+        """Evaluate at the grid points t0 + idx*dt for an integer array idx,
+        by chirp-z or by `values`, whichever the cost model picks."""
         j = np.asarray(idx, dtype=np.int64)
-        degree = max(len(self.cos_coeffs), len(self.sin_coeffs))
-        s = self.stride
-        lattice = sub_lattice(j)
-        if chirp_cheaper(degree, j, lattice):
-            def part(jp):
-                return self._peel(t0 + jp * dt, lambda body: pair_sums_grid(
-                    body, s * t0, s * dt, jp, lattice))
-        else:
-            def part(jp):
-                return self.values(t0 + jp * dt)
-        if workers <= 1 or j.size < _THREAD_MIN_POINTS:
-            return part(j)
-        out = np.empty(j.shape)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [(sel, pool.submit(part, j[sel]))
-                       for sel in np.array_split(np.arange(j.size), workers)]
-            for sel, fut in futures:
-                out[sel] = fut.result()
-        return out
+        if chirp_cheaper(max(len(self.cos_coeffs), len(self.sin_coeffs)), j):
+            s = self.stride
+            return self._peel(t0 + j * dt, lambda body: pair_sums_grid(
+                body, s * t0, s * dt, j))
+        return self.values(t0 + j * dt)
 
     def value(self, theta: float) -> float:
         return float(self.values(np.array([theta]))[0])

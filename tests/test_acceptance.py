@@ -18,7 +18,7 @@ from postrig import (CertifyOptions, K_closed, P_closed, abel_resum, alpha0,
                      lambda_prime, qk_sequence, ratio_qk_sequence,
                      shifted_poly, sine_poly, halfangle_product_negated_poly)
 from postrig.certify import CERTIFIED, REFUTED
-from postrig.kernels import pair_sums
+from postrig.kernels import _chirp_plan, pair_sums
 from postrig.orthosum import (opuc_coeffs, opuc_cumulative_positive,
                               scan_normalized_gegenbauer)
 from postrig.specfun import _weighted_integral
@@ -311,15 +311,29 @@ def test_criterion_8_opuc():
 
 
 def test_criterion_9_determinism():
-    with criterion(9, "worker-count determinism"):
+    with criterion(9, "run-to-run determinism"):
         polys = [p for n in (20, 30, 40) for p in fig1_polys(n)]
         seq = qk_sequence(100, 1.7, 0.3, 0.9, 0.4)  # criterion-7 style draw
         polys.append(sine_poly(seq.values[1:]))
         polys.append(halfangle_product_negated_poly(30, 0.2, 0.4, 0.3, 0.7))
-        for poly in polys:
-            reports = [certify_positive(poly, 0.0, PI,
-                                        CertifyOptions(max_depth=14, workers=w))
-                       for w in (1, 4, 8)]
-            assert reports[0] == reports[1] == reports[2]
-            blobs = {json.dumps(r.to_dict(), sort_keys=True) for r in reports}
-            assert len(blobs) == 1
+        b = koumandos_bk(600, 0.5).values  # chirp-z at every level
+        polys.append(cosine_poly(2.0 * b[0], b[1:]))
+        opts = CertifyOptions(max_depth=14)
+
+        def certify_all(order, clear_plan=False):
+            # each polynomial follows a different one, and so a different
+            # plan in the one-slot chirp-z cache, or an empty cache
+            reports = {}
+            for i in order:
+                if clear_plan:
+                    _chirp_plan.cache_clear()
+                reports[i] = certify_positive(polys[i], 0.0, PI, opts)
+            return [reports[i] for i in range(len(polys))]
+
+        forward = certify_all(range(len(polys)))
+        runs = (forward, certify_all(reversed(range(len(polys)))),
+                certify_all(range(len(polys)), clear_plan=True))
+        assert forward[-1].verdict == CERTIFIED
+        assert runs[0] == runs[1] == runs[2]
+        blobs = {json.dumps([r.to_dict() for r in rs], sort_keys=True) for rs in runs}
+        assert len(blobs) == 1

@@ -164,8 +164,7 @@ _ODD = np.arange(1, 8 * 4095, 2)
 ], ids=["odd", "stride-4", "unsorted", "single"])
 def test_sub_lattice_chirp_matches_direct(idx):
     """Chirp-z over q, idx = r + s*q, with the step s*dx, equals the direct
-    sums at x0 + idx*dx; a part of the batch on the batch's lattice gets
-    bitwise the batch's values (the thread split of values_grid)."""
+    sums at x0 + idx*dx."""
     rng = np.random.default_rng(11)
     coeffs = rng.normal(size=700)
     x0, dx = 1e-4, (math.pi - 2e-4) / 4095 / 8
@@ -174,11 +173,6 @@ def test_sub_lattice_chirp_matches_direct(idx):
     ref_c, ref_s = kernels._direct_sums(coeffs, x0 + idx * dx)
     mass = np.abs(coeffs).sum()
     assert max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) <= 1e-12 * mass
-    flat = idx.ravel()
-    part = flat[flat.size // 2:]
-    c1, s1 = kernels.pair_sums_grid(coeffs, x0, dx, part, kernels.sub_lattice(flat))
-    assert np.array_equal(c1, C.ravel()[flat.size // 2:])
-    assert np.array_equal(s1, S.ravel()[flat.size // 2:])
 
 
 def test_level_one_reuses_the_level_zero_plan():
@@ -242,7 +236,7 @@ def test_values_grid_matches_values(coeffs, shift, stride, kind, t0, dt, idx, ch
     assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
     poly = trigeval.shifted_poly(coeffs, shift, kind, stride)
     j = np.array(idx)
-    with mock.patch.object(trigeval, "chirp_cheaper", lambda n, idx, lattice: chirp):
+    with mock.patch.object(trigeval, "chirp_cheaper", lambda n, idx: chirp):
         got = poly.values_grid(t0, dt, j)
     want = poly.values(t0 + j * dt)
     mass = sum(abs(c) for c in coeffs) or 1.0
@@ -316,7 +310,8 @@ def test_factored_direct_sums_at_split_edges(n):
 @pytest.mark.parametrize("n", [7, 400, 20_000])
 def test_direct_value_does_not_depend_on_the_batch(n):
     """A point's sums are bitwise the same alone, in another batch and in
-    another row chunk, so a thread split of the points cannot move them."""
+    another row chunk, so `find_min`'s single-point probes
+    (`TrigPolynomial.value`) get the value `values` gives in any batch."""
     rng = np.random.default_rng(n)
     coeffs = rng.uniform(-1.0, 1.0, n)
     xs = rng.uniform(-4.0, 4.0, 600)
