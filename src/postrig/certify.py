@@ -2,6 +2,7 @@
 
 This module is the engine (endpoint policy, `certify_positive`, `find_min`,
 `bracket_zeros`); L, L2 and the roundoff bound come from `postrig.trigeval`.
+All three scan one level-0 grid; `find_min` then descends on its lattice.
 
 A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between them.
@@ -17,13 +18,14 @@ evaluation roundoff bound of the exact ones, so a cell certifies only when
 its bound beats that bound, and the certified lower bound is the smallest
 cell bound net of it.  Cells that fail the test are bisected (only they
 are), up to a depth limit; each level evaluates the sum once, at the failing
-cells' midpoints.  A constant sum (L = 0) is not refined: no cell bound
-depends on the cell width.  Every sample lies on the dyadic grid
-wlo + i*h/2^depth, so cells are integer indices and each batch goes through
-`TrigPolynomial.values_grid`.  A sample below minus the roundoff bound
-refutes with a witness; a non-positive sample inside that bound is no
-witness, and the cells it bounds never certify.  Inconclusive is a
-first-class outcome and is never upgraded.
+cells' midpoints.  The last cell also covers the sliver between the last
+sample and the window's end, by f_last - L*gap.  A constant sum (L = 0) is
+not refined: no cell bound depends on the cell width.  Every sample lies on
+the dyadic grid wlo + i*h/2^depth, so cells are integer indices and each
+batch goes through `TrigPolynomial.values_grid`.  A sample below minus the
+roundoff bound refutes with a witness; a non-positive sample inside that
+bound is no witness, and the cells it bounds never certify.  Inconclusive is
+a first-class outcome and is never upgraded.
 
 At a multiple of pi/2 each term and its first two derivatives carry a
 factor exactly 0 or +-1 (`vanishing_endpoint`), so whether the sum vanishes
@@ -222,6 +224,22 @@ def _check_window(lo: float, hi: float, eps: float) -> None:
             f"eps = {eps} must be below a quarter of the interval width")
 
 
+def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
+    """(h, abscissae, values, gap) of the level-0 grid of n samples on
+    [wlo, whi] that all three entry points scan: h = (whi - wlo)/(n - 1),
+    the abscissae wlo + i*h clamped to whi, one `values_grid` batch, and the
+    exact width, rounded up, of the sliver between whi and the last sample
+    (the lattice point or its float, the lower).  h is not rounded up: a
+    sample past whi could refute outside the interval."""
+    h = (whi - wlo) / (n - 1)
+    idx = np.arange(n)
+    raw = wlo + idx * h
+    gap = Fraction(whi) - min(Fraction(wlo) + (n - 1) * Fraction(h),
+                              Fraction(raw[-1]))
+    gap = math.nextafter(float(gap), math.inf) if gap > 0 else 0.0
+    return h, np.minimum(raw, whi), poly.values_grid(wlo, h, idx), gap
+
+
 def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
@@ -275,17 +293,12 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     # Every sample lies on the dyadic grid wlo + i*h/2^depth: cells are kept
     # as integer left indices il at the current depth, so each batch is a
     # uniform-grid evaluation and the points are exact grid points.
-    h = (whi - wlo) / (opts.grid0 - 1)
-
-    def point(i, step) -> float:
-        # the grid's last point may round an ulp beyond whi
-        return min(float(wlo + i * step), whi)
-
-    vals = poly.values_grid(wlo, h, np.arange(opts.grid0))
+    dx, xs, vals, gap = _level0(poly, wlo, whi, opts.grid0)
     total_evals += opts.grid0
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
-        return failure(REFUTED, (point(imin, h), float(vals[imin])), 0)
+        return failure(REFUTED, (float(xs[imin]), float(vals[imin])), 0)
+    sliver = L * gap  # f >= f_last - sliver between the last sample and whi
 
     # Cell arrays, kept in ascending-theta order so ties resolve
     # deterministically: left index il at the current depth and the two
@@ -293,13 +306,15 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     # second-order ones (module docstring) net of the roundoff bound; a cell
     # with a sample at or below 0 that is no witness never certifies.
     il = np.arange(opts.grid0 - 1)
+    last = opts.grid0 - 2  # left index of the cell that ends at the last sample
     fl, fr = vals[:-1], vals[1:]
-    dx = h
     depth = 0
     lower = math.inf
     while True:
         bound = np.maximum(0.5 * (fl + fr) - 0.5 * L * dx,
                            np.minimum(fl, fr) - 0.125 * L2 * dx * dx) - noise
+        if sliver and il[-1] == last:
+            bound[-1] = min(bound[-1], fr[-1] - sliver - noise)
         fail = (bound <= 0.0) | (fl <= 0.0) | (fr <= 0.0)
         if bound[~fail].size:
             lower = min(lower, float(bound[~fail].min()))
@@ -312,17 +327,19 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         if depth >= opts.max_depth:
             worst = int(np.argmin(bound))
             notes.append(f"refinement depth exhausted near theta = "
-                         f"{point(il[worst] + 0.5, dx):.9g}")
+                         f"{min(float(wlo + (il[worst] + 0.5) * dx), whi):.9g}")
             return failure(INCONCLUSIVE, None, depth)
         depth += 1
         dx *= 0.5
+        last = 2 * last + 1
         il, fl, fr = il[fail], fl[fail], fr[fail]
         im = 2 * il + 1
         fm = poly.values_grid(wlo, dx, im)
         total_evals += im.size
         jmin = int(np.argmin(fm))
         if fm[jmin] < -noise:
-            return failure(REFUTED, (point(im[jmin], dx), float(fm[jmin])), depth)
+            witness = (min(float(wlo + im[jmin] * dx), whi), float(fm[jmin]))
+            return failure(REFUTED, witness, depth)
         il = np.stack((2 * il, im), axis=1).ravel()
         fl = np.stack((fl, fm), axis=1).ravel()
         fr = np.stack((fm, fr), axis=1).ravel()
@@ -333,55 +350,42 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                             (lo, hi), "; ".join(notes))
 
 
-_INV_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
 def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
-             eps: float = 1e-4, tol: float = 1e-8) -> tuple[float, float]:
-    """Grid scan plus golden-section refinement; |theta error| <= tol, or
-    the bracket's floating-point resolution when that is coarser.
+             eps: float = 1e-4) -> tuple[float, float]:
+    """(theta, value) of the smallest computed value of the sum on (lo, hi).
 
-    eps obeys certify_positive's rule (finite, > 0, below a quarter of the
-    interval width) and insets vanishing endpoints exactly as there; ties
-    between equal minima resolve to the smallest theta.
-
-    At a flat minimum (f' = 0) on an end of the interval, theta is resolved
-    only as far as the values differ by more than roundoff: for qk cosine
-    sums of degree ~220 with their minimum at pi, values within ~1e-16 of
-    each other span ~5e-8 of theta, and at tol = 1e-8 the theta returned
-    has moved by 1.1e-8 to 4.7e-8 with the kernel that evaluated it.
+    eps obeys certify_positive's rule and insets vanishing endpoints as
+    there.  After the level-0 scan the search descends on the same dyadic
+    lattice: each level halves the step, evaluates in one batch the one or
+    two midpoints beside the best sample (whose neighbours are no lower),
+    and moves to the lowest of the three, the smallest theta on ties.  It
+    stops when both midpoints are within the roundoff bound of the best
+    value, where computed values no longer tell points apart, or when
+    halving the step no longer moves theta.
     """
     _check_window(lo, hi, eps)
     if grid0 < 2:
         raise ParameterDomainError(f"grid0 must be >= 2, got {grid0}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ParameterDomainError(f"tol must be a finite number > 0, got {tol}")
     wlo = lo + (eps if vanishing_endpoint(poly, lo) is not None else 0.0)
     whi = hi - (eps if vanishing_endpoint(poly, hi) is not None else 0.0)
-    xs = np.linspace(wlo, whi, grid0)  # wlo + i*h, the last point exactly whi
-    vals = poly.values_grid(wlo, (whi - wlo) / (grid0 - 1), np.arange(grid0))
-    i = int(np.argmin(vals))
-    best_x, best_v = float(xs[i]), float(vals[i])
-    a = float(xs[max(0, i - 1)])
-    b = float(xs[min(grid0 - 1, i + 1)])
-    x1 = b - _INV_GOLDEN * (b - a)
-    x2 = a + _INV_GOLDEN * (b - a)
-    f1, f2 = poly.value(x1), poly.value(x2)
-    width = math.inf
-    while tol < b - a < width:  # stop once rounding stops the bracket shrinking
-        width = b - a
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLDEN * (b - a)
-            f1 = poly.value(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLDEN * (b - a)
-            f2 = poly.value(x2)
-    xg = 0.5 * (a + b)
-    vg = poly.value(xg)
-    if vg < best_v or (vg == best_v and xg < best_x):
-        best_x, best_v = xg, vg
+    dx, xs, vals, _ = _level0(poly, wlo, whi, grid0)
+    k = int(np.argmin(vals))
+    best_x, best_v = float(xs[k]), float(vals[k])
+    noise = roundoff_bound(poly)
+    last = grid0 - 1  # index of the last sample at the current step
+    while k < 2 ** 52:  # lattice indices stay exact in a float
+        dx *= 0.5
+        k, last = 2 * k, 2 * last
+        mids = [j for j in (k - 1, k + 1) if 0 <= j <= last]
+        xm = [min(wlo + j * dx, whi) for j in mids]  # clamped as in _level0
+        if best_x in xm:  # halving the step no longer moves theta
+            break
+        fm = poly.values_grid(wlo, dx, mids).tolist()
+        flat = all(abs(v - best_v) <= noise for v in fm)
+        k, best_x, best_v = min([(k, best_x, best_v), *zip(mids, xm, fm)],
+                                key=lambda c: (c[2], c[1]))
+        if flat:
+            break
     return best_x, best_v
 
 
@@ -417,9 +421,7 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    xs = np.linspace(lo, hi, grid + 1)  # lo + i*h, the last point exactly hi
-    h = (hi - lo) / grid
-    vals = poly.values_grid(lo, h, np.arange(grid + 1))
+    h, xs, vals, _ = _level0(poly, lo, hi, grid + 1)
     zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly))
     if zero.size:
         # nudge samples whose sign is roundoff off the zero; inward at the

@@ -333,19 +333,13 @@ def alpha0(route: str = "quadrature-root") -> SpecialConstant:
 
 def _root_in_alpha(fn: Callable[[float], float], d: float,
                    hi: float = 1.0 - 1e-6) -> float:
-    """Root of fn over the extended alpha bracket [-0.6, hi); scans for a sign change."""
-    lo = -0.6
-    grid = [lo + (hi - lo) * i / 32 for i in range(33)]
-    fprev = fn(grid[0])
-    for x_prev, x in zip(grid, grid[1:]):
-        fcur = fn(x)
-        if fprev == 0.0:
-            return x_prev
-        if fprev * fcur < 0:
-            return brent_root(fn, x_prev, x, tol=1e-12)
-        fprev = fcur
-    raise RootOutOfRangeError(
-        f"alpha0_prime: no sign change in alpha in [{lo}, {hi}] for d = {d}")
+    """Root of fn over the extended alpha bracket [-0.6, hi]: each route
+    changes sign there exactly once for d <= 1.5, and not at all from d = 2."""
+    try:
+        return brent_root(fn, -0.6, hi, tol=1e-12)
+    except BracketError:
+        raise RootOutOfRangeError(
+            f"alpha0_prime: no sign change in alpha in [-0.6, {hi}] for d = {d}") from None
 
 
 def alpha0_prime(d: float, route: str = "quadrature-root",
@@ -368,8 +362,9 @@ def _solve_alpha0_prime(d: float, route: str, cross_check_tol: float = 1e-8
         raise ParameterDomainError(f"d >= 0 violated (d = {d})")
     quad_fn = lambda a: _weighted_integral(a, d)
     hyp_fn = lambda a: _hyp_factor(a, d)
-    # the root never exceeds alpha0 for d >= 0; capping the quadrature scan at
-    # 0.9 keeps it clear of the nearly non-integrable t^(alpha-1) regime
+    # the root never exceeds alpha0 for d >= 0; capping the quadrature
+    # bracket at 0.9 keeps it clear of the nearly non-integrable t^(alpha-1)
+    # regime
     root_q = _root_in_alpha(quad_fn, d, hi=0.9)
     root_h = _root_in_alpha(hyp_fn, d)
     if abs(root_q - root_h) > cross_check_tol:

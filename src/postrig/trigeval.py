@@ -222,15 +222,14 @@ def fejer_sigma(k: int, x: float) -> float:
     """sigma_k(x) = sum_{j=1}^k (k - j + 1) sin(j x)."""
     if k < 1:
         raise ParameterDomainError("k must be >= 1")
-    j = np.arange(1, k + 1)
-    return math.fsum((k - j + 1) * np.sin(j * x))
+    return sine_poly(np.arange(k, 0, -1.0)).value(x)
 
 
 def fejer_h(k: int, x: float) -> float:
     """h_k(x) = sin(x) + ... + sin((k-1)x) + sin(kx)/2."""
     if k < 1:
         raise ParameterDomainError("k must be >= 1")
-    return math.fsum(np.sin(np.arange(1, k) * x)) + 0.5 * math.sin(k * x)
+    return sine_poly(np.append(np.ones(k - 1), 0.5)).value(x)
 
 
 def abel_resum(b_seq: Iterable[float], c_seq: Iterable[float]) -> float:

@@ -12,7 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from postrig import (CertifyOptions, K_closed, P_closed, abel_resum, alpha0,
+from postrig import (K_closed, P_closed, abel_resum, alpha0,
                      alpha0_prime, certify_positive, check_belov, ck_sequence,
                      cosine_poly, expansion_fit, h_corr, koumandos_bk,
                      lambda_prime, qk_sequence, ratio_qk_sequence,
@@ -25,7 +25,6 @@ from postrig.specfun import _weighted_integral
 from conftest import alpha_star, ck_values_mp, contour_coeffs, naive_trig_value
 
 PI = math.pi
-SUITE_OPTS = CertifyOptions(max_depth=14)
 
 
 @contextmanager
@@ -174,7 +173,7 @@ def test_criterion_7_positivity_suites():
         refutations_inside = []
 
         def expect_certified(poly, lo, hi, label):
-            rep = certify_positive(poly, lo, hi, SUITE_OPTS)
+            rep = certify_positive(poly, lo, hi)
             if rep.verdict == CERTIFIED:
                 return
             if rep.verdict == REFUTED:
@@ -260,7 +259,7 @@ def test_criterion_7_positivity_suites():
         assert not belov.satisfied and belov.first_violation_index <= 500
         n_bad = belov.first_violation_index
         bad = koumandos_bk(n_bad, 0.45)
-        rep = certify_positive(sine_poly(bad.values[1:]), 0.0, PI, SUITE_OPTS)
+        rep = certify_positive(sine_poly(bad.values[1:]), 0.0, PI)
         assert rep.verdict == REFUTED
         assert rep.witness[1] <= 0
         # (b) normalized Gegenbauer sums below the lambda threshold
@@ -274,7 +273,7 @@ def test_criterion_7_positivity_suites():
         alpha = alpha0_prime(0.5).value + 0.01
         seq = ck_sequence(20, alpha, 1.5, 1.0)
         rep_t = certify_positive(cosine_poly(2 * seq.values[0], seq.values[1:]),
-                                 0.0, PI, SUITE_OPTS)
+                                 0.0, PI)
         assert rep_t.verdict == REFUTED
         import mpmath as mp
         with mp.workdps(40):
@@ -318,7 +317,6 @@ def test_criterion_9_determinism():
         polys.append(halfangle_product_negated_poly(30, 0.2, 0.4, 0.3, 0.7))
         b = koumandos_bk(600, 0.5).values  # chirp-z at every level
         polys.append(cosine_poly(2.0 * b[0], b[1:]))
-        opts = CertifyOptions(max_depth=14)
 
         def certify_all(order, clear_plan=False):
             # each polynomial follows a different one, and so a different
@@ -327,7 +325,7 @@ def test_criterion_9_determinism():
             for i in order:
                 if clear_plan:
                     _chirp_plan.cache_clear()
-                reports[i] = certify_positive(polys[i], 0.0, PI, opts)
+                reports[i] = certify_positive(polys[i], 0.0, PI)
             return [reports[i] for i in range(len(polys))]
 
         forward = certify_all(range(len(polys)))

@@ -11,7 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
                      certify_positive, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import CERTIFIED, INCONCLUSIVE, REFUTED, vanishing_endpoint
+from postrig.certify import CERTIFIED, INCONCLUSIVE, REFUTED, _level0, vanishing_endpoint
 from postrig.trigeval import coefficient_mass, curvature_bound, roundoff_bound
 from postrig.kernels import chirp_cheaper
 from postrig.errors import ParameterDomainError
@@ -400,6 +400,22 @@ class TestSecondOrderCells:
         assert len(sizes) == 1 + rep.refinement_depth
         assert sum(sizes) == rep.grid_points
 
+    @pytest.mark.parametrize("hi", [PI - 1e-4, PI])
+    def test_last_cell_covers_the_sliver_to_whi(self, hi):
+        # h = (hi - lo)/4095 is rounded, and the last lattice point falls
+        # short of hi; f = 2 + cos falls into hi, where it is sampled, so the
+        # sliver beyond the last sample holds the minimum
+        poly = cosine_poly(4.0, [1.0])
+        lo = 1e-4
+        h, xs, vals, gap = _level0(poly, lo, hi, 4096)
+        exact = Fraction(hi) - (Fraction(lo) + 4095 * Fraction(h))
+        assert 2e-16 < exact <= gap <= exact + math.ulp(hi)
+        assert xs[-1] <= hi
+        rep = certify_positive(poly, lo, hi)
+        assert rep.verdict == CERTIFIED
+        slack = lipschitz_bound(poly) * float(exact) + roundoff_bound(poly)
+        assert rep.lower_bound <= float(vals[-1]) - slack
+
     def test_lower_bound_is_net_of_roundoff(self):
         poly = cosine_poly(2.0, [])  # f = 1: every cell bound is exactly 1
         rep = certify_positive(poly, 0.0, PI)
@@ -441,12 +457,11 @@ class TestFindMin:
         assert theta == pytest.approx(3.0411811, abs=1e-4)
         assert m > 0
 
-    @pytest.mark.parametrize("kw", [{"tol": 0.0}, {"tol": -1e-8}, {"tol": math.nan},
-                                    {"tol": math.inf}, {"grid0": 0}, {"grid0": 1}])
-    def test_rejects_bad_tol_and_grid(self, kw):
+    @pytest.mark.parametrize("grid0", [0, 1])
+    def test_rejects_bad_grid0(self, grid0):
         _, c30 = fig1_polys(30)
         with pytest.raises(ParameterDomainError):
-            find_min(c30, 0.0, PI, **kw)
+            find_min(c30, 0.0, PI, grid0=grid0)
 
     @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0, 2.0, 0.25 * PI])
     def test_rejects_bad_eps(self, eps):
@@ -455,13 +470,57 @@ class TestFindMin:
         with pytest.raises(ParameterDomainError):
             find_min(sine_poly([1.0]), 0.0, PI, eps=eps)
 
-    @pytest.mark.parametrize("tol", [1e-17, 5e-324])
-    def test_tol_below_resolution_returns(self, tol):
-        # the bracket cannot shrink below an ulp of theta; the search stops there
+    def test_descent_stops_at_float_resolution(self, monkeypatch):
+        # sin(64 theta) falls with slope ~ -61 through the right end of a
+        # window near theta = 2000, so a midpoint half an ulp inside still
+        # reads measurably higher: only theta's float spacing stops the descent
+        steps = []
+        grid = TrigPolynomial.values_grid
+
+        def counted(self, t0, dt, idx):
+            steps.append(dt)
+            return grid(self, t0, dt, idx)
+
+        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
+        poly = sine_poly([0.0] * 63 + [1.0])
+        c = 40743 * PI / 64  # 64c is an odd multiple of pi
+        lo, hi = c - 0.005, c + 0.005
+        theta, m = find_min(poly, lo, hi)
+        assert hi - 4 * math.ulp(hi) <= theta <= hi
+        assert m == pytest.approx(naive_trig_value(poly, theta), abs=roundoff_bound(poly))
+        assert steps[-1] <= math.ulp(theta)
+
+    def test_one_kernel_batch_per_level(self, monkeypatch):
+        # the level-0 scan and each descent level are one values_grid batch
+        # of 1-2 midpoints; no scalar value() probes
+        sizes = []
+        grid = TrigPolynomial.values_grid
+
+        def counted(self, t0, dt, idx):
+            sizes.append(len(idx))
+            return grid(self, t0, dt, idx)
+
+        def scalar(self, theta):
+            raise AssertionError("find_min made a scalar value() probe")
+
+        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
+        monkeypatch.setattr(TrigPolynomial, "value", scalar)
         _, c30 = fig1_polys(30)
-        theta, m = find_min(c30, 0.0, PI, tol=tol)
-        assert m == pytest.approx(0.242148015546, abs=1e-9)
-        assert theta == pytest.approx(3.0411811, abs=1e-4)
+        theta, m = find_min(c30, 0.0, PI)
+        assert sizes[0] == 4096 and len(sizes) >= 10
+        assert all(1 <= k <= 2 for k in sizes[1:])
+
+    def test_flat_minimum_at_pi(self):
+        # a qk cosine sum of degree 213 has f' = 0 at its minimum theta = pi,
+        # where values within roundoff span ~1e-7 of theta: the descent stops
+        # there, and the value it returns is the sum's at the theta returned
+        seq = qk_sequence(213, 3.27, 4.24, 0.1, 1.17)
+        poly = cosine_poly(seq.values[0], seq.values[1:])
+        noise = roundoff_bound(poly)
+        theta, m = find_min(poly, 0.0, PI)
+        assert abs(theta - PI) < 1e-6
+        assert abs(m - naive_trig_value(poly, theta)) <= noise
+        assert m <= naive_trig_value(poly, PI) + noise
 
 
 class TestTaperedFamilyThresholds:
@@ -499,8 +558,7 @@ class TestTaperedFamilyThresholds:
             for n in (8, 20, 40):
                 seq = ck_sequence(n, a0 + 0.01, 1.0 + d, 1.0)
                 rep = certify_positive(
-                    cosine_poly(2 * seq.values[0], seq.values[1:]), 0.0, PI,
-                    CertifyOptions(max_depth=14))
+                    cosine_poly(2 * seq.values[0], seq.values[1:]), 0.0, PI)
                 assert rep.verdict == CERTIFIED, (d, n, rep.boundary_notes)
 
     def test_below_alpha0_counterexample_is_real(self):
@@ -508,7 +566,7 @@ class TestTaperedFamilyThresholds:
         alpha = alpha0_prime(0.5).value + 0.01
         seq = ck_sequence(20, alpha, 1.5, 1.0)
         poly = cosine_poly(2 * seq.values[0], seq.values[1:])
-        rep = certify_positive(poly, 0.0, PI, CertifyOptions(max_depth=14))
+        rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict == REFUTED
         theta, value = rep.witness
         naive = math.fsum(

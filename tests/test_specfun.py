@@ -1,6 +1,8 @@
 """specfun: Gamma, 2F3, quadrature, Brent, Bessel, and the named constants."""
 
+import json
 import math
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -190,8 +192,17 @@ class TestAlpha0Prime:
             alpha0_prime(-0.1)
 
     def test_root_out_of_range(self):
-        with pytest.raises(RootOutOfRangeError):
-            alpha0_prime(4.0)
+        for d in (2.0, 4.0):
+            with pytest.raises(RootOutOfRangeError):
+                alpha0_prime(d)
+
+    def test_benchmark_references(self):
+        # the one Brent solve on [-0.6, hi] meets every mpmath reference that
+        # the benchmark checks alpha0' against
+        refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json")
+                          .read_text())["alpha0_prime"]
+        for d, want in refs.items():
+            assert alpha0_prime(float(d)).value == pytest.approx(want, abs=1e-8), d
 
 
 class TestClosedForms:
