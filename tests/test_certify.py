@@ -470,10 +470,12 @@ class TestFindMin:
         with pytest.raises(ParameterDomainError):
             find_min(sine_poly([1.0]), 0.0, PI, eps=eps)
 
-    def test_descent_stops_at_float_resolution(self, monkeypatch):
-        # sin(64 theta) falls with slope ~ -61 through the right end of a
-        # window near theta = 2000, so a midpoint half an ulp inside still
-        # reads measurably higher: only theta's float spacing stops the descent
+    @pytest.mark.parametrize("end", ["hi", "lo"])
+    def test_descent_stops_at_float_resolution(self, monkeypatch, end):
+        # sin(64 theta) has slope ~ 61 in size through the ends of a window
+        # near theta = 2000 and falls toward the end named, so a midpoint half
+        # an ulp inside still reads measurably higher: only theta's float
+        # spacing stops the descent
         steps = []
         grid = TrigPolynomial.values_grid
 
@@ -483,10 +485,14 @@ class TestFindMin:
 
         monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
         poly = sine_poly([0.0] * 63 + [1.0])
-        c = 40743 * PI / 64  # 64c is an odd multiple of pi
+        # 64c is an odd multiple of pi for a minimum at hi, an even one for lo
+        c = (40743 if end == "hi" else 40742) * PI / 64
         lo, hi = c - 0.005, c + 0.005
         theta, m = find_min(poly, lo, hi)
-        assert hi - 4 * math.ulp(hi) <= theta <= hi
+        if end == "hi":
+            assert hi - 4 * math.ulp(hi) <= theta <= hi
+        else:
+            assert lo <= theta <= lo + 4 * math.ulp(lo)
         assert m == pytest.approx(naive_trig_value(poly, theta), abs=roundoff_bound(poly))
         assert steps[-1] <= math.ulp(theta)
 
