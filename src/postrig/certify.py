@@ -29,12 +29,16 @@ a first-class outcome and is never upgraded.
 
 At a multiple of pi/2 each term and its first two derivatives carry a
 factor exactly 0 or +-1 (`vanishing_endpoint`), so whether the sum vanishes
-there is a fact about the coefficients.  Endpoints where it does (sine sums
-at multiples of pi, paired cosine sums at pi, quarter-phase sums at 2*pi)
-are inset by eps and settled by the exact slope, or curvature.  All other
-endpoints are sampled, and so is every endpoint that is not q*pi/2 rounded
-to a float.  For a plain sine sum the inward slope at pi is exactly the
-alternating Belov sum, which is what makes the necessity direction of that
+there is a fact about the coefficients.  One rule decides both window ends
+for `certify_positive` and `find_min`: an endpoint where the sum vanishes
+(sine sums at multiples of pi, paired cosine sums at pi, quarter-phase sums
+at 2*pi) with a positive inward slope, or a positive curvature at
+second-order contact, is inset by EPS and settled by it.  Every other
+endpoint is sampled like any other point.  A sample at a vanishing endpoint
+is within the roundoff bound of 0, no witness, so refinement probes toward
+it at h/2, ..., h/2^depth; a negative zone narrower than the finest cell is
+inconclusive.  For a plain sine sum the inward slope at pi is exactly the
+alternating Belov sum, which makes the necessity direction of that
 criterion executable here.
 """
 
@@ -56,20 +60,20 @@ CERTIFIED = "certified-positive"
 REFUTED = "refuted"
 INCONCLUSIVE = "inconclusive"
 
+#: the inset of a vanishing endpoint whose inward slope or curvature is positive
+EPS = 1e-4
+
 
 @dataclass(frozen=True)
 class CertifyOptions:
     grid0: int = 4096
     max_depth: int = 8
-    eps: float = 1e-4
 
     def __post_init__(self):
         if self.grid0 < 2:
             raise ParameterDomainError("grid0 must be >= 2")
         if self.max_depth < 0:
             raise ParameterDomainError("max_depth must be >= 0")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ParameterDomainError(f"eps must be > 0 and finite, got {self.eps}")
 
 
 _NON_FINITE = {"NaN": math.nan, "Infinity": math.inf, "-Infinity": -math.inf}
@@ -195,33 +199,40 @@ def vanishing_endpoint(poly: TrigPolynomial, t: float):
     return slope, curvature
 
 
-def _hunt_witness(poly: TrigPolynomial, endpoint: float, inward: float,
-                  span: float, eps: float, noise: float):
-    """Probe inward from a vanishing endpoint for a sample below -noise.
-
-    Largest offsets first so a genuine sign change yields a well-separated
-    witness rather than an epsilon-scale one; the probes are evaluated in one
-    batch and counted up to the first witness.
-    """
-    deltas = eps * 2.0 ** np.arange(7, -21, -1)
-    ts = endpoint + np.copysign(deltas[deltas < 0.25 * span], inward)
-    vs = poly.values(ts)
-    hits = np.flatnonzero(vs < -noise)
-    if hits.size:
-        i = int(hits[0])
-        return (float(ts[i]), float(vs[i])), i + 1
-    return None, ts.size
-
-
-def _check_window(lo: float, hi: float, eps: float) -> None:
-    """A finite interval lo < hi, and an endpoint inset 0 < eps < (hi - lo)/4."""
+def _check_interval(lo: float, hi: float) -> None:
+    """A finite interval lo < hi."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ParameterDomainError(f"eps must be > 0 and finite, got {eps}")
-    if eps >= 0.25 * (hi - lo):
-        raise ParameterDomainError(
-            f"eps = {eps} must be below a quarter of the interval width")
+
+
+def _window(poly: TrigPolynomial, lo: float, hi: float):
+    """(wlo, whi, notes): the window left by the endpoint rule (module
+    docstring) on an interval wider than 4*EPS, and a note per endpoint."""
+    _check_interval(lo, hi)
+    if EPS >= 0.25 * (hi - lo):
+        raise ParameterDomainError(f"[{lo}, {hi}] is not wider than 4*EPS = {4 * EPS}")
+    ends, notes = [lo, hi], []
+    for i, side, sign in ((0, "left", 1.0), (1, "right", -1.0)):
+        head, jet = f"{side} endpoint {ends[i]:.9g}", vanishing_endpoint(poly, ends[i])
+        if jet is None:
+            notes.append(f"{head} sampled directly")
+            continue
+        slope, curv = sign * jet[0] + 0.0, jet[1] + 0.0  # + 0.0: no -0 in notes
+        L2, slope_tol = curvature_bound(poly), 1e-12 * max(lipschitz_bound(poly), 1e-300)
+        if slope > slope_tol:
+            covered = "rigorously (slope > curvature*eps)" \
+                if slope > L2 * EPS else "to first order"
+            notes.append(f"{head} vanishes identically; inward slope {slope:.9g} "
+                         f"covers the eps-zone {covered}")
+        elif abs(slope) <= slope_tol and curv > 1e-12 * max(L2, 1e-300):
+            notes.append(f"{head} vanishes to second order; curvature {curv:.9g} > 0 "
+                         "covers the eps-zone")
+        else:
+            notes.append(f"{head} vanishes identically; inward slope {slope:.9g}, "
+                         f"curvature {curv:.9g}: not inset, sampled directly")
+            continue
+        ends[i] += sign * EPS
+    return ends[0], ends[1], notes
 
 
 def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
@@ -244,57 +255,20 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
     opts = opts or CertifyOptions()
-    _check_window(lo, hi, opts.eps)
-
+    wlo, whi, notes = _window(poly, lo, hi)
     L = lipschitz_bound(poly)
     L2 = curvature_bound(poly)
     noise = roundoff_bound(poly)
-    span = hi - lo
-    notes: list[str] = []
-    wlo, whi = lo, hi
-    total_evals = 0
 
     def failure(verdict, witness, depth):
         return PositivityReport(verdict, None, witness, total_evals, depth, L,
                                 (lo, hi), "; ".join(notes))
 
-    slope_tol = 1e-12 * max(L, 1e-300)
-    curv_tol = 1e-12 * max(L2, 1e-300)
-    for side, endpoint, sign in (("left", lo, 1.0), ("right", hi, -1.0)):
-        jet = vanishing_endpoint(poly, endpoint)
-        if jet is None:
-            notes.append(f"{side} endpoint {endpoint:.9g} sampled directly")
-            continue
-        slope, curv = jet
-        slope *= sign
-        if slope > slope_tol:
-            covered = "rigorously (slope > curvature*eps)" \
-                if slope > L2 * opts.eps else "to first order"
-            notes.append(f"{side} endpoint {endpoint:.9g} vanishes identically; "
-                         f"inward slope {slope:.9g} covers the eps-zone {covered}")
-        elif abs(slope) <= slope_tol and curv > curv_tol:
-            notes.append(f"{side} endpoint {endpoint:.9g} vanishes to second "
-                         f"order; curvature {curv:.9g} > 0 covers the eps-zone")
-        else:
-            hit, used = _hunt_witness(poly, endpoint, sign, span, opts.eps, noise)
-            total_evals += used
-            if hit is not None:
-                notes.append(f"non-positive boundary behaviour at the {side} "
-                             "endpoint; witness found")
-                return failure(REFUTED, hit, 0)
-            notes.append(f"boundary behaviour at the {side} endpoint could not "
-                         "be settled to second order; verdict inconclusive")
-            return failure(INCONCLUSIVE, None, 0)
-        if side == "left":
-            wlo = lo + opts.eps
-        else:
-            whi = hi - opts.eps
-
     # Every sample lies on the dyadic grid wlo + i*h/2^depth: cells are kept
     # as integer left indices il at the current depth, so each batch is a
     # uniform-grid evaluation and the points are exact grid points.
     dx, xs, vals, gap = _level0(poly, wlo, whi, opts.grid0)
-    total_evals += opts.grid0
+    total_evals = opts.grid0
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
         return failure(REFUTED, (float(xs[imin]), float(vals[imin])), 0)
@@ -350,29 +324,24 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                             (lo, hi), "; ".join(notes))
 
 
-def find_min(poly: TrigPolynomial, lo: float, hi: float, grid0: int = 4096,
-             eps: float = 1e-4) -> tuple[float, float]:
+def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     """(theta, value) of the smallest computed value of the sum on (lo, hi).
 
-    eps obeys certify_positive's rule and insets vanishing endpoints as
-    there.  After the level-0 scan the search descends on the same dyadic
-    lattice: each level halves the step, evaluates in one batch the one or
-    two midpoints beside the best sample (whose neighbours are no lower),
-    and moves to the lowest of the three, the smallest theta on ties.  It
-    stops when both midpoints are within the roundoff bound of the best
-    value, where computed values no longer tell points apart, or when
-    halving the step no longer moves theta.
+    The window ends obey certify_positive's endpoint rule, and the level-0
+    grid is the certifier's default one.  After its scan the search descends
+    on the same dyadic lattice: each level halves the step, evaluates in one
+    batch the one or two midpoints beside the best sample (whose neighbours
+    are no lower), and moves to the lowest of the three, the smallest theta
+    on ties.  It stops when both midpoints are within the roundoff bound of
+    the best value, where computed values no longer tell points apart, or
+    when halving the step no longer moves theta.
     """
-    _check_window(lo, hi, eps)
-    if grid0 < 2:
-        raise ParameterDomainError(f"grid0 must be >= 2, got {grid0}")
-    wlo = lo + (eps if vanishing_endpoint(poly, lo) is not None else 0.0)
-    whi = hi - (eps if vanishing_endpoint(poly, hi) is not None else 0.0)
-    dx, xs, vals, _ = _level0(poly, wlo, whi, grid0)
+    wlo, whi, _ = _window(poly, lo, hi)
+    dx, xs, vals, _ = _level0(poly, wlo, whi, CertifyOptions.grid0)
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
     noise = roundoff_bound(poly)
-    last = grid0 - 1  # index of the last sample at the current step
+    last = CertifyOptions.grid0 - 1  # index of the last sample at the current step
     while k < 2 ** 52:  # lattice indices stay exact in a float
         dx *= 0.5
         k, last = 2 * k, 2 * last
@@ -407,8 +376,7 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
     if rises.size:
         j = int(rises[0])
         raise ParameterDomainError(f"a_{j} >= a_{j + 1} violated ({a[j]} < {a[j + 1]})")
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
+    _check_interval(lo, hi)
 
     if kind == "p":
         n = a.size - 1

@@ -126,8 +126,7 @@ def cmd_certify(args) -> int:
     lo = args.lo if args.lo is not None else default_iv[0]
     hi = args.hi if args.hi is not None else default_iv[1]
     try:
-        opts = certify_mod.CertifyOptions(grid0=args.grid, max_depth=args.depth,
-                                          eps=args.eps)
+        opts = certify_mod.CertifyOptions(grid0=args.grid, max_depth=args.depth)
         report = certify_mod.certify_positive(poly, lo, hi, opts)
     except PostrigError as exc:
         print(f"certify: {exc}", file=sys.stderr)
@@ -150,7 +149,7 @@ def cmd_certify(args) -> int:
 
 def _config_dict(args, lo, hi) -> dict:
     keys = ("family", "n", "alpha", "beta", "lam", "mu", "b", "c",
-            "shift", "stride", "grid", "depth", "eps")
+            "shift", "stride", "grid", "depth")
     cfg = {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
     cfg["coeffs"] = args.coeffs if args.coeffs else None
     cfg["lo"], cfg["hi"] = lo, hi
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=None)
     p.add_argument("--grid", type=int, default=4096)
     p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_certify)
 

@@ -11,7 +11,8 @@ from hypothesis import assume, given, settings, strategies as st
 from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
                      certify_positive, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import CERTIFIED, INCONCLUSIVE, REFUTED, _level0, vanishing_endpoint
+from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _level0,
+                             vanishing_endpoint)
 from postrig.trigeval import coefficient_mass, curvature_bound, roundoff_bound
 from postrig.kernels import chirp_cheaper
 from postrig.errors import ParameterDomainError
@@ -261,14 +262,10 @@ class TestCertifyPositive:
         assert rep.verdict == INCONCLUSIVE
         assert rep.lower_bound is None
 
-    def test_eps_too_large(self):
-        with pytest.raises(ParameterDomainError):
-            certify_positive(sine_poly([1.0]), 0.0, 1.0, CertifyOptions(eps=0.3))
-
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0])
-    def test_eps_must_be_finite_and_positive(self, eps):
-        with pytest.raises(ParameterDomainError):
-            CertifyOptions(eps=eps)
+    def test_window_narrower_than_four_eps(self):
+        for width in (4 * EPS, 3e-4):
+            with pytest.raises(ParameterDomainError):
+                certify_positive(cosine_poly(2.0, [1.0]), 1.0, 1.0 + width)
 
     def test_invalid_interval(self):
         with pytest.raises(ParameterDomainError):
@@ -318,6 +315,36 @@ class TestCertifyPositive:
         poly = sine_poly([1.0 / k for k in range(1, 9)])
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict != REFUTED, rep.witness
+
+    def test_negative_slope_vanishing_endpoint_refuted_by_the_grid(self):
+        # Belov's sum fails for the even-length Koumandos sine sum, so its
+        # inward slope at pi is negative: pi is sampled, not inset, and the
+        # level-0 grid holds the witness
+        poly = sine_poly(koumandos_bk(86, 0.45).values[1:])
+        slope, _ = vanishing_endpoint(poly, PI)
+        assert slope > 0.0  # the inward slope is -slope
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict == REFUTED
+        assert rep.grid_points >= 4096
+        assert rep.witness[1] < -roundoff_bound(poly)
+        assert "right endpoint 3.14159265 vanishes identically; inward slope -" \
+            in rep.boundary_notes
+        assert "not inset, sampled directly" in rep.boundary_notes
+
+    def test_negative_zone_narrower_than_finest_cell_is_inconclusive(self):
+        # f = (1 - cos t) + 4(1 - cos 10t) - 3e-4 sin t vanishes at 0 with
+        # inward slope -3e-4; it is negative on (0, ~1.5e-6), down to ~-1.1e-10
+        # (five times the roundoff bound), and positive on the rest of (0, pi).
+        # The finest cell is pi/4095/2^8 ~ 3e-6 wide, so no sample lands in
+        # the zone: no witness, and no certificate either
+        poly = TrigPolynomial(10.0, (-1.0,) + (0.0,) * 8 + (-4.0,), (-3e-4,))
+        assert vanishing_endpoint(poly, 0.0) == (-3e-4, 401.0)
+        assert naive_trig_value(poly, 7.5e-7) < -5 * roundoff_bound(poly)
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict == INCONCLUSIVE
+        assert rep.refinement_depth == 8
+        assert "left endpoint 0 vanishes identically; inward slope -0.0003, " \
+            "curvature 401: not inset, sampled directly" in rep.boundary_notes
 
     def test_witness_lies_below_roundoff_bound(self):
         for poly in (sine_poly([1.0, 1.0]), cosine_poly(0.2, [1.0])):
@@ -457,18 +484,19 @@ class TestFindMin:
         assert theta == pytest.approx(3.0411811, abs=1e-4)
         assert m > 0
 
-    @pytest.mark.parametrize("grid0", [0, 1])
-    def test_rejects_bad_grid0(self, grid0):
-        _, c30 = fig1_polys(30)
-        with pytest.raises(ParameterDomainError):
-            find_min(c30, 0.0, PI, grid0=grid0)
+    def test_window_narrower_than_four_eps(self):
+        for lo, hi in ((1.0, 1.0 + 4 * EPS), (0.0, 3e-4), (PI, 0.0), (0.0, math.nan)):
+            with pytest.raises(ParameterDomainError):
+                find_min(sine_poly([1.0]), lo, hi)
 
-    @pytest.mark.parametrize("eps", [math.nan, math.inf, 0.0, -1.0, 2.0, 0.25 * PI])
-    def test_rejects_bad_eps(self, eps):
-        # eps = -1 used to return theta = 4.14 outside (0, pi), eps = 2 scanned
-        # a reversed window
-        with pytest.raises(ParameterDomainError):
-            find_min(sine_poly([1.0]), 0.0, PI, eps=eps)
+    def test_negative_slope_vanishing_endpoint_is_sampled(self):
+        # the sum of the certifier's narrow-zone test: 0 is not inset, so
+        # the descent from the level-0 sample at 0 enters the negative zone
+        poly = TrigPolynomial(10.0, (-1.0,) + (0.0,) * 8 + (-4.0,), (-3e-4,))
+        theta, m = find_min(poly, 0.0, PI)
+        assert 0.0 <= theta < 1.5e-6
+        assert m <= naive_trig_value(poly, 0.0) == 0.0
+        assert m == pytest.approx(naive_trig_value(poly, theta), abs=roundoff_bound(poly))
 
     @pytest.mark.parametrize("end", ["hi", "lo"])
     def test_descent_stops_at_float_resolution(self, monkeypatch, end):

@@ -82,7 +82,8 @@ class TestCertifyCommand:
                     "--coeffs", "1,0.6,0.3", "--shift", "0.25"])
         assert code == 0
 
-    def test_nan_eps_usage_error(self):
+    def test_removed_eps_flag_is_usage_error(self):
+        # the endpoint inset is a constant: --eps is an unknown flag
         assert run(["certify", "--family", "qk-sine", "--n", "10",
                     "--eps", "nan"]) == 1
 

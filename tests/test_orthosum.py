@@ -241,6 +241,18 @@ class TestOpucCoefficients:
         got = np.asarray(opuc_coeffs(b, omega, N).coeffs)
         assert np.max(np.abs(got - c) / np.maximum(1.0, np.abs(c))) < 1e-10
 
+    def test_flushing_subnormal_factors_moves_no_coefficient(self):
+        # at omega = -0.6 the factor omega^m (b+1)_m/m! is subnormal for
+        # hundreds of m below N; flushed or not, F is the same to the bit
+        b, omega, N = 0.5, -0.6, 2000
+        fa = np.fromiter(orthosum._rising_ratios(N, b + 1.0, 1.0, omega), np.float64, N + 1)
+        fb = np.fromiter(orthosum._rising_ratios(N, b + 1.0), np.float64, N + 1)
+        tiny = np.finfo(np.float64).tiny
+        assert np.count_nonzero((fa != 0.0) & (np.abs(fa) < tiny)) > 500
+        want = np.convolve(fa, fb)[: N + 1]
+        got = np.asarray(opuc_coeffs(b, omega, N).coeffs)
+        assert got.tobytes() == want.tobytes()
+
     def test_tail_bound_nonnegative(self):
         out = opuc_coeffs(0.5, 0.3, 20)
         assert out.tail_bound >= 0
