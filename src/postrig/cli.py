@@ -1,6 +1,8 @@
-"""Command-line front end.
+"""Command-line front end: one table per command over the library.
 
-Subcommands: certify | constants | plotdata | zeros | criteria.
+Subcommands: certify | constants | plotdata | zeros | criteria.  Families,
+checks and figures are table entries, defaults are the library's, and both
+plotdata figures are the qk sums through `TrigPolynomial.values_grid`.
 Exit codes are the machine contract: 0 success/certified, 1 usage error,
 2 refuted/violated, 3 inconclusive, 4 solver error, 5 I/O error.  Standard
 output stays human-readable; --output / --outdir write the JSON and CSV data.
@@ -38,15 +40,27 @@ _SEQUENCES = {
     "custom": lambda a: seqkit.CoefficientSequence(tuple(a.coeffs), "custom"),
 }
 
-#: certify family -> (seqkit family, a_0 of the cosine sum as a multiple of
-#: values[0], or None for the sine sum of `sine_view`).  cosine_poly takes
-#: a_0/2 as its constant term: q_0 = 2 already is the qk sum's a_0, while the
-#: paired families' sums start with b_0 itself, so their a_0 is 2 b_0.
+#: certify family -> (seqkit family, "cosine" or "sine" sum).  The sine sum
+#: takes `sine_view`; the cosine sum's a_0 is values[0] (q_0 = 2 already is
+#: it), doubled for the paired families, whose sums start with b_0 itself.
 _CERTIFY_SEQUENCES = {
-    "qk-sine": ("qk", None), "qk-cosine": ("qk", 1.0), "ratio-sine": ("ratio-qk", None),
-    "koumandos-cosine": ("koumandos", 2.0), "koumandos-sine": ("koumandos", None),
-    "ck-cosine": ("ck", 2.0), "ck-sine": ("ck", None),
+    "qk-sine": ("qk", "sine"), "qk-cosine": ("qk", "cosine"),
+    "ratio-sine": ("ratio-qk", "sine"),
+    "koumandos-cosine": ("koumandos", "cosine"), "koumandos-sine": ("koumandos", "sine"),
+    "ck-cosine": ("ck", "cosine"), "ck-sine": ("ck", "sine"),
 }
+
+#: --check name -> the seqkit criterion on (sequence, parsed arguments)
+_CHECKS = {
+    "vietoris": lambda seq, a: seqkit.check_vietoris(seq),
+    "belov": lambda seq, a: seqkit.check_belov(seq),
+    "chain": lambda seq, a: seqkit.check_chain_condition(seq, a.alpha, a.beta, a.lam, a.mu),
+    "taper": lambda seq, a: seqkit.check_taper_ratio_condition(seq, a.b, a.c, a.alpha),
+}
+
+#: plotdata figure -> (first index i0, span): the angles i * span / (points + i0),
+#: i = i0 .. i0 + points - 1, lie inside (0, pi) for fig1 and round |z| = 1 for fig2
+_FIGURES = {"fig1": (1, PI), "fig2": (0, 2.0 * PI)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -56,18 +70,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
-
-
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}") from exc
+def _number_list(kind):
+    """argparse type: a comma-separated list of `kind` (float or int) values."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
+    return parse
 
 
 def _strict(obj):
@@ -102,30 +112,25 @@ def _family_poly(args) -> tuple[trigeval.TrigPolynomial, tuple[float, float]]:
         if fam == "raw-cosine":
             return trigeval.cosine_poly(e[0], e[1:]), (0.0, PI)
         kind = "cosine" if fam == "shifted-cosine" else "sine"
-        poly = trigeval.shifted_poly(e, args.shift, kind, args.stride)
-        return poly, (0.0, 2.0 * PI)
+        return trigeval.shifted_poly(e, args.shift, kind, args.stride), (0.0, 2.0 * PI)
     if args.n is None or args.n < 1:
         raise PostrigError(f"family {fam} needs --n >= 1")
     if fam == "halfangle-product":
-        poly = trigeval.halfangle_product_negated_poly(args.n, args.alpha, args.beta,
-                                                       args.lam, args.mu)
-        return poly, (0.0, PI)
-    name, a0_multiple = _CERTIFY_SEQUENCES[fam]
+        return trigeval.halfangle_product_negated_poly(
+            args.n, args.alpha, args.beta, args.lam, args.mu), (0.0, PI)
+    name, kind = _CERTIFY_SEQUENCES[fam]
     seq = _SEQUENCES[name](args)
-    if a0_multiple is None:
+    if kind == "sine":
         return trigeval.sine_poly([v for _, v in seq.sine_view()]), (0.0, PI)
-    return trigeval.cosine_poly(a0_multiple * seq.values[0], seq.values[1:]), (0.0, PI)
+    a0 = 2.0 * seq.values[0] if name in seqkit.PAIRED_FAMILIES else seq.values[0]
+    return trigeval.cosine_poly(a0, seq.values[1:]), (0.0, PI)
 
 
 def cmd_certify(args) -> int:
     try:
-        poly, default_iv = _family_poly(args)
-    except PostrigError as exc:
-        print(f"certify: {exc}", file=sys.stderr)
-        return 1
-    lo = args.lo if args.lo is not None else default_iv[0]
-    hi = args.hi if args.hi is not None else default_iv[1]
-    try:
+        poly, (lo, hi) = _family_poly(args)
+        lo = lo if args.lo is None else args.lo
+        hi = hi if args.hi is None else args.hi
         opts = certify_mod.CertifyOptions(grid0=args.grid, max_depth=args.depth)
         report = certify_mod.certify_positive(poly, lo, hi, opts)
     except PostrigError as exc:
@@ -218,30 +223,22 @@ def cmd_plotdata(args) -> int:
     except OSError as exc:
         print(f"plotdata: cannot create {args.outdir}: {exc}", file=sys.stderr)
         return 5
-    pts = args.points
+    first, span = _FIGURES[args.figure]
+    idx = np.arange(first, first + args.points)
+    step = span / (args.points + first)
+    angles = idx * step
     try:
-        if args.figure == "fig1":
-            idx = np.arange(1, pts + 1)
-            thetas = idx * (PI / (pts + 1))
-            for n in args.n:
-                seq = seqkit.qk_sequence(n, args.alpha, args.beta, args.lam, args.mu)
-                cos_poly = trigeval.cosine_poly(seq.values[0], seq.values[1:])
-                sin_poly = trigeval.sine_poly(seq.values[1:])
-                for tag, poly in (("cos", cos_poly), ("sin", sin_poly)):
-                    path = os.path.join(args.outdir, f"fig1_{tag}_n{n}.csv")
-                    _write_csv(path, ["theta", "value"],
-                               zip(thetas, poly.values_grid(0.0, PI / (pts + 1), idx)))
-        else:
-            angles = np.linspace(0.0, 2.0 * PI, pts, endpoint=False)
-            for n in args.n:
-                seq = seqkit.qk_sequence(n, args.alpha, args.beta, args.lam, args.mu)
-                z = np.exp(1j * angles)
-                total = np.zeros_like(z)
-                for q in reversed(seq.values):  # Horner on |z| = 1
-                    total = total * z + q
-                path = os.path.join(args.outdir, f"fig2_n{n}.csv")
-                _write_csv(path, ["angle", "re", "im"],
-                           zip(angles, total.real, total.imag))
+        for n in args.n:
+            q = seqkit.qk_sequence(n, args.alpha, args.beta, args.lam, args.mu).values
+            cos_sum, sin_sum = (poly.values_grid(0.0, step, idx) for poly in (
+                trigeval.cosine_poly(q[0], q[1:]), trigeval.sine_poly(q[1:])))
+            if args.figure == "fig1":
+                for tag, values in (("cos", cos_sum), ("sin", sin_sum)):
+                    _write_csv(os.path.join(args.outdir, f"fig1_{tag}_n{n}.csv"),
+                               ["theta", "value"], zip(angles, values))
+            else:  # sum_k q_k z^k at z = e^{i angle}: the cosine sum's a_0/2 is q_0/2
+                _write_csv(os.path.join(args.outdir, f"fig2_n{n}.csv"), ["angle", "re", "im"],
+                           zip(angles, cos_sum + 0.5 * q[0], sin_sum))
     except OSError as exc:
         print(f"plotdata: I/O error: {exc}", file=sys.stderr)
         return 5
@@ -274,41 +271,17 @@ def cmd_zeros(args) -> int:
     return 0
 
 
-def _criteria_sequence(args) -> seqkit.CoefficientSequence:
-    fam = args.family
-    if fam == "custom":
-        if not args.coeffs:
-            raise PostrigError("custom family needs --coeffs")
-    elif args.n is None:
-        raise PostrigError(f"family {fam} needs --n")
-    return _SEQUENCES[fam](args)
-
-
 def cmd_criteria(args) -> int:
     try:
-        seq = _criteria_sequence(args)
-        if args.check == "vietoris":
-            report = seqkit.check_vietoris(seq)
-        elif args.check == "belov":
-            report = seqkit.check_belov(seq)
-        elif args.check == "chain":
-            report = seqkit.check_chain_condition(seq, args.alpha, args.beta,
-                                                  args.lam, args.mu)
-        else:
-            report = seqkit.check_taper_ratio_condition(seq, args.b, args.c, args.alpha)
+        if args.family == "custom" and not args.coeffs:
+            raise PostrigError("custom family needs --coeffs")
+        if args.family != "custom" and args.n is None:
+            raise PostrigError(f"family {args.family} needs --n")
+        report = _CHECKS[args.check](_SEQUENCES[args.family](args), args)
     except PostrigError as exc:
         print(f"criteria: {exc}", file=sys.stderr)
         return 1
-    payload = {
-        "check": args.check,
-        "family": args.family,
-        "satisfied": report.satisfied,
-        "first_violation_index": report.first_violation_index,
-        "margin": report.margin,
-        "partial_sums": None if report.partial_sums is None
-                        else list(report.partial_sums),
-    }
-    _write_json(args.output, payload)
+    _write_json(args.output, {"check": args.check, "family": args.family, **asdict(report)})
     state = "satisfied" if report.satisfied else \
         f"violated at index {report.first_violation_index}"
     print(f"{args.check}: {state} (margin {report.margin:.3e})")
@@ -323,7 +296,7 @@ def _add_family_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--b", type=float, default=1.0)
     p.add_argument("--c", type=float, default=1.0)
     p.add_argument("--n", type=int, default=None)
-    p.add_argument("--coeffs", type=_float_list, default=None)
+    p.add_argument("--coeffs", type=_number_list(float), default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,13 +314,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--grid", type=int, default=4096)
-    p.add_argument("--depth", type=int, default=8)
+    p.add_argument("--grid", type=int, default=certify_mod.CertifyOptions.grid0)
+    p.add_argument("--depth", type=int, default=certify_mod.CertifyOptions.max_depth)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("constants", help="solve the defining equations")
-    p.add_argument("--d", type=_float_list, default=[0.0],
+    p.add_argument("--d", type=_number_list(float), default=[0.0],
                    help="comma-separated b-c offsets for alpha0_prime")
     p.add_argument("--only", default=None,
                    help=f"comma-separated subset: {','.join(_CONSTANTS)}")
@@ -355,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("plotdata", help="emit figure CSV data")
-    p.add_argument("--figure", choices=["fig1", "fig2"], required=True)
-    p.add_argument("--n", type=_int_list, default=[])
+    p.add_argument("--figure", choices=list(_FIGURES), required=True)
+    p.add_argument("--n", type=_number_list(int), default=[])
     p.add_argument("--alpha", type=float, default=FIG1_PARAMS["alpha"])
     p.add_argument("--beta", type=float, default=FIG1_PARAMS["beta"])
     p.add_argument("--lambda", dest="lam", type=float, default=FIG1_PARAMS["lam"])
@@ -367,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeros", help="bracket the zeros of the p/q polynomials")
     p.add_argument("--kind", choices=["p", "q"], required=True)
-    p.add_argument("--coeffs", type=_float_list, required=True)
+    p.add_argument("--coeffs", type=_number_list(float), required=True)
     p.add_argument("--lo", type=float, default=0.0)
     p.add_argument("--hi", type=float, default=2.0 * PI)
     p.add_argument("--grid", type=int, default=None)
@@ -375,8 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_zeros)
 
     p = sub.add_parser("criteria", help="run the coefficient criteria")
-    p.add_argument("--check", choices=["vietoris", "belov", "chain", "taper"],
-                   required=True)
+    p.add_argument("--check", choices=list(_CHECKS), required=True)
     p.add_argument("--family", default="custom", choices=list(_SEQUENCES))
     _add_family_params(p)
     p.add_argument("--output", "-o", default=None)

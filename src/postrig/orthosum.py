@@ -8,8 +8,8 @@ Everything is recurrence-based; no closed-form hypergeometric evaluation is
 used for polynomial values.  Each family's three-term recurrence is written
 once, as a table builder returning the list P_0(x)..P_n(x) at a float or an
 ndarray x (`_chebyshev_table`, `_gegenbauer_table`, `_jacobi_table`), and
-every Pochhammer ratio (x)_k/(y)_k z^k comes from one product,
-`_rising_ratios`; the public functions are reductions over these.
+every Pochhammer ratio (1+a)_k/(1+c)_k z^k comes from the one product of
+`seqkit._rising_ratios`; the public functions are reductions over these.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError
-from .seqkit import CoefficientSequence, CriterionReport, _report
+from .seqkit import CoefficientSequence, CriterionReport, _report, _rising_ratios
 from .trigeval import qk_weight
 
 
@@ -80,15 +80,6 @@ def _jacobi_table(n: int, a: float, b: float, x) -> list:
     return P if n else P[:1]
 
 
-def _rising_ratios(n: int, x: float, y: float = 1.0, z: float = 1.0):
-    """Yield (x)_k / (y)_k * z^k for k = 0..n, each term from the last."""
-    r = 1.0
-    yield r
-    for k in range(n):
-        r = r * ((x + k) / (y + k)) * z
-        yield r
-
-
 def chebyshev_T(k: int, t: float) -> float:
     """Chebyshev T_k(t) by the three-term recurrence."""
     if k < 0:
@@ -110,8 +101,7 @@ def gegenbauer_C1(k: int, lam: float) -> float:
     """C_k^lam(1) = (2 lam)_k / k!."""
     if k < 0:
         raise ParameterDomainError("k must be >= 0")
-    *_, c1 = _rising_ratios(k, 2.0 * lam)
-    return c1
+    return _rising_ratios(k, 2.0 * lam - 1.0)[-1]
 
 
 def jacobi_P(k: int, a: float, b: float, x: float) -> float:
@@ -166,7 +156,7 @@ def gegenbauer_normalized_sum(a_seq: CoefficientSequence | Sequence[float],
         raise ParameterDomainError(f"lam > 0 violated (lam = {lam})")
     if abs(x) >= 1:
         raise ParameterDomainError(f"|x| < 1 violated (x = {x})")
-    terms = zip(values, _gegenbauer_table(n, lam, x), _rising_ratios(n, 2.0 * lam))
+    terms = zip(values, _gegenbauer_table(n, lam, x), _rising_ratios(n, 2.0 * lam - 1.0))
     return sum(a * c / norm for a, c, norm in terms)
 
 
@@ -185,7 +175,7 @@ def scan_normalized_gegenbauer(lam: float, n_max: int, x_grid: np.ndarray
     if xs.size == 0 or not np.all(np.abs(xs) < 1):
         raise ParameterDomainError("x_grid must be non-empty with every |x| < 1")
     acc = np.zeros_like(xs)
-    norms = _rising_ratios(n_max, 2.0 * lam)
+    norms = _rising_ratios(n_max, 2.0 * lam - 1.0)
     for n, (c, norm) in enumerate(zip(_gegenbauer_table(n_max, lam, xs), norms)):
         acc += c / norm
         if acc.min() < 0.0:
@@ -205,8 +195,8 @@ def opuc_coeffs(b: float, omega: float, N: int) -> SeriesCoefficients:
         raise ParameterDomainError(f"b > -1 violated (b = {b})")
     if N < 0:
         raise ParameterDomainError("N must be >= 0")
-    fa = np.fromiter(_rising_ratios(N, b + 1.0, 1.0, omega), np.float64, N + 1)
-    fb = np.fromiter(_rising_ratios(N, b + 1.0), np.float64, N + 1)
+    fa = np.array(_rising_ratios(N, b, 0.0, omega))
+    fb = np.array(_rising_ratios(N, b))
     # omega^m turns subnormal long before m = N at small |omega|, and each
     # product with a subnormal factor is slow.  Flushing those factors to 0
     # moves no F_k: each dropped product is below 2^-1022*max|fb|, far under
@@ -269,12 +259,12 @@ def jacobi_sum_check(n: int, lam_p: float, delta: float, a: float, b: float,
         raise ParameterDomainError("need delta > -1 and lam_p >= 0")
     if abs(x) > 1:
         raise ParameterDomainError(f"|x| <= 1 violated (x = {x})")
-    w = list(_rising_ratios(n, 1.0 + lam_p, 1.0 + delta))
+    w = _rising_ratios(n, lam_p, delta)
     z = complex(math.cos(z_angle), math.sin(z_angle))
     acc = 0.0 + 0.0j
     zp = 1.0 + 0.0j
     # P_k(1) = (a+1)_k / k!
-    for k, (pk, norm) in enumerate(zip(_jacobi_table(n, a, b, x), _rising_ratios(n, a + 1.0))):
+    for k, (pk, norm) in enumerate(zip(_jacobi_table(n, a, b, x), _rising_ratios(n, a))):
         acc += w[n - k] * w[k] * (pk / norm) * zp
         zp *= z
     return abs(acc)

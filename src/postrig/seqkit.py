@@ -23,9 +23,11 @@ violation; the margin is the smallest slack, NaN skipped, or 0.0 when there
 is none, and NaN when the violation rests on NaN slacks alone.
 
 Pochhammer symbols are built by forward products; pair-equal entries are
-stored from one computation so the pairing is bit-exact.  The three paired
-families share one recurrence for (1-alpha)_k / k! (`_pochhammer_ratios`):
-vietoris is koumandos at alpha = 1/2, bit for bit.
+stored from one computation so the pairing is bit-exact.  Every ratio
+(1+a)_k / (1+c)_k z^k of the package comes from one recurrence,
+`_rising_ratios`: the three paired families take (1-alpha)_k / k! from it at
+a = -alpha (vietoris is koumandos at alpha = 1/2, bit for bit), and
+`postrig.orthosum` its norms, weights and binomial factors.
 """
 
 from __future__ import annotations
@@ -115,14 +117,15 @@ def pochhammer(x: float, k: int) -> float:
     return acc
 
 
-def _pochhammer_ratios(count: int, alpha: float) -> list[float]:
-    """[(1-alpha)_k / k! for k < count] by one forward product; at alpha =
-    1/2 each step matches the check_vietoris slack bit for bit."""
-    out: list[float] = []
+def _rising_ratios(n: int, a: float, c: float = 0.0, z: float = 1.0) -> list[float]:
+    """[(1+a)_k / (1+c)_k * z^k for k = 0..n] by one forward product, each
+    term r * (j + a) / (j + c) * z from the last; at a = -1/2 (c = 0, z = 1)
+    each step matches the check_vietoris slack bit for bit."""
     r = 1.0
-    for k in range(1, count + 1):
+    out = [r]
+    for j in range(1, n + 1):
+        r = r * (j + a) / (j + c) * z
         out.append(r)
-        r = r * (k - alpha) / k
     return out
 
 
@@ -130,7 +133,7 @@ def _paired(n: int, alpha: float) -> tuple[float, ...]:
     """[b_0..b_n] with b_{2k} = b_{2k+1} = (1-alpha)_k / k!."""
     if n < 0:
         raise ParameterDomainError("n must be >= 0")
-    return tuple(np.repeat(_pochhammer_ratios(n // 2 + 1, alpha), 2)[: n + 1].tolist())
+    return tuple(np.repeat(_rising_ratios(n // 2, -alpha), 2)[: n + 1].tolist())
 
 
 def vietoris_gamma(n: int) -> CoefficientSequence:
@@ -195,7 +198,7 @@ def ck_sequence(n: int, alpha: float, b: float, c: float) -> CoefficientSequence
     for k in range(2, n + 1):
         B.append(B[-1] * (b + k - 1) / (c + k - 1))
     vals: list[float] = []
-    for k, poch in enumerate(_pochhammer_ratios(n + 1, alpha)):
+    for k, poch in enumerate(_rising_ratios(n, -alpha)):
         v = B[n - k] / B[n] * poch
         vals += (v, v)
     return CoefficientSequence(tuple(vals), "ck",

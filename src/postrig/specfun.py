@@ -13,7 +13,8 @@ those every named constant:
 
 alpha0 and alpha0_prime each have two independent routes (quadrature root and
 the zero of the closed-form 2F3 expression); both are exposed and the prime
-solver cross-checks them to 1e-8.
+solver cross-checks them to 1e-8.  The series, quadrature and Brent budgets
+are module constants; a solver that spends its budget raises ConvergenceError.
 
 The quadrature and the Bessel series work on arrays.  ``quad_singular``
 passes its integrand a 1-D float64 array of abscissae strictly inside (a, b),
@@ -29,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -43,6 +44,14 @@ HYP_ARG = -9.0 * math.pi ** 2 / 16.0
 _BATCH_LEVEL = 4
 #: scan points of bessel_zero per call of bessel_j
 _ZERO_CHUNK = 128
+#: budgets (2F3, h and Bessel series terms, last tanh-sinh level, Brent steps)
+#: and the largest accepted gap between the two alpha0_prime routes' roots
+_HYP2F3_MAX_TERMS = 10000
+_H_CORR_MAX_TERMS = 500
+_BESSEL_MAX_TERMS = 500
+_QUAD_MAX_LEVEL = 12
+_BRENT_MAX_ITER = 200
+_CROSS_CHECK_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -68,8 +77,7 @@ def gamma_fn(x: float) -> float:
     return math.gamma(x)
 
 
-def hyp2f3(a1: float, a2: float, b1: float, b2: float, b3: float, z: float,
-           max_terms: int = 10000) -> float:
+def hyp2f3(a1: float, a2: float, b1: float, b2: float, b3: float, z: float) -> float:
     """2F3(a1, a2; b1, b2, b3; z) = sum (a1)_k (a2)_k / ((b1)_k (b2)_k (b3)_k k!) z^k.
 
     Summed until |term| < 1e-16 |partial| for five consecutive terms.
@@ -80,7 +88,7 @@ def hyp2f3(a1: float, a2: float, b1: float, b2: float, b3: float, z: float,
     term = 1.0
     acc = 1.0
     small = 0
-    for k in range(max_terms):
+    for k in range(_HYP2F3_MAX_TERMS):
         term *= (a1 + k) * (a2 + k) / ((b1 + k) * (b2 + k) * (b3 + k) * (k + 1.0)) * z
         acc += term
         if abs(term) < 1e-16 * abs(acc):
@@ -89,7 +97,7 @@ def hyp2f3(a1: float, a2: float, b1: float, b2: float, b3: float, z: float,
                 return acc
         else:
             small = 0
-    raise ConvergenceError(f"2F3 did not converge within {max_terms} terms")
+    raise ConvergenceError(f"2F3 did not converge within {_HYP2F3_MAX_TERMS} terms")
 
 
 @functools.lru_cache(maxsize=None)
@@ -156,7 +164,7 @@ def _node_terms(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
 
 
 def quad_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                  tol: float = 1e-12, max_level: int = 12) -> float:
+                  tol: float = 1e-12) -> float:
     """Tanh-sinh quadrature of f on (a, b) to absolute tolerance tol.
 
     f takes a 1-D float64 array of abscissae, all strictly inside (a, b), and
@@ -184,7 +192,7 @@ def quad_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
     totals = np.cumsum(np.bincount(level_of, weights=_node_terms(f, a, b, *nodes),
                                    minlength=_BATCH_LEVEL + 1))
     prev = math.inf
-    for level in range(max_level + 1):
+    for level in range(_QUAD_MAX_LEVEL + 1):
         if level <= _BATCH_LEVEL:
             total = float(totals[level])
         else:
@@ -194,11 +202,11 @@ def quad_singular(f: Callable[[np.ndarray], np.ndarray], a: float, b: float,
             return est
         prev = est
     raise ConvergenceError(
-        f"tanh-sinh quadrature did not reach tol {tol} in {max_level} levels")
+        f"tanh-sinh quadrature did not reach tol {tol} in {_QUAD_MAX_LEVEL} levels")
 
 
 def brent_root(f: Callable[[float], float], lo: float, hi: float,
-               tol: float = 1e-10, max_iter: int = 200) -> float:
+               tol: float = 1e-10) -> float:
     """Brent's method; keeps the bracket throughout, |root error| <= tol."""
     fa, fb = f(lo), f(hi)
     if fa == 0.0:
@@ -210,7 +218,7 @@ def brent_root(f: Callable[[float], float], lo: float, hi: float,
     a, b = lo, hi
     c, fc = a, fa
     d = e = b - a
-    for _ in range(max_iter):
+    for _ in range(_BRENT_MAX_ITER):
         if fb * fc > 0:
             c, fc = a, fa
             d = e = b - a
@@ -244,7 +252,7 @@ def brent_root(f: Callable[[float], float], lo: float, hi: float,
         a, fa = b, fb
         b += d if abs(d) > tol1 else math.copysign(tol1, m)
         fb = f(b)
-    raise ConvergenceError(f"Brent did not converge in {max_iter} iterations")
+    raise ConvergenceError(f"Brent did not converge in {_BRENT_MAX_ITER} iterations")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +286,7 @@ def K_closed(alpha: float) -> float:
     return P_closed(alpha, 0.0)
 
 
-def h_corr(alpha: float, d: float, max_terms: int = 500) -> float:
+def h_corr(alpha: float, d: float) -> float:
     """Correction term h with P(alpha, d) = K(alpha) + h(alpha, d).
 
     Series with Gamma-ratio terms; the reciprocal Gammas advance by the exact
@@ -298,7 +306,7 @@ def h_corr(alpha: float, d: float, max_terms: int = 500) -> float:
     poch = 1.0  # ((1-a)/2)_k (1-a/2)_k 4^k / ((1/2)_k k!) * z^k
     acc = 0.0
     small = 0
-    for k in range(max_terms):
+    for k in range(_H_CORR_MAX_TERMS):
         term = poch * (g1d * inv_gd - inv_g0)
         acc += term
         if abs(term) <= 1e-17 * max(abs(acc), 1e-300):
@@ -313,7 +321,7 @@ def h_corr(alpha: float, d: float, max_terms: int = 500) -> float:
         inv_gd /= zd * (zd + 1.0)
         z0 = 2.0 - alpha + 2.0 * k
         inv_g0 /= z0 * (z0 + 1.0)
-    raise ConvergenceError(f"h series did not converge within {max_terms} terms")
+    raise ConvergenceError(f"h series did not converge within {_H_CORR_MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -342,21 +350,19 @@ def _root_in_alpha(fn: Callable[[float], float], d: float,
             f"alpha0_prime: no sign change in alpha in [-0.6, {hi}] for d = {d}") from None
 
 
-def alpha0_prime(d: float, route: str = "quadrature-root",
-                 cross_check_tol: float = 1e-8) -> SpecialConstant:
+def alpha0_prime(d: float, route: str = "quadrature-root") -> SpecialConstant:
     """Root alpha0'(d) of the weighted integral; d = b - c >= 0.
 
     Always solves both the quadrature route and the 2F3 route and requires
-    them to agree within cross_check_tol.  The root leaves (0, 1) beyond
+    them to agree within _CROSS_CHECK_TOL.  The root leaves (0, 1) beyond
     d = 1 - alpha0; the bracket extends to -0.6 before reporting
     RootOutOfRangeError.
     """
-    return _solve_alpha0_prime(d, route, cross_check_tol)[0]
+    return _solve_alpha0_prime(d, route)[0]
 
 
-def _solve_alpha0_prime(d: float, route: str, cross_check_tol: float = 1e-8
-                        ) -> tuple[SpecialConstant, float]:
-    """alpha0_prime(d, route, cross_check_tol) and the other route's root,
+def _solve_alpha0_prime(d: float, route: str) -> tuple[SpecialConstant, float]:
+    """alpha0_prime(d, route) and the other route's root,
     from the one solve of both routes."""
     if d < 0:
         raise ParameterDomainError(f"d >= 0 violated (d = {d})")
@@ -367,7 +373,7 @@ def _solve_alpha0_prime(d: float, route: str, cross_check_tol: float = 1e-8
     # regime
     root_q = _root_in_alpha(quad_fn, d, hi=0.9)
     root_h = _root_in_alpha(hyp_fn, d)
-    if abs(root_q - root_h) > cross_check_tol:
+    if abs(root_q - root_h) > _CROSS_CHECK_TOL:
         raise ConvergenceError(
             f"alpha0_prime routes disagree at d = {d}: {root_q} vs {root_h}")
     if route == "quadrature-root":
@@ -379,20 +385,15 @@ def _solve_alpha0_prime(d: float, route: str, cross_check_tol: float = 1e-8
     raise ParameterDomainError(f"unknown route {route!r}")
 
 
-def expansion_fit(ds: Sequence[float] | None = None
-                  ) -> tuple[SpecialConstant, SpecialConstant]:
+def expansion_fit() -> tuple[SpecialConstant, SpecialConstant]:
     """Least-squares cubic fit of alpha0_prime(d) on d in {0, 0.02, ..., 0.2}.
 
     Returns (beta0, beta1): the negated linear and quadratic coefficients of
     alpha0' = alpha0 - beta0 d - beta1 d^2 + O(d^3).
     """
-    if ds is None:
-        ds = [0.02 * i for i in range(11)]
-    ds = np.asarray(list(ds), dtype=np.float64)
-    if ds.size < 4:
-        raise ParameterDomainError("need at least 4 fit points for a cubic")
+    ds = 0.02 * np.arange(11)
     roots = np.array([alpha0_prime(float(d)).value for d in ds])
-    scale = float(ds.max()) or 1.0
+    scale = ds[-1]
     design = np.vander(ds / scale, 4, increasing=True)
     coef, *_ = np.linalg.lstsq(design, roots, rcond=None)
     coef = coef / scale ** np.arange(4)
@@ -403,8 +404,7 @@ def expansion_fit(ds: Sequence[float] | None = None
     return beta0, beta1
 
 
-def bessel_j(nu: float, t: float | np.ndarray, max_terms: int = 500
-             ) -> float | np.ndarray:
+def bessel_j(nu: float, t: float | np.ndarray) -> float | np.ndarray:
     """Bessel J_nu(t) by the ascending series, for nu > -1 and 0 <= t <= 30;
     within 1e-13 of J_nu(t) for t up to about 10 only (see the last lines).
 
@@ -430,14 +430,14 @@ def bessel_j(nu: float, t: float | np.ndarray, max_terms: int = 500
     out = np.full(flat.size, 1.0 if nu == 0.0 else (0.0 if nu > 0 else math.inf))
     pos = flat > 0
     if pos.any():
-        out[pos] = _bessel_series(nu, flat[pos], max_terms)
+        out[pos] = _bessel_series(nu, flat[pos])
     return float(out[0]) if ts.ndim == 0 else out.reshape(ts.shape)
 
 
-def _bessel_series(nu: float, t: np.ndarray, max_terms: int) -> np.ndarray:
+def _bessel_series(nu: float, t: np.ndarray) -> np.ndarray:
     """The ascending series of J_nu at the points t > 0 (1-D)."""
     q = -0.25 * t * t
-    rows = min(max_terms, 16 + 2 * math.ceil(t.max()))  # enough up to t = 30
+    rows = min(_BESSEL_MAX_TERMS, 16 + 2 * math.ceil(t.max()))  # enough up to t = 30
     while True:
         m = np.arange(rows, dtype=np.float64)[:, None]
         table = np.empty((rows + 1, t.size))
@@ -450,10 +450,10 @@ def _bessel_series(nu: float, t: np.ndarray, max_terms: int) -> np.ndarray:
         done = small[4:] & small[3:-1] & small[2:-2] & small[1:-3] & small[:-4]
         if done.any(axis=0).all():
             return acc[done.argmax(axis=0) + 5, np.arange(t.size)]
-        if rows == max_terms:
+        if rows == _BESSEL_MAX_TERMS:
             raise ConvergenceError(
-                f"Bessel series did not converge within {max_terms} terms")
-        rows = min(max_terms, 2 * rows)
+                f"Bessel series did not converge within {_BESSEL_MAX_TERMS} terms")
+        rows = min(_BESSEL_MAX_TERMS, 2 * rows)
 
 
 def bessel_zero(nu: float, m: int) -> float:

@@ -7,8 +7,10 @@ import math
 
 import pytest
 
+from dataclasses import asdict
+
 from postrig import cli, seqkit, specfun, trigeval
-from postrig.certify import PositivityReport
+from postrig.certify import CertifyOptions, PositivityReport
 
 
 def run(argv):
@@ -219,6 +221,14 @@ class TestPlotdataCommand:
             assert len(rows) == 2001
             # closed curve samples: finite complex values
             assert all(math.isfinite(float(r[1])) for r in rows[1:])
+            # sum_k q_k e^{ik angle}, term by term, at 21 of the angles
+            q = seqkit.qk_sequence(n, **cli.FIG1_PARAMS).values
+            tol = 1e-13 * math.fsum(abs(v) for v in q)
+            for angle, re, im in ([float(v) for v in r] for r in rows[1::97]):
+                assert abs(re - math.fsum(v * math.cos(k * angle)
+                                          for k, v in enumerate(q))) <= tol
+                assert abs(im - math.fsum(v * math.sin(k * angle)
+                                          for k, v in enumerate(q))) <= tol
 
     def test_empty_n_usage_error(self, tmp_path):
         assert run(["plotdata", "--figure", "fig1",
@@ -319,6 +329,41 @@ class TestThreadsEnvAndDeterminism:
         run(["plotdata", "--figure", "fig1", "--n", "25", "--outdir", str(d2)])
         for name in ("fig1_cos_n25.csv", "fig1_sin_n25.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_certify_defaults_are_the_certifier_defaults():
+    args = cli.build_parser().parse_args(["certify", "--family", "qk-sine"])
+    assert CertifyOptions(grid0=args.grid, max_depth=args.depth) == CertifyOptions()
+
+
+# every --check: its criteria flags and the seqkit report they should give
+_CHECK_RUNS = {
+    "vietoris": (["--family", "vietoris", "--n", "100"],
+                 lambda: seqkit.check_vietoris(seqkit.vietoris_gamma(100))),
+    "belov": (["--family", "koumandos", "--n", "200", "--alpha", "0.5"],
+              lambda: seqkit.check_belov(seqkit.koumandos_bk(200, 0.5))),
+    "chain": (["--family", "qk", "--n", "50", "--alpha", ".2", "--beta", ".4",
+               "--lambda", ".3", "--mu", ".7"],
+              lambda: seqkit.check_chain_condition(seqkit.qk_sequence(50, .2, .4, .3, .7),
+                                                   .2, .4, .3, .7)),
+    "taper": (["--family", "ck", "--n", "10", "--alpha", "0.5", "--b", "2", "--c", "1"],
+              lambda: seqkit.check_taper_ratio_condition(seqkit.ck_sequence(10, .5, 2.0, 1.0),
+                                                         2.0, 1.0, .5)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(_CHECK_RUNS))
+def test_criteria_json_is_the_seqkit_report(tmp_path, check):
+    assert set(_CHECK_RUNS) == set(cli._CHECKS)
+    flags, direct = _CHECK_RUNS[check]
+    out = tmp_path / "c.json"
+    report = direct()
+    assert run(["criteria", "--check", check, *flags, "-o", str(out)]) == \
+        (0 if report.satisfied else 2)
+    want = {"check": check, "family": flags[1], **asdict(report)}
+    if want["partial_sums"] is not None:
+        want["partial_sums"] = list(want["partial_sums"])
+    assert json.loads(out.read_text()) == want
 
 
 def test_certify_inconclusive_exit_three():

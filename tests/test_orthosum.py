@@ -6,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from postrig import cosine_poly, orthosum, qk_sequence
+from postrig import cosine_poly, orthosum, qk_sequence, seqkit
 from postrig.errors import ParameterDomainError
 from postrig.orthosum import (SeriesCoefficients, chebyshev_T, chebyshev_qk_sum,
                               gegenbauer_C, gegenbauer_C1, gegenbauer_fejer_sum,
@@ -245,8 +245,8 @@ class TestOpucCoefficients:
         # at omega = -0.6 the factor omega^m (b+1)_m/m! is subnormal for
         # hundreds of m below N; flushed or not, F is the same to the bit
         b, omega, N = 0.5, -0.6, 2000
-        fa = np.fromiter(orthosum._rising_ratios(N, b + 1.0, 1.0, omega), np.float64, N + 1)
-        fb = np.fromiter(orthosum._rising_ratios(N, b + 1.0), np.float64, N + 1)
+        fa = np.fromiter(seqkit._rising_ratios(N, b, 0.0, omega), np.float64, N + 1)
+        fb = np.fromiter(seqkit._rising_ratios(N, b), np.float64, N + 1)
         tiny = np.finfo(np.float64).tiny
         assert np.count_nonzero((fa != 0.0) & (np.abs(fa) < tiny)) > 500
         want = np.convolve(fa, fb)[: N + 1]

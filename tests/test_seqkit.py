@@ -12,7 +12,7 @@ from postrig import (CoefficientSequence, check_belov, check_chain_condition,
                      koumandos_bk, qk_sequence, ratio_qk_sequence,
                      vietoris_gamma)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.seqkit import A0_FAMILIES, CRITERION_TOL, pochhammer
+from postrig.seqkit import A0_FAMILIES, CRITERION_TOL, _rising_ratios, pochhammer
 from conftest import poch_fraction
 
 
@@ -173,6 +173,26 @@ class TestPochhammer:
     def test_non_positive_base(self):
         assert pochhammer(0.0, 3) == 0.0
         assert pochhammer(-2.0, 4) == pytest.approx(-2 * -1 * 0 * 1, abs=0)
+
+    @pytest.mark.parametrize("a, c, z", [(-0.5, 0.0, 1.0), (-0.45, 0.0, 1.0),
+                                         (0.6, 0.0, 1.0), (0.3, 1.0, 1.0),
+                                         (1.5, -0.25, -0.6), (-0.9, 0.5, 0.9)])
+    def test_rising_ratios_match_exact_pochhammer(self, a, c, z):
+        got = _rising_ratios(200, a, c, z)
+        assert len(got) == 201
+        fa, fc, fz = Fraction(a), Fraction(c), Fraction(z)
+        for k in range(201):
+            want = poch_fraction(1 + fa, k) / poch_fraction(1 + fc, k) * fz ** k
+            assert got[k] == pytest.approx(float(want), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.45, 0.3084437795619, 0.05, 0.95])
+    def test_rising_ratios_keep_the_paired_recurrence_bitwise(self, alpha):
+        # the loop the paired families used before the shared recurrence
+        old, r = [], 1.0
+        for k in range(1, 402):
+            old.append(r)
+            r = r * (k - alpha) / k
+        assert _rising_ratios(400, -alpha) == old
 
 
 class TestCheckVietoris:

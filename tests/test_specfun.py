@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from postrig import (K_closed, P_closed, alpha0, alpha0_prime, bessel_j,
                      bessel_zero, brent_root, expansion_fit, gamma_fn, h_corr,
-                     hyp2f3, lambda_prime, quad_singular)
+                     hyp2f3, lambda_prime, quad_singular, specfun)
 from postrig.errors import (BracketError, ConvergenceError, ParameterDomainError,
                             PoleError, RootOutOfRangeError)
 from postrig.specfun import THREE_PI_OVER_2, _weighted_integral
@@ -74,9 +74,10 @@ class TestHyp2f3:
         with pytest.raises(PoleError):
             hyp2f3(0.1, 0.2, -1.0, 0.5, 0.5, 1.0)
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_HYP2F3_MAX_TERMS", 5)
         with pytest.raises(ConvergenceError):
-            hyp2f3(1.0, 1.0, 0.5, 0.5, 0.5, 40.0, max_terms=5)
+            hyp2f3(1.0, 1.0, 0.5, 0.5, 0.5, 40.0)
 
     def test_zero_matches_alpha0_when_b_equals_c(self):
         # the 2F3 route reduces to the alpha0 equation at d = 0
