@@ -58,8 +58,8 @@ _CHECKS = {
     "taper": lambda seq, a: seqkit.check_taper_ratio_condition(seq, a.b, a.c, a.alpha),
 }
 
-#: plotdata figure -> (first index i0, span): the angles i * span / (points + i0),
-#: i = i0 .. i0 + points - 1, lie inside (0, pi) for fig1 and round |z| = 1 for fig2
+#: plotdata figure -> (first index i0, span): angles i * span / (points + i0) for
+#: i = i0 .. i0 + points - 1, inside (0, pi) for fig1, round |z| = 1 from 0 for fig2
 _FIGURES = {"fig1": (1, PI), "fig2": (0, 2.0 * PI)}
 
 

@@ -4,10 +4,9 @@ determinism."""
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import pytest
-
-from dataclasses import asdict
 
 from postrig import cli, seqkit, specfun, trigeval
 from postrig.certify import CertifyOptions, PositivityReport
