@@ -43,12 +43,20 @@ smallest index, s the largest power of two dividing every idx - r), and
 chirp-z runs over q with the step s*dx, which is exact because s is a power
 of two.  With k*j = (k^2 + j^2 - (j - k)^2)/2 the sums over one block of
 ``GRID_BLOCK`` consecutive q become one convolution with the chirp
-exp(-i m^2 s dx/2), whose FFT (the plan) is shared by all blocks of a call
-and kept for the next call; only blocks that hold a requested index are
-computed, and each block's lead phase is taken exactly from r + s*first.
-The certifier's odd midpoints at depth d thus fill half as many blocks as
-their index range, and at depth 1 the step 2*(h/2) = h reuses the initial
-grid's plan.
+exp(-i m^2 s dx/2); only blocks that hold a requested index are computed,
+and each block's lead phase is taken exactly from r + s*first.  The
+certifier's odd midpoints at depth d thus fill half as many blocks as their
+index range.
+
+The plan -- the chirp and the FFT of the convolution kernel -- depends on
+the padded length N and the step only, not on the degree: it is built for
+the largest degree N serves, N - GRID_BLOCK, and at a smaller degree n the
+kernel's lags below -n meet only zero coefficients.  Up to
+``CHIRP_PLANS`` plans are kept, least recently used first out, so every
+degree with one padded length shares a plan (degrees 1 .. 224 all pad to
+4320), and at depth 1 the step 2*(h/2) = h reuses the initial
+grid's plan.  A plan is a function of its key alone, so a batch's values do
+not depend on which plans earlier calls left in the cache.
 
 Exact phases: angles become 96-bit fixed-point fractions of a turn (Python
 integers times a 256-bit 1/(2 pi)), and their integer multiples are taken
@@ -70,9 +78,10 @@ once per batch:
   the matrix product, and the numpy calls of a batch;
 - chirp-z: (blocks + 1) * (6 N log2 N + 20000), N the padded convolution
   length (n + GRID_BLOCK rounded up to a 5-smooth size), blocks counted on
-  the sub-lattice from sorted block numbers, the extra block the plan, and
-  20000 the numpy calls of a block; ``chirp_cheaper`` picks it over the
-  direct sums at the same grid points.
+  the sub-lattice from sorted block numbers, the extra block the plan
+  (charged whether or not it is cached), and 20000 the numpy calls of a
+  block; ``chirp_cheaper`` picks it over the direct sums at the same grid
+  points.
 """
 
 from __future__ import annotations
@@ -90,6 +99,8 @@ SUBNORMAL = math.ulp(0.0)
 GRID_BLOCK = 4096
 #: largest degree either path takes (every multiplier of a phase < 2^32)
 MAX_DEGREE = 2 ** 32 - 1
+#: chirp-z plans kept, one per (padded length, step)
+CHIRP_PLANS = 8
 
 _INV_TWO_PI = 0x28BE60DB9391054A7F09D5F47D4D377036D8A5664F10E4107F9458EAF7AEF158
 """floor(2**256 / (2 pi))"""
@@ -188,7 +199,9 @@ def sub_lattice(idx) -> tuple[int, int]:
 
 def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
     """True when chirp-z should evaluate degree n at grid indices idx, on
-    their `sub_lattice`."""
+    their `sub_lattice`.  The plan is charged as one block even when it is
+    cached, so the path, and with it every value, never depends on the
+    calls made before."""
     if n == 0:
         return False
     T, R, _ = _split(n)
@@ -252,21 +265,24 @@ def _square_phases(k: np.ndarray, dx: float) -> np.ndarray:
             + _multiple(sq & np.uint64(_M32), _limbs([_turns(p, 2 * q)])))
 
 
-@functools.lru_cache(maxsize=1)
-def _chirp_plan(n: int, dx: float) -> tuple[int, np.ndarray, np.ndarray]:
-    """FFT length, chirp exp(i k^2 dx/2) for k < max(n + 1, GRID_BLOCK), and
-    the FFT of the conjugate-chirp kernel, shared by every block of a call.
-    One plan is kept, so the working set is one level's kernel and one
-    block."""
+@functools.lru_cache(maxsize=CHIRP_PLANS)
+def _chirp_plan(size: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
+    """The chirp exp(i k^2 dx/2) for k <= max(m, GRID_BLOCK - 1) and the FFT
+    of the conjugate-chirp kernel at lags -m .. GRID_BLOCK - 1, for the
+    padded length ``size`` and m = size - GRID_BLOCK, the largest degree it
+    serves.  Every degree n <= m shares the plan: the lags below -n meet
+    only the zeros of the coefficients beyond n.  A plan takes at most
+    32 * size bytes, so the ``CHIRP_PLANS`` kept take at most about
+    8 * 32 * (n + 4096) bytes, n the largest degree among them."""
     B = GRID_BLOCK
-    size = _fft_length(n + B)
-    chirp = _cis(_square_phases(np.arange(max(n + 1, B), dtype=np.uint64), dx))
-    kernel = np.zeros(size, dtype=np.complex128)
+    m = size - B
+    chirp = _cis(_square_phases(np.arange(max(m + 1, B), dtype=np.uint64), dx))
+    kernel = np.empty(size, dtype=np.complex128)
     kernel[:B] = chirp[:B].conj()              # t - k = 0 .. B-1
-    kernel[size - n:] = chirp[n:0:-1].conj()   # t - k = -n .. -1
+    kernel[B:] = chirp[m:0:-1].conj()          # t - k = -m .. -1
     kernel = np.fft.fft(kernel)
     chirp.flags.writeable = kernel.flags.writeable = False
-    return size, chirp, kernel
+    return chirp, kernel
 
 
 def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
@@ -280,8 +296,9 @@ def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
         return np.zeros(j.shape), np.zeros(j.shape)
     B = GRID_BLOCK
     r, s = sub_lattice(j)
+    size = _fft_length(n + B)
     # the step s*dx is exact, s being a power of two
-    size, chirp, kernel = _chirp_plan(n, s * float(dx))
+    chirp, kernel = _chirp_plan(size, s * float(dx))
     # scaling by 2^e, max|c| 2^e in [1/2, 1), is exact and keeps the FFTs'
     # products clear of underflow; values in the normal range do not move
     e = -math.frexp(float(np.max(np.abs(c))))[1]

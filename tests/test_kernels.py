@@ -190,6 +190,52 @@ def test_level_one_reuses_the_level_zero_plan():
     assert fft.call_count == 1
 
 
+def test_one_plan_serves_every_degree_of_its_length():
+    """Degrees 100 and 224 both pad to 4320 points: the first builds the
+    plan, the second reuses it, and each stays within the contract of the
+    direct sums."""
+    x0, h = 1e-4, (math.pi - 2e-4) / 4095
+    idx = np.arange(4096)
+    rng = np.random.default_rng(5)
+    kernels._chirp_plan.cache_clear()
+    for n in (100, 224):
+        assert kernels._fft_length(n + kernels.GRID_BLOCK) == 4320
+        coeffs = rng.normal(size=n)
+        C, S = kernels.pair_sums_grid(coeffs, x0, h, idx)
+        ref_c, ref_s = kernels._direct_sums(coeffs, x0 + idx * h)
+        bound = kernels.error_bound(np.abs(coeffs).sum(), n)
+        assert max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) <= bound
+    info = kernels._chirp_plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def test_values_do_not_depend_on_the_cached_plans():
+    """One batch is bitwise the same from a cold cache, from the plan another
+    degree of its length built, and after CHIRP_PLANS other steps evicted
+    that plan."""
+    coeffs = np.random.default_rng(6).normal(size=150)
+    x0, h = 1e-4, (math.pi - 2e-4) / 4095
+    idx = np.arange(1, 8190, 2)
+
+    def batch():
+        C, S = kernels.pair_sums_grid(coeffs, x0, h / 2, idx)
+        return C.tobytes() + S.tobytes()
+
+    kernels._chirp_plan.cache_clear()
+    cold = batch()
+    kernels._chirp_plan.cache_clear()
+    kernels.pair_sums_grid(coeffs[:40], x0, h / 2, idx)   # degree 40, length 4320
+    before = kernels._chirp_plan.cache_info()
+    warm = batch()
+    assert kernels._chirp_plan.cache_info().hits == before.hits + 1
+    for i in range(kernels.CHIRP_PLANS):
+        kernels.pair_sums_grid(coeffs, x0, h * (i + 2), idx)
+    before = kernels._chirp_plan.cache_info()
+    evicted = batch()
+    assert kernels._chirp_plan.cache_info().misses == before.misses + 1
+    assert warm == cold and evicted == cold
+
+
 def test_inverse_two_pi_constant():
     import mpmath as mp
     with mp.workprec(400):
