@@ -8,24 +8,26 @@ A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between them.
 On a cell of width w the sum cannot fall below the larger of
 
-    (f_l + f_r)/2 - L*w/2        first order, L a uniform bound on |f'|,
+    f_l/2 + f_r/2 - L*w/2        first order, L a uniform bound on |f'|,
     min(f_l, f_r) - L2*w^2/8     second order, L2 a uniform bound on |f''|
                                  (the linear interpolant's error bound);
 
 the first wins on coarse cells, the second on fine ones and next to a
-vanishing endpoint, where values are small.  Computed values are within the
-evaluation roundoff bound of the exact ones, so a cell certifies only when
-its bound beats that bound, and the certified lower bound is the smallest
-cell bound net of it.  Cells that fail the test are bisected (only they
-are), up to a depth limit; each level evaluates the sum once, at the failing
-cells' midpoints.  The last cell also covers the sliver between the last
-sample and the window's end, by f_last - L*gap.  A constant sum (L = 0) is
-not refined: no cell bound depends on the cell width.  Every sample lies on
-the dyadic grid wlo + i*h/2^depth, so cells are integer indices and each
-batch goes through `TrigPolynomial.values_grid`.  A sample below minus the
-roundoff bound refutes with a witness; a non-positive sample inside that
-bound is no witness, and the cells it bounds never certify.  Inconclusive is
-a first-class outcome and is never upgraded.
+vanishing endpoint, where values are small.  The halves are added, as f_l +
+f_r can overflow.  Computed values are within the evaluation roundoff bound
+of the exact ones, so a cell certifies only when its bound beats that bound
+(a NaN bound never does; an infinite roundoff bound is inconclusive before
+any sample), and the certified lower bound is the smallest cell bound net of
+it.  Cells that fail the test are bisected (only they are), up to a depth
+limit; each level evaluates the sum once, at the failing cells' midpoints.
+The last cell also covers the sliver between the last sample and the
+window's end, by f_last - L*gap.  A constant sum (L = 0) is not refined: no
+cell bound depends on the cell width.  Every sample lies on the dyadic grid
+wlo + i*h/2^depth, so cells are integer indices and each batch goes through
+`TrigPolynomial.values_grid`.  A sample below minus the roundoff bound
+refutes with a witness; a non-positive sample inside that bound is no
+witness, and the cells it bounds never certify.  Inconclusive is a
+first-class outcome and is never upgraded.
 
 At a multiple of pi/2 each term and its first two derivatives carry a
 factor exactly 0 or +-1 (`vanishing_endpoint`), so whether the sum vanishes
@@ -256,14 +258,16 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
     opts = opts or CertifyOptions()
     wlo, whi, notes = _window(poly, lo, hi)
-    L = lipschitz_bound(poly)
-    L2 = curvature_bound(poly)
-    noise = roundoff_bound(poly)
+    L, L2, noise = lipschitz_bound(poly), curvature_bound(poly), roundoff_bound(poly)
+    total_evals = 0
 
     def failure(verdict, witness, depth):
         return PositivityReport(verdict, None, witness, total_evals, depth, L,
                                 (lo, hi), "; ".join(notes))
 
+    if noise == math.inf:
+        notes.append("roundoff bound overflows: no sample can refute and no cell certify")
+        return failure(INCONCLUSIVE, None, 0)
     # Every sample lies on the dyadic grid wlo + i*h/2^depth: cells are kept
     # as integer left indices il at the current depth, so each batch is a
     # uniform-grid evaluation and the points are exact grid points.
@@ -282,16 +286,14 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     il = np.arange(opts.grid0 - 1)
     last = opts.grid0 - 2  # left index of the cell that ends at the last sample
     fl, fr = vals[:-1], vals[1:]
-    depth = 0
-    lower = math.inf
+    depth, lower = 0, math.inf
     while True:
-        bound = np.maximum(0.5 * (fl + fr) - 0.5 * L * dx,
+        bound = np.maximum(0.5 * fl + 0.5 * fr - 0.5 * L * dx,
                            np.minimum(fl, fr) - 0.125 * L2 * dx * dx) - noise
         if sliver and il[-1] == last:
             bound[-1] = min(bound[-1], fr[-1] - sliver - noise)
-        fail = (bound <= 0.0) | (fl <= 0.0) | (fr <= 0.0)
-        if bound[~fail].size:
-            lower = min(lower, float(bound[~fail].min()))
+        fail = ~(bound > 0.0) | (fl <= 0.0) | (fr <= 0.0)  # a NaN bound fails
+        lower = min(lower, float(bound[~fail].min(initial=math.inf)))
         if not fail.any():
             break
         if L == 0.0:
@@ -397,7 +399,7 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         # crossing
         xs[zero] += np.where(zero == grid, -1e-6 * h, 1e-6 * h)
         vals[zero] = poly.values(xs[zero])
-    sign = np.where(vals > 0, 1, -1)
-    cross = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    sign = np.sign(vals)  # products of neighbouring values would under- or overflow
+    cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
     return ZeroBracketList(tuple((float(xs[i]), float(xs[i + 1]), int(sign[i]),
                                   int(sign[i + 1])) for i in cross.tolist()), kind)

@@ -12,13 +12,14 @@ sums cos((k+lam)*theta) / sin((k+mu)*theta), and the stride-2 shape
 cos((2k+1/2)*theta).
 
 Each polynomial keeps one read-only array view of its terms, (nu, c) for
-the cosine and for the sine part (`TrigPolynomial.terms`); the derivative
-value, and the uniform bounds on |f'| and |f''|, the coefficient mass and the
-roundoff bound that `postrig.certify` works with, are array expressions on it.
+the cosine and for the sine part (`TrigPolynomial.terms`); the bounds on
+|f'| and |f''|, the coefficient mass and the roundoff bound that
+`postrig.certify` works with are array expressions on it, which hold even
+where nu*c overflows.  f' itself has one surface, `TrigPolynomial.derivative`.
 
-Every evaluation routes through the two kernel paths of `postrig.kernels`;
-the shift is peeled off with the two angle-addition identities, so a
-shifted sum is computed from two unshifted kernel sums.
+There are two evaluation paths, the kernels of `postrig.kernels`, and every
+evaluation, f' included, goes through them; the shift is peeled off with the
+two angle-addition identities, so a shifted sum takes two unshifted sums.
 `TrigPolynomial.values` takes any angles and runs the direct sums
 (`kernels.pair_sums`).  `TrigPolynomial.values_grid` takes the points
 t0 + idx*dt of a uniform grid (idx integer), as the certifier's grids, the
@@ -100,12 +101,10 @@ class TrigPolynomial:
             C, S = sums(c[1:] if shifted else c)
             if not shifted:
                 out = out + (C if kind == "cos" else S)
-                continue
-            C = C + c[0]  # cos(0*x) = 1 term; its sine partner vanishes
-            if kind == "cos":
-                out = out + cph * C - sph * S
+            elif kind == "cos":  # c[0]: the cos(0*x) = 1 term; its sine partner vanishes
+                out = out + cph * (C + c[0]) - sph * S
             else:
-                out = out + sph * C + cph * S
+                out = out + sph * (C + c[0]) + cph * S
         return out
 
     def values(self, theta) -> np.ndarray:
@@ -127,23 +126,33 @@ class TrigPolynomial:
     def value(self, theta: float) -> float:
         return float(self.values(np.array([theta]))[0])
 
+    @np.errstate(over="ignore")  # an overflowing nu*c raises ParameterDomainError
+    def derivative(self) -> TrigPolynomial:
+        """f' in the same layout: the sine part's nu*c become cosine coefficients,
+        the cosine part's -nu*c sine ones, a0 drops, and shift and stride (so
+        every slot) stay.  A constant gives the zero polynomial."""
+        (nu_c, cc), (nu_s, sc) = self._view
+        sin = -(nu_c * cc) if cc.size or sc.size else (0.0,)  # a constant: f' = 0
+        return TrigPolynomial(0.0, nu_s * sc, sin, self.shift, self.stride)
+
     def derivative_value(self, theta: float) -> float:
         """d/dtheta at a point."""
-        (nu_c, cc), (nu_s, sc) = self._view
-        return float((sc * nu_s) @ np.cos(nu_s * theta)
-                     - (cc * nu_c) @ np.sin(nu_c * theta))
+        return self.derivative().value(theta)
 
 
+@np.errstate(over="ignore")
 def lipschitz_bound(poly: TrigPolynomial) -> float:
     """sum over terms of frequency * |coefficient|: a uniform |d/dtheta| bound."""
     return float(sum(nu @ np.abs(c) for nu, c in poly.terms()))
 
 
+@np.errstate(over="ignore")
 def curvature_bound(poly: TrigPolynomial) -> float:
     """Same with frequency^2: a uniform |d^2/dtheta^2| bound."""
     return float(sum((nu * nu) @ np.abs(c) for nu, c in poly.terms()))
 
 
+@np.errstate(over="ignore")
 def coefficient_mass(poly: TrigPolynomial) -> float:
     return 0.5 * abs(poly.a0) + float(sum(np.abs(c).sum() for _, c in poly.terms()))
 
@@ -186,8 +195,7 @@ def shifted_poly(coeffs: Sequence[float], shift: float, kind: str,
     if shift == 0.0:
         if kind == "cosine":
             return TrigPolynomial(a0=2.0 * e[0], cos_coeffs=e[1:], stride=stride)
-        return TrigPolynomial(sin_coeffs=e[1:], stride=stride) if e.size > 1 \
-            else TrigPolynomial(a0=0.0, sin_coeffs=(0.0,), stride=stride)
+        return TrigPolynomial(sin_coeffs=e[1:] if e.size > 1 else (0.0,), stride=stride)
     if kind == "cosine":
         return TrigPolynomial(cos_coeffs=e, shift=shift, stride=stride)
     return TrigPolynomial(sin_coeffs=e, shift=shift, stride=stride)
@@ -199,23 +207,22 @@ def qk_weight(k: int, alpha: float, beta: float, lam: float, mu: float) -> float
 
 
 def halfangle_product_negated_poly(n: int, alpha: float, beta: float, lam: float,
-                           mu: float) -> TrigPolynomial:
+                                   mu: float) -> TrigPolynomial:
     """Minus d/dtheta of cos(theta/2) * (1 + cos(theta) + sum_{k=2}^n
     cos(k theta)/(k w_k)), w_k = `qk_weight`, as a shift-1/2 sine polynomial.
 
-    Using sin(A)cos(B)/cos(A)sin(B) product identities, the negated derivative
-    collapses to sum_{m=0}^n E_m sin((m + 1/2) theta), which the positivity
-    certifier can bound directly.
+    With c_0 = c_1 = 1 and c_k = 1/(k w_k), cos(theta/2) cos(k theta) =
+    (cos((k+1/2) theta) + cos((k-1/2) theta))/2 makes the product the shift-1/2
+    cosine sum of p_m = (c_m + c_{m+1})/2, c_0 counted twice (cos(-theta/2) =
+    cos(theta/2)); minus its `TrigPolynomial.derivative` is the sine sum
+    sum_{m=0}^n (m + 1/2) p_m sin((m + 1/2) theta) that the certifier bounds.
     """
     if n < 1:
         raise ParameterDomainError("n must be >= 1")
     k = np.arange(2, n + 1)
-    w = qk_weight(k, alpha, beta, lam, mu)
-    c = np.concatenate(([1.0, 1.0], 1.0 / (k * w), [0.0]))
-    s = np.concatenate(([0.0, 1.0], 1.0 / w, [0.0]))
-    e = np.concatenate(([0.5 * c[0] - 0.25 * c[1] + 0.5 * s[1]],
-                        0.25 * (c[1:-1] - c[2:]) + 0.5 * (s[1:-1] + s[2:])))
-    return TrigPolynomial(sin_coeffs=e, shift=0.5, stride=1)
+    c = np.concatenate(([2.0, 1.0], 1.0 / (k * qk_weight(k, alpha, beta, lam, mu)), [0.0]))
+    p = 0.5 * (c[:-1] + c[1:])
+    return TrigPolynomial(cos_coeffs=-p, shift=0.5).derivative()
 
 
 def fejer_sigma(k: int, x: float) -> float:

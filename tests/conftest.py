@@ -33,6 +33,20 @@ def naive_trig_value(poly, theta: float) -> float:
         for kind, nu, c in naive_terms(poly)])
 
 
+def mp_derivative(poly, theta: float, order: int) -> float:
+    """The order-th derivative of a TrigPolynomial at theta, term by term in
+    mpmath at 40 digits: d^k/dtheta^k of cos(nu*theta + p*pi/2) is
+    nu^k cos(nu*theta + (p + k)*pi/2), p = -1 for a sine term."""
+    import mpmath as mp
+    with mp.workdps(40):
+        total = mp.mpf(poly.a0) / 2 if order == 0 else mp.mpf(0)
+        for kind, nu, c in naive_terms(poly):
+            p = order - (kind == "sin")
+            total += mp.mpf(c) * mp.mpf(nu) ** order * mp.cos(
+                mp.mpf(nu) * mp.mpf(theta) + p * mp.pi / 2)
+        return float(total)
+
+
 def naive_sine_sum(coeffs, theta: float) -> float:
     return math.fsum(c * math.sin((k + 1) * theta) for k, c in enumerate(coeffs))
 

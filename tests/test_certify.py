@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -38,13 +39,13 @@ class TestLipschitz:
         s40, _ = fig1_polys(40)
         L = lipschitz_bound(s40)
         ths = np.linspace(0.0, 2 * PI, 10_000)
-        deriv = np.array([s40.derivative_value(t) for t in ths[::7]])
+        deriv = s40.derivative().values(ths[::7])
         assert np.max(np.abs(deriv)) <= L
 
 
 class TestArrayView:
-    """Bounds and derivative values from the (nu, c) array view against the
-    term-by-term fsum definitions."""
+    """Bounds from the (nu, c) array view, and f' from `derivative()`,
+    against the term-by-term fsum definitions."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.floats(-5, 5), min_size=1, max_size=40),
@@ -69,7 +70,8 @@ class TestArrayView:
         close(coefficient_mass(poly), mass, mass)
         d1 = fsum(lambda k, nu, c: -c * nu * math.sin(nu * t) if k == "cos"
                   else c * nu * math.cos(nu * t))
-        close(poly.derivative_value(t), d1, L)
+        close(poly.derivative().values([t])[0], d1, L)
+        assert poly.derivative_value(t) == poly.derivative().value(t)
         assert [list(nu) for nu, _ in poly.terms()] == [
             [nu for k, nu, _ in terms if k == kind] for kind in ("cos", "sin")]
 
@@ -468,6 +470,57 @@ class TestSecondOrderCells:
         assert rep.verdict == INCONCLUSIVE
         assert (rep.grid_points, rep.refinement_depth) == (4096, 0)
         assert "constant" in rep.boundary_notes
+
+
+class TestHugeCoefficients:
+    """Sums whose values, means or bounds leave the float range."""
+
+    def test_overflowing_cell_mean_is_refuted(self):
+        # a0/2 + c cos(theta) is -8.99e306 at pi; the mean of the two samples
+        # of the cell [5.08, 8.97] overflows as (f_l + f_r)/2, whose bound
+        # then reads +inf and certified the sum
+        poly = cosine_poly(1.6179238213760842e308, [8.988465674311579e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_positive(poly, 1.2, 8.966370614359173, CertifyOptions(grid0=3))
+        assert rep.verdict == REFUTED
+        assert rep.witness == (PI, pytest.approx(-8.988465674311578e306, rel=1e-12))
+
+    def test_overflowing_roundoff_bound_is_inconclusive_before_any_sample(self, monkeypatch):
+        calls = []
+        grid = TrigPolynomial.values_grid
+        monkeypatch.setattr(TrigPolynomial, "values_grid",
+                            lambda self, *a: calls.append(a) or grid(self, *a))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_positive(sine_poly([1e308, 1e308]), 0.0, PI)
+        assert rep.verdict == INCONCLUSIVE
+        assert (rep.grid_points, rep.refinement_depth, calls) == (0, 0, [])
+        assert "roundoff bound overflows" in rep.boundary_notes
+
+    @pytest.mark.parametrize("coeffs, verdict", [([0.0, 1e308], REFUTED),
+                                                 ([1e308], CERTIFIED)])
+    def test_verdicts_kept_without_warnings(self, coeffs, verdict):
+        # L = 2e308 overflows for sin(2 theta); the mass 1e308 does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_positive(sine_poly(coeffs), 0.0, PI)
+        assert rep.verdict == verdict
+
+    @pytest.mark.parametrize("kind, coeffs", [("p", [2.0, 1.0]), ("p", [3.0, 2.0, 1.0]),
+                                              ("q", [3.0, 2.0, 1.0]),
+                                              ("q", [5.0, 4.0, 2.5, 1.0, 0.5])])
+    def test_zero_brackets_do_not_depend_on_scale(self, kind, coeffs):
+        # the products of neighbouring samples under- or overflow at these
+        # scales; their signs do not
+        want = bracket_zeros(kind, coeffs, 0.0, 2 * PI, 512)
+        assert want.brackets
+        for e in (560, -560):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = bracket_zeros(kind, [math.ldexp(c, e) for c in coeffs],
+                                    0.0, 2 * PI, 512)
+            assert got == want
 
 
 class TestFindMin:

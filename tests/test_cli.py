@@ -88,6 +88,20 @@ class TestCertifyCommand:
         assert run(["certify", "--family", "qk-sine", "--n", "10",
                     "--eps", "nan"]) == 1
 
+    def test_overflowing_cell_mean_is_refuted(self, tmp_path):
+        # the sum is -8.99e306 at pi; an overflowing cell mean certified it
+        out = tmp_path / "r.json"
+        assert run(["certify", "--family", "raw-cosine", "--coeffs",
+                    "1.6179238213760842e308,8.988465674311579e307", "--lo", "1.2",
+                    "--hi", "8.966370614359173", "--grid", "3", "-o", str(out)]) == 2
+        assert json.loads(out.read_text())["report"]["witness"]["theta"] == math.pi
+
+    def test_overflowing_roundoff_bound_takes_no_sample(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert run(["certify", "--family", "raw-sine", "--coeffs", "1e308,1e308",
+                    "-o", str(out)]) == 3
+        assert json.loads(out.read_text())["report"]["grid_points"] == 0
+
     def test_halfangle_product_family(self):
         code = run(["certify", "--family", "halfangle-product", "--n", "30",
                     "--alpha", ".2", "--beta", ".4", "--lambda", ".3",

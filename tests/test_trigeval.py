@@ -1,6 +1,7 @@
 """trigeval: TrigPolynomial values, shifted sums, helper kernels, Abel identity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 import postrig
 from postrig import (TrigPolynomial, abel_resum, cosine_poly, fejer_h, fejer_sigma,
-                     qk_sequence, shifted_poly, sine_poly,
+                     lipschitz_bound, qk_sequence, shifted_poly, sine_poly,
                      halfangle_product_negated_poly)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.trigeval import qk_weight
-from conftest import (naive_cosine_sum, naive_halfangle_derivative,
-                      naive_trig_value, naive_sine_sum)
+from postrig.kernels import _chirp_plan, chirp_cheaper, error_bound
+from postrig.trigeval import coefficient_mass, curvature_bound, qk_weight
+from conftest import (mp_derivative, naive_cosine_sum, naive_halfangle_derivative,
+                      naive_terms, naive_trig_value, naive_sine_sum)
 
 PI = math.pi
 
@@ -87,6 +89,88 @@ class TestTrigPolynomial:
                               shift=shift, stride=stride)
         mass = 0.4 + 2 * sum(abs(c) for c in coeffs) or 1.0
         assert abs(poly.value(theta) - naive_trig_value(poly, theta)) <= 1e-12 * mass
+
+
+_LAYOUT = dict(
+    a0=st.floats(-3, 3), cc=st.lists(st.floats(-5, 5), max_size=30),
+    sc=st.lists(st.floats(-5, 5), max_size=30),
+    shift=st.sampled_from([0.0, 0.125, 0.25, 0.5]), stride=st.sampled_from([1, 2]))
+
+
+def _layout(a0, cc, sc, shift, stride):
+    """A TrigPolynomial of any layout (a0 only when unshifted); one with
+    nothing else to hold gets a single zero sine term."""
+    a0 = 0.0 if shift else a0
+    if not (cc or sc or a0):
+        sc = [0.0]
+    return TrigPolynomial(a0, tuple(cc), tuple(sc), shift, stride)
+
+
+class TestDerivative:
+    """TrigPolynomial.derivative: f' as a polynomial in the same layout."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_LAYOUT, thetas=st.lists(st.floats(-7.0, 7.0), min_size=1, max_size=5))
+    def test_matches_mpmath_every_layout(self, a0, cc, sc, shift, stride, thetas):
+        poly = _layout(a0, cc, sc, shift, stride)
+        d1, d2 = poly.derivative(), poly.derivative().derivative()
+        n = len(naive_terms(poly))
+        for t in thetas:
+            assert abs(d1.value(t) - mp_derivative(poly, t, 1)) <= \
+                error_bound(lipschitz_bound(poly), n)
+            assert abs(d2.value(t) - mp_derivative(poly, t, 2)) <= \
+                error_bound(curvature_bound(poly), n)
+        assert (d1.shift, d1.stride, d1.a0) == (shift, stride, 0.0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(**_LAYOUT)
+    def test_bounds_are_the_mass_of_the_derivatives(self, a0, cc, sc, shift, stride):
+        poly = _layout(a0, cc, sc, shift, stride)
+        for bound, d in ((lipschitz_bound(poly), poly.derivative()),
+                         (curvature_bound(poly), poly.derivative().derivative())):
+            assert abs(bound - coefficient_mass(d)) <= 1e-14 * bound
+
+    @pytest.mark.parametrize("poly", [cosine_poly(2.0), TrigPolynomial(a0=-3.0, stride=2)])
+    def test_constant_gives_the_zero_polynomial(self, poly):
+        d = poly.derivative()
+        assert (d.a0, d.cos_coeffs, d.sin_coeffs) == (0.0, (), (0.0,))
+        assert (d.shift, d.stride) == (poly.shift, poly.stride)
+        assert not d.values(np.linspace(-7.0, 7.0, 50)).any()
+
+    def test_the_shift_term_keeps_its_slot(self):
+        # nu = shift + stride*k from k = 0: cos(theta/4) -> -sin(theta/4)/4
+        d = TrigPolynomial(cos_coeffs=(2.0, 1.0), shift=0.25).derivative()
+        assert (d.cos_coeffs, d.sin_coeffs, d.shift) == ((), (-0.5, -1.25), 0.25)
+        d = TrigPolynomial(sin_coeffs=(1.0, 3.0), shift=0.5, stride=2).derivative()
+        assert (d.cos_coeffs, d.sin_coeffs, d.stride) == ((0.5, 7.5), (), 2)
+        # the standard layout starts at k = 1, the constant drops
+        d = TrigPolynomial(a0=4.0, cos_coeffs=(1.0,), sin_coeffs=(1.0, 1.0)).derivative()
+        assert (d.a0, d.cos_coeffs, d.sin_coeffs) == (0.0, (1.0, 2.0), (-1.0,))
+
+    @pytest.mark.parametrize("poly", [cosine_poly(0.0, [1.0, 1e308]),
+                                      TrigPolynomial(sin_coeffs=(1e308, 1e308), shift=0.5,
+                                                     stride=2)])
+    def test_overflowing_product_raises_without_warning(self, poly):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError):
+                poly.derivative()
+
+    @pytest.mark.parametrize("shift, stride", [(0.0, 1), (0.25, 2)])
+    def test_level_zero_grid_builds_no_new_chirp_plan(self, rng, shift, stride):
+        # what refinement with f' samples relies on: f' has f's coefficient
+        # lengths (the parts swap), so its batches reuse f's plans
+        poly = TrigPolynomial(0.0 if shift else 1.0, rng.normal(size=400),
+                              rng.normal(size=300), shift, stride)
+        idx = np.arange(4096)
+        assert chirp_cheaper(400, idx)
+        h = math.pi / 4095
+        poly.values_grid(0.0, h, idx)
+        misses = _chirp_plan.cache_info().misses
+        got = poly.derivative().values_grid(0.0, h, idx)
+        assert _chirp_plan.cache_info().misses == misses
+        want = poly.derivative().values(idx * h)
+        assert np.abs(got - want).max() <= 2 * error_bound(lipschitz_bound(poly), 700)
 
 
 class TestShiftedSums:
