@@ -1,8 +1,9 @@
-"""Grid + curvature-bound positivity certification for trigonometric polynomials.
+"""Grid + cell-bound positivity certification for trigonometric polynomials.
 
 This module is the engine (endpoint policy, `certify_positive`, `find_min`,
-`bracket_zeros`); L, L2 and the roundoff bound come from `postrig.trigeval`.
-All three scan one level-0 grid; `find_min` then descends on its lattice.
+`bracket_zeros`); L, L2, L4 and the roundoff bounds come from
+`postrig.trigeval`.  All three scan one level-0 grid; `find_min` then
+descends on its lattice.
 
 A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between them.
@@ -14,15 +15,36 @@ On a cell of width w the sum cannot fall below the larger of
 
 the first wins on coarse cells, the second on fine ones and next to a
 vanishing endpoint, where values are small.  The halves are added, as f_l +
-f_r can overflow.  Computed values are within the evaluation roundoff bound
-of the exact ones, so a cell certifies only when its bound beats that bound
-(a NaN bound never does; an infinite roundoff bound is inconclusive before
-any sample), and the certified lower bound is the smallest cell bound net of
-it.  Cells that fail the test are bisected (only they are), up to a depth
-limit; each level evaluates the sum once, at the failing cells' midpoints.
-The last cell also covers the sliver between the last sample and the
-window's end, by f_last - L*gap.  A constant sum (L = 0) is not refined: no
-cell bound depends on the cell width.  Every sample lies on the dyadic grid
+f_r can overflow.  L, L2 and L4 grow like n^2, n^3 and n^5 with bounded
+coefficients, while f' and f'' near a minimum stay small, so at high
+degree these global bounds cost refinement.  A cell that fails both is
+tested again at the same depth with a third bound from local data: f' is
+sampled at its ends (one batch of f' = `TrigPolynomial.derivative()` at the
+failing cells' unique end indices, through the same kernels and chirp
+plans), and the cubic Hermite interpolant of (f, f') has the Bernstein
+control points f_l, f_l + w*f'_l/3, f_r - w*f'_r/3, f_r.  Split once at
+the midpoint, the smallest of its seven control points is at most the
+cubic's minimum (convex hull); less L4*w^4/384 (the interpolant's
+remainder, L4 = sum nu^4 |c|), w/4 times f''s roundoff bound, f's roundoff
+bound and the rounding of this arithmetic (`_hermite_bound`), it bounds f
+on the cell.  The cell's bound is the larger of the three, a NaN one
+ignored.  Only level 0 can be the first level with failing cells, so f' is
+sampled from depth 0 on, and then at every level's midpoints beside f: most
+certificates end at level 0 without it.  When nu*c, L4 or f''s roundoff
+bound overflows, the cells keep the first two bounds and a note says so.
+`grid_points` counts every point at which f or f' is evaluated, and a note
+gives the f' samples and L4.
+
+Computed values are within the evaluation roundoff bound of the exact ones,
+so a cell certifies only when its bound beats that bound (a NaN bound never
+does; an infinite roundoff bound is inconclusive before any sample), and the
+certified lower bound is the smallest cell bound net of it.  Cells that fail
+the test are bisected (only they are), up to a depth limit; each level
+evaluates the sum once at the failing cells' midpoints, and f' once at the
+same points.  The last cell also covers the sliver between the last sample
+and the window's end, by f_last - L*gap.  A constant sum (L = 0) is not
+refined, and f' is not sampled: no cell bound depends on the cell width.
+Every sample lies on the dyadic grid
 wlo + i*h/2^depth, so cells are integer indices and each batch goes through
 `TrigPolynomial.values_grid`.  A sample below minus the roundoff bound
 refutes with a witness; a non-positive sample inside that bound is no
@@ -54,7 +76,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterDomainError
-from .trigeval import TrigPolynomial, curvature_bound, lipschitz_bound, roundoff_bound
+from .kernels import SUBNORMAL
+from .trigeval import (TrigPolynomial, curvature_bound, fourth_derivative_bound,
+                       lipschitz_bound, roundoff_bound)
 
 _HALF_PI = 0.5 * math.pi
 
@@ -253,21 +277,77 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
     return h, np.minimum(raw, whi), poly.values_grid(wlo, h, idx), gap
 
 
+#: the rounding of `_hermite_bound`'s arithmetic, in units of
+#: |f_l| + |f_r| + w*(|f'_l| + |f'_r|) (its docstring derives it)
+_HULL_ROUNDING = 16 * 2.0 ** -53
+
+
+@np.errstate(over="ignore", invalid="ignore")  # huge values give -inf or NaN
+def _hermite_bound(fl, fr, gl, gr, w: float, L4: float, noise: float,
+                   dnoise: float) -> np.ndarray:
+    """Lower bounds of f on cells of width w from the computed values fl, fr
+    and slopes gl, gr at their ends: the smallest of the seven control
+    points of the cubic Hermite interpolant's Bernstein form, split once at
+    the midpoint (convex hull), less L4*w^4/384 (the interpolant's
+    remainder), w*dnoise/4 (the slopes' roundoff, through w*h10 and w*h11,
+    |h10| + |h11| = t(1 - t) <= 1/4), noise (the values' roundoff, through
+    h00 + h01 = 1) and the rounding of this arithmetic.
+
+    With S = |fl| + |fr| + w*(|gl| + |gr|) and u = 2^-53: the inner control
+    points fl + (w/3)*gl and fr - (w/3)*gr are off by at most u*S (three
+    roundings on the slope term, one on the sum), each of the three levels
+    of halved sums adds u*S, the subtracted terms (eight roundings at most,
+    four of them the additions) add 8u*S and the last difference u*S while
+    the bound is positive: 13u*S in all, and 16u*S leaves room for the
+    rounding of S.  Halving a subnormal value loses half a spacing, 3
+    spacings over the three levels.  A control point that overflows makes S
+    infinite, so such a bound is -inf or NaN."""
+    t = w / 3.0
+    b1, b2 = fl + t * gl, fr - t * gr
+    c01, c12, c23 = 0.5 * fl + 0.5 * b1, 0.5 * b1 + 0.5 * b2, 0.5 * b2 + 0.5 * fr
+    d0, d1 = 0.5 * c01 + 0.5 * c12, 0.5 * c12 + 0.5 * c23
+    hull = np.minimum.reduce([fl, c01, d0, 0.5 * d0 + 0.5 * d1, d1, c23, fr])
+    scale = np.abs(fl) + np.abs(fr) + w * (np.abs(gl) + np.abs(gr))
+    w2 = w * w
+    return hull - (L4 * w2 * w2 / 384.0 + 0.25 * w * dnoise + noise
+                   + _HULL_ROUNDING * scale + 4 * SUBNORMAL)
+
+
+def _slopes(poly: TrigPolynomial, notes: list):
+    """(f', L4, the roundoff bound of f') for Hermite cells, or None, with a
+    note, when f' or either bound leaves the float range."""
+    try:
+        deriv = poly.derivative()
+    except ParameterDomainError:  # nu*c overflows
+        deriv = None
+    if deriv is not None:
+        L4, dnoise = fourth_derivative_bound(poly), roundoff_bound(deriv)
+        if L4 < math.inf and dnoise < math.inf:
+            return deriv, L4, dnoise
+    notes.append("f' or its bounds overflow: no Hermite cells, the first- and "
+                 "second-order bounds alone")
+    return None
+
+
 def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
     opts = opts or CertifyOptions()
     wlo, whi, notes = _window(poly, lo, hi)
     L, L2, noise = lipschitz_bound(poly), curvature_bound(poly), roundoff_bound(poly)
-    total_evals = 0
+    total_evals = slope_evals = 0
+    slopes = None  # (f', L4, roundoff bound of f') once f' is sampled
 
-    def failure(verdict, witness, depth):
-        return PositivityReport(verdict, None, witness, total_evals, depth, L,
+    def report(verdict, lower, witness, depth):
+        if slopes:
+            notes.append(f"f' sampled at {slope_evals} points from depth 0; "
+                         f"L4 = {slopes[1]:.9g}")
+        return PositivityReport(verdict, lower, witness, total_evals, depth, L,
                                 (lo, hi), "; ".join(notes))
 
     if noise == math.inf:
         notes.append("roundoff bound overflows: no sample can refute and no cell certify")
-        return failure(INCONCLUSIVE, None, 0)
+        return report(INCONCLUSIVE, None, None, 0)
     # Every sample lies on the dyadic grid wlo + i*h/2^depth: cells are kept
     # as integer left indices il at the current depth, so each batch is a
     # uniform-grid evaluation and the points are exact grid points.
@@ -275,36 +355,57 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     total_evals = opts.grid0
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
-        return failure(REFUTED, (float(xs[imin]), float(vals[imin])), 0)
+        return report(REFUTED, None, (float(xs[imin]), float(vals[imin])), 0)
     sliver = L * gap  # f >= f_last - sliver between the last sample and whi
 
     # Cell arrays, kept in ascending-theta order so ties resolve
-    # deterministically: left index il at the current depth and the two
-    # endpoint values.  A cell's bound is the larger of the first- and
-    # second-order ones (module docstring) net of the roundoff bound; a cell
-    # with a sample at or below 0 that is no witness never certifies.
+    # deterministically: left index il at the current depth, the endpoint
+    # values and, once sampled, the endpoint slopes.
     il = np.arange(opts.grid0 - 1)
     last = opts.grid0 - 2  # left index of the cell that ends at the last sample
     fl, fr = vals[:-1], vals[1:]
+    gl = gr = None
     depth, lower = 0, math.inf
-    while True:
+
+    def tested():
+        """Each cell's bound, net of the roundoff bound (module docstring),
+        and whether it fails: a NaN bound fails, and so does a cell with a
+        sample at or below 0 that is no witness."""
         bound = np.maximum(0.5 * fl + 0.5 * fr - 0.5 * L * dx,
                            np.minimum(fl, fr) - 0.125 * L2 * dx * dx) - noise
+        if gl is not None:
+            bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, dx, slopes[1],
+                                                  noise, slopes[2]))
         if sliver and il[-1] == last:
             bound[-1] = min(bound[-1], fr[-1] - sliver - noise)
-        fail = ~(bound > 0.0) | (fl <= 0.0) | (fr <= 0.0)  # a NaN bound fails
+        return bound, ~(bound > 0.0) | (fl <= 0.0) | (fr <= 0.0)
+
+    while True:
+        bound, fail = tested()
+        if depth == 0 and L != 0.0 and fail.any():
+            # the failing cells are tested again with f' at their ends
+            slopes = _slopes(poly, notes)
+            if slopes:
+                lower = min(lower, float(bound[~fail].min(initial=math.inf)))
+                il, fl, fr = il[fail], fl[fail], fr[fail]
+                ends, at = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
+                g = slopes[0].values_grid(wlo, dx, ends)
+                gl, gr = g[at[:il.size]], g[at[il.size:]]
+                slope_evals = ends.size
+                total_evals += ends.size
+                bound, fail = tested()
         lower = min(lower, float(bound[~fail].min(initial=math.inf)))
         if not fail.any():
             break
         if L == 0.0:
             notes.append("the sum is constant (L = 0): no cell bound depends on "
                          "the cell width, so refinement cannot settle it")
-            return failure(INCONCLUSIVE, None, depth)
+            return report(INCONCLUSIVE, None, None, depth)
         if depth >= opts.max_depth:
             worst = int(np.argmin(bound))
             notes.append(f"refinement depth exhausted near theta = "
                          f"{min(float(wlo + (il[worst] + 0.5) * dx), whi):.9g}")
-            return failure(INCONCLUSIVE, None, depth)
+            return report(INCONCLUSIVE, None, None, depth)
         depth += 1
         dx *= 0.5
         last = 2 * last + 1
@@ -315,15 +416,23 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         jmin = int(np.argmin(fm))
         if fm[jmin] < -noise:
             witness = (min(float(wlo + im[jmin] * dx), whi), float(fm[jmin]))
-            return failure(REFUTED, witness, depth)
-        il = np.stack((2 * il, im), axis=1).ravel()
-        fl = np.stack((fl, fm), axis=1).ravel()
-        fr = np.stack((fm, fr), axis=1).ravel()
+            return report(REFUTED, None, witness, depth)
+        il = _interleave(2 * il, im)
+        fl, fr = _interleave(fl, fm), _interleave(fm, fr)
+        if slopes:
+            gm = slopes[0].values_grid(wlo, dx, im)
+            slope_evals += im.size
+            total_evals += im.size
+            gl, gr = _interleave(gl[fail], gm), _interleave(gm, gr[fail])
 
     if not math.isfinite(lower) or lower <= 0.0:
-        return failure(INCONCLUSIVE, None, depth)
-    return PositivityReport(CERTIFIED, lower, None, total_evals, depth, L,
-                            (lo, hi), "; ".join(notes))
+        return report(INCONCLUSIVE, None, None, depth)
+    return report(CERTIFIED, lower, None, depth)
+
+
+def _interleave(a, b):
+    """a[0], b[0], a[1], b[1], ...: the values at the ends of bisected cells."""
+    return np.stack((a, b), axis=1).ravel()
 
 
 def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
@@ -336,13 +445,18 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     are no lower), and moves to the lowest of the three, the smallest theta
     on ties.  It stops when both midpoints are within the roundoff bound of
     the best value, where computed values no longer tell points apart, or
-    when halving the step no longer moves theta.
+    when halving the step no longer moves theta.  A sum whose roundoff bound
+    overflows raises `ParameterDomainError`: its values may leave the float
+    range.
     """
     wlo, whi, _ = _window(poly, lo, hi)
+    noise = roundoff_bound(poly)
+    if noise == math.inf:
+        raise ParameterDomainError("roundoff bound overflows: the sum's values "
+                                   "may leave the float range")
     dx, xs, vals, _ = _level0(poly, wlo, whi, CertifyOptions.grid0)
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
-    noise = roundoff_bound(poly)
     last = CertifyOptions.grid0 - 1  # index of the last sample at the current step
     while k < 2 ** 52:  # lattice indices stay exact in a float
         dx *= 0.5
@@ -364,6 +478,11 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
                   grid: int) -> ZeroBracketList:
     """Sign-change brackets for p(theta) = sum a_k cos((n-k)theta) or
     q(theta) = sum a_k sin((n-k)theta), coefficients a_0 > a_1 >= ... >= a_n > 0.
+
+    Only signs are read, so the coefficients are first scaled by the power
+    of two that brings max |a_k| = a_0 into [1/2, 1), so no value leaves the
+    float range; the scaling is exact but for a coefficient below 2^-1022
+    a_0, far inside the roundoff bound.
     """
     if kind not in ("p", "q"):
         raise ParameterDomainError(f"kind must be p or q, got {kind!r}")
@@ -379,6 +498,7 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         j = int(rises[0])
         raise ParameterDomainError(f"a_{j} >= a_{j + 1} violated ({a[j]} < {a[j + 1]})")
     _check_interval(lo, hi)
+    a = np.ldexp(a, -math.frexp(a[0])[1])
 
     if kind == "p":
         n = a.size - 1

@@ -13,9 +13,10 @@ cos((2k+1/2)*theta).
 
 Each polynomial keeps one read-only array view of its terms, (nu, c) for
 the cosine and for the sine part (`TrigPolynomial.terms`); the bounds on
-|f'| and |f''|, the coefficient mass and the roundoff bound that
-`postrig.certify` works with are array expressions on it, which hold even
-where nu*c overflows.  f' itself has one surface, `TrigPolynomial.derivative`.
+|f'|, |f''| and |f''''| (sums of nu^p |c|, rounded up), the coefficient mass
+and the roundoff bound that `postrig.certify` works with are array
+expressions on it, which hold even where nu*c overflows.  f' itself has one
+surface, `TrigPolynomial.derivative`.
 
 There are two evaluation paths, the kernels of `postrig.kernels`, and every
 evaluation, f' included, goes through them; the shift is peeled off with the
@@ -31,6 +32,7 @@ batch, the chirp-z grid kernel on the batch's `kernels.sub_lattice` or
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -38,7 +40,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import chirp_cheaper, error_bound, pair_sums, pair_sums_grid
+from .kernels import SUBNORMAL, chirp_cheaper, error_bound, pair_sums, pair_sums_grid
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,12 @@ class TrigPolynomial:
         """((nu, c) of the cosine part, (nu, c) of the sine part) as read-only
         arrays: frequencies and coefficients, built once per polynomial."""
         return self._view
+
+    @functools.cached_property
+    def _bounds(self) -> tuple[float, float, float]:
+        """(L, L2, L4) = sum over terms of nu^p * |c| for p = 1, 2, 4, each
+        rounded up (`_moments`), computed once per polynomial."""
+        return _moments(self._view)
 
     def _peel(self, theta: np.ndarray,
               sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -140,16 +148,66 @@ class TrigPolynomial:
         return self.derivative().value(theta)
 
 
+#: 2^-53 and the unit roundoff of np.longdouble (2^-64 with x87 extended
+#: precision, 2^-53 where it is double)
+_U = 2.0 ** -53
+_LONG_U = float(np.finfo(np.longdouble).eps) / 2
+#: a power nu^p below the normal range is raised to this, which exceeds it
+_TINY_POWER = 2.0 ** -1020
+
+
 @np.errstate(over="ignore")
+def _moments(view) -> tuple[float, float, float]:
+    """sum over terms of nu^p * |c| for p = 1, 2, 4, each rounded up.
+
+    nu = stride*k + shift is rounded once and each squaring doubles the
+    roundings and adds one, so nu^p carries 2p - 1 and its product with |c|
+    2p, each a factor 1 - u at worst, u = 2^-53; a product that underflows
+    is off by at most half a subnormal spacing instead.  The products are
+    summed in np.longdouble, n roundings of unit eps, and the sum rounds
+    once more to float, off by a factor 1 - u or half a spacing.  The n + 1
+    spacings added and the factor 1 + 2*((2p + 2)u + (n + 1)eps) cover all
+    of it with room for the two roundings of applying them, and
+    `math.nextafter` takes the last one up.  Only nu = shift < 2^-255 takes
+    a power below the normal range; it is raised to 2^-1020 first.  A sum
+    beyond the float range is inf; one with no non-zero term is exactly 0.
+    """
+    totals, n = np.zeros(3, dtype=np.longdouble), 0
+    for nu, c in view:
+        if not c.size:
+            continue
+        powers = np.empty((3, c.size))
+        powers[0] = nu
+        np.multiply(nu, nu, out=powers[1])
+        np.multiply(powers[1], powers[1], out=powers[2])
+        if nu[0] < 2.0 ** -255:  # frequencies ascend
+            np.maximum(powers, _TINY_POWER, out=powers)
+        powers *= np.abs(c)
+        totals += np.add.reduce(powers, axis=1, dtype=np.longdouble)
+        n += c.size
+    if not totals.any() and not any(c.any() for _, c in view):
+        return 0.0, 0.0, 0.0
+    return tuple(math.nextafter((float(total) + (n + 1) * SUBNORMAL)
+                                * (1.0 + 2.0 * ((2 * p + 2) * _U + (n + 1) * _LONG_U)),
+                                math.inf)
+                 for p, total in zip((1, 2, 4), totals))
+
+
 def lipschitz_bound(poly: TrigPolynomial) -> float:
-    """sum over terms of frequency * |coefficient|: a uniform |d/dtheta| bound."""
-    return float(sum(nu @ np.abs(c) for nu, c in poly.terms()))
+    """sum over terms of frequency * |coefficient|, rounded up: a uniform
+    |d/dtheta| bound."""
+    return poly._bounds[0]
 
 
-@np.errstate(over="ignore")
 def curvature_bound(poly: TrigPolynomial) -> float:
     """Same with frequency^2: a uniform |d^2/dtheta^2| bound."""
-    return float(sum((nu * nu) @ np.abs(c) for nu, c in poly.terms()))
+    return poly._bounds[1]
+
+
+def fourth_derivative_bound(poly: TrigPolynomial) -> float:
+    """Same with frequency^4: a uniform |d^4/dtheta^4| bound, the L4 of the
+    certifier's Hermite cells."""
+    return poly._bounds[2]
 
 
 @np.errstate(over="ignore")

@@ -12,9 +12,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
                      certify_positive, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _level0,
-                             vanishing_endpoint)
-from postrig.trigeval import coefficient_mass, curvature_bound, roundoff_bound
+from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bound,
+                             _level0, vanishing_endpoint)
+from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
+                              roundoff_bound)
 from postrig.kernels import chirp_cheaper, error_bound
 from postrig.errors import ParameterDomainError
 from conftest import naive_terms, naive_trig_value
@@ -30,7 +31,8 @@ def fig1_polys(n):
 
 class TestLipschitz:
     def test_sine_example(self):
-        assert lipschitz_bound(sine_poly([1.0, 0.5])) == pytest.approx(2.0, abs=0)
+        # 1*1 + 2*0.5 = 2, rounded up by the bound's few ulps
+        assert 2.0 <= lipschitz_bound(sine_poly([1.0, 0.5])) <= 2.0 + 8 * math.ulp(2.0)
 
     def test_constant_poly(self):
         assert lipschitz_bound(cosine_poly(2.0, [])) == 0.0
@@ -421,18 +423,28 @@ class TestSecondOrderCells:
         assert note in rep.boundary_notes
 
     def test_one_kernel_batch_per_level(self, monkeypatch):
-        sizes = []
+        # level 0: one f batch on the grid, then one f' batch at the unique
+        # ends of its failing cells; every deeper level: one f batch at the
+        # midpoints, then one f' batch at the same midpoints
+        poly = _koumandos_cosine(2029, 0.45)
+        calls = []
         grid = TrigPolynomial.values_grid
 
         def counted(self, t0, dt, idx):
-            sizes.append(len(idx))
+            calls.append((self is poly, np.asarray(idx)))
             return grid(self, t0, dt, idx)
 
         monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
-        rep = certify_positive(_koumandos_cosine(2029, 0.45), 0.0, PI)
+        rep = certify_positive(poly, 0.0, PI)
         assert rep.refinement_depth >= 2
-        assert len(sizes) == 1 + rep.refinement_depth
-        assert sum(sizes) == rep.grid_points
+        assert [is_f for is_f, _ in calls] == [True, False] * (1 + rep.refinement_depth)
+        ends = calls[1][1]
+        assert 0 < ends.size <= 4096 and (np.diff(ends) > 0).all()
+        for (_, f_idx), (_, g_idx) in zip(calls[2::2], calls[3::2]):
+            assert np.array_equal(f_idx, g_idx)
+        assert sum(idx.size for _, idx in calls) == rep.grid_points
+        slopes = sum(idx.size for is_f, idx in calls if not is_f)
+        assert f"f' sampled at {slopes} points from depth 0" in rep.boundary_notes
 
     @pytest.mark.parametrize("hi", [PI - 1e-4, PI])
     def test_last_cell_covers_the_sliver_to_whi(self, hi):
@@ -472,6 +484,74 @@ class TestSecondOrderCells:
         assert "constant" in rep.boundary_notes
 
 
+def _hermite_cell(poly, left, w):
+    """The Hermite bound of the cell [left, left + w] of poly."""
+    xs = np.array([left, left + w])
+    deriv = poly.derivative()
+    (fl, fr), (gl, gr) = poly.values(xs), deriv.values(xs)
+    return float(_hermite_bound(fl, fr, gl, gr, w, fourth_derivative_bound(poly),
+                                roundoff_bound(poly), roundoff_bound(deriv)))
+
+
+class TestHermiteCells:
+    """The third cell bound, from the cubic Hermite interpolant of (f, f'),
+    on the cells that fail the first two."""
+
+    # left and w on a 2^-40 lattice, so the cell's right end left + w is exact
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(-5, 5), max_size=32), st.lists(st.floats(-5, 5), max_size=32),
+           st.floats(-3, 3), st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
+           st.integers(-2 ** 41, 2 ** 41), st.integers(0, 20), st.integers(0, 1023))
+    @example(cc=[0.0, 1.0], sc=[], a0=2.5, shift=0.0, stride=1, left_units=0,
+             halvings=1, mantissa=0)
+    def test_under_the_cell_minimum(self, cc, sc, a0, shift, stride, left_units,
+                                    halvings, mantissa):
+        poly = TrigPolynomial(0.0 if shift else a0, tuple(cc), tuple(sc) or (0.5,),
+                              shift, stride)
+        left = left_units * 2.0 ** -40
+        w = (1 + mantissa / 1024) * 2.0 ** -halvings
+        cell_min = min(naive_trig_value(poly, t) for t in np.linspace(left, left + w, 65))
+        assert _hermite_cell(poly, left, w) <= cell_min
+
+    def test_tighter_than_second_order_on_a_fine_cell(self):
+        # f = 2 + cos(8 theta) on a cell of width 2^-6 around its minimum
+        poly = cosine_poly(4.0, [0.0] * 7 + [1.0])
+        left, w = PI / 8 - 2.0 ** -7, 2.0 ** -6
+        fl, fr = poly.values(np.array([left, left + w]))
+        second = min(fl, fr) - curvature_bound(poly) * w * w / 8 - roundoff_bound(poly)
+        assert second < _hermite_cell(poly, left, w) <= 1.0
+
+    @pytest.mark.parametrize("poly", [
+        cosine_poly(1.78e308, [0.0, 0.0, 0.0, 0.5e308]),  # f' = -2e308 sin(4 theta)
+        cosine_poly(2.0002e303, [0.0] * 99 + [1e303]),    # L4 = 1e311
+    ])
+    def test_overflow_keeps_the_two_bounds_without_warning(self, poly):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=64, max_depth=2))
+        assert rep.verdict != REFUTED
+        assert "no Hermite cells" in rep.boundary_notes
+        assert "f' sampled" not in rep.boundary_notes
+
+    @pytest.mark.parametrize("poly, lower_at_most", [
+        (_koumandos_cosine(20000, 0.4), 6.7e-3),  # the dense-grid minimum
+        (sine_poly(qk_sequence(20000, 0.2, 0.4, 0.3, 0.7).values[1:]), math.inf),
+    ])
+    def test_degree_20000_certified_by_default(self, poly, lower_at_most):
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict == CERTIFIED
+        assert rep.lower_bound <= lower_at_most
+        assert "f' sampled" in rep.boundary_notes
+
+    @pytest.mark.parametrize("poly", [
+        *(sine_poly([1.0 / k for k in range(1, n + 1)]) for n in (8, 92, 114)),
+        cosine_poly(2.0, [1.0000000000002]),  # 1 + (1 + 2e-13) cos: -2e-13 at pi
+    ])
+    def test_touching_or_dipping_sums_never_certified(self, poly):
+        # even Fejer-Jackson-Gronwall sums touch 0 at pi to third order
+        assert certify_positive(poly, 0.0, PI).verdict != CERTIFIED
+
+
 class TestHugeCoefficients:
     """Sums whose values, means or bounds leave the float range."""
 
@@ -506,6 +586,20 @@ class TestHugeCoefficients:
             warnings.simplefilter("error")
             rep = certify_positive(sine_poly(coeffs), 0.0, PI)
         assert rep.verdict == verdict
+
+    def test_find_min_with_an_overflowing_roundoff_bound_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ParameterDomainError, match="overflow"):
+                find_min(sine_poly([1e308, 1e308]), 0.0, PI)
+
+    def test_zero_brackets_near_the_float_limit(self):
+        # 3 sin 2t + 2 sin t scaled to 1.5e308: its values reach 2.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bracket_zeros("q", [1.5e308, 1e308], 0.0, 2 * PI, 512)
+        assert len(got.brackets) == 3
+        assert got == bracket_zeros("q", [3.0, 2.0], 0.0, 2 * PI, 512)
 
     @pytest.mark.parametrize("kind, coeffs", [("p", [2.0, 1.0]), ("p", [3.0, 2.0, 1.0]),
                                               ("q", [3.0, 2.0, 1.0]),

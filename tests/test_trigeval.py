@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from postrig import (TrigPolynomial, abel_resum, cosine_poly, fejer_h, fejer_sig
                      halfangle_product_negated_poly)
 from postrig.errors import ParameterDomainError, SizeError
 from postrig.kernels import _chirp_plan, chirp_cheaper, error_bound
-from postrig.trigeval import coefficient_mass, curvature_bound, qk_weight
+from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
+                              qk_weight)
 from conftest import (mp_derivative, naive_cosine_sum, naive_halfangle_derivative,
                       naive_terms, naive_trig_value, naive_sine_sum)
 
@@ -171,6 +173,44 @@ class TestDerivative:
         assert _chirp_plan.cache_info().misses == misses
         want = poly.derivative().values(idx * h)
         assert np.abs(got - want).max() <= 2 * error_bound(lipschitz_bound(poly), 700)
+
+
+class TestBoundsRoundedUp:
+    """L, L2 and L4: float sums of non-negative terms, rounded up so that
+    each is at least the exact sum over the exact frequencies."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_at_or_above_the_exact_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 2001))
+        shift = [0.0, 0.25, 0.5, 0.3][seed % 4]  # 0.3: stride*k + shift rounds
+        stride = 1 + seed // 4
+        c = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+        split = int(rng.integers(0, n + 1))
+        poly = TrigPolynomial(0.0 if shift else 1.0, c[:split], c[split:], shift, stride)
+        k0 = 0 if shift else 1
+        nus = [stride * (j + k0) + Fraction(shift) for j in range(split)]
+        nus += [stride * (j + k0) + Fraction(shift) for j in range(n - split)]
+        mags = [abs(Fraction(v)) for v in c]
+        for p, bound in ((1, lipschitz_bound), (2, curvature_bound),
+                         (4, fourth_derivative_bound)):
+            exact = sum(nu ** p * m for nu, m in zip(nus, mags))
+            got = Fraction(bound(poly))
+            assert exact <= got <= exact * (1 + Fraction(1, 10 ** 13)), p
+
+    def test_zero_sum_stays_zero(self):
+        for poly in (cosine_poly(2.0), TrigPolynomial(sin_coeffs=(0.0, 0.0), shift=0.5)):
+            assert (lipschitz_bound(poly), curvature_bound(poly),
+                    fourth_derivative_bound(poly)) == (0.0, 0.0, 0.0)
+
+    def test_overflow_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert lipschitz_bound(sine_poly([0.0, 1e308])) == math.inf  # a product
+            # finite products, a sum beyond the float range
+            assert lipschitz_bound(TrigPolynomial(0.0, (1e308,), (1e308,))) == math.inf
+            assert fourth_derivative_bound(cosine_poly(2.0, [0.0] * 99 + [1e303])) == math.inf
+            assert fourth_derivative_bound(sine_poly([1e308] * 3)) == math.inf
 
 
 class TestShiftedSums:
