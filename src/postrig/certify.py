@@ -3,53 +3,42 @@
 This module is the engine (endpoint policy, `certify_positive`, `find_min`,
 `bracket_zeros`); L, L2, L4 and the roundoff bounds come from
 `postrig.trigeval`.  All three scan one level-0 grid; `find_min` then
-descends on its lattice.
+descends on its lattice.  All three run on the caller's polynomial at the
+unit scale (`trigeval.unit_scale`), where every value and bound is finite,
+and scale the lower bound, witness value, minimum and the slopes,
+curvatures and L4 of the notes back by 2^e at the report (`_unscaled`,
+`_at_scale`); `lipschitz` is the caller's L.
 
 A sum is certified strictly positive on a working interval when, cell by
-cell, the sampled endpoint values beat the largest possible dip between them.
-On a cell of width w the sum cannot fall below the larger of
-
-    f_l/2 + f_r/2 - L*w/2        first order, L a uniform bound on |f'|,
-    min(f_l, f_r) - L2*w^2/8     second order, L2 a uniform bound on |f''|
-                                 (the linear interpolant's error bound);
-
-the first wins on coarse cells, the second on fine ones and next to a
-vanishing endpoint, where values are small.  The halves are added, as f_l +
-f_r can overflow.  L, L2 and L4 grow like n^2, n^3 and n^5 with bounded
-coefficients, while f' and f'' near a minimum stay small, so at high
-degree these global bounds cost refinement.  A cell that fails both is
-tested again at the same depth with a third bound from local data: f' is
-sampled at its ends (one batch of f' = `TrigPolynomial.derivative()` at the
-failing cells' unique end indices, through the same kernels and chirp
-plans), and the cubic Hermite interpolant of (f, f') has the Bernstein
-control points f_l, f_l + w*f'_l/3, f_r - w*f'_r/3, f_r.  Split once at
-the midpoint, the smallest of its seven control points is at most the
-cubic's minimum (convex hull); less L4*w^4/384 (the interpolant's
-remainder, L4 = sum nu^4 |c|), w/4 times f''s roundoff bound, f's roundoff
-bound and the rounding of this arithmetic (`_hermite_bound`), it bounds f
-on the cell.  The cell's bound is the larger of the three, a NaN one
-ignored.  Only level 0 can be the first level with failing cells, so f' is
-sampled from depth 0 on, and then at every level's midpoints beside f: most
-certificates end at level 0 without it.  When nu*c, L4 or f''s roundoff
-bound overflows, the cells keep the first two bounds and a note says so.
-`grid_points` counts every point at which f or f' is evaluated, and a note
-gives the f' samples and L4.
+cell, the sampled endpoint values beat the largest possible dip between
+them.  On a cell of width w the sum cannot fall below min(f_l, f_r) -
+L2*w^2/8, L2 = sum nu^2 |c| a uniform bound on |f''| (the linear
+interpolant's error bound).  L2 grows like n^3 with bounded coefficients,
+while f'' near a minimum stays small, so at high degree a cell that fails
+is tested again at the same depth with a bound from local data: f' =
+`TrigPolynomial.derivative()` is sampled in one batch at the failing cells'
+unique end indices, and the cubic Hermite interpolant of (f, f') bounds f
+on the cell (`_hermite_bound`).  The cell's bound is the larger of the two,
+a NaN one ignored.  Only level 0 can be the first level with failing cells,
+so f' is sampled from depth 0 on, and then at every level's midpoints
+beside f: most certificates end at level 0 without it.  `grid_points`
+counts every point at which f or f' is evaluated, and a note gives the f'
+samples and L4.
 
 Computed values are within the evaluation roundoff bound of the exact ones,
 so a cell certifies only when its bound beats that bound (a NaN bound never
-does; an infinite roundoff bound is inconclusive before any sample), and the
-certified lower bound is the smallest cell bound net of it.  Cells that fail
-the test are bisected (only they are), up to a depth limit; each level
-evaluates the sum once at the failing cells' midpoints, and f' once at the
-same points.  The last cell also covers the sliver between the last sample
-and the window's end, by f_last - L*gap.  A constant sum (L = 0) is not
-refined, and f' is not sampled: no cell bound depends on the cell width.
-Every sample lies on the dyadic grid
-wlo + i*h/2^depth, so cells are integer indices and each batch goes through
-`TrigPolynomial.values_grid`.  A sample below minus the roundoff bound
-refutes with a witness; a non-positive sample inside that bound is no
-witness, and the cells it bounds never certify.  Inconclusive is a
-first-class outcome and is never upgraded.
+does), and the certified lower bound is the smallest cell bound net of it.
+Cells that fail the test are bisected (only they are), up to a depth limit;
+each level evaluates the sum once at the failing cells' midpoints, and f'
+once at the same points.  The last cell also covers the sliver between the
+last sample and the window's end, by f_last - L*gap, L = sum nu |c| a
+uniform bound on |f'|.  A constant sum (L = 0) is not refined, and f' is
+not sampled: no cell bound depends on the cell width.  Every sample lies on
+the dyadic grid wlo + i*h/2^depth, so cells are integer indices and each
+batch goes through `TrigPolynomial.values_grid`.  A sample below minus the
+roundoff bound refutes with a witness; a non-positive sample inside that
+bound is no witness, and the cells it bounds never certify.  Inconclusive
+is a first-class outcome and is never upgraded.
 
 At a multiple of pi/2 each term and its first two derivatives carry a
 factor exactly 0 or +-1 (`vanishing_endpoint`), so whether the sum vanishes
@@ -78,7 +67,7 @@ import numpy as np
 from .errors import ParameterDomainError
 from .kernels import SUBNORMAL
 from .trigeval import (TrigPolynomial, curvature_bound, fourth_derivative_bound,
-                       lipschitz_bound, roundoff_bound)
+                       lipschitz_bound, roundoff_bound, unit_scale)
 
 _HALF_PI = 0.5 * math.pi
 
@@ -195,7 +184,8 @@ def vanishing_endpoint(poly: TrigPolynomial, t: float):
     for sin).  When shift*q is an integer so is m, the factor is exactly 0
     or +-1, and m mod 4 depends only on the term's index mod 4; otherwise
     the endpoint is sampled too.  `math.fsum`, correctly rounded, decides
-    whether the signed sum of coefficients is 0.
+    whether the signed sum of coefficients is 0; on a unit-scale polynomial
+    (`unit_scale`), as the engine's are, no partial sum leaves the float range.
     """
     q = round(t / _HALF_PI)
     if t != q * _HALF_PI:
@@ -211,18 +201,11 @@ def vanishing_endpoint(poly: TrigPolynomial, t: float):
                 nu[r::4], c[r::4])
                for p, (nu, c) in enumerate(poly.terms()) for r in range(min(4, c.size))]
     even = [(_QUARTER_TURN[m], nu, c) for m, nu, c in classes if m % 2 == 0]
-    terms = np.concatenate([[half]] + [w * c for w, _, c in even]).tolist()
-    try:
-        zero = math.fsum(terms) == 0.0
-    except OverflowError:  # a partial sum beyond the float range
-        zero = sum(map(Fraction, terms)) == 0
-    if not zero:
+    if math.fsum(np.concatenate([[half]] + [w * c for w, _, c in even]).tolist()):
         return None
-    with np.errstate(over="ignore", invalid="ignore"):  # huge coefficients
-        slope = sum((_QUARTER_TURN[(m + 1) % 4] * float(nu @ c)
-                     for m, nu, c in classes if m % 2), 0.0)
-        curvature = -sum((w * float((nu * nu) @ c) for w, nu, c in even), 0.0)
-    return slope, curvature
+    slope = sum((_QUARTER_TURN[(m + 1) % 4] * float(nu @ c)
+                 for m, nu, c in classes if m % 2), 0.0)
+    return slope, -sum((w * float((nu * nu) @ c) for w, nu, c in even), 0.0)
 
 
 def _check_interval(lo: float, hi: float) -> None:
@@ -231,31 +214,51 @@ def _check_interval(lo: float, hi: float) -> None:
         raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
 
 
-def _window(poly: TrigPolynomial, lo: float, hi: float):
-    """(wlo, whi, notes): the window left by the endpoint rule (module
-    docstring) on an interval wider than 4*EPS, and a note per endpoint."""
+def _at_scale(x: float, e: int) -> float:
+    """x*2^e, +-inf beyond the float range: a value printed in the notes."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
+def _unscaled(x: float, e: int) -> float:
+    """x*2^e rounded toward zero, so clamped to the largest float where it
+    overflows: a reported value, never larger in magnitude than the exact one."""
+    y = _at_scale(x, e)
+    return math.nextafter(y, 0.0) if abs(math.ldexp(y, -e)) > abs(x) else y
+
+
+def _window(poly: TrigPolynomial, lo: float, hi: float, e: int, rounding: float):
+    """(wlo, whi, notes): the window left by the endpoint rule (module docstring)
+    on an interval wider than 4*EPS, and a note per endpoint, for a unit-scale
+    copy: a rounded one insets no endpoint, as its zero test is not the caller's."""
     _check_interval(lo, hi)
     if EPS >= 0.25 * (hi - lo):
         raise ParameterDomainError(f"[{lo}, {hi}] is not wider than 4*EPS = {4 * EPS}")
     ends, notes = [lo, hi], []
+    if rounding:
+        notes.append(f"scaling by 2^{-e} rounds a coefficient: the roundoff bound "
+                     "holds its rounding, and no endpoint is inset")
     for i, side, sign in ((0, "left", 1.0), (1, "right", -1.0)):
-        head, jet = f"{side} endpoint {ends[i]:.9g}", vanishing_endpoint(poly, ends[i])
+        head = f"{side} endpoint {ends[i]:.9g}"
+        jet = None if rounding else vanishing_endpoint(poly, ends[i])
         if jet is None:
             notes.append(f"{head} sampled directly")
             continue
         slope, curv = sign * jet[0] + 0.0, jet[1] + 0.0  # + 0.0: no -0 in notes
         L2, slope_tol = curvature_bound(poly), 1e-12 * max(lipschitz_bound(poly), 1e-300)
+        shown = f"inward slope {_at_scale(slope, e):.9g}"
         if slope > slope_tol:
             covered = "rigorously (slope > curvature*eps)" \
                 if slope > L2 * EPS else "to first order"
-            notes.append(f"{head} vanishes identically; inward slope {slope:.9g} "
-                         f"covers the eps-zone {covered}")
+            notes.append(f"{head} vanishes identically; {shown} covers the eps-zone {covered}")
         elif abs(slope) <= slope_tol and curv > 1e-12 * max(L2, 1e-300):
-            notes.append(f"{head} vanishes to second order; curvature {curv:.9g} > 0 "
-                         "covers the eps-zone")
+            notes.append(f"{head} vanishes to second order; curvature "
+                         f"{_at_scale(curv, e):.9g} > 0 covers the eps-zone")
         else:
-            notes.append(f"{head} vanishes identically; inward slope {slope:.9g}, "
-                         f"curvature {curv:.9g}: not inset, sampled directly")
+            notes.append(f"{head} vanishes identically; {shown}, curvature "
+                         f"{_at_scale(curv, e):.9g}: not inset, sampled directly")
             continue
         ends[i] += sign * EPS
     return ends[0], ends[1], notes
@@ -282,7 +285,6 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
 _HULL_ROUNDING = 16 * 2.0 ** -53
 
 
-@np.errstate(over="ignore", invalid="ignore")  # huge values give -inf or NaN
 def _hermite_bound(fl, fr, gl, gr, w: float, L4: float, noise: float,
                    dnoise: float) -> np.ndarray:
     """Lower bounds of f on cells of width w from the computed values fl, fr
@@ -300,8 +302,7 @@ def _hermite_bound(fl, fr, gl, gr, w: float, L4: float, noise: float,
     four of them the additions) add 8u*S and the last difference u*S while
     the bound is positive: 13u*S in all, and 16u*S leaves room for the
     rounding of S.  Halving a subnormal value loses half a spacing, 3
-    spacings over the three levels.  A control point that overflows makes S
-    infinite, so such a bound is -inf or NaN."""
+    spacings over the three levels.  At the unit scale every term is finite."""
     t = w / 3.0
     b1, b2 = fl + t * gl, fr - t * gr
     c01, c12, c23 = 0.5 * fl + 0.5 * b1, 0.5 * b1 + 0.5 * b2, 0.5 * b2 + 0.5 * fr
@@ -313,41 +314,23 @@ def _hermite_bound(fl, fr, gl, gr, w: float, L4: float, noise: float,
                    + _HULL_ROUNDING * scale + 4 * SUBNORMAL)
 
 
-def _slopes(poly: TrigPolynomial, notes: list):
-    """(f', L4, the roundoff bound of f') for Hermite cells, or None, with a
-    note, when f' or either bound leaves the float range."""
-    try:
-        deriv = poly.derivative()
-    except ParameterDomainError:  # nu*c overflows
-        deriv = None
-    if deriv is not None:
-        L4, dnoise = fourth_derivative_bound(poly), roundoff_bound(deriv)
-        if L4 < math.inf and dnoise < math.inf:
-            return deriv, L4, dnoise
-    notes.append("f' or its bounds overflow: no Hermite cells, the first- and "
-                 "second-order bounds alone")
-    return None
-
-
 def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
     opts = opts or CertifyOptions()
-    wlo, whi, notes = _window(poly, lo, hi)
-    L, L2, noise = lipschitz_bound(poly), curvature_bound(poly), roundoff_bound(poly)
+    caller, (poly, e, rounding) = poly, unit_scale(poly)
+    wlo, whi, notes = _window(poly, lo, hi, e, rounding)
+    L, L2, noise = lipschitz_bound(poly), curvature_bound(poly), roundoff_bound(poly) + rounding
     total_evals = slope_evals = 0
-    slopes = None  # (f', L4, roundoff bound of f') once f' is sampled
+    deriv = None  # f' once it is sampled, with L4 and its roundoff bound dnoise
 
     def report(verdict, lower, witness, depth):
-        if slopes:
+        if deriv is not None:
             notes.append(f"f' sampled at {slope_evals} points from depth 0; "
-                         f"L4 = {slopes[1]:.9g}")
-        return PositivityReport(verdict, lower, witness, total_evals, depth, L,
-                                (lo, hi), "; ".join(notes))
+                         f"L4 = {_at_scale(L4, e):.9g}")
+        return PositivityReport(verdict, lower, witness, total_evals, depth,
+                                lipschitz_bound(caller), (lo, hi), "; ".join(notes))
 
-    if noise == math.inf:
-        notes.append("roundoff bound overflows: no sample can refute and no cell certify")
-        return report(INCONCLUSIVE, None, None, 0)
     # Every sample lies on the dyadic grid wlo + i*h/2^depth: cells are kept
     # as integer left indices il at the current depth, so each batch is a
     # uniform-grid evaluation and the points are exact grid points.
@@ -355,7 +338,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     total_evals = opts.grid0
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
-        return report(REFUTED, None, (float(xs[imin]), float(vals[imin])), 0)
+        return report(REFUTED, None, (float(xs[imin]), _unscaled(float(vals[imin]), e)), 0)
     sliver = L * gap  # f >= f_last - sliver between the last sample and whi
 
     # Cell arrays, kept in ascending-theta order so ties resolve
@@ -364,18 +347,15 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     il = np.arange(opts.grid0 - 1)
     last = opts.grid0 - 2  # left index of the cell that ends at the last sample
     fl, fr = vals[:-1], vals[1:]
-    gl = gr = None
     depth, lower = 0, math.inf
 
     def tested():
         """Each cell's bound, net of the roundoff bound (module docstring),
         and whether it fails: a NaN bound fails, and so does a cell with a
         sample at or below 0 that is no witness."""
-        bound = np.maximum(0.5 * fl + 0.5 * fr - 0.5 * L * dx,
-                           np.minimum(fl, fr) - 0.125 * L2 * dx * dx) - noise
-        if gl is not None:
-            bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, dx, slopes[1],
-                                                  noise, slopes[2]))
+        bound = np.minimum(fl, fr) - 0.125 * L2 * dx * dx - noise
+        if deriv is not None:
+            bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, dx, L4, noise, dnoise))
         if sliver and il[-1] == last:
             bound[-1] = min(bound[-1], fr[-1] - sliver - noise)
         return bound, ~(bound > 0.0) | (fl <= 0.0) | (fr <= 0.0)
@@ -384,16 +364,16 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         bound, fail = tested()
         if depth == 0 and L != 0.0 and fail.any():
             # the failing cells are tested again with f' at their ends
-            slopes = _slopes(poly, notes)
-            if slopes:
-                lower = min(lower, float(bound[~fail].min(initial=math.inf)))
-                il, fl, fr = il[fail], fl[fail], fr[fail]
-                ends, at = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
-                g = slopes[0].values_grid(wlo, dx, ends)
-                gl, gr = g[at[:il.size]], g[at[il.size:]]
-                slope_evals = ends.size
-                total_evals += ends.size
-                bound, fail = tested()
+            lower = min(lower, float(bound[~fail].min(initial=math.inf)))
+            il, fl, fr = il[fail], fl[fail], fr[fail]
+            ends, at = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
+            deriv = poly.derivative()
+            L4, dnoise = fourth_derivative_bound(poly), roundoff_bound(deriv)
+            g = deriv.values_grid(wlo, dx, ends)
+            gl, gr = g[at[:il.size]], g[at[il.size:]]
+            slope_evals = ends.size
+            total_evals += ends.size
+            bound, fail = tested()
         lower = min(lower, float(bound[~fail].min(initial=math.inf)))
         if not fail.any():
             break
@@ -415,19 +395,21 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         total_evals += im.size
         jmin = int(np.argmin(fm))
         if fm[jmin] < -noise:
-            witness = (min(float(wlo + im[jmin] * dx), whi), float(fm[jmin]))
+            witness = (min(float(wlo + im[jmin] * dx), whi), _unscaled(float(fm[jmin]), e))
             return report(REFUTED, None, witness, depth)
         il = _interleave(2 * il, im)
         fl, fr = _interleave(fl, fm), _interleave(fm, fr)
-        if slopes:
-            gm = slopes[0].values_grid(wlo, dx, im)
+        if deriv is not None:
+            gm = deriv.values_grid(wlo, dx, im)
             slope_evals += im.size
             total_evals += im.size
             gl, gr = _interleave(gl[fail], gm), _interleave(gm, gr[fail])
 
-    if not math.isfinite(lower) or lower <= 0.0:
-        return report(INCONCLUSIVE, None, None, depth)
-    return report(CERTIFIED, lower, None, depth)
+    lower = _unscaled(lower, e)  # every cell certified: 0 < lower < inf
+    if lower > 0.0:
+        return report(CERTIFIED, lower, None, depth)
+    notes.append(f"the lower bound underflows to 0 at scale 2^{e}")
+    return report(INCONCLUSIVE, None, None, depth)
 
 
 def _interleave(a, b):
@@ -445,15 +427,11 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     are no lower), and moves to the lowest of the three, the smallest theta
     on ties.  It stops when both midpoints are within the roundoff bound of
     the best value, where computed values no longer tell points apart, or
-    when halving the step no longer moves theta.  A sum whose roundoff bound
-    overflows raises `ParameterDomainError`: its values may leave the float
-    range.
-    """
-    wlo, whi, _ = _window(poly, lo, hi)
-    noise = roundoff_bound(poly)
-    if noise == math.inf:
-        raise ParameterDomainError("roundoff bound overflows: the sum's values "
-                                   "may leave the float range")
+    when halving the step no longer moves theta.  It runs on the unit-scale
+    copy, like `certify_positive`."""
+    poly, e, rounding = unit_scale(poly)
+    wlo, whi, _ = _window(poly, lo, hi, e, rounding)
+    noise = roundoff_bound(poly) + rounding
     dx, xs, vals, _ = _level0(poly, wlo, whi, CertifyOptions.grid0)
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
@@ -471,7 +449,7 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
                                 key=lambda c: (c[2], c[1]))
         if flat:
             break
-    return best_x, best_v
+    return best_x, _unscaled(best_v, e)
 
 
 def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
@@ -479,10 +457,8 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
     """Sign-change brackets for p(theta) = sum a_k cos((n-k)theta) or
     q(theta) = sum a_k sin((n-k)theta), coefficients a_0 > a_1 >= ... >= a_n > 0.
 
-    Only signs are read, so the coefficients are first scaled by the power
-    of two that brings max |a_k| = a_0 into [1/2, 1), so no value leaves the
-    float range; the scaling is exact but for a coefficient below 2^-1022
-    a_0, far inside the roundoff bound.
+    Only signs are read, on the unit-scale copy, and from a_n = 2^1023 on,
+    where a0 = 2*a_n is no float, on p/2 (exact there), which has p's signs.
     """
     if kind not in ("p", "q"):
         raise ParameterDomainError(f"kind must be p or q, got {kind!r}")
@@ -498,21 +474,22 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         j = int(rises[0])
         raise ParameterDomainError(f"a_{j} >= a_{j + 1} violated ({a[j]} < {a[j + 1]})")
     _check_interval(lo, hi)
-    a = np.ldexp(a, -math.frexp(a[0])[1])
 
     if kind == "p":
         n = a.size - 1
-        poly = TrigPolynomial(a0=2.0 * a[n], cos_coeffs=a[:n][::-1])
+        half = 0.5 if a[n] >= 2.0 ** 1023 else 1.0
+        poly = TrigPolynomial(a0=2.0 * (half * a[n]), cos_coeffs=half * a[:n][::-1])
     else:
         n = a.size
         poly = TrigPolynomial(sin_coeffs=a[::-1])
+    poly, _, rounding = unit_scale(poly)
     min_grid = max(2, 16 * n)
     if grid < min_grid:
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
     h, xs, vals, _ = _level0(poly, lo, hi, grid + 1)
-    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly))
+    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding)
     if zero.size:
         # nudge samples whose sign is roundoff off the zero; inward at the
         # boundaries so endpoint zeros of the open interval do not fake a

@@ -14,8 +14,8 @@ second is underflow: a product whose result is subnormal is off by at most
 half the subnormal spacing 2^-1074, whatever its size; in the direct sums
 the 2n coefficient products reach each sum through the cos and sin of one
 phase (sqrt(2) together at most) and 2R more products follow (R below),
-less than n + 1 spacings in all.  Chirp-z scales the coefficients by the power of two that
-brings max |c_k| into [1/2, 1) before its FFTs and scales the sums back.
+less than n + 1 spacings in all.  Chirp-z serves sums at any scale: it scales the coefficients
+by the power of two that brings max |c_k| into [1/2, 1) before its FFTs and scales the sums back.
 The scaling is exact; an underflow inside the FFTs is then below
 2^-1074 max |c_k|, far inside the roundoff term, and only the scaling back
 of a subnormal sum rounds, by at most half the subnormal spacing.

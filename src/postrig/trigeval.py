@@ -16,7 +16,9 @@ the cosine and for the sine part (`TrigPolynomial.terms`); the bounds on
 |f'|, |f''| and |f''''| (sums of nu^p |c|, rounded up), the coefficient mass
 and the roundoff bound that `postrig.certify` works with are array
 expressions on it, which hold even where nu*c overflows.  f' itself has one
-surface, `TrigPolynomial.derivative`.
+surface, `TrigPolynomial.derivative`.  `postrig.certify` runs on `unit_scale`'s
+copy, where none leaves the float range; `values` and `values_grid` take any
+scale, as `kernels.pair_sums_grid` keeps its own power-of-two scaling.
 
 There are two evaluation paths, the kernels of `postrig.kernels`, and every
 evaluation, f' included, goes through them; the shift is peeled off with the
@@ -226,6 +228,25 @@ def roundoff_bound(poly: TrigPolynomial) -> float:
     """
     terms = sum(c.size for _, c in poly.terms())
     return 2.0 * error_bound(coefficient_mass(poly), terms + 2)
+
+
+def unit_scale(poly: TrigPolynomial) -> tuple[TrigPolynomial, int, float]:
+    """(copy, e, rounding): poly times the power of two 2^-e that brings its
+    largest |coefficient| (a0/2 for the constant) into [1, 2), where nu*c <
+    2^34, L4 < 2^166 and every value and roundoff bound is finite (with e = 0
+    the copy is poly), and a bound on |copy - 2^-e*poly|: each coefficient
+    taken below 2^-1022 rounds by half a subnormal spacing at most."""
+    (_, cc), (_, sc) = poly.terms()
+    c = np.concatenate(([poly.a0], cc, sc))
+    _, exps = np.frexp(c)
+    exps[0] -= 1  # the constant is a0/2
+    e = int(exps[c != 0.0].max()) - 1 if c.any() else 0
+    if e == 0:
+        return poly, 0, 0.0
+    s = np.ldexp(c, -e)
+    rounding = c.size * SUBNORMAL if not np.array_equal(np.ldexp(s, e), c) else 0.0
+    return (TrigPolynomial(s[0], s[1:1 + cc.size], s[1 + cc.size:], poly.shift, poly.stride),
+            e, rounding)
 
 
 def sine_poly(coeffs: Sequence[float]) -> TrigPolynomial:

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+import sys
 import warnings
 from fractions import Fraction
 
@@ -10,12 +12,12 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
-                     certify_positive, cosine_poly, find_min, lipschitz_bound,
+                     certify_positive, ck_sequence, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
 from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bound,
                              _level0, vanishing_endpoint)
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
-                              roundoff_bound)
+                              roundoff_bound, unit_scale)
 from postrig.kernels import chirp_cheaper, error_bound
 from postrig.errors import ParameterDomainError
 from conftest import naive_terms, naive_trig_value
@@ -155,9 +157,13 @@ class TestVanishDetection:
 
     def test_partial_sums_beyond_float_range(self):
         # the signed terms 1e308, 1e308, -1e308, -1e308 cancel exactly,
-        # although their running sum overflows
-        assert _vanishes(cosine_poly(0.0, [-1e308, 1e308, 1e308, -1e308]), PI)
-        assert not _vanishes(cosine_poly(0.0, [-1e308, 1e308, 1e308, -0.5e308]), PI)
+        # although their running sum overflows: the engine decides it on the
+        # unit-scale copy, where no partial sum does
+        for last, vanishes in ((-1e308, True), (-0.5e308, False)):
+            poly = cosine_poly(0.0, [-1e308, 1e308, 1e308, last])
+            assert _vanishes(unit_scale(poly)[0], PI) == vanishes
+            rep = certify_positive(poly, 0.0, PI)
+            assert ("right endpoint 3.14159265 vanishes" in rep.boundary_notes) == vanishes
 
     def test_only_the_rounded_multiple_counts(self):
         # -2 + cos + sin is exactly 0 at 0 with slope 1, so it is negative on
@@ -468,16 +474,17 @@ class TestSecondOrderCells:
         assert rep.lower_bound == 1.0 - roundoff_bound(poly)
 
     def test_margin_inside_roundoff_never_certifies(self):
-        # f = 2e-323 > 0, but inside the roundoff bound (3e-323): no proof
-        poly = cosine_poly(8 * 2.0 ** -1074, [])
-        assert poly.values(np.array([1.0]))[0] <= roundoff_bound(poly)
+        # f = 1 + (1 - 2^-50) cos(theta) > 0, but its minimum 2^-50 at pi is
+        # inside the roundoff bound: no proof
+        poly = cosine_poly(2.0, [1.0 - 2.0 ** -50])
+        assert 2.0 ** -50 <= roundoff_bound(poly)
         rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=16, max_depth=2))
         assert rep.verdict == INCONCLUSIVE
 
     def test_constant_sum_is_decided_at_depth_zero(self):
         # L = 0: no cell bound depends on the cell width, so bisecting cannot
-        # help and the initial grid decides
-        poly = cosine_poly(8 * 2.0 ** -1074, [])
+        # help and the initial grid decides; the zero sum is no witness
+        poly = cosine_poly(0.0, [0.0])
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict == INCONCLUSIVE
         assert (rep.grid_points, rep.refinement_depth) == (4096, 0)
@@ -521,17 +528,18 @@ class TestHermiteCells:
         second = min(fl, fr) - curvature_bound(poly) * w * w / 8 - roundoff_bound(poly)
         assert second < _hermite_cell(poly, left, w) <= 1.0
 
-    @pytest.mark.parametrize("poly", [
-        cosine_poly(1.78e308, [0.0, 0.0, 0.0, 0.5e308]),  # f' = -2e308 sin(4 theta)
-        cosine_poly(2.0002e303, [0.0] * 99 + [1e303]),    # L4 = 1e311
+    @pytest.mark.parametrize("poly, hermite", [
+        (cosine_poly(1.78e308, [0.0, 0.0, 0.0, 0.5e308]), False),  # f' = -2e308 sin(4 theta)
+        (cosine_poly(2.0002e303, [0.0] * 99 + [1e303]), True),     # L4 = 1e311
     ])
-    def test_overflow_keeps_the_two_bounds_without_warning(self, poly):
+    def test_overflowing_slopes_certified_without_warning(self, poly, hermite):
+        # nu*c and L4 leave the float range at the caller's scale, not at
+        # the unit scale the engine runs on
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=64, max_depth=2))
-        assert rep.verdict != REFUTED
-        assert "no Hermite cells" in rep.boundary_notes
-        assert "f' sampled" not in rep.boundary_notes
+            rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=64))
+        assert rep.verdict == CERTIFIED
+        assert ("f' sampled" in rep.boundary_notes) == hermite
 
     @pytest.mark.parametrize("poly, lower_at_most", [
         (_koumandos_cosine(20000, 0.4), 6.7e-3),  # the dense-grid minimum
@@ -552,6 +560,19 @@ class TestHermiteCells:
         assert certify_positive(poly, 0.0, PI).verdict != CERTIFIED
 
 
+#: a slope, curvature or L4 printed in the notes
+_NOTE_NUMBER = re.compile(r"(?:(?<=slope )|(?<=curvature )|(?<=L4 = ))-?(?:inf|\d[\d.e+-]*)")
+
+
+def _times_power_of_two(poly, k):
+    """2^k * poly, checked to be exact."""
+    a0, cc, sc = (np.ldexp(np.array(c, dtype=float), k)
+                  for c in ([poly.a0], poly.cos_coeffs, poly.sin_coeffs))
+    for scaled, c in ((a0, [poly.a0]), (cc, poly.cos_coeffs), (sc, poly.sin_coeffs)):
+        assert np.array_equal(np.ldexp(scaled, -k), c)
+    return TrigPolynomial(a0[0], cc, sc, poly.shift, poly.stride)
+
+
 class TestHugeCoefficients:
     """Sums whose values, means or bounds leave the float range."""
 
@@ -566,17 +587,17 @@ class TestHugeCoefficients:
         assert rep.verdict == REFUTED
         assert rep.witness == (PI, pytest.approx(-8.988465674311578e306, rel=1e-12))
 
-    def test_overflowing_roundoff_bound_is_inconclusive_before_any_sample(self, monkeypatch):
-        calls = []
-        grid = TrigPolynomial.values_grid
-        monkeypatch.setattr(TrigPolynomial, "values_grid",
-                            lambda self, *a: calls.append(a) or grid(self, *a))
+    def test_mass_beyond_the_float_range_is_refuted_like_its_unit_shape(self):
+        # the coefficient mass 2e308 and L = 3e308 overflow; at the unit
+        # scale the sum is refuted at the witness of sin + sin 2theta
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = certify_positive(sine_poly([1e308, 1e308]), 0.0, PI)
-        assert rep.verdict == INCONCLUSIVE
-        assert (rep.grid_points, rep.refinement_depth, calls) == (0, 0, [])
-        assert "roundoff bound overflows" in rep.boundary_notes
+        unit = certify_positive(sine_poly([1.0, 1.0]), 0.0, PI)
+        assert rep.verdict == unit.verdict == REFUTED
+        assert rep.witness[0] == unit.witness[0]
+        assert rep.witness[1] == pytest.approx(1e308 * unit.witness[1], rel=1e-12)
+        assert (rep.grid_points, rep.refinement_depth) == (unit.grid_points, 0)
 
     @pytest.mark.parametrize("coeffs, verdict", [([0.0, 1e308], REFUTED),
                                                  ([1e308], CERTIFIED)])
@@ -587,11 +608,85 @@ class TestHugeCoefficients:
             rep = certify_positive(sine_poly(coeffs), 0.0, PI)
         assert rep.verdict == verdict
 
-    def test_find_min_with_an_overflowing_roundoff_bound_raises(self):
+    def test_find_min_beyond_the_float_range_returns(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ParameterDomainError, match="overflow"):
-                find_min(sine_poly([1e308, 1e308]), 0.0, PI)
+            theta, value = find_min(sine_poly([1e308, 1e308]), 0.0, PI)
+        unit = find_min(sine_poly([1.0, 1.0]), 0.0, PI)
+        assert theta == unit[0]
+        assert value == pytest.approx(1e308 * unit[1], rel=1e-12)
+
+    @pytest.mark.parametrize("k", [-1000, 1000, 1015])
+    @pytest.mark.parametrize("poly, hi", [
+        (_koumandos_cosine(400, 0.4), PI),
+        (sine_poly(qk_sequence(400, 0.2, 0.4, 0.3, 0.7).values[1:]), PI),
+        (sine_poly(koumandos_bk(2001, 0.4).values[1:]), PI),
+        (shifted_poly(ck_sequence(8, 0.35, 2.0, 1.0).pair_values(), 0.375, "sine"), 2 * PI),
+        (sine_poly([1.0, 1.0]), PI),
+        (cosine_poly(1.78, [0.0, 0.0, 0.0, 0.5]), PI),
+    ])
+    def test_verdicts_do_not_depend_on_scale(self, poly, hi, k):
+        big = _times_power_of_two(poly, k)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, got_min = certify_positive(big, 0.0, hi), find_min(big, 0.0, hi)
+        want, want_min = certify_positive(poly, 0.0, hi), find_min(poly, 0.0, hi)
+        assert (got.verdict, got.grid_points, got.refinement_depth) == \
+            (want.verdict, want.grid_points, want.refinement_depth)
+        if want.lower_bound is None:
+            assert got.lower_bound is None
+        else:
+            assert got.lower_bound == math.ldexp(want.lower_bound, k)
+        if want.witness is None:
+            assert got.witness is None
+        else:
+            assert got.witness == (want.witness[0], math.ldexp(want.witness[1], k))
+        assert got_min == (want_min[0], math.ldexp(want_min[1], k))
+        # the notes print the slopes, curvatures and L4 at the caller's scale
+        assert _NOTE_NUMBER.sub("#", got.boundary_notes) == \
+            _NOTE_NUMBER.sub("#", want.boundary_notes)
+        for a, b in zip(_NOTE_NUMBER.findall(want.boundary_notes),
+                        _NOTE_NUMBER.findall(got.boundary_notes)):
+            try:
+                expected = math.ldexp(float(a), k)
+            except OverflowError:
+                expected = math.copysign(math.inf, float(a))
+            assert float(b) == pytest.approx(expected, rel=1e-8)
+
+    def test_rounded_coefficient_never_certifies_a_negative_sum(self):
+        # 2^100 (1 - cos theta) - 2^-1000 cos(2 theta) is -2^-1000 at 0 and
+        # negative on (0, ~2^-550); the unit-scale copy flushes the last
+        # coefficient to 0 and vanishes at 0 to second order, which must not
+        # inset the left endpoint
+        poly = cosine_poly(2.0 ** 101, [-2.0 ** 100, -2.0 ** -1000])
+        copy, e, rounding = unit_scale(poly)
+        assert (e, copy.cos_coeffs, rounding) == (100, (-1.0, 0.0), 3 * 2.0 ** -1074)
+        assert _vanishes(copy, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict != CERTIFIED
+        assert "left endpoint 0 sampled directly" in rep.boundary_notes
+        assert "rounds a coefficient" in rep.boundary_notes
+
+    def test_lower_bound_rounds_toward_zero_at_the_caller_scale(self):
+        # f = 4*2^-1074: the unit-scale bound 1 - noise scales back to a
+        # subnormal, rounded down to 3*2^-1074
+        rep = certify_positive(cosine_poly(8 * 2.0 ** -1074), 0.0, PI)
+        assert (rep.verdict, rep.lower_bound) == (CERTIFIED, 3 * 2.0 ** -1074)
+
+    def test_lower_bound_underflowing_to_zero_is_inconclusive(self):
+        # f = 2^-1074: the bound 2^-1074 (1 - noise) is no float above 0
+        rep = certify_positive(cosine_poly(2.0 ** -1073), 0.0, PI)
+        assert (rep.verdict, rep.lower_bound) == (INCONCLUSIVE, None)
+        assert "underflows to 0" in rep.boundary_notes
+
+    def test_overflowing_lower_bound_is_clamped(self):
+        # 1.7e308 (sin + sin 2theta) exceeds 2.7e308 on [0.7, 1.2]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_positive(sine_poly([1.7e308, 1.7e308]), 0.7, 1.2)
+        assert (rep.verdict, rep.lower_bound) == (CERTIFIED, sys.float_info.max)
 
     def test_zero_brackets_near_the_float_limit(self):
         # 3 sin 2t + 2 sin t scaled to 1.5e308: its values reach 2.5e308
@@ -601,15 +696,24 @@ class TestHugeCoefficients:
         assert len(got.brackets) == 3
         assert got == bracket_zeros("q", [3.0, 2.0], 0.0, 2 * PI, 512)
 
+    def test_p_zero_brackets_near_the_float_limit(self):
+        # p's constant a_1 = 1e308 is held as p/2, since a0 = 2e308 is no float
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bracket_zeros("p", [1.5e308, 1e308], 0.0, 2 * PI, 512)
+        assert len(got.brackets) == 2
+        assert got == bracket_zeros("p", [1.5, 1.0], 0.0, 2 * PI, 512)
+
     @pytest.mark.parametrize("kind, coeffs", [("p", [2.0, 1.0]), ("p", [3.0, 2.0, 1.0]),
                                               ("q", [3.0, 2.0, 1.0]),
                                               ("q", [5.0, 4.0, 2.5, 1.0, 0.5])])
     def test_zero_brackets_do_not_depend_on_scale(self, kind, coeffs):
         # the products of neighbouring samples under- or overflow at these
-        # scales; their signs do not
+        # scales; their signs do not.  At 2^-1070 the coefficients are
+        # subnormal, and only a copy scaled up keeps every bracket
         want = bracket_zeros(kind, coeffs, 0.0, 2 * PI, 512)
         assert want.brackets
-        for e in (560, -560):
+        for e in (560, -560, -1070):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 got = bracket_zeros(kind, [math.ldexp(c, e) for c in coeffs],

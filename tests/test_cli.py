@@ -96,11 +96,15 @@ class TestCertifyCommand:
                     "--hi", "8.966370614359173", "--grid", "3", "-o", str(out)]) == 2
         assert json.loads(out.read_text())["report"]["witness"]["theta"] == math.pi
 
-    def test_overflowing_roundoff_bound_takes_no_sample(self, tmp_path):
-        out = tmp_path / "r.json"
+    def test_mass_beyond_the_float_range_is_refuted(self, tmp_path):
+        # refuted like 1,1, at the same theta
+        out, unit = tmp_path / "r.json", tmp_path / "u.json"
         assert run(["certify", "--family", "raw-sine", "--coeffs", "1e308,1e308",
-                    "-o", str(out)]) == 3
-        assert json.loads(out.read_text())["report"]["grid_points"] == 0
+                    "-o", str(out)]) == 2
+        assert run(["certify", "--family", "raw-sine", "--coeffs", "1,1",
+                    "-o", str(unit)]) == 2
+        theta = [json.loads(p.read_text())["report"]["witness"]["theta"] for p in (out, unit)]
+        assert theta[0] == theta[1]
 
     def test_halfangle_product_family(self):
         code = run(["certify", "--family", "halfangle-product", "--n", "30",

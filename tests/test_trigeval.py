@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import postrig
 from postrig import (TrigPolynomial, abel_resum, cosine_poly, fejer_h, fejer_sigma,
                      lipschitz_bound, qk_sequence, shifted_poly, sine_poly,
                      halfangle_product_negated_poly)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.kernels import _chirp_plan, chirp_cheaper, error_bound
+from postrig.kernels import SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
-                              qk_weight)
+                              qk_weight, roundoff_bound, unit_scale)
 from conftest import (mp_derivative, naive_cosine_sum, naive_halfangle_derivative,
                       naive_terms, naive_trig_value, naive_sine_sum)
 
@@ -126,11 +126,14 @@ class TestDerivative:
 
     @settings(max_examples=80, deadline=None)
     @given(**_LAYOUT)
+    @example(a0=0.0, cc=[], sc=[1.1125369292536007e-308], shift=0.125, stride=1)
     def test_bounds_are_the_mass_of_the_derivatives(self, a0, cc, sc, shift, stride):
         poly = _layout(a0, cc, sc, shift, stride)
+        # the bounds also add a subnormal spacing per term (`_moments`)
+        spacings = (len(cc) + len(sc) + 2) * SUBNORMAL
         for bound, d in ((lipschitz_bound(poly), poly.derivative()),
                          (curvature_bound(poly), poly.derivative().derivative())):
-            assert abs(bound - coefficient_mass(d)) <= 1e-14 * bound
+            assert abs(bound - coefficient_mass(d)) <= 1e-14 * bound + spacings
 
     @pytest.mark.parametrize("poly", [cosine_poly(2.0), TrigPolynomial(a0=-3.0, stride=2)])
     def test_constant_gives_the_zero_polynomial(self, poly):
@@ -211,6 +214,43 @@ class TestBoundsRoundedUp:
             assert lipschitz_bound(TrigPolynomial(0.0, (1e308,), (1e308,))) == math.inf
             assert fourth_derivative_bound(cosine_poly(2.0, [0.0] * 99 + [1e303])) == math.inf
             assert fourth_derivative_bound(sine_poly([1e308] * 3)) == math.inf
+
+
+class TestUnitScale:
+    """The one power of two the engine scales by."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(-5, 5), max_size=8), st.lists(st.floats(-5, 5), max_size=8),
+           st.floats(-3, 3), st.sampled_from([0.0, 0.25]), st.integers(-1060, 1020))
+    def test_largest_coefficient_in_one_to_two(self, cc, sc, a0, shift, k):
+        poly = TrigPolynomial(0.0 if shift else math.ldexp(a0, k),
+                              tuple(math.ldexp(c, k) for c in cc),
+                              tuple(math.ldexp(c, k) for c in sc) or (1.0,), shift)
+        assume(poly.a0 or any(poly.cos_coeffs) or any(poly.sin_coeffs))
+        copy, e, rounding = unit_scale(poly)
+        top = max([abs(copy.a0) / 2, *map(abs, copy.cos_coeffs), *map(abs, copy.sin_coeffs)])
+        assert 1.0 <= top < 2.0
+        assert (copy.shift, copy.stride) == (poly.shift, poly.stride)
+        # every coefficient is 2^-e times the caller's, or rounded within `rounding`
+        pairs = zip((copy.a0, *copy.cos_coeffs, *copy.sin_coeffs),
+                    (poly.a0, *poly.cos_coeffs, *poly.sin_coeffs))
+        slack = sum(abs(Fraction(c) - Fraction(p) / Fraction(2) ** e) for c, p in pairs)
+        assert slack <= rounding
+        assert (rounding == 0.0) == (slack == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert roundoff_bound(copy) < math.inf
+            assert fourth_derivative_bound(copy) < 2.0 ** 166
+
+    def test_unit_sums_are_used_as_they_are(self):
+        for poly in (cosine_poly(2.0, [1.5]), sine_poly([1.0, -1.99]),
+                     TrigPolynomial(sin_coeffs=(0.0,))):  # the zero polynomial
+            assert unit_scale(poly) == (poly, 0, 0.0)
+            assert unit_scale(poly)[0] is poly
+
+    def test_the_constant_counts_as_a0_over_2(self):
+        copy, e, _ = unit_scale(cosine_poly(2.0 ** -1073, [2.0 ** -1074]))
+        assert (copy.a0, copy.cos_coeffs, e) == (2.0, (1.0,), -1074)
 
 
 class TestShiftedSums:
