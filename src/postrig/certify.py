@@ -6,8 +6,8 @@ This module is the engine (endpoint policy, `certify_positive`, `find_min`,
 descends on its lattice.  All three run on the caller's polynomial at the
 unit scale (`trigeval.unit_scale`), where every value and bound is finite,
 and scale the lower bound, witness value, minimum and the slopes,
-curvatures and L4 of the notes back by 2^e at the report (`_unscaled`,
-`_at_scale`); `lipschitz` is the caller's L.
+curvatures and L4 of the notes back by 2^e at the report (`_at_scale`,
+the lower bound rounded toward zero); `lipschitz` is the caller's L.
 
 A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between
@@ -184,8 +184,9 @@ def vanishing_endpoint(poly: TrigPolynomial, t: float):
     for sin).  When shift*q is an integer so is m, the factor is exactly 0
     or +-1, and m mod 4 depends only on the term's index mod 4; otherwise
     the endpoint is sampled too.  `math.fsum`, correctly rounded, decides
-    whether the signed sum of coefficients is 0; on a unit-scale polynomial
-    (`unit_scale`), as the engine's are, no partial sum leaves the float range.
+    whether the signed sum of coefficients is 0; where a partial sum, the
+    slope or the curvature leaves the float range, which on a unit-scale
+    polynomial (`unit_scale`) none does, the endpoint is sampled.
     """
     q = round(t / _HALF_PI)
     if t != q * _HALF_PI:
@@ -201,11 +202,16 @@ def vanishing_endpoint(poly: TrigPolynomial, t: float):
                 nu[r::4], c[r::4])
                for p, (nu, c) in enumerate(poly.terms()) for r in range(min(4, c.size))]
     even = [(_QUARTER_TURN[m], nu, c) for m, nu, c in classes if m % 2 == 0]
-    if math.fsum(np.concatenate([[half]] + [w * c for w, _, c in even]).tolist()):
+    try:
+        if math.fsum(np.concatenate([[half]] + [w * c for w, _, c in even]).tolist()):
+            return None
+    except OverflowError:  # a partial sum beyond the float range
         return None
-    slope = sum((_QUARTER_TURN[(m + 1) % 4] * float(nu @ c)
-                 for m, nu, c in classes if m % 2), 0.0)
-    return slope, -sum((w * float((nu * nu) @ c) for w, nu, c in even), 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        slope = sum((_QUARTER_TURN[(m + 1) % 4] * float(nu @ c)
+                     for m, nu, c in classes if m % 2), 0.0)
+        curv = -sum((w * float((nu * nu) @ c) for w, nu, c in even), 0.0)
+    return (slope, curv) if math.isfinite(slope) and math.isfinite(curv) else None
 
 
 def _check_interval(lo: float, hi: float) -> None:
@@ -215,53 +221,51 @@ def _check_interval(lo: float, hi: float) -> None:
 
 
 def _at_scale(x: float, e: int) -> float:
-    """x*2^e, +-inf beyond the float range: a value printed in the notes."""
+    """x*2^e rounded to nearest, +-inf beyond the float range: a witness
+    value, a minimum, or a slope, curvature or L4 printed in the notes."""
     try:
         return math.ldexp(x, e)
     except OverflowError:
         return math.copysign(math.inf, x)
 
 
-def _unscaled(x: float, e: int) -> float:
-    """x*2^e rounded toward zero, so clamped to the largest float where it
-    overflows: a reported value, never larger in magnitude than the exact one."""
-    y = _at_scale(x, e)
-    return math.nextafter(y, 0.0) if abs(math.ldexp(y, -e)) > abs(x) else y
-
-
-def _window(poly: TrigPolynomial, lo: float, hi: float, e: int, rounding: float):
-    """(wlo, whi, notes): the window left by the endpoint rule (module docstring)
-    on an interval wider than 4*EPS, and a note per endpoint, for a unit-scale
-    copy: a rounded one insets no endpoint, as its zero test is not the caller's."""
+def _window(caller: TrigPolynomial, lo: float, hi: float):
+    """(copy, e, noise, wlo, whi, notes): `unit_scale`'s copy of caller at
+    2^-e, its roundoff bound with the rounding of its coefficients, the window
+    left by the endpoint rule (module docstring) on an interval wider than
+    4*EPS, and a note per endpoint.  A rounded copy's exact zero test is not
+    the caller's, so then the caller's coefficients decide the endpoints."""
     _check_interval(lo, hi)
     if EPS >= 0.25 * (hi - lo):
         raise ParameterDomainError(f"[{lo}, {hi}] is not wider than 4*EPS = {4 * EPS}")
-    ends, notes = [lo, hi], []
+    copy, e, rounding = unit_scale(caller)
+    poly, k, ends, notes = copy, e, [lo, hi], []
     if rounding:
         notes.append(f"scaling by 2^{-e} rounds a coefficient: the roundoff bound "
-                     "holds its rounding, and no endpoint is inset")
+                     "holds its rounding, and the caller's coefficients decide the ends")
+        poly, k = caller, 0
     for i, side, sign in ((0, "left", 1.0), (1, "right", -1.0)):
         head = f"{side} endpoint {ends[i]:.9g}"
-        jet = None if rounding else vanishing_endpoint(poly, ends[i])
+        jet = vanishing_endpoint(poly, ends[i])
         if jet is None:
             notes.append(f"{head} sampled directly")
             continue
         slope, curv = sign * jet[0] + 0.0, jet[1] + 0.0  # + 0.0: no -0 in notes
         L2, slope_tol = curvature_bound(poly), 1e-12 * max(lipschitz_bound(poly), 1e-300)
-        shown = f"inward slope {_at_scale(slope, e):.9g}"
+        shown = f"inward slope {_at_scale(slope, k):.9g}"
         if slope > slope_tol:
             covered = "rigorously (slope > curvature*eps)" \
                 if slope > L2 * EPS else "to first order"
             notes.append(f"{head} vanishes identically; {shown} covers the eps-zone {covered}")
         elif abs(slope) <= slope_tol and curv > 1e-12 * max(L2, 1e-300):
             notes.append(f"{head} vanishes to second order; curvature "
-                         f"{_at_scale(curv, e):.9g} > 0 covers the eps-zone")
+                         f"{_at_scale(curv, k):.9g} > 0 covers the eps-zone")
         else:
             notes.append(f"{head} vanishes identically; {shown}, curvature "
-                         f"{_at_scale(curv, e):.9g}: not inset, sampled directly")
+                         f"{_at_scale(curv, k):.9g}: not inset, sampled directly")
             continue
         ends[i] += sign * EPS
-    return ends[0], ends[1], notes
+    return copy, e, roundoff_bound(copy) + rounding, ends[0], ends[1], notes
 
 
 def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
@@ -318,13 +322,14 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
     opts = opts or CertifyOptions()
-    caller, (poly, e, rounding) = poly, unit_scale(poly)
-    wlo, whi, notes = _window(poly, lo, hi, e, rounding)
-    L, L2, noise = lipschitz_bound(poly), curvature_bound(poly), roundoff_bound(poly) + rounding
+    caller, (poly, e, noise, wlo, whi, notes) = poly, _window(poly, lo, hi)
+    L, L2 = lipschitz_bound(poly), curvature_bound(poly)
     total_evals = slope_evals = 0
     deriv = None  # f' once it is sampled, with L4 and its roundoff bound dnoise
 
     def report(verdict, lower, witness, depth):
+        if witness is not None:  # at the caller's scale, and still below 0
+            witness = (witness[0], min(_at_scale(witness[1], e), -SUBNORMAL))
         if deriv is not None:
             notes.append(f"f' sampled at {slope_evals} points from depth 0; "
                          f"L4 = {_at_scale(L4, e):.9g}")
@@ -338,7 +343,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     total_evals = opts.grid0
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
-        return report(REFUTED, None, (float(xs[imin]), _unscaled(float(vals[imin]), e)), 0)
+        return report(REFUTED, None, (float(xs[imin]), float(vals[imin])), 0)
     sliver = L * gap  # f >= f_last - sliver between the last sample and whi
 
     # Cell arrays, kept in ascending-theta order so ties resolve
@@ -395,7 +400,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         total_evals += im.size
         jmin = int(np.argmin(fm))
         if fm[jmin] < -noise:
-            witness = (min(float(wlo + im[jmin] * dx), whi), _unscaled(float(fm[jmin]), e))
+            witness = (min(float(wlo + im[jmin] * dx), whi), float(fm[jmin]))
             return report(REFUTED, None, witness, depth)
         il = _interleave(2 * il, im)
         fl, fr = _interleave(fl, fm), _interleave(fm, fr)
@@ -405,7 +410,10 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             total_evals += im.size
             gl, gr = _interleave(gl[fail], gm), _interleave(gm, gr[fail])
 
-    lower = _unscaled(lower, e)  # every cell certified: 0 < lower < inf
+    # every cell certified: 0 < lower < inf, scaled back rounded toward zero,
+    # so clamped to the largest float where it overflows
+    scaled = _at_scale(lower, e)
+    lower = math.nextafter(scaled, 0.0) if math.ldexp(scaled, -e) > lower else scaled
     if lower > 0.0:
         return report(CERTIFIED, lower, None, depth)
     notes.append(f"the lower bound underflows to 0 at scale 2^{e}")
@@ -429,9 +437,7 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     the best value, where computed values no longer tell points apart, or
     when halving the step no longer moves theta.  It runs on the unit-scale
     copy, like `certify_positive`."""
-    poly, e, rounding = unit_scale(poly)
-    wlo, whi, _ = _window(poly, lo, hi, e, rounding)
-    noise = roundoff_bound(poly) + rounding
+    poly, e, noise, wlo, whi, _ = _window(poly, lo, hi)
     dx, xs, vals, _ = _level0(poly, wlo, whi, CertifyOptions.grid0)
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
@@ -449,7 +455,7 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
                                 key=lambda c: (c[2], c[1]))
         if flat:
             break
-    return best_x, _unscaled(best_v, e)
+    return best_x, _at_scale(best_v, e)
 
 
 def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
@@ -457,8 +463,8 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
     """Sign-change brackets for p(theta) = sum a_k cos((n-k)theta) or
     q(theta) = sum a_k sin((n-k)theta), coefficients a_0 > a_1 >= ... >= a_n > 0.
 
-    Only signs are read, on the unit-scale copy, and from a_n = 2^1023 on,
-    where a0 = 2*a_n is no float, on p/2 (exact there), which has p's signs.
+    Only signs are read, on the unit-scale copy of the coefficients, scaled
+    once as q's before p is built from them: p's a0 = 2*a_n then stays a float.
     """
     if kind not in ("p", "q"):
         raise ParameterDomainError(f"kind must be p or q, got {kind!r}")
@@ -475,14 +481,9 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(f"a_{j} >= a_{j + 1} violated ({a[j]} < {a[j + 1]})")
     _check_interval(lo, hi)
 
-    if kind == "p":
-        n = a.size - 1
-        half = 0.5 if a[n] >= 2.0 ** 1023 else 1.0
-        poly = TrigPolynomial(a0=2.0 * (half * a[n]), cos_coeffs=half * a[:n][::-1])
-    else:
-        n = a.size
-        poly = TrigPolynomial(sin_coeffs=a[::-1])
-    poly, _, rounding = unit_scale(poly)
+    q, _, rounding = unit_scale(TrigPolynomial(sin_coeffs=a[::-1]))  # the a_k, scaled once
+    n, poly = (a.size, q) if kind == "q" else \
+        (a.size - 1, TrigPolynomial(2.0 * q.sin_coeffs[0], q.sin_coeffs[1:]))
     min_grid = max(2, 16 * n)
     if grid < min_grid:
         raise ParameterDomainError(

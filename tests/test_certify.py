@@ -18,7 +18,7 @@ from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bou
                              _level0, vanishing_endpoint)
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               roundoff_bound, unit_scale)
-from postrig.kernels import chirp_cheaper, error_bound
+from postrig.kernels import SUBNORMAL, chirp_cheaper, error_bound
 from postrig.errors import ParameterDomainError
 from conftest import naive_terms, naive_trig_value
 
@@ -656,8 +656,8 @@ class TestHugeCoefficients:
     def test_rounded_coefficient_never_certifies_a_negative_sum(self):
         # 2^100 (1 - cos theta) - 2^-1000 cos(2 theta) is -2^-1000 at 0 and
         # negative on (0, ~2^-550); the unit-scale copy flushes the last
-        # coefficient to 0 and vanishes at 0 to second order, which must not
-        # inset the left endpoint
+        # coefficient to 0 and vanishes at 0 to second order, but the
+        # caller's coefficients decide the endpoint, and they do not vanish
         poly = cosine_poly(2.0 ** 101, [-2.0 ** 100, -2.0 ** -1000])
         copy, e, rounding = unit_scale(poly)
         assert (e, copy.cos_coeffs, rounding) == (100, (-1.0, 0.0), 3 * 2.0 ** -1074)
@@ -668,6 +668,40 @@ class TestHugeCoefficients:
         assert rep.verdict != CERTIFIED
         assert "left endpoint 0 sampled directly" in rep.boundary_notes
         assert "rounds a coefficient" in rep.boundary_notes
+
+    def test_rounded_coefficient_keeps_the_callers_vanishing_endpoint(self):
+        # 2 sin theta + 2^-1074 sin 2theta vanishes at 0 and pi with slope 2;
+        # its copy sin theta flushes the last coefficient, and the caller's
+        # jet still insets both ends rigorously
+        rep = certify_positive(sine_poly([2.0, 5e-324]), 0.0, PI)
+        assert rep.verdict == CERTIFIED
+        for side in ("left endpoint 0", "right endpoint 3.14159265"):
+            assert f"{side} vanishes identically; inward slope 2 covers the eps-zone " \
+                "rigorously" in rep.boundary_notes
+        assert "rounds a coefficient" in rep.boundary_notes
+
+    def test_rounded_coefficient_with_overflowing_partial_sums_is_sampled(self):
+        # the caller's signed terms cancel at pi, but their running sum
+        # overflows: the endpoint is sampled, without a warning
+        poly = cosine_poly(0.0, [-1e308, 1e308, 1e308, -1e308, 5e-324])
+        assert unit_scale(poly)[2] and vanishing_endpoint(poly, PI) is None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = certify_positive(poly, 0.0, PI)
+        assert "right endpoint 3.14159265 sampled directly" in rep.boundary_notes
+
+    @pytest.mark.parametrize("k, value", [(-1074, -SUBNORMAL), (-1070, -6 * SUBNORMAL)])
+    def test_subnormal_witness_is_rounded_to_nearest_below_zero(self, k, value):
+        # sin + sin 2theta dips to -0.369: at 2^-1074 that rounds to -0, so
+        # the witness is clamped to -2^-1074; at 2^-1070, -5.9 spacings round
+        # to -6 (toward zero they would be -5)
+        unit = certify_positive(sine_poly([1.0, 1.0]), 0.0, PI)
+        rep = certify_positive(sine_poly([math.ldexp(1.0, k)] * 2), 0.0, PI)
+        assert rep.verdict == REFUTED
+        assert rep.witness == (unit.witness[0], value)
+        theta, v = find_min(sine_poly([math.ldexp(1.0, k)] * 2), 0.0, PI)
+        unit_min = find_min(sine_poly([1.0, 1.0]), 0.0, PI)
+        assert (theta, v) == (unit_min[0], math.ldexp(unit_min[1], k))
 
     def test_lower_bound_rounds_toward_zero_at_the_caller_scale(self):
         # f = 4*2^-1074: the unit-scale bound 1 - noise scales back to a
@@ -697,7 +731,7 @@ class TestHugeCoefficients:
         assert got == bracket_zeros("q", [3.0, 2.0], 0.0, 2 * PI, 512)
 
     def test_p_zero_brackets_near_the_float_limit(self):
-        # p's constant a_1 = 1e308 is held as p/2, since a0 = 2e308 is no float
+        # p is built from the scaled a_k, so its a0 = 2*a_1 = 2e308 never is
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bracket_zeros("p", [1.5e308, 1e308], 0.0, 2 * PI, 512)

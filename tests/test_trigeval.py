@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import postrig
 from postrig import (TrigPolynomial, abel_resum, cosine_poly, fejer_h, fejer_sigma,
                      lipschitz_bound, qk_sequence, shifted_poly, sine_poly,
                      halfangle_product_negated_poly)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.kernels import SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound
+from postrig.kernels import _chirp_plan, chirp_cheaper, error_bound
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               qk_weight, roundoff_bound, unit_scale)
 from conftest import (mp_derivative, naive_cosine_sum, naive_halfangle_derivative,
@@ -126,14 +126,11 @@ class TestDerivative:
 
     @settings(max_examples=80, deadline=None)
     @given(**_LAYOUT)
-    @example(a0=0.0, cc=[], sc=[1.1125369292536007e-308], shift=0.125, stride=1)
     def test_bounds_are_the_mass_of_the_derivatives(self, a0, cc, sc, shift, stride):
         poly = _layout(a0, cc, sc, shift, stride)
-        # the bounds also add a subnormal spacing per term (`_moments`)
-        spacings = (len(cc) + len(sc) + 2) * SUBNORMAL
         for bound, d in ((lipschitz_bound(poly), poly.derivative()),
                          (curvature_bound(poly), poly.derivative().derivative())):
-            assert abs(bound - coefficient_mass(d)) <= 1e-14 * bound + spacings
+            assert abs(bound - coefficient_mass(d)) <= 1e-14 * bound
 
     @pytest.mark.parametrize("poly", [cosine_poly(2.0), TrigPolynomial(a0=-3.0, stride=2)])
     def test_constant_gives_the_zero_polynomial(self, poly):
