@@ -7,7 +7,8 @@ descends on its lattice.  All three run on the caller's polynomial at the
 unit scale (`trigeval.unit_scale`), where every value and bound is finite,
 and scale the lower bound, witness value, minimum and the slopes,
 curvatures and L4 of the notes back by 2^e at the report (`_at_scale`,
-the lower bound rounded toward zero); `lipschitz` is the caller's L.
+the lower bound rounded toward zero); `lipschitz` is the copy's L scaled
+back and rounded up, or the caller's own where the copy is rounded.
 
 A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between
@@ -17,7 +18,8 @@ interpolant's error bound).  L2 grows like n^3 with bounded coefficients,
 while f'' near a minimum stays small, so at high degree a cell that fails
 is tested again at the same depth with a bound from local data: f' =
 `TrigPolynomial.derivative()` is sampled in one batch at the failing cells'
-unique end indices, and the cubic Hermite interpolant of (f, f') bounds f
+unique end indices (and at whi, by one direct point, where the partial cell
+fails), and the cubic Hermite interpolant of (f, f') bounds f
 on the cell (`_hermite_bound`).  The cell's bound is the larger of the two,
 a NaN one ignored.  Only level 0 can be the first level with failing cells,
 so f' is sampled from depth 0 on, and then at every level's midpoints
@@ -25,20 +27,24 @@ beside f: most certificates end at level 0 without it.  `grid_points`
 counts every point at which f or f' is evaluated, and a note gives the f'
 samples and L4.
 
-Computed values are within the evaluation roundoff bound of the exact ones,
-so a cell certifies only when its bound beats that bound (a NaN bound never
-does), and the certified lower bound is the smallest cell bound net of it.
-Cells that fail the test are bisected (only they are), up to a depth limit;
-each level evaluates the sum once at the failing cells' midpoints, and f'
-once at the same points.  The last cell also covers the sliver between the
-last sample and the window's end, by f_last - L*gap, L = sum nu |c| a
-uniform bound on |f'|.  A constant sum (L = 0) is not refined, and f' is
-not sampled: no cell bound depends on the cell width.  Every sample lies on
-the dyadic grid wlo + i*h/2^depth, so cells are integer indices and each
-batch goes through `TrigPolynomial.values_grid`.  A sample below minus the
-roundoff bound refutes with a witness; a non-positive sample inside that
-bound is no witness, and the cells it bounds never certify.  Inconclusive
-is a first-class outcome and is never upgraded.
+Computed values are within the evaluation roundoff bound of the exact ones
+(level-0 values within it and `_level0`'s abscissa term), so a cell
+certifies only when its bound beats that bound (a NaN bound never does),
+and the certified lower bound is the smallest cell bound net of it.  Cells
+that fail the test are bisected (only they are), up to a depth limit; each
+level evaluates the sum once at the failing cells' midpoints, and f' once
+at the same points.  The level-0 step is h = 2*pi/m, m picked so that one
+FFT of length m scans the window (`_level0`); where its last point x_J
+falls short of whi, whi itself is sampled, and the partial cell [x_J, whi]
+is bounded with its own width and bisected on the same lattice, a
+midpoint past whi left out.  A constant sum (L = 0) is not refined, and f'
+is not sampled: no cell bound depends on the cell width.  Every sample but
+whi lies on the dyadic grid wlo + i*h/2^depth, so cells are integer
+indices and each deeper batch goes through `TrigPolynomial.values_grid`.
+A sample below minus the roundoff bound refutes with a witness; a
+non-positive sample inside that bound is no witness, and the cells it
+bounds never certify.  Inconclusive is a first-class outcome and is never
+upgraded.
 
 At a multiple of pi/2 each term and its first two derivatives carry a
 factor exactly 0 or +-1 (`vanishing_endpoint`), so whether the sum vanishes
@@ -65,7 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ParameterDomainError
-from .kernels import SUBNORMAL
+from .kernels import SUBNORMAL, period_lattice
 from .trigeval import (TrigPolynomial, curvature_bound, fourth_derivative_bound,
                        lipschitz_bound, roundoff_bound, unit_scale)
 
@@ -220,21 +226,28 @@ def _check_interval(lo: float, hi: float) -> None:
         raise ParameterDomainError(f"invalid interval [{lo}, {hi}]")
 
 
-def _at_scale(x: float, e: int) -> float:
+def _at_scale(x: float, e: int, toward: float | None = None) -> float:
     """x*2^e rounded to nearest, +-inf beyond the float range: a witness
-    value, a minimum, or a slope, curvature or L4 printed in the notes."""
+    value, a minimum, or a slope, curvature or L4 printed in the notes.  With
+    ``toward`` the result is rounded toward it instead (the lower bound
+    toward 0, an overflow then clamped to the largest float; L toward inf)."""
     try:
-        return math.ldexp(x, e)
+        y = math.ldexp(x, e)
     except OverflowError:
-        return math.copysign(math.inf, x)
+        y = math.copysign(math.inf, x)
+    if toward is not None:
+        back = math.ldexp(y, -e)  # exact, or inf
+        if back < x if toward > y else back > x:
+            y = math.nextafter(y, toward)
+    return y
 
 
 def _window(caller: TrigPolynomial, lo: float, hi: float):
-    """(copy, e, noise, wlo, whi, notes): `unit_scale`'s copy of caller at
-    2^-e, its roundoff bound with the rounding of its coefficients, the window
-    left by the endpoint rule (module docstring) on an interval wider than
-    4*EPS, and a note per endpoint.  A rounded copy's exact zero test is not
-    the caller's, so then the caller's coefficients decide the endpoints."""
+    """(copy, e, rounding, wlo, whi, notes): `unit_scale`'s copy of caller at
+    2^-e and the bound on the rounding of its coefficients, the window left by
+    the endpoint rule (module docstring) on an interval wider than 4*EPS, and
+    a note per endpoint.  A rounded copy's exact zero test is not the
+    caller's, so then the caller's coefficients decide the endpoints."""
     _check_interval(lo, hi)
     if EPS >= 0.25 * (hi - lo):
         raise ParameterDomainError(f"[{lo}, {hi}] is not wider than 4*EPS = {4 * EPS}")
@@ -265,23 +278,55 @@ def _window(caller: TrigPolynomial, lo: float, hi: float):
                          f"{_at_scale(curv, k):.9g}: not inset, sampled directly")
             continue
         ends[i] += sign * EPS
-    return copy, e, roundoff_bound(copy) + rounding, ends[0], ends[1], notes
+    return copy, e, rounding, ends[0], ends[1], notes
+
+
+#: the period FFT scans a window that holds at least 1/_PERIOD_SHARE of its
+#: m points; a narrower one, whose m grows like 2*pi*grid0/width (2.6e6 points
+#: at width 0.01), is scanned by `values_grid` on the same lattice
+_PERIOD_SHARE = 4
+#: the drift of the FFT's points from the float lattice, per point of the
+#: period and unit of L (`_level0` derives it)
+_DRIFT = 4.0 * math.pi * 2.0 ** -53
 
 
 def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
-    """(h, abscissae, values, gap) of the level-0 grid of n samples on
-    [wlo, whi] that all three entry points scan: h = (whi - wlo)/(n - 1),
-    the abscissae wlo + i*h clamped to whi, one `values_grid` batch, and the
-    exact width, rounded up, of the sliver between whi and the last sample
-    (the lattice point or its float, the lower).  h is not rounded up: a
-    sample past whi could refute outside the interval."""
-    h = (whi - wlo) / (n - 1)
-    idx = np.arange(n)
-    raw = wlo + idx * h
-    gap = Fraction(whi) - min(Fraction(wlo) + (n - 1) * Fraction(h),
-                              Fraction(raw[-1]))
-    gap = math.nextafter(float(gap), math.inf) if gap > 0 else 0.0
-    return h, np.minimum(raw, whi), poly.values_grid(wlo, h, idx), gap
+    """(h, xs, vals, gap, drift): the level-0 samples of at least n points on
+    [wlo, whi] that all three entry points scan.
+
+    The lattice is wlo + j*h with h = 2*pi/m rounded, m the smallest
+    5-smooth multiple of the stride whose lattice holds n points on the
+    window, and x_J its last point there (`kernels.period_lattice`).  Its
+    values come from one FFT of length m/stride (`values_period`), or from
+    one `values_grid` batch on a window that holds under 1/_PERIOD_SHARE of
+    the m points.  When x_J falls short of whi, whi itself is sampled too (one
+    direct point), so xs ends at whi either way, and gap is the exact width
+    whi - x_J (a Fraction) of that partial last cell, else 0.  No sample lies
+    past whi.
+
+    The FFT evaluates f at wlo + 2*pi*j/m, not at the lattice point
+    x_j = wlo + j*h.  2*math.pi is 2 pi rounded, within 2|pi - math.pi| <
+    0.36 * 2 pi u (u = 2^-53), and the division rounds by at most 2 pi u/m,
+    so |j*h - 2*pi*j/m| <= (j/m) * 1.36 * 2 pi u.  The shift is peeled at
+    the float of x_j, as in `values_grid`; only the body moves with the
+    point, and its part of f' is at most L = sum nu |c|, so a value is off
+    f(x_j) by at most its roundoff and L * (J/m) * 1.36 * 2 pi u.  drift =
+    L * (J/m) * 4 pi u covers this and the rounding of the product; it is
+    added wherever level-0 values meet the roundoff bound."""
+    m, last, gap = period_lattice(wlo, whi, n, poly.stride)
+    h, idx = 2.0 * math.pi / m, np.arange(last + 1)
+    vals = poly.values_period(wlo, m, idx.size) if m <= _PERIOD_SHARE * idx.size \
+        else poly.values_grid(wlo, h, idx)
+    xs = np.minimum(wlo + idx * h, whi)
+    if gap:
+        xs, vals = np.append(xs, whi), np.append(vals, poly.value(whi))
+    return h, xs, vals, gap, lipschitz_bound(poly) * (last / m) * _DRIFT
+
+
+def _up(x: Fraction) -> float:
+    """x rounded up to a float."""
+    f = float(x)
+    return math.nextafter(f, math.inf) if f < x else f
 
 
 #: the rounding of `_hermite_bound`'s arithmetic, in units of
@@ -289,7 +334,7 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
 _HULL_ROUNDING = 16 * 2.0 ** -53
 
 
-def _hermite_bound(fl, fr, gl, gr, w: float, L4: float, noise: float,
+def _hermite_bound(fl, fr, gl, gr, w, L4: float, noise: float,
                    dnoise: float) -> np.ndarray:
     """Lower bounds of f on cells of width w from the computed values fl, fr
     and slopes gl, gr at their ends: the smallest of the seven control
@@ -300,13 +345,15 @@ def _hermite_bound(fl, fr, gl, gr, w: float, L4: float, noise: float,
     h00 + h01 = 1) and the rounding of this arithmetic.
 
     With S = |fl| + |fr| + w*(|gl| + |gr|) and u = 2^-53: the inner control
-    points fl + (w/3)*gl and fr - (w/3)*gr are off by at most u*S (three
-    roundings on the slope term, one on the sum), each of the three levels
-    of halved sums adds u*S, the subtracted terms (eight roundings at most,
-    four of them the additions) add 8u*S and the last difference u*S while
-    the bound is positive: 13u*S in all, and 16u*S leaves room for the
+    points fl + (w/3)*gl and fr - (w/3)*gr are off by at most 2u*S (three
+    roundings on the slope term, two more where w, the width of a partial
+    cell, is itself rounded up, and one on the sum), each of the three
+    levels of halved sums adds u*S, the subtracted terms (eight roundings at
+    most, four of them the additions) add 8u*S and the last difference u*S
+    while the bound is positive: 14u*S in all, and 16u*S leaves room for the
     rounding of S.  Halving a subnormal value loses half a spacing, 3
-    spacings over the three levels.  At the unit scale every term is finite."""
+    spacings over the three levels.  At the unit scale every term is finite.
+    w is a scalar or one width per cell."""
     t = w / 3.0
     b1, b2 = fl + t * gl, fr - t * gr
     c01, c12, c23 = 0.5 * fl + 0.5 * b1, 0.5 * b1 + 0.5 * b2, 0.5 * b2 + 0.5 * fr
@@ -322,7 +369,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
     """Certify strict positivity of the sum on (lo, hi); see module docstring."""
     opts = opts or CertifyOptions()
-    caller, (poly, e, noise, wlo, whi, notes) = poly, _window(poly, lo, hi)
+    caller, (poly, e, rounding, wlo, whi, notes) = poly, _window(poly, lo, hi)
     L, L2 = lipschitz_bound(poly), curvature_bound(poly)
     total_evals = slope_evals = 0
     deriv = None  # f' once it is sampled, with L4 and its roundoff bound dnoise
@@ -333,24 +380,27 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         if deriv is not None:
             notes.append(f"f' sampled at {slope_evals} points from depth 0; "
                          f"L4 = {_at_scale(L4, e):.9g}")
+        # the copy's L is the caller's times 2^-e unless the copy is rounded
+        lipschitz = lipschitz_bound(caller) if rounding else _at_scale(L, e, math.inf)
         return PositivityReport(verdict, lower, witness, total_evals, depth,
-                                lipschitz_bound(caller), (lo, hi), "; ".join(notes))
+                                lipschitz, (lo, hi), "; ".join(notes))
 
-    # Every sample lies on the dyadic grid wlo + i*h/2^depth: cells are kept
-    # as integer left indices il at the current depth, so each batch is a
-    # uniform-grid evaluation and the points are exact grid points.
-    dx, xs, vals, gap = _level0(poly, wlo, whi, opts.grid0)
-    total_evals = opts.grid0
+    # Every sample lies on the dyadic grid wlo + i*h/2^depth, or is whi: cells
+    # are kept as integer left indices il at the current depth, so each batch
+    # is a uniform-grid evaluation and the points are exact grid points.
+    dx, xs, vals, gap, drift = _level0(poly, wlo, whi, opts.grid0)
+    noise = roundoff_bound(poly) + rounding + drift
+    total_evals = xs.size
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
         return report(REFUTED, None, (float(xs[imin]), float(vals[imin])), 0)
-    sliver = L * gap  # f >= f_last - sliver between the last sample and whi
 
     # Cell arrays, kept in ascending-theta order so ties resolve
     # deterministically: left index il at the current depth, the endpoint
-    # values and, once sampled, the endpoint slopes.
-    il = np.arange(opts.grid0 - 1)
-    last = opts.grid0 - 2  # left index of the cell that ends at the last sample
+    # values and, once sampled, the endpoint slopes.  When gap > 0 the cell
+    # at index `last` is the partial cell [wlo + last*dx, whi] of width gap.
+    il = np.arange(xs.size - 1)
+    last = il[-1] if gap else -1
     fl, fr = vals[:-1], vals[1:]
     depth, lower = 0, math.inf
 
@@ -358,23 +408,28 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         """Each cell's bound, net of the roundoff bound (module docstring),
         and whether it fails: a NaN bound fails, and so does a cell with a
         sample at or below 0 that is no witness."""
-        bound = np.minimum(fl, fr) - 0.125 * L2 * dx * dx - noise
+        w = np.full(il.size, dx)
+        if il.size and il[-1] == last:
+            w[-1] = _up(gap)
+        bound = np.minimum(fl, fr) - 0.125 * L2 * w * w - noise
         if deriv is not None:
-            bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, dx, L4, noise, dnoise))
-        if sliver and il[-1] == last:
-            bound[-1] = min(bound[-1], fr[-1] - sliver - noise)
+            bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, w, L4, noise, dnoise))
         return bound, ~(bound > 0.0) | (fl <= 0.0) | (fr <= 0.0)
 
     while True:
         bound, fail = tested()
         if depth == 0 and L != 0.0 and fail.any():
-            # the failing cells are tested again with f' at their ends
+            # the failing cells are tested again with f' at their ends; the
+            # index past the partial cell stands for whi
             lower = min(lower, float(bound[~fail].min(initial=math.inf)))
             il, fl, fr = il[fail], fl[fail], fr[fail]
             ends, at = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
             deriv = poly.derivative()
             L4, dnoise = fourth_derivative_bound(poly), roundoff_bound(deriv)
-            g = deriv.values_grid(wlo, dx, ends)
+            past = int(ends[-1] == last + 1)
+            g = deriv.values_grid(wlo, dx, ends[:ends.size - past])
+            if past:
+                g = np.append(g, deriv.value(whi))
             gl, gr = g[at[:il.size]], g[at[il.size:]]
             slope_evals = ends.size
             total_evals += ends.size
@@ -393,27 +448,35 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             return report(INCONCLUSIVE, None, None, depth)
         depth += 1
         dx *= 0.5
-        last = 2 * last + 1
         il, fl, fr = il[fail], fl[fail], fr[fail]
-        im = 2 * il + 1
+        if deriv is not None:
+            gl, gr = gl[fail], gr[fail]
+        # the partial cell is bisected where the new lattice point lies inside
+        # it, and otherwise carries on whole as [wlo + 2*last*dx, whi]
+        whole = int(il.size > 0 and il[-1] == last and gap <= dx)
+        if gap:
+            last, gap = (2 * last + 1, gap - Fraction(dx)) if gap > dx else (2 * last, gap)
+        cut = il.size - whole
+        im = 2 * il[:cut] + 1
         fm = poly.values_grid(wlo, dx, im)
         total_evals += im.size
-        jmin = int(np.argmin(fm))
-        if fm[jmin] < -noise:
+        if im.size and fm.min() < -noise:
+            jmin = int(np.argmin(fm))
             witness = (min(float(wlo + im[jmin] * dx), whi), float(fm[jmin]))
             return report(REFUTED, None, witness, depth)
-        il = _interleave(2 * il, im)
-        fl, fr = _interleave(fl, fm), _interleave(fm, fr)
+        il = np.append(_interleave(2 * il[:cut], im), 2 * il[cut:])
+        fl = np.append(_interleave(fl[:cut], fm), fl[cut:])
+        fr = np.append(_interleave(fm, fr[:cut]), fr[cut:])
         if deriv is not None:
             gm = deriv.values_grid(wlo, dx, im)
             slope_evals += im.size
             total_evals += im.size
-            gl, gr = _interleave(gl[fail], gm), _interleave(gm, gr[fail])
+            gl = np.append(_interleave(gl[:cut], gm), gl[cut:])
+            gr = np.append(_interleave(gm, gr[:cut]), gr[cut:])
 
     # every cell certified: 0 < lower < inf, scaled back rounded toward zero,
     # so clamped to the largest float where it overflows
-    scaled = _at_scale(lower, e)
-    lower = math.nextafter(scaled, 0.0) if math.ldexp(scaled, -e) > lower else scaled
+    lower = _at_scale(lower, e, 0.0)
     if lower > 0.0:
         return report(CERTIFIED, lower, None, depth)
     notes.append(f"the lower bound underflows to 0 at scale 2^{e}")
@@ -430,26 +493,33 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
 
     The window ends obey certify_positive's endpoint rule, and the level-0
     grid is the certifier's default one.  After its scan the search descends
-    on the same dyadic lattice: each level halves the step, evaluates in one
-    batch the one or two midpoints beside the best sample (whose neighbours
-    are no lower), and moves to the lowest of the three, the smallest theta
-    on ties.  It stops when both midpoints are within the roundoff bound of
-    the best value, where computed values no longer tell points apart, or
-    when halving the step no longer moves theta.  It runs on the unit-scale
-    copy, like `certify_positive`."""
-    poly, e, noise, wlo, whi, _ = _window(poly, lo, hi)
-    dx, xs, vals, _ = _level0(poly, wlo, whi, CertifyOptions.grid0)
+    on a dyadic lattice: the certifier's, or, when the best sample is whi
+    itself, the lattice from whi toward its left neighbour.  Each level halves
+    the step, evaluates in one batch the one or two midpoints beside the best
+    sample (whose neighbours are no lower), and moves to the lowest of the
+    three, the smallest theta on ties.  It stops when both midpoints are
+    within the roundoff bound of the best value, where computed values no
+    longer tell points apart, or when halving the step no longer moves theta.
+    It runs on the unit-scale copy, like `certify_positive`."""
+    poly, e, rounding, wlo, whi, _ = _window(poly, lo, hi)
+    dx, xs, vals, gap, drift = _level0(poly, wlo, whi, CertifyOptions.grid0)
+    noise = roundoff_bound(poly) + rounding + drift
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
-    last = CertifyOptions.grid0 - 1  # index of the last sample at the current step
-    while k < 2 ** 52:  # lattice indices stay exact in a float
+    # the lattice t0 + sign*j*dx: its points 0 <= j <= top lie in the window,
+    # and a point past top is tested exactly (only the lattice from wlo has one)
+    t0, sign, top = wlo, 1.0, xs.size - 1 - bool(gap)
+    if k > top:
+        t0, sign, dx, k, top = whi, -1.0, float(gap), 0, 1
+    while top < 2 ** 52:  # lattice indices stay exact in a float
         dx *= 0.5
-        k, last = 2 * k, 2 * last
-        mids = [j for j in (k - 1, k + 1) if 0 <= j <= last]
-        xm = [min(wlo + j * dx, whi) for j in mids]  # clamped as in _level0
+        k, top = 2 * k, 2 * top
+        mids = [j for j in (k - 1, k + 1)
+                if 0 <= j and (j <= top or Fraction(t0) + j * Fraction(dx) <= whi)]
+        xm = [min(t0 + sign * j * dx, whi) for j in mids]  # clamped as in _level0
         if best_x in xm:  # halving the step no longer moves theta
             break
-        fm = poly.values_grid(wlo, dx, mids).tolist()
+        fm = poly.values_grid(t0, sign * dx, mids).tolist()
         flat = all(abs(v - best_v) <= noise for v in fm)
         k, best_x, best_v = min([(k, best_x, best_v), *zip(mids, xm, fm)],
                                 key=lambda c: (c[2], c[1]))
@@ -489,13 +559,15 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    h, xs, vals, _ = _level0(poly, lo, hi, grid + 1)
-    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding)
+    _, xs, vals, _, drift = _level0(poly, lo, hi, grid + 1)
+    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding + drift)
     if zero.size:
-        # nudge samples whose sign is roundoff off the zero; inward at the
-        # boundaries so endpoint zeros of the open interval do not fake a
-        # crossing
-        xs[zero] += np.where(zero == grid, -1e-6 * h, 1e-6 * h)
+        # nudge samples whose sign is roundoff off the zero, by a millionth of
+        # the cell beside them; inward at the boundaries so endpoint zeros of
+        # the open interval do not fake a crossing
+        width = np.diff(xs)
+        end = xs.size - 1
+        xs[zero] += 1e-6 * np.where(zero == end, -width[-1], width[np.minimum(zero, end - 1)])
         vals[zero] = poly.values(xs[zero])
     sign = np.sign(vals)  # products of neighbouring values would under- or overflow
     cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)

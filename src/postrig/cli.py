@@ -314,7 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--grid", type=int, default=certify_mod.CertifyOptions.grid0)
+    p.add_argument("--grid", type=int, default=certify_mod.CertifyOptions.grid0,
+                   help="at least this many level-0 samples (default %(default)s)")
     p.add_argument("--depth", type=int, default=certify_mod.CertifyOptions.max_depth)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_certify)
@@ -343,7 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeffs", type=_number_list(float), required=True)
     p.add_argument("--lo", type=float, default=0.0)
     p.add_argument("--hi", type=float, default=2.0 * PI)
-    p.add_argument("--grid", type=int, default=None)
+    p.add_argument("--grid", type=int, default=None,
+                   help="at least this many cells on [lo, hi] (default 512, or 16 per "
+                        "coefficient when that is more)")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_zeros)
 

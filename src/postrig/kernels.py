@@ -1,10 +1,10 @@
-"""Evaluation kernels: one contract, two paths.
+"""Evaluation kernels: one contract, three paths.
 
-Both paths return the pair of sums
+Every path returns the pair of sums
 
     C(x) = sum_{k=1}^n c_k cos(k x)    and    S(x) = sum_{k=1}^n c_k sin(k x)
 
-and meet one contract, ``error_bound(sum |c_k|, n)``: the error of either
+and meets one contract, ``error_bound(sum |c_k|, n)``: the error of either
 sum is at most
 
     KERNEL_TOL * sum |c_k|  +  (n + 1) * 2^-1074
@@ -14,11 +14,12 @@ second is underflow: a product whose result is subnormal is off by at most
 half the subnormal spacing 2^-1074, whatever its size; in the direct sums
 the 2n coefficient products reach each sum through the cos and sin of one
 phase (sqrt(2) together at most) and 2R more products follow (R below),
-less than n + 1 spacings in all.  Chirp-z serves sums at any scale: it scales the coefficients
-by the power of two that brings max |c_k| into [1/2, 1) before its FFTs and scales the sums back.
-The scaling is exact; an underflow inside the FFTs is then below
-2^-1074 max |c_k|, far inside the roundoff term, and only the scaling back
-of a subnormal sum rounds, by at most half the subnormal spacing.
+less than n + 1 spacings in all.  The two FFT paths serve sums at any
+scale: they scale the coefficients by the power of two that brings
+max |c_k| into [1, 2) and scale the sums back.  The scaling is exact; an
+underflow inside the FFTs is then below 2^-1074 max |c_k|, far inside the
+roundoff term, and only the scaling back of a subnormal sum rounds, by at
+most half the subnormal spacing.
 
 ``pair_sums(coeffs, x)`` takes any angles and runs ``_direct_sums``.  With
 T = ceil(sqrt(n)), R = ceil(n/T) and k = r*T + s + 1 (0 <= s < T,
@@ -48,25 +49,36 @@ and each block's lead phase is taken exactly from r + s*first.  The
 certifier's odd midpoints at depth d thus fill half as many blocks as their
 index range.
 
+``pair_sums_period(coeffs, x0, m, count)`` evaluates at the points
+x0 + 2*pi*j/m themselves, j < count, not at their floats, by one FFT of
+length m: the coefficients times their exact lead phases exp(i k x0) (a
+plain real FFT when x0 = 0), folded modulo m when n >= m, which adds at
+most (n/m) 2^-53 sum |c_k| of rounding.  It needs no plan and no cost
+model.  `period_lattice` picks m for a window: the smallest 5-smooth
+multiple of the stride whose lattice holds the points asked for, none of
+them past the window's end.  The certifier's level-0 scan is this path;
+its refinement, on the dyadic sub-lattices of the same step, is chirp-z.
+
 The plan -- the chirp and the FFT of the convolution kernel -- depends on
 the padded length N and the step only, not on the degree: it is built for
 the largest degree N serves, N - GRID_BLOCK, and at a smaller degree n the
 kernel's lags below -n meet only zero coefficients.  Up to
 ``CHIRP_PLANS`` plans are kept, least recently used first out, so every
 degree with one padded length shares a plan (degrees 1 .. 224 all pad to
-4320), and at depth 1 the step 2*(h/2) = h reuses the initial
-grid's plan.  A plan is a function of its key alone, so a batch's values do
-not depend on which plans earlier calls left in the cache.
+4320), and at depth 1 the step 2*(h/2) = h reuses the plan of the
+level-0 lattice's f' batch.  A plan is a function of its key alone, so a
+batch's values do not depend on which plans earlier calls left in the
+cache.
 
 Exact phases: angles become 96-bit fixed-point fractions of a turn (Python
 integers times a 256-bit 1/(2 pi)), and their integer multiples are taken
 in uint64 (the top 64 bits wrapping modulo one turn), so every phase -- j x
 in the direct sums, k x0, k J dx for a block start J and k^2 dx/2 in
-chirp-z -- is within about 2^-53 turn whatever the degree or the grid
-depth, for angles up to 2^150.  A multiplier must stay below 2^32, which
-bounds the degree of both paths by ``MAX_DEGREE``; the squares k^2 are
-split as hi * 2^32 + lo, and hi takes the turns of 2^32 dx/2, formed as
-exactly as those of dx/2.
+chirp-z, k x0 in the period FFT -- is within about 2^-53 turn whatever the
+degree or the grid depth, for angles up to 2^150.  A multiplier must stay
+below 2^32, which bounds the degree of every path by ``MAX_DEGREE``; the
+squares k^2 are split as hi * 2^32 + lo, and hi takes the turns of
+2^32 dx/2, formed as exactly as those of dx/2.
 
 The cost model is fixed, in ns with weights measured on the numpy code here
 (2-core Intel Xeon virtual machine, one BLAS thread); only a batch's degree
@@ -88,6 +100,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -299,9 +312,9 @@ def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
     size = _fft_length(n + B)
     # the step s*dx is exact, s being a power of two
     chirp, kernel = _chirp_plan(size, s * float(dx))
-    # scaling by 2^e, max|c| 2^e in [1/2, 1), is exact and keeps the FFTs'
+    # scaling by 2^e, max|c| 2^e in [1, 2), is exact and keeps the FFTs'
     # products clear of underflow; values in the normal range do not move
-    e = -math.frexp(float(np.max(np.abs(c))))[1]
+    e = 1 - math.frexp(float(np.max(np.abs(c))))[1]
     weighted = np.ldexp(c, e) * chirp[1:n + 1]    # c_k 2^e exp(i k^2 s dx/2)
     ks = np.arange(1, n + 1, dtype=np.uint64)
     p0, q0 = float(x0).as_integer_ratio()
@@ -322,3 +335,56 @@ def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
         out[sel] = chirp[t] * y[t]
     out = out.reshape(j.shape)
     return np.ldexp(out.real, -e), np.ldexp(out.imag, -e)
+
+
+def _period_last(span: Fraction, m: int) -> int:
+    """The largest j whose point x0 + 2*pi*j/m and whose float-step point
+    x0 + j*(2*pi/m) both lie within x0 + span.  The first is tested with
+    the 256-bit 1/(2 pi) cut below its value, so no point past is counted."""
+    p, q = span.as_integer_ratio()
+    exact = p * m * _INV_TWO_PI // (q << 256)
+    return min(exact, math.floor(span / Fraction(2.0 * math.pi / m)))
+
+
+@functools.lru_cache(maxsize=64)
+def period_lattice(x0: float, x1: float, count: int,
+                   stride: int = 1) -> tuple[int, int, Fraction]:
+    """(m, last, gap): m the smallest 5-smooth multiple of stride whose
+    lattice x0 + 2*pi*j/m holds at least count points on [x0, x1], last the
+    index of its last point there (see `_period_last`), and gap the exact
+    width x1 - x0 - last*(2*pi/m), the step rounded, beyond that point."""
+    span = Fraction(x1) - Fraction(x0)
+    estimate = (count - 1) * 2.0 * math.pi / float(span) * (1.0 - 2.0 ** -40)
+    m = stride * _fft_length(max(1, int(estimate) // stride))
+    while (last := _period_last(span, m)) + 1 < count:
+        m = stride * _fft_length(m // stride + 1)
+    return m, last, span - last * Fraction(2.0 * math.pi / m)
+
+
+def pair_sums_period(coeffs: np.ndarray, x0: float, m: int,
+                     count: int) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at the points x0 + 2*pi*j/m themselves, j = 0 .. count - 1,
+    by one FFT of length m; see the module docstring."""
+    c = _coefficients(coeffs)
+    n = c.size
+    if n == 0 or count == 0:
+        return np.zeros(count), np.zeros(count)
+    # the scaling of pair_sums_grid
+    e = 1 - math.frexp(float(np.max(np.abs(c))))[1]
+    a = np.zeros(-(-(n + 1) // m) * m, dtype=np.float64 if x0 == 0.0 else np.complex128)
+    a[1:n + 1] = np.ldexp(c, e)
+    if x0 != 0.0:  # c_k exp(i k x0), every lead phase exact
+        lead = _limbs([_turns(*float(x0).as_integer_ratio())])
+        a[1:n + 1] *= _cis(_multiple(np.arange(1, n + 1, dtype=np.uint64), lead))
+    if a.size > m:  # exp(i k 2 pi j/m) has period m in k
+        a = a.reshape(-1, m).sum(axis=0)
+    if x0 == 0.0:
+        # a real transform, sum_k a_k exp(-i k 2 pi j/m) for j <= m/2: the
+        # conjugates of the sums, and those at m - j the sums themselves
+        y, sign = np.fft.rfft(a), -1.0
+        if count > y.size:
+            y = np.concatenate((y, y[m - y.size:0:-1].conj()))
+    else:
+        y, sign = np.fft.ifft(a, norm="forward"), 1.0
+    y = y[np.arange(count) % m] if count > m else y[:count]
+    return np.ldexp(y.real, -e), np.ldexp(sign * y.imag, -e)

@@ -20,16 +20,18 @@ surface, `TrigPolynomial.derivative`.  `postrig.certify` runs on `unit_scale`'s
 copy, where none leaves the float range; `values` and `values_grid` take any
 scale, as `kernels.pair_sums_grid` keeps its own power-of-two scaling.
 
-There are two evaluation paths, the kernels of `postrig.kernels`, and every
-evaluation, f' included, goes through them; the shift is peeled off with the
-two angle-addition identities, so a shifted sum takes two unshifted sums.
+Every evaluation, f' included, goes through the kernels of
+`postrig.kernels`; the shift is peeled off with the two angle-addition
+identities, so a shifted sum takes two unshifted sums.
 `TrigPolynomial.values` takes any angles and runs the direct sums
 (`kernels.pair_sums`).  `TrigPolynomial.values_grid` takes the points
-t0 + idx*dt of a uniform grid (idx integer), as the certifier's grids, the
-scans of `find_min` and `bracket_zeros` and the CLI's plot points are, and
-lets the kernels' fixed cost model (`kernels.chirp_cheaper`) pick, once per
+t0 + idx*dt of a uniform grid (idx integer), as the certifier's refinement
+levels, the descent of `find_min` and the CLI's plot points are, and lets
+the kernels' fixed cost model (`kernels.chirp_cheaper`) pick, once per
 batch, the chirp-z grid kernel on the batch's `kernels.sub_lattice` or
-`values` at the points t0 + idx*dt.
+`values` at the points t0 + idx*dt.  `TrigPolynomial.values_period` takes
+the points t0 + 2*pi*j/m of the level-0 scans and runs one FFT
+(`kernels.pair_sums_period`).
 """
 
 from __future__ import annotations
@@ -42,7 +44,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import SUBNORMAL, chirp_cheaper, error_bound, pair_sums, pair_sums_grid
+from .kernels import (SUBNORMAL, chirp_cheaper, error_bound, pair_sums, pair_sums_grid,
+                      pair_sums_period)
 
 
 @dataclass(frozen=True)
@@ -132,6 +135,15 @@ class TrigPolynomial:
             return self._peel(t0 + j * dt, lambda body: pair_sums_grid(
                 body, s * t0, s * dt, j))
         return self.values(t0 + j * dt)
+
+    def values_period(self, t0: float, m: int, count: int) -> np.ndarray:
+        """Evaluate at the points t0 + 2*pi*j/m themselves, j = 0 .. count - 1,
+        m a multiple of stride, by one FFT of length m/stride
+        (`kernels.pair_sums_period`); the shift is peeled at their floats
+        t0 + j*(2*pi/m)."""
+        s = self.stride
+        th = t0 + np.arange(count) * (2.0 * math.pi / m)
+        return self._peel(th, lambda body: pair_sums_period(body, s * t0, m // s, count))
 
     def value(self, theta: float) -> float:
         return float(self.values(np.array([theta]))[0])

@@ -18,7 +18,8 @@ from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bou
                              _level0, vanishing_endpoint)
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               roundoff_bound, unit_scale)
-from postrig.kernels import SUBNORMAL, chirp_cheaper, error_bound
+from postrig.kernels import SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound, period_lattice
+from postrig import trigeval
 from postrig.errors import ParameterDomainError
 from conftest import naive_terms, naive_trig_value
 
@@ -350,7 +351,7 @@ class TestCertifyPositive:
         # f = (1 - cos t) + 4(1 - cos 10t) - 3e-4 sin t vanishes at 0 with
         # inward slope -3e-4; it is negative on (0, ~1.5e-6), down to ~-1.1e-10
         # (five times the roundoff bound), and positive on the rest of (0, pi).
-        # The finest cell is pi/4095/2^8 ~ 3e-6 wide, so no sample lands in
+        # The finest cell is pi/4096/2^8 ~ 3e-6 wide, so no sample lands in
         # the zone: no witness, and no certificate either
         poly = TrigPolynomial(10.0, (-1.0,) + (0.0,) * 8 + (-4.0,), (-3e-4,))
         assert vanishing_endpoint(poly, 0.0) == (-3e-4, 401.0)
@@ -398,13 +399,17 @@ class TestSecondOrderCells:
         assert bound <= cell_min + roundoff_bound(poly)
 
     def test_tight_at_a_midpoint_minimum(self):
-        # f = 1.001 + cos(theta) on [pi - 1, pi + 1]: with an even grid0 the
-        # minimum at pi is a cell midpoint, where f'' = L2 and the second-order
-        # bound is exact up to O(w^4); a looser factor than 1/8 would put the
-        # lower bound above the minimum, the first-order bound alone 2e-4 below
-        poly = cosine_poly(2.002, [1.0])
-        rep = certify_positive(poly, PI - 1.0, PI + 1.0)
-        f_min = naive_trig_value(poly, PI)
+        # f = 1.001 - cos(theta - c) on [0, pi], with c the midpoint of the
+        # level-0 cell [2047 h, 2048 h], h = pi/4096: at the minimum c, f'' =
+        # L2 and the second-order bound is exact up to O(w^4); a looser factor
+        # than 1/8 would put the lower bound above the minimum, the
+        # first-order bound alone 4e-4 below
+        c = 2047.5 * PI / 4096
+        h, xs, _, _, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, PI, 4096)
+        assert (h, xs[2047], xs[2048]) == (PI / 4096, c - h / 2, c + h / 2)
+        poly = TrigPolynomial(2.002, (-math.cos(c),), (-math.sin(c),))
+        rep = certify_positive(poly, 0.0, PI)
+        f_min = naive_trig_value(poly, c)
         assert f_min - 1e-9 <= rep.lower_bound <= f_min
 
     def test_koumandos_cosine_n8000_certified(self):
@@ -413,7 +418,7 @@ class TestSecondOrderCells:
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict == CERTIFIED
         theta, _ = find_min(poly, 0.0, PI)
-        step = PI / 4095 / 2 ** 8  # the finest cell width
+        step = PI / 4096 / 2 ** 8  # the finest cell width, h = 2 pi/8192
         naive_min = min(naive_trig_value(poly, theta + k * step) for k in range(-20, 21))
         assert rep.lower_bound <= naive_min
 
@@ -429,44 +434,130 @@ class TestSecondOrderCells:
         assert note in rep.boundary_notes
 
     def test_one_kernel_batch_per_level(self, monkeypatch):
-        # level 0: one f batch on the grid, then one f' batch at the unique
-        # ends of its failing cells; every deeper level: one f batch at the
-        # midpoints, then one f' batch at the same midpoints
+        # level 0: one FFT batch of f on the lattice and f at whi, then one f'
+        # batch at the unique lattice ends of its failing cells and f' at whi,
+        # the end of the failing partial cell; every deeper level: one f
+        # batch at the midpoints, then one f' batch at the same midpoints
         poly = _koumandos_cosine(2029, 0.45)
         calls = []
-        grid = TrigPolynomial.values_grid
 
-        def counted(self, t0, dt, idx):
-            calls.append((self is poly, np.asarray(idx)))
-            return grid(self, t0, dt, idx)
+        def counted(kind):
+            method = getattr(TrigPolynomial, kind)
 
-        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
+            def wrapper(self, *args):
+                size = {"values_period": args[-1], "value": 1}.get(kind, np.size(args[-1]))
+                calls.append((kind, self is poly, size, args))
+                return method(self, *args)
+            monkeypatch.setattr(TrigPolynomial, kind, wrapper)
+
+        for kind in ("values_period", "value", "values_grid"):
+            counted(kind)
         rep = certify_positive(poly, 0.0, PI)
+        whi = PI - EPS
         assert rep.refinement_depth >= 2
-        assert [is_f for is_f, _ in calls] == [True, False] * (1 + rep.refinement_depth)
-        ends = calls[1][1]
-        assert 0 < ends.size <= 4096 and (np.diff(ends) > 0).all()
-        for (_, f_idx), (_, g_idx) in zip(calls[2::2], calls[3::2]):
-            assert np.array_equal(f_idx, g_idx)
-        assert sum(idx.size for _, idx in calls) == rep.grid_points
-        slopes = sum(idx.size for is_f, idx in calls if not is_f)
+        assert [c[:2] for c in calls] == [("values_period", True), ("value", True),
+                                          ("values_grid", False), ("value", False)] + \
+            [("values_grid", True), ("values_grid", False)] * rep.refinement_depth
+        assert calls[0][2:] == (4096, (0.0, 8192, 4096))
+        assert calls[1][3] == calls[3][3] == (whi,)
+        ends = np.asarray(calls[2][3][2])
+        assert 0 < ends.size <= 4096 and (np.diff(ends) > 0).all() and ends[-1] == 4095
+        for f_call, g_call in zip(calls[4::2], calls[5::2]):
+            assert np.array_equal(f_call[3][2], g_call[3][2])
+        assert sum(c[2] for c in calls) == rep.grid_points
+        slopes = sum(c[2] for c in calls if not c[1])
         assert f"f' sampled at {slopes} points from depth 0" in rep.boundary_notes
 
     @pytest.mark.parametrize("hi", [PI - 1e-4, PI])
-    def test_last_cell_covers_the_sliver_to_whi(self, hi):
-        # h = (hi - lo)/4095 is rounded, and the last lattice point falls
-        # short of hi; f = 2 + cos falls into hi, where it is sampled, so the
-        # sliver beyond the last sample holds the minimum
+    def test_partial_last_cell_samples_whi(self, hi):
+        # the lattice's last point x_J = lo + J h falls short of hi, both as
+        # the FFT's point lo + 2 pi J/m and on the float step h; hi itself is
+        # then sampled, and f = 2 + cos falls into hi, so the partial cell
+        # [x_J, hi], bounded with its own width, holds the minimum
         poly = cosine_poly(4.0, [1.0])
         lo = 1e-4
-        h, xs, vals, gap = _level0(poly, lo, hi, 4096)
-        exact = Fraction(hi) - (Fraction(lo) + 4095 * Fraction(h))
-        assert 2e-16 < exact <= gap <= exact + math.ulp(hi)
-        assert xs[-1] <= hi
+        h, xs, vals, gap, _ = _level0(poly, lo, hi, 4096)
+        J = xs.size - 2
+        assert (h, J) == (2 * PI / 8192, 4095)
+        assert gap == Fraction(hi) - Fraction(lo) - J * Fraction(h) > 0
+        assert xs[-2] < xs[-1] == hi and vals[-1] == poly.value(hi)
+        two_pi_up = Fraction("6.2831853071795864769252867666")  # 2 pi + 2e-29
+        assert (Fraction(hi) - Fraction(lo)) * 8192 / J > two_pi_up
         rep = certify_positive(poly, lo, hi)
         assert rep.verdict == CERTIFIED
-        slack = lipschitz_bound(poly) * float(exact) + roundoff_bound(poly)
-        assert rep.lower_bound <= float(vals[-1]) - slack
+        noise = roundoff_bound(poly)
+        L2 = curvature_bound(poly)
+        assert vals[-1] - L2 * float(gap) ** 2 / 8 - 2 * noise <= rep.lower_bound
+        assert rep.lower_bound <= vals[-1] - noise
+
+    def test_level_zero_noise_holds_the_abscissa_term(self):
+        # f = 2 + cos falls into pi, so the partial cell [4095 pi/4096, pi]
+        # holds the lower bound, net of the roundoff bound and of the FFT's
+        # abscissa term L (J/m) 4 pi 2^-53
+        poly = cosine_poly(4.0, [1.0])
+        h, xs, vals, gap, drift = _level0(poly, 0.0, PI, 4096)
+        assert drift == lipschitz_bound(poly) * (4095 / 8192) * 4 * PI * 2.0 ** -53
+        w = float(gap)
+        w = w if Fraction(w) >= gap else math.nextafter(w, math.inf)
+        noise = roundoff_bound(poly) + drift
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.lower_bound == vals[-1] - 0.125 * curvature_bound(poly) * w * w - noise
+
+    def test_narrow_window_is_scanned_on_the_same_lattice(self, monkeypatch):
+        # [1, 1.3] holds 5% of the m = 86400 points of its lattice: one
+        # values_grid batch on the step 2 pi/m, not an FFT of length m
+        poly = sine_poly([1.0, -0.5, 0.25])
+        m, last, _ = period_lattice(1.0, 1.3, 4096)
+        assert last + 1 < m / 4
+        want = poly.values_period(1.0, m, last + 1)
+        monkeypatch.setattr(TrigPolynomial, "values_period", None)
+        h, xs, vals, gap, drift = _level0(poly, 1.0, 1.3, 4096)
+        assert (h, xs.size - 1 - bool(gap)) == (2 * PI / m, last)
+        assert np.abs(vals[:last + 1] - want).max() <= 2 * roundoff_bound(poly) + drift
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, PI), (EPS, PI - EPS), (0.0, 2 * PI),
+                                        (0.1, PI - 0.1)])
+    def test_level_zero_runs_no_chirp_z(self, rng, monkeypatch, lo, hi):
+        # one FFT per scan: the cost model is not asked, and no chirp plan is
+        # built or looked up
+        asked = []
+        monkeypatch.setattr(trigeval, "chirp_cheaper",
+                            lambda n, idx: asked.append(n) or chirp_cheaper(n, idx))
+        for poly in (sine_poly(rng.normal(size=400)),
+                     shifted_poly(rng.normal(size=300), 0.25, "cosine", 2)):
+            info = _chirp_plan.cache_info()
+            _level0(poly, lo, hi, 4096)
+            assert _chirp_plan.cache_info() == info
+        assert asked == []
+
+    def test_dip_inside_the_partial_cell_never_certifies(self, monkeypatch):
+        # f = a - cos(theta - c) with a = 1 - 1e-9 is negative only within
+        # ~4.5e-5 of c, the middle of the partial cell (x_J, 3) of the window
+        # [0, 3], and positive at both its ends
+        h, xs, _, gap, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, 3.0, 4096)
+        assert 2e-4 < gap < h
+        c = 0.5 * (xs[-2] + 3.0)
+        a = 1.0 - 1e-9
+        poly = TrigPolynomial(2.0 * a, (-math.cos(c),), (-math.sin(c),))
+        assert naive_trig_value(poly, c) < 0 < min(naive_trig_value(poly, xs[-2]),
+                                                   naive_trig_value(poly, 3.0))
+        # the cell is too narrow to take the depth-1 midpoint x_J + h/2, which
+        # lies past 3: no sample is taken there
+        assert gap < h / 2
+        points = []
+        grid = TrigPolynomial.values_grid
+
+        def recorded(self, t0, dt, idx):
+            points.extend(Fraction(t0) + int(j) * Fraction(dt) for j in idx)
+            return grid(self, t0, dt, idx)
+
+        monkeypatch.setattr(TrigPolynomial, "values_grid", recorded)
+        rep = certify_positive(poly, 0.0, 3.0)
+        assert rep.verdict == REFUTED and rep.refinement_depth >= 2
+        assert xs[-2] < rep.witness[0] < 3.0
+        assert max(points) < 3
+        for opts in (CertifyOptions(max_depth=0), CertifyOptions(max_depth=2)):
+            assert certify_positive(poly, 0.0, 3.0, opts).verdict != CERTIFIED
 
     def test_lower_bound_is_net_of_roundoff(self):
         poly = cosine_poly(2.0, [])  # f = 1: every cell bound is exactly 1
@@ -487,7 +578,8 @@ class TestSecondOrderCells:
         poly = cosine_poly(0.0, [0.0])
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict == INCONCLUSIVE
-        assert (rep.grid_points, rep.refinement_depth) == (4096, 0)
+        # 4096 lattice points, the last 4095 pi/4096, and pi itself
+        assert (rep.grid_points, rep.refinement_depth) == (4097, 0)
         assert "constant" in rep.boundary_notes
 
 
@@ -577,15 +669,18 @@ class TestHugeCoefficients:
     """Sums whose values, means or bounds leave the float range."""
 
     def test_overflowing_cell_mean_is_refuted(self):
-        # a0/2 + c cos(theta) is -8.99e306 at pi; the mean of the two samples
-        # of the cell [5.08, 8.97] overflows as (f_l + f_r)/2, whose bound
-        # then reads +inf and certified the sum
+        # a0/2 + c cos(theta) is -8.99e306 at pi; the mean of two samples
+        # near 1e308 overflowed as (f_l + f_r)/2, whose bound then read +inf
+        # and certified the sum.  The level-0 lattice is 1.2 + j pi, and the
+        # first midpoint 1.2 + pi/2 refutes
         poly = cosine_poly(1.6179238213760842e308, [8.988465674311579e307])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = certify_positive(poly, 1.2, 8.966370614359173, CertifyOptions(grid0=3))
         assert rep.verdict == REFUTED
-        assert rep.witness == (PI, pytest.approx(-8.988465674311578e306, rel=1e-12))
+        theta = 1.2 + PI / 2
+        assert rep.witness == (theta, pytest.approx(naive_trig_value(poly, theta), rel=1e-12))
+        assert rep.witness[1] < -2.8e306
 
     def test_mass_beyond_the_float_range_is_refuted_like_its_unit_shape(self):
         # the coefficient mass 2e308 and L = 3e308 overflow; at the unit
@@ -652,6 +747,40 @@ class TestHugeCoefficients:
             except OverflowError:
                 expected = math.copysign(math.inf, float(a))
             assert float(b) == pytest.approx(expected, rel=1e-8)
+
+    @pytest.mark.parametrize("poly", [sine_poly([1.0, 0.5, 0.25]), cosine_poly(3.0, [1.0, -0.75]),
+                                      shifted_poly([1.0, 0.375, 0.25], 0.25, "sine", 2)])
+    @pytest.mark.parametrize("k", [-1071, -1070, -1000, 0, 300, 1022])
+    def test_report_lipschitz_takes_one_pass(self, monkeypatch, poly, k):
+        # the copy is exact, so the report's L is the copy's scaled back,
+        # rounded up, inf past the float range: one pass over the terms, and
+        # still at least the caller's exact sum of nu |c|
+        big = _times_power_of_two(poly, k)
+        passes = []
+        moments = trigeval._moments
+        monkeypatch.setattr(trigeval, "_moments", lambda view: passes.append(view) or moments(view))
+        rep = certify_positive(big, 0.0, PI)
+        assert len(passes) == 1
+        exact = sum(Fraction(float(nu)) * abs(Fraction(float(c)))
+                    for nus, cs in big.terms() for nu, c in zip(nus, cs))
+        assert exact <= Fraction(rep.lipschitz) <= \
+            exact * (1 + Fraction(1, 10 ** 12)) + Fraction(2 * SUBNORMAL)
+
+    def test_report_lipschitz_beyond_the_float_range_is_inf(self):
+        # nu |c| sums to 3e308; the copy's L times 2^1023 overflows
+        rep = certify_positive(sine_poly([1e308, 1e308]), 0.0, PI)
+        assert rep.lipschitz == math.inf
+
+    def test_report_lipschitz_of_a_rounded_copy_is_the_callers(self, monkeypatch):
+        # scaling 1e308 into [1, 2) takes 5e-324 to 0: the copy's L is no
+        # bound for the caller's sum, so the caller's own pass gives it
+        poly = sine_poly([1e308, 5e-324])
+        passes = []
+        moments = trigeval._moments
+        monkeypatch.setattr(trigeval, "_moments", lambda view: passes.append(view) or moments(view))
+        rep = certify_positive(poly, 0.0, PI)
+        assert len(passes) == 2
+        assert rep.lipschitz == lipschitz_bound(sine_poly([1e308, 5e-324]))
 
     def test_rounded_coefficient_never_certifies_a_negative_sum(self):
         # 2^100 (1 - cos theta) - 2^-1000 cos(2 theta) is -2^-1000 at 0 and
@@ -798,7 +927,7 @@ class TestFindMin:
         grid = TrigPolynomial.values_grid
 
         def counted(self, t0, dt, idx):
-            steps.append(dt)
+            steps.append(abs(dt))  # the descent from hi steps down
             return grid(self, t0, dt, idx)
 
         monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
@@ -815,24 +944,32 @@ class TestFindMin:
         assert steps[-1] <= math.ulp(theta)
 
     def test_one_kernel_batch_per_level(self, monkeypatch):
-        # the level-0 scan and each descent level are one values_grid batch
-        # of 1-2 midpoints; no scalar value() probes
-        sizes = []
-        grid = TrigPolynomial.values_grid
+        # the level-0 scan is one FFT batch on the lattice and the scalar
+        # sample at pi past its last point 4095 pi/4096; each descent level is
+        # one values_grid batch of 1-2 midpoints, with no scalar value() probe
+        calls = []
+        grid, period, value = (TrigPolynomial.values_grid, TrigPolynomial.values_period,
+                               TrigPolynomial.value)
 
-        def counted(self, t0, dt, idx):
-            sizes.append(len(idx))
+        def counted_grid(self, t0, dt, idx):
+            calls.append(("grid", len(idx)))
             return grid(self, t0, dt, idx)
 
-        def scalar(self, theta):
-            raise AssertionError("find_min made a scalar value() probe")
+        def counted_period(self, t0, m, count):
+            calls.append(("period", count))
+            return period(self, t0, m, count)
 
-        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
-        monkeypatch.setattr(TrigPolynomial, "value", scalar)
+        def counted_value(self, theta):
+            calls.append(("value", theta))
+            return value(self, theta)
+
+        monkeypatch.setattr(TrigPolynomial, "values_grid", counted_grid)
+        monkeypatch.setattr(TrigPolynomial, "values_period", counted_period)
+        monkeypatch.setattr(TrigPolynomial, "value", counted_value)
         _, c30 = fig1_polys(30)
         theta, m = find_min(c30, 0.0, PI)
-        assert sizes[0] == 4096 and len(sizes) >= 10
-        assert all(1 <= k <= 2 for k in sizes[1:])
+        assert calls[:2] == [("period", 4096), ("value", PI)] and len(calls) >= 12
+        assert all(kind == "grid" and 1 <= k <= 2 for kind, k in calls[2:])
 
     def test_flat_minimum_at_pi(self):
         # a qk cosine sum of degree 213 has f' = 0 at its minimum theta = pi,
@@ -909,18 +1046,25 @@ def _qp_poly(kind, a):
 
 
 def _reference_brackets(kind, coeffs, lo, hi, grid):
-    """bracket_zeros' scan as a loop over the grid, one nudge at a time: a
-    sample within the roundoff bound of 0 has no reliable sign and is nudged
-    (the direct sums here, chirp-z in the library, differ by roundoff)."""
+    """bracket_zeros' scan as a loop over its grid, one nudge at a time: the
+    lattice lo + j h of at least grid + 1 points, h = 2 pi/m, and hi where
+    the lattice falls short of it.  A sample within the roundoff bound (and
+    the FFT's abscissa term) of 0 has no reliable sign and is nudged by a
+    millionth of the cell beside it (the direct sums here, one FFT in the
+    library, differ by roundoff)."""
     poly = _qp_poly(kind, coeffs)
-    xs = np.linspace(lo, hi, grid + 1)
-    vals = poly.values(xs)
-    h = (hi - lo) / grid
-    for i in np.nonzero(np.abs(vals) <= roundoff_bound(poly))[0]:
-        xs[i] += -1e-6 * h if i == grid else 1e-6 * h
+    m, last, gap = period_lattice(lo, hi, grid + 1)
+    xs = np.minimum(lo + np.arange(last + 1) * (2 * PI / m), hi)
+    if gap:
+        xs = np.append(xs, hi)
+    vals, width = poly.values(xs), np.diff(xs)
+    end = xs.size - 1
+    drift = lipschitz_bound(poly) * (last / m) * 4 * PI * 2.0 ** -53
+    for i in np.nonzero(np.abs(vals) <= roundoff_bound(poly) + drift)[0]:
+        xs[i] += -1e-6 * width[-1] if i == end else 1e-6 * width[i]
         vals[i] = poly.value(float(xs[i]))
     out = []
-    for i in range(grid):
+    for i in range(end):
         if vals[i] * vals[i + 1] < 0.0:
             out.append((float(xs[i]), float(xs[i + 1]), 1 if vals[i] > 0 else -1,
                         1 if vals[i + 1] > 0 else -1))
@@ -943,26 +1087,28 @@ class TestBracketZeros:
         assert got.brackets
 
     def test_exact_zero_sample_is_nudged(self):
-        # q is odd, so it vanishes exactly at the grid point 0.0 of this
-        # grid; only the nudge turns that sample into a bracket around 0
+        # q is odd, so it vanishes exactly at the lattice point 0.0 = -pi +
+        # 36 h of this grid (h = 2 pi/72), where the FFT gives roundoff; only
+        # the nudge turns that sample into a bracket around 0
         a = [3.0, 2.0, 1.5, 1.0]
         lo, hi, grid = -PI, PI, 64
-        assert np.linspace(lo, hi, grid + 1)[grid // 2] == 0.0
+        h, xs, vals, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1)
+        assert (h, xs[36]) == (2 * PI / 72, 0.0)
+        assert abs(vals[36]) <= roundoff_bound(_qp_poly("q", a))
         got = bracket_zeros("q", a, lo, hi, grid)
         assert got.brackets == _reference_brackets("q", a, lo, hi, grid)
         assert any(b[0] < 0.0 < b[1] for b in got.brackets)
 
-    def test_q_through_chirp_z_has_every_zero_once(self):
+    def test_q_on_the_full_circle_has_every_zero_once(self):
         """q of degree 300 on [0, 2pi] has 2n - 1 simple zeros inside.  q
-        vanishes at 0 and 2pi, where chirp-z gives roundoff (and the last
-        grid point 2pi + O(ulp), of either sign); the roundoff zero rule
-        nudges those samples inward instead of taking their sign.  Taking
-        only exact zeros adds a bracket at 2pi on grids 4808 and 4813."""
+        vanishes at 0 and 2pi, where the FFT and the direct sample at 2pi
+        give roundoff of either sign; the roundoff zero rule nudges those
+        samples inward instead of taking their sign."""
         n = 300
         a = np.linspace(1.0, 0.1, n)
         a[0] += 0.5
         for grid in (4800, 4808, 4813):
-            assert chirp_cheaper(n, np.arange(grid + 1))
+            assert period_lattice(0.0, 2 * PI, grid + 1)[2] > 0  # 2pi sampled directly
             got = bracket_zeros("q", a, 0.0, 2 * PI, grid).brackets
             assert len(got) == 2 * n - 1, grid
             for lo, hi, s_lo, s_hi in got:

@@ -2,6 +2,7 @@
 naive and exact sums, and the cost model between them."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -177,7 +178,7 @@ def test_sub_lattice_chirp_matches_direct(idx):
 
 def test_level_one_reuses_the_level_zero_plan():
     """A level's odd midpoints at h/2 lie on the step-h lattice: they reuse
-    level 0's chirp plan, and all 4095 fill one block where two were used."""
+    the step-h plan, and all 4095 fill one block where two were used."""
     coeffs = np.random.default_rng(2).normal(size=1000)
     x0, h = 1e-4, (math.pi - 2e-4) / 4095
     kernels._chirp_plan.cache_clear()
@@ -389,3 +390,115 @@ def test_direct_cost_model():
         kernels.pair_sums(np.ones(400), np.array([0.3]))
         kernels.pair_sums(np.ones(400), np.linspace(0.0, 1.0, 4096))
         assert direct.call_count == 2
+
+
+# ---------------------------------------------------------------------------
+# the period FFT
+
+def _mp_pair(coeffs, theta):
+    """(C, S) at the mpmath angle theta, by Horner's rule in 30 digits."""
+    import mpmath as mp
+    with mp.workdps(30):
+        z, acc = mp.expj(theta), mp.mpc(0)
+        for c in coeffs[::-1]:
+            acc = (acc + mp.mpf(float(c))) * z
+        return acc.real, acc.imag
+
+
+def _mp_lattice(x0, m, j):
+    """x0 + 2 pi j/m in 30 digits."""
+    import mpmath as mp
+    with mp.workdps(30):
+        return mp.mpf(x0) + 2 * mp.pi * j / m
+
+
+@pytest.mark.parametrize("m", [2, 5, 4096, 8192, 8748])
+@pytest.mark.parametrize("x0", [0.0, 1e-4, 0.1, 1.2])
+@pytest.mark.parametrize("fold", [False, True])
+def test_period_kernel_at_the_exact_lattice(m, x0, fold):
+    """The sums at x0 + 2 pi j/m themselves, within error_bound, for n < m
+    and n >= m (the coefficients folded mod m); m = 2 and 5 take points past
+    pi and past 2 pi, the latter equal to points of the first period."""
+    n = m + 37 if fold else min(m - 1, 300)
+    rng = np.random.default_rng(m + n)
+    coeffs = rng.uniform(-1.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
+    count = 2 * m + 1 if m < 10 else m // 2 + 3
+    C, S = kernels.pair_sums_period(coeffs, x0, m, count)
+    assert C.shape == S.shape == (count,)
+    bound = kernels.error_bound(np.abs(coeffs).sum(), n)
+    for j in sorted({0, count // 3, count - 1}):
+        ref_c, ref_s = _mp_pair(coeffs, _mp_lattice(x0, m, j))
+        assert abs(C[j] - float(ref_c)) <= bound and abs(S[j] - float(ref_s)) <= bound, j
+
+
+def test_period_kernel_empty():
+    C, S = kernels.pair_sums_period(np.array([]), 0.3, 16, 5)
+    assert C.shape == S.shape == (5,) and not C.any() and not S.any()
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+@pytest.mark.parametrize("x0", [0.0, 1e-4])
+def test_period_kernel_underflow_term(n, x0):
+    """Scaled exactly inside the kernel, like chirp-z: coefficients of
+    2^-1040 .. 2^-1070 stay within error_bound against the direct sums of
+    their normal images (the points' floats move them by far less than a
+    subnormal spacing)."""
+    m = 4096
+    points = x0 + np.arange(m // 2) * (2 * math.pi / m)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        coeffs = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n),
+                          -rng.integers(1040, 1071, n))
+        C, S = kernels.pair_sums_period(coeffs, x0, m, m // 2)
+        ref_c, ref_s = kernels._direct_sums(np.ldexp(coeffs, 1100), points)
+        bound = kernels.error_bound(np.abs(coeffs).sum(), n)
+        assert np.abs(C - np.ldexp(ref_c, -1100)).max() <= bound
+        assert np.abs(S - np.ldexp(ref_s, -1100)).max() <= bound
+
+
+@pytest.mark.parametrize("x0", [0.0, 1e-4, 0.1, 1.2])
+def test_period_values_of_a_shifted_stride_two_sum(x0):
+    """values_period peels shift 0.25 at the floats of the lattice points and
+    runs the body at stride 2 over m/2 points; against mpmath at the float
+    step's lattice x0 + j h, h = 2 pi/m rounded, the value is within the
+    roundoff bound and the abscissa term L (j/m) 4 pi 2^-53."""
+    m, count = 8748, 2300
+    rng = np.random.default_rng(7)
+    poly = TrigPolynomial(cos_coeffs=rng.normal(size=300), sin_coeffs=rng.normal(size=200),
+                          shift=0.25, stride=2)
+    got = poly.values_period(x0, m, count)
+    h = 2 * math.pi / m
+    L = trigeval.lipschitz_bound(poly)
+    import mpmath as mp
+    for j in (0, 1, 1000, count - 1):
+        with mp.workdps(30):
+            theta = mp.mpf(x0) + j * mp.mpf(h)
+            want = sum(mp.mpf(float(c)) * trig(mp.mpf(float(nu)) * theta)
+                       for (nu_c, c_c), trig in zip(poly.terms(), (mp.cos, mp.sin))
+                       for nu, c in zip(nu_c, c_c))
+        tol = trigeval.roundoff_bound(poly) + L * (j / m) * 4 * math.pi * 2.0 ** -53
+        assert abs(got[j] - float(want)) <= tol, j
+
+
+@pytest.mark.parametrize("lo, hi, count, stride, want", [
+    (0.0, math.pi, 4096, 1, (8192, 4095)),            # pi itself is past math.pi
+    (1e-4, math.pi - 1e-4, 4096, 1, (8192, 4095)),
+    (0.0, 2 * math.pi, 4096, 1, (4096, 4095)),
+    (0.0, 2 * math.pi, 4096, 2, (4096, 4095)),
+    (0.1, math.pi - 0.1, 4096, 1, (8748, 4095)),
+    (1.2, 8.966370614359173, 3, 1, (2, 2)),
+    (0.0, 3.0, 4096, 2, (8640, 4125)),
+])
+def test_period_lattice(lo, hi, count, stride, want):
+    """The smallest 5-smooth multiple of the stride with count points on
+    [lo, hi], none past hi as an exact point or on the float step."""
+    m, last, gap = kernels.period_lattice(lo, hi, count, stride)
+    assert (m, last) == want and m % stride == 0
+    h = Fraction(2 * math.pi / m)
+    assert gap == Fraction(hi) - Fraction(lo) - last * h >= 0
+    two_pi_up = Fraction("6.2831853071795864769252867666")  # 2 pi + 2e-29
+    assert Fraction(lo) + last * two_pi_up / m <= Fraction(hi)
+    below = next((k for k in range(m - stride, 0, -stride)
+                  if kernels._fft_length(k // stride) == k // stride), None)
+    if below:  # the next smaller candidate holds too few points
+        assert kernels._period_last(Fraction(hi) - Fraction(lo), below) + 1 < count

@@ -6,14 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import postrig
 from postrig import (TrigPolynomial, abel_resum, cosine_poly, fejer_h, fejer_sigma,
                      lipschitz_bound, qk_sequence, shifted_poly, sine_poly,
                      halfangle_product_negated_poly)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.kernels import _chirp_plan, chirp_cheaper, error_bound
+from postrig.kernels import SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound, period_lattice
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               qk_weight, roundoff_bound, unit_scale)
 from conftest import (mp_derivative, naive_cosine_sum, naive_halfangle_derivative,
@@ -126,11 +126,22 @@ class TestDerivative:
 
     @settings(max_examples=80, deadline=None)
     @given(**_LAYOUT)
+    @example(a0=0.0, cc=[], sc=[1.1125369292536007e-308], shift=0.125, stride=1)
+    @example(a0=0.0, cc=[], sc=[0.0, 5e-324], shift=0.125, stride=2)
     def test_bounds_are_the_mass_of_the_derivatives(self, a0, cc, sc, shift, stride):
+        # the bounds add n + 1 subnormal spacings and round up once more by
+        # design (trigeval._moments), which 1e-14 of a subnormal bound does
+        # not hold; where nu^2 c is subnormal, the coefficient nu*(nu*c) of
+        # f'' rounds twice, the first rounding times nu, and _moments' nu^2 |c|
+        # once: 1 + nu/2 spacings a term
         poly = _layout(a0, cc, sc, shift, stride)
-        for bound, d in ((lipschitz_bound(poly), poly.derivative()),
-                         (curvature_bound(poly), poly.derivative().derivative())):
-            assert abs(bound - coefficient_mass(d)) <= 1e-14 * bound
+        terms = sum(c.size for _, c in poly.terms())
+        nus = sum(float(nu.sum()) for nu, _ in poly.terms())
+        for bound, d, rounding in (
+                (lipschitz_bound(poly), poly.derivative(), 0.0),
+                (curvature_bound(poly), poly.derivative().derivative(), terms + nus / 2)):
+            assert abs(bound - coefficient_mass(d)) <= \
+                1e-14 * bound + (terms + 2 + rounding) * SUBNORMAL
 
     @pytest.mark.parametrize("poly", [cosine_poly(2.0), TrigPolynomial(a0=-3.0, stride=2)])
     def test_constant_gives_the_zero_polynomial(self, poly):
@@ -160,16 +171,20 @@ class TestDerivative:
 
     @pytest.mark.parametrize("shift, stride", [(0.0, 1), (0.25, 2)])
     def test_level_zero_grid_builds_no_new_chirp_plan(self, rng, shift, stride):
-        # what refinement with f' samples relies on: f' has f's coefficient
-        # lengths (the parts swap), so its batches reuse f's plans
+        # what refinement with f' samples relies on: the level-0 FFT builds no
+        # plan, and f' has f's coefficient lengths (the parts swap), so f' on
+        # the level-0 lattice and f at the depth-1 midpoints share one plan
         poly = TrigPolynomial(0.0 if shift else 1.0, rng.normal(size=400),
                               rng.normal(size=300), shift, stride)
-        idx = np.arange(4096)
+        m, last, _ = period_lattice(0.0, math.pi, 4096, stride)
+        h, idx = 2 * math.pi / m, np.arange(last + 1)
         assert chirp_cheaper(400, idx)
-        h = math.pi / 4095
-        poly.values_grid(0.0, h, idx)
         misses = _chirp_plan.cache_info().misses
+        poly.values_period(0.0, m, idx.size)
+        assert _chirp_plan.cache_info().misses == misses
         got = poly.derivative().values_grid(0.0, h, idx)
+        misses = _chirp_plan.cache_info().misses
+        poly.values_grid(0.0, h / 2, 2 * idx + 1)
         assert _chirp_plan.cache_info().misses == misses
         want = poly.derivative().values(idx * h)
         assert np.abs(got - want).max() <= 2 * error_bound(lipschitz_bound(poly), 700)
