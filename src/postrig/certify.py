@@ -281,10 +281,6 @@ def _window(caller: TrigPolynomial, lo: float, hi: float):
     return copy, e, rounding, ends[0], ends[1], notes
 
 
-#: the period FFT scans a window that holds at least 1/_PERIOD_SHARE of its
-#: m points; a narrower one, whose m grows like 2*pi*grid0/width (2.6e6 points
-#: at width 0.01), is scanned by `values_grid` on the same lattice
-_PERIOD_SHARE = 4
 #: the drift of the FFT's points from the float lattice, per point of the
 #: period and unit of L (`_level0` derives it)
 _DRIFT = 4.0 * math.pi * 2.0 ** -53
@@ -297,9 +293,10 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
     The lattice is wlo + j*h with h = 2*pi/m rounded, m the smallest
     5-smooth multiple of the stride whose lattice holds n points on the
     window, and x_J its last point there (`kernels.period_lattice`).  Its
-    values come from one FFT of length m/stride (`values_period`), or from
-    one `values_grid` batch on a window that holds under 1/_PERIOD_SHARE of
-    the m points.  When x_J falls short of whi, whi itself is sampled too (one
+    values come from `values_period`: one FFT of length m/stride, or one
+    `values_grid` batch on the floats of the lattice points where the cost
+    model finds the FFT dearer (a narrow window, whose m grows like
+    2*pi*n/width).  When x_J falls short of whi, whi itself is sampled too (one
     direct point), so xs ends at whi either way, and gap is the exact width
     whi - x_J (a Fraction) of that partial last cell, else 0.  No sample lies
     past whi.
@@ -314,10 +311,8 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
     L * (J/m) * 4 pi u covers this and the rounding of the product; it is
     added wherever level-0 values meet the roundoff bound."""
     m, last, gap = period_lattice(wlo, whi, n, poly.stride)
-    h, idx = 2.0 * math.pi / m, np.arange(last + 1)
-    vals = poly.values_period(wlo, m, idx.size) if m <= _PERIOD_SHARE * idx.size \
-        else poly.values_grid(wlo, h, idx)
-    xs = np.minimum(wlo + idx * h, whi)
+    h, vals = 2.0 * math.pi / m, poly.values_period(wlo, m, last + 1)
+    xs = np.minimum(wlo + np.arange(last + 1) * h, whi)
     if gap:
         xs, vals = np.append(xs, whi), np.append(vals, poly.value(whi))
     return h, xs, vals, gap, lipschitz_bound(poly) * (last / m) * _DRIFT
@@ -511,7 +506,7 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     t0, sign, top = wlo, 1.0, xs.size - 1 - bool(gap)
     if k > top:
         t0, sign, dx, k, top = whi, -1.0, float(gap), 0, 1
-    while top < 2 ** 52:  # lattice indices stay exact in a float
+    while k < 2 ** 52:  # lattice indices stay exact in a float
         dx *= 0.5
         k, top = 2 * k, 2 * top
         mids = [j for j in (k - 1, k + 1)
@@ -559,15 +554,17 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    _, xs, vals, _, drift = _level0(poly, lo, hi, grid + 1)
+    h, xs, vals, gap, drift = _level0(poly, lo, hi, grid + 1)
+    nudge = 1e-6 * h
+    if 0 < gap <= nudge:  # x_J, within the nudge of hi, is the end sample
+        xs, vals, gap = xs[:-1], vals[:-1], 0
     zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding + drift)
     if zero.size:
-        # nudge samples whose sign is roundoff off the zero, by a millionth of
-        # the cell beside them; inward at the boundaries so endpoint zeros of
-        # the open interval do not fake a crossing
-        width = np.diff(xs)
-        end = xs.size - 1
-        xs[zero] += 1e-6 * np.where(zero == end, -width[-1], width[np.minimum(zero, end - 1)])
+        # nudge samples whose sign is roundoff off the zero by a millionth of
+        # the level-0 step: inward at the ends, so endpoint zeros of the open
+        # interval do not fake a crossing, and x_J toward lo beside a partial
+        # last cell, so that no nudged sample passes another
+        xs[zero] += np.where(zero >= xs.size - 1 - bool(gap), -nudge, nudge)
         vals[zero] = poly.values(xs[zero])
     sign = np.sign(vals)  # products of neighbouring values would under- or overflow
     cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)

@@ -53,10 +53,12 @@ index range.
 x0 + 2*pi*j/m themselves, j < count, not at their floats, by one FFT of
 length m: the coefficients times their exact lead phases exp(i k x0) (a
 plain real FFT when x0 = 0), folded modulo m when n >= m, which adds at
-most (n/m) 2^-53 sum |c_k| of rounding.  It needs no plan and no cost
-model.  `period_lattice` picks m for a window: the smallest 5-smooth
-multiple of the stride whose lattice holds the points asked for, none of
-them past the window's end.  The certifier's level-0 scan is this path;
+most (n/m) 2^-53 sum |c_k| of rounding.  It needs no plan.
+`period_lattice` picks m for a window: the smallest 5-smooth multiple of
+the stride whose lattice holds the points asked for, none of them past
+the window's end.  The certifier's level-0 scan is this path wherever the
+cost model (`period_cheaper`) finds it cheaper than the other two at the
+same points, which fails only on a window that holds few of the m points;
 its refinement, on the dyadic sub-lattices of the same step, is chirp-z.
 
 The plan -- the chirp and the FFT of the convolution kernel -- depends on
@@ -82,10 +84,10 @@ squares k^2 are split as hi * 2^32 + lo, and hi takes the turns of
 
 The cost model is fixed, in ns with weights measured on the numpy code here
 (2-core Intel Xeon virtual machine, one BLAS thread); only a batch's degree
-n and its points enter, and `TrigPolynomial.values_grid` decides the path
-once per batch:
+n and its points enter, and `TrigPolynomial.values_grid` and
+`TrigPolynomial.values_period` decide the path once per batch:
 
-- direct: m * (1500 + 45 (T + R) + 0.35 n) + 35000 for m points: the
+- direct: p * (1500 + 45 (T + R) + 0.35 n) + 35000 for p points: the
   integer reduction of each angle, its T + R phases and their cos and sin,
   the matrix product, and the numpy calls of a batch;
 - chirp-z: (blocks + 1) * (6 N log2 N + 20000), N the padded convolution
@@ -93,7 +95,17 @@ once per batch:
   the sub-lattice from sorted block numbers, the extra block the plan
   (charged whether or not it is cached), and 20000 the numpy calls of a
   block; ``chirp_cheaper`` picks it over the direct sums at the same grid
-  points.
+  points;
+- period FFT: 4 m log2 m + 45 n + 20000 for the FFT of length m, the n
+  exact lead phases (the direct path's weight per phase) and the numpy
+  calls; ``period_cheaper`` picks it over the cheaper of the other two at
+  the same points.  The weight 4 is the complex FFT, measured at 2.4-3.7
+  ns per m log2 m for m = 9000 .. 65536 (n = 20 .. 4000) in runs where a
+  chirp-z block took 0.77 of its charge; the real FFT of x0 = 0 takes
+  about half, and is charged the same.  At n <= 400 and count = 4096 the
+  switch falls near m = 12000: in those runs one chirp-z block took
+  260-270 us, and the complex FFT 150-160 us at m = 8192 and 290-570 us
+  at m = 16384.
 """
 
 from __future__ import annotations
@@ -127,6 +139,7 @@ _DIRECT_POINT = 1_500   # one angle: its reduction in Python integers
 _DIRECT_CIS = 45        # one phase exp(i j x) of the split
 _DIRECT_MAC = 0.35      # one coefficient at one point of the product
 _FFT_STEP = 6.0         # one of N log2 N in a block: two FFTs and the phases
+_PERIOD_STEP = 4.0      # one of m log2 m in the period FFT: one complex FFT
 _BLOCK_CALL = 20_000    # one block: its numpy calls
 _DIRECT_CHUNK = 65536   # phases per row chunk of the direct path
 
@@ -210,6 +223,18 @@ def sub_lattice(idx) -> tuple[int, int]:
     return r, (d & -d) or 1
 
 
+def _direct_cost(n: int, points: int) -> float:
+    """The cost model's charge for the direct sums of degree n at points."""
+    T, R, _ = _split(n)
+    return points * (_DIRECT_POINT + _DIRECT_CIS * (T + R) + _DIRECT_MAC * n) + _DIRECT_CALL
+
+
+def _block_cost(n: int) -> float:
+    """The cost model's charge for one chirp-z block of degree n."""
+    size = _fft_length(n + GRID_BLOCK)
+    return _FFT_STEP * size * math.log2(size) + _BLOCK_CALL
+
+
 def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
     """True when chirp-z should evaluate degree n at grid indices idx, on
     their `sub_lattice`.  The plan is charged as one block even when it is
@@ -217,16 +242,23 @@ def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
     calls made before."""
     if n == 0:
         return False
-    T, R, _ = _split(n)
-    direct = (idx.size * (_DIRECT_POINT + _DIRECT_CIS * (T + R) + _DIRECT_MAC * n)
-              + _DIRECT_CALL)
-    size = _fft_length(n + GRID_BLOCK)
-    per_block = _FFT_STEP * size * math.log2(size) + _BLOCK_CALL
+    direct, per_block = _direct_cost(n, idx.size), _block_cost(n)
     if direct <= 2 * per_block:  # chirp-z loses even with a single block
         return False
     r, s = sub_lattice(idx)
     blocks = np.sort((idx.ravel() - r) // s // GRID_BLOCK)
     return (np.count_nonzero(np.diff(blocks)) + 2) * per_block < direct
+
+
+def period_cheaper(n: int, m: int, count: int) -> bool:
+    """True when one FFT of length m (`pair_sums_period`) should evaluate
+    degree n at the first count points of its lattice, rather than the
+    cheaper of the direct sums and chirp-z (blocks of consecutive indices
+    and the plan) at the same points.  A window that holds few of the m
+    points, whose m grows like 2*pi*count/width, loses."""
+    period = _PERIOD_STEP * m * math.log2(m) + _DIRECT_CIS * n + _BLOCK_CALL
+    chirp = (-(-count // GRID_BLOCK) + 1) * _block_cost(n)
+    return n == 0 or period < min(_direct_cost(n, count), chirp)
 
 
 def _coefficients(coeffs) -> np.ndarray:

@@ -31,7 +31,9 @@ the kernels' fixed cost model (`kernels.chirp_cheaper`) pick, once per
 batch, the chirp-z grid kernel on the batch's `kernels.sub_lattice` or
 `values` at the points t0 + idx*dt.  `TrigPolynomial.values_period` takes
 the points t0 + 2*pi*j/m of the level-0 scans and runs one FFT
-(`kernels.pair_sums_period`).
+(`kernels.pair_sums_period`), or, where the cost model
+(`kernels.period_cheaper`) finds a narrow window's m too long for it,
+`values_grid` at their floats.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 
 from .errors import ParameterDomainError, SizeError
 from .kernels import (SUBNORMAL, chirp_cheaper, error_bound, pair_sums, pair_sums_grid,
-                      pair_sums_period)
+                      pair_sums_period, period_cheaper)
 
 
 @dataclass(frozen=True)
@@ -140,10 +142,13 @@ class TrigPolynomial:
         """Evaluate at the points t0 + 2*pi*j/m themselves, j = 0 .. count - 1,
         m a multiple of stride, by one FFT of length m/stride
         (`kernels.pair_sums_period`); the shift is peeled at their floats
-        t0 + j*(2*pi/m)."""
-        s = self.stride
-        th = t0 + np.arange(count) * (2.0 * math.pi / m)
-        return self._peel(th, lambda body: pair_sums_period(body, s * t0, m // s, count))
+        t0 + j*(2*pi/m).  Where the cost model finds that FFT dearer
+        (`kernels.period_cheaper`: the count points are few of the m), the
+        floats themselves go to `values_grid`."""
+        s, h, j = self.stride, 2.0 * math.pi / m, np.arange(count)
+        if not period_cheaper(max(len(self.cos_coeffs), len(self.sin_coeffs)), m // s, count):
+            return self.values_grid(t0, h, j)
+        return self._peel(t0 + j * h, lambda body: pair_sums_period(body, s * t0, m // s, count))
 
     def value(self, theta: float) -> float:
         return float(self.values(np.array([theta]))[0])

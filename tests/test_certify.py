@@ -18,8 +18,9 @@ from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bou
                              _level0, vanishing_endpoint)
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               roundoff_bound, unit_scale)
-from postrig.kernels import SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound, period_lattice
-from postrig import trigeval
+from postrig.kernels import (SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound,
+                             period_cheaper, period_lattice)
+from postrig import certify, trigeval
 from postrig.errors import ParameterDomainError
 from conftest import naive_terms, naive_trig_value
 
@@ -504,16 +505,25 @@ class TestSecondOrderCells:
         assert rep.lower_bound == vals[-1] - 0.125 * curvature_bound(poly) * w * w - noise
 
     def test_narrow_window_is_scanned_on_the_same_lattice(self, monkeypatch):
-        # [1, 1.3] holds 5% of the m = 86400 points of its lattice: one
-        # values_grid batch on the step 2 pi/m, not an FFT of length m
+        # [1, 1.3] holds 5% of the m = 86400 points of its lattice, where the
+        # cost model charges an FFT of length m more than chirp-z at the 4096
+        # points: one values_grid batch on the step 2 pi/m, and no FFT
         poly = sine_poly([1.0, -0.5, 0.25])
         m, last, _ = period_lattice(1.0, 1.3, 4096)
-        assert last + 1 < m / 4
-        want = poly.values_period(1.0, m, last + 1)
-        monkeypatch.setattr(TrigPolynomial, "values_period", None)
+        assert not period_cheaper(3, m, last + 1)
+        want = poly.values(1.0 + np.arange(last + 1) * (2 * PI / m))
+        batches, grid = [], TrigPolynomial.values_grid
+
+        def counted(self, t0, dt, idx):
+            batches.append((t0, dt, np.array_equal(idx, np.arange(last + 1))))
+            return grid(self, t0, dt, idx)
+
+        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
+        monkeypatch.setattr(trigeval, "pair_sums_period", None)
         h, xs, vals, gap, drift = _level0(poly, 1.0, 1.3, 4096)
         assert (h, xs.size - 1 - bool(gap)) == (2 * PI / m, last)
-        assert np.abs(vals[:last + 1] - want).max() <= 2 * roundoff_bound(poly) + drift
+        assert batches == [(1.0, h, True)]
+        assert np.abs(vals[:last + 1] - want).max() <= 2 * roundoff_bound(poly)
 
     @pytest.mark.parametrize("lo, hi", [(0.0, PI), (EPS, PI - EPS), (0.0, 2 * PI),
                                         (0.1, PI - 0.1)])
@@ -917,12 +927,19 @@ class TestFindMin:
         assert m <= naive_trig_value(poly, 0.0) == 0.0
         assert m == pytest.approx(naive_trig_value(poly, theta), abs=roundoff_bound(poly))
 
-    @pytest.mark.parametrize("end", ["hi", "lo"])
+    @pytest.mark.parametrize("end", ["hi", "lo", "eps"])
     def test_descent_stops_at_float_resolution(self, monkeypatch, end):
         # sin(64 theta) has slope ~ 61 in size through the ends of a window
         # near theta = 2000 and falls toward the end named, so a midpoint half
         # an ulp inside still reads measurably higher: only theta's float
-        # spacing stops the descent
+        # spacing stops the descent.  Near EPS, the inset end of (0, 0.01),
+        # its ulp is 1.4e-20, below what the roundoff bound tells apart; with
+        # that bound taken to 0 the descent runs some 48 halvings of the
+        # level-0 step 2.4e-6 down to EPS's float spacing, past the 40 that
+        # would keep the lattice's last index below 2^52
+        if end == "eps":
+            monkeypatch.setattr(certify, "roundoff_bound", lambda poly: 0.0)
+            monkeypatch.setattr(certify, "_DRIFT", 0.0)
         steps = []
         grid = TrigPolynomial.values_grid
 
@@ -934,12 +951,13 @@ class TestFindMin:
         poly = sine_poly([0.0] * 63 + [1.0])
         # 64c is an odd multiple of pi for a minimum at hi, an even one for lo
         c = (40743 if end == "hi" else 40742) * PI / 64
-        lo, hi = c - 0.005, c + 0.005
+        lo, hi = (c - 0.005, c + 0.005) if end != "eps" else (0.0, 0.01)
         theta, m = find_min(poly, lo, hi)
         if end == "hi":
             assert hi - 4 * math.ulp(hi) <= theta <= hi
         else:
-            assert lo <= theta <= lo + 4 * math.ulp(lo)
+            start = EPS if end == "eps" else lo
+            assert start <= theta <= start + 4 * math.ulp(start)
         assert m == pytest.approx(naive_trig_value(poly, theta), abs=roundoff_bound(poly))
         assert steps[-1] <= math.ulp(theta)
 
@@ -1048,20 +1066,23 @@ def _qp_poly(kind, a):
 def _reference_brackets(kind, coeffs, lo, hi, grid):
     """bracket_zeros' scan as a loop over its grid, one nudge at a time: the
     lattice lo + j h of at least grid + 1 points, h = 2 pi/m, and hi where
-    the lattice falls short of it.  A sample within the roundoff bound (and
-    the FFT's abscissa term) of 0 has no reliable sign and is nudged by a
-    millionth of the cell beside it (the direct sums here, one FFT in the
-    library, differ by roundoff)."""
+    the lattice falls short of it by more than the nudge.  A sample within
+    the roundoff bound (and the FFT's abscissa term) of 0 has no reliable
+    sign and is nudged by a millionth of h, toward lo at hi and at the
+    lattice point before hi (the direct sums here, one FFT in the library,
+    differ by roundoff)."""
     poly = _qp_poly(kind, coeffs)
     m, last, gap = period_lattice(lo, hi, grid + 1)
+    nudge = 1e-6 * (2 * PI / m)
     xs = np.minimum(lo + np.arange(last + 1) * (2 * PI / m), hi)
-    if gap:
+    partial = gap > nudge
+    if partial:
         xs = np.append(xs, hi)
-    vals, width = poly.values(xs), np.diff(xs)
+    vals = poly.values(xs)
     end = xs.size - 1
     drift = lipschitz_bound(poly) * (last / m) * 4 * PI * 2.0 ** -53
     for i in np.nonzero(np.abs(vals) <= roundoff_bound(poly) + drift)[0]:
-        xs[i] += -1e-6 * width[-1] if i == end else 1e-6 * width[i]
+        xs[i] += -nudge if i >= end - partial else nudge
         vals[i] = poly.value(float(xs[i]))
     out = []
     for i in range(end):
@@ -1116,6 +1137,37 @@ class TestBracketZeros:
                     value = math.fsum(ak * math.sin((n - k) * theta)
                                       for k, ak in enumerate(a))
                     assert value * sign > 0, (grid, theta, value, sign)
+
+    @pytest.mark.parametrize("lo", [1.0013826583317464, 1.0013826583317453])
+    def test_zero_samples_beside_a_partial_cell_of_ulps_move_by_the_step(self, monkeypatch,
+                                                                         lo):
+        """q vanishes at pi, and from these lo the last lattice point x_J
+        falls 0.46 or 2.96 ulps short of it, so x_J reads roundoff like pi.
+        The zero samples move by a millionth of h toward lo (pi itself,
+        within the nudge of x_J, is dropped), not by a millionth of the
+        partial cell, which leaves them where roundoff signs can fake a
+        crossing at the open end."""
+        a = np.linspace(1.0, 0.1, 40)
+        a[0] += 0.5
+        grid = 16 * 40
+        m, last, gap = period_lattice(lo, PI, grid + 1)
+        h = 2 * PI / m
+        assert 0 < gap < 3 * math.ulp(PI)
+        want = _reference_brackets("q", a, lo, PI, grid)
+        probes, values = [], TrigPolynomial.values
+
+        def counted(self, theta):
+            probes.append(np.array(theta, dtype=float))
+            return values(self, theta)
+
+        monkeypatch.setattr(TrigPolynomial, "values", counted)
+        got = bracket_zeros("q", a, lo, PI, grid).brackets
+        assert probes[-1].max() == pytest.approx(PI - 1e-6 * h, abs=4 * math.ulp(PI))
+        assert got == want
+        for b_lo, b_hi, s_lo, s_hi in got:
+            for theta, sign in ((b_lo, s_lo), (b_hi, s_hi)):
+                assert sign * math.fsum(ak * math.sin((40 - k) * theta)
+                                        for k, ak in enumerate(a)) > 0
 
     def test_constant_p_has_no_zeros(self):
         out = bracket_zeros("p", [1.0], 0.0, 2 * PI, 512)

@@ -395,6 +395,20 @@ def test_direct_cost_model():
 # ---------------------------------------------------------------------------
 # the period FFT
 
+def test_period_cost_model():
+    # the scans' windows, [0, pi], its inset [1e-4, pi - 1e-4], [0, 2 pi] and
+    # [0.1, pi - 0.1], take the FFT at every degree; [1, 1.3] holds 5% of
+    # its m = 86400 points, and chirp-z at them is cheaper
+    for lo, hi in ((0.0, math.pi), (1e-4, math.pi - 1e-4), (0.0, 2 * math.pi),
+                   (0.1, math.pi - 0.1)):
+        m, last, _ = kernels.period_lattice(lo, hi, 4096)
+        assert all(kernels.period_cheaper(n, m, last + 1) for n in (1, 20, 400, 4000, 20001))
+    m, last, _ = kernels.period_lattice(1.0, 1.3, 4096)
+    assert m == 86400
+    assert not any(kernels.period_cheaper(n, m, last + 1) for n in (1, 20, 400, 4000))
+    assert kernels.period_cheaper(0, m, last + 1)
+
+
 def _mp_pair(coeffs, theta):
     """(C, S) at the mpmath angle theta, by Horner's rule in 30 digits."""
     import mpmath as mp

@@ -129,19 +129,21 @@ class TestDerivative:
     @example(a0=0.0, cc=[], sc=[1.1125369292536007e-308], shift=0.125, stride=1)
     @example(a0=0.0, cc=[], sc=[0.0, 5e-324], shift=0.125, stride=2)
     def test_bounds_are_the_mass_of_the_derivatives(self, a0, cc, sc, shift, stride):
-        # the bounds add n + 1 subnormal spacings and round up once more by
-        # design (trigeval._moments), which 1e-14 of a subnormal bound does
-        # not hold; where nu^2 c is subnormal, the coefficient nu*(nu*c) of
-        # f'' rounds twice, the first rounding times nu, and _moments' nu^2 |c|
-        # once: 1 + nu/2 spacings a term
+        # L and L2 bound the masses of f' and f'', the exact sums of nu |c|
+        # and nu^2 |c|, from above.  By design (trigeval._moments) they add
+        # n + 1 subnormal spacings and round up once more, which 1e-14 of a
+        # subnormal bound does not hold, and a product nu^p |c| that
+        # underflows rounds to nearest, up to half a spacing above its exact
+        # value: at sc = [0, 5e-324], shift 1/8, stride 2, L2 is 9 spacings
+        # and the exact sum 4.52
         poly = _layout(a0, cc, sc, shift, stride)
         terms = sum(c.size for _, c in poly.terms())
-        nus = sum(float(nu.sum()) for nu, _ in poly.terms())
-        for bound, d, rounding in (
-                (lipschitz_bound(poly), poly.derivative(), 0.0),
-                (curvature_bound(poly), poly.derivative().derivative(), terms + nus / 2)):
-            assert abs(bound - coefficient_mass(d)) <= \
-                1e-14 * bound + (terms + 2 + rounding) * SUBNORMAL
+        for bound, p in ((lipschitz_bound(poly), 1), (curvature_bound(poly), 2)):
+            exact = sum(Fraction(float(nu)) ** p * abs(Fraction(float(c)))
+                        for nus, cs in poly.terms() for nu, c in zip(nus, cs))
+            assert exact <= bound
+            assert Fraction(bound) - exact <= \
+                Fraction(1e-14 * bound) + Fraction(3 * terms + 4, 2) * Fraction(SUBNORMAL)
 
     @pytest.mark.parametrize("poly", [cosine_poly(2.0), TrigPolynomial(a0=-3.0, stride=2)])
     def test_constant_gives_the_zero_polynomial(self, poly):
