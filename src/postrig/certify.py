@@ -203,8 +203,7 @@ def vanishing_endpoint(poly: TrigPolynomial, t: float):
     # floats (multiples of 2^-1074) cancels
     if q % den or 2.0 * half != poly.a0:
         return None
-    step = poly.stride * q
-    classes = [((step * (r + poly.index_start) + num * (q // den) - p) % 4,
+    classes = [((q * (r + poly.index_start) + num * (q // den) - p) % 4,
                 nu[r::4], c[r::4])
                for p, (nu, c) in enumerate(poly.terms()) for r in range(min(4, c.size))]
     even = [(_QUARTER_TURN[m], nu, c) for m, nu, c in classes if m % 2 == 0]
@@ -291,15 +290,14 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
     [wlo, whi] that all three entry points scan.
 
     The lattice is wlo + j*h with h = 2*pi/m rounded, m the smallest
-    5-smooth multiple of the stride whose lattice holds n points on the
-    window, and x_J its last point there (`kernels.period_lattice`).  Its
-    values come from `values_period`: one FFT of length m/stride, or one
-    `values_grid` batch on the floats of the lattice points where the cost
-    model finds the FFT dearer (a narrow window, whose m grows like
-    2*pi*n/width).  When x_J falls short of whi, whi itself is sampled too (one
-    direct point), so xs ends at whi either way, and gap is the exact width
-    whi - x_J (a Fraction) of that partial last cell, else 0.  No sample lies
-    past whi.
+    5-smooth length whose lattice holds n points on the window, and x_J its
+    last point there (`kernels.period_lattice`).  Its values come from
+    `values_period`: one FFT of length m, or one `values_grid` batch on the
+    floats of the lattice points where the cost model finds the FFT dearer
+    (a narrow window, whose m grows like 2*pi*n/width).  When x_J falls short
+    of whi, whi itself is sampled too (one direct point), so xs ends at whi
+    either way, and gap is the exact width whi - x_J (a Fraction) of that
+    partial last cell, else 0.  No sample lies past whi.
 
     The FFT evaluates f at wlo + 2*pi*j/m, not at the lattice point
     x_j = wlo + j*h.  2*math.pi is 2 pi rounded, within 2|pi - math.pi| <
@@ -310,7 +308,7 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
     f(x_j) by at most its roundoff and L * (J/m) * 1.36 * 2 pi u.  drift =
     L * (J/m) * 4 pi u covers this and the rounding of the product; it is
     added wherever level-0 values meet the roundoff bound."""
-    m, last, gap = period_lattice(wlo, whi, n, poly.stride)
+    m, last, gap = period_lattice(wlo, whi, n)
     h, vals = 2.0 * math.pi / m, poly.values_period(wlo, m, last + 1)
     xs = np.minimum(wlo + np.arange(last + 1) * h, whi)
     if gap:

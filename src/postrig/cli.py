@@ -112,7 +112,8 @@ def _family_poly(args) -> tuple[trigeval.TrigPolynomial, tuple[float, float]]:
         if fam == "raw-cosine":
             return trigeval.cosine_poly(e[0], e[1:]), (0.0, PI)
         kind = "cosine" if fam == "shifted-cosine" else "sine"
-        return trigeval.shifted_poly(e, args.shift, kind, args.stride), (0.0, 2.0 * PI)
+        # (0, 2*pi) in the variable stride*theta
+        return trigeval.shifted_poly(e, args.shift, kind, args.stride), (0.0, 2 * PI / args.stride)
     if args.n is None or args.n < 1:
         raise PostrigError(f"family {fam} needs --n >= 1")
     if fam == "halfangle-product":

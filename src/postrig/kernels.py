@@ -54,12 +54,12 @@ x0 + 2*pi*j/m themselves, j < count, not at their floats, by one FFT of
 length m: the coefficients times their exact lead phases exp(i k x0) (a
 plain real FFT when x0 = 0), folded modulo m when n >= m, which adds at
 most (n/m) 2^-53 sum |c_k| of rounding.  It needs no plan.
-`period_lattice` picks m for a window: the smallest 5-smooth multiple of
-the stride whose lattice holds the points asked for, none of them past
-the window's end.  The certifier's level-0 scan is this path wherever the
-cost model (`period_cheaper`) finds it cheaper than the other two at the
-same points, which fails only on a window that holds few of the m points;
-its refinement, on the dyadic sub-lattices of the same step, is chirp-z.
+`period_lattice` picks m for a window: the smallest 5-smooth length whose
+lattice holds the points asked for, none of them past the window's end.
+The certifier's level-0 scan is this path wherever the cost model
+(`period_cheaper`) finds it cheaper than the other two at the same points,
+which fails only on a window that holds few of the m points; its
+refinement, on the dyadic sub-lattices of the same step, is chirp-z.
 
 The plan -- the chirp and the FFT of the convolution kernel -- depends on
 the padded length N and the step only, not on the degree: it is built for
@@ -379,17 +379,16 @@ def _period_last(span: Fraction, m: int) -> int:
 
 
 @functools.lru_cache(maxsize=64)
-def period_lattice(x0: float, x1: float, count: int,
-                   stride: int = 1) -> tuple[int, int, Fraction]:
-    """(m, last, gap): m the smallest 5-smooth multiple of stride whose
-    lattice x0 + 2*pi*j/m holds at least count points on [x0, x1], last the
+def period_lattice(x0: float, x1: float, count: int) -> tuple[int, int, Fraction]:
+    """(m, last, gap): m the smallest 5-smooth length whose lattice
+    x0 + 2*pi*j/m holds at least count points on [x0, x1], last the
     index of its last point there (see `_period_last`), and gap the exact
     width x1 - x0 - last*(2*pi/m), the step rounded, beyond that point."""
     span = Fraction(x1) - Fraction(x0)
     estimate = (count - 1) * 2.0 * math.pi / float(span) * (1.0 - 2.0 ** -40)
-    m = stride * _fft_length(max(1, int(estimate) // stride))
+    m = _fft_length(max(1, int(estimate)))
     while (last := _period_last(span, m)) + 1 < count:
-        m = stride * _fft_length(m // stride + 1)
+        m = _fft_length(m + 1)
     return m, last, span - last * Fraction(2.0 * math.pi / m)
 
 

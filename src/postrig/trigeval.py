@@ -4,19 +4,20 @@ The central object is :class:`TrigPolynomial`,
 
     f(theta) = a0/2 + sum_j cc[j] * cos(nu_j * theta) + sum_j sc[j] * sin(nu_j * theta)
 
-with frequencies nu_j = stride*(j + j0) + shift.  In the standard layout
-(shift = 0) the constant sits in a0 and the coefficient lists start at k = 1
-(j0 = 1); when shift > 0 there is no constant term and the lists start at
-k = 0 (j0 = 0).  This covers the plain partial Fourier sums, the phase-shifted
-sums cos((k+lam)*theta) / sin((k+mu)*theta), and the stride-2 shape
-cos((2k+1/2)*theta).
+with frequencies nu_j = j + j0 + shift.  In the standard layout (shift = 0)
+the constant sits in a0 and the coefficients start at k = 1 (j0 = 1); when
+shift > 0 there is no constant term and they start at k = 0 (j0 = 0).  This
+covers the plain partial Fourier sums, the phase-shifted sums
+cos((k+lam)*theta) / sin((k+mu)*theta), and, with a zero at every skipped
+frequency (`shifted_poly`), the stride-2 shape cos((2k+1/2)*theta).
 
-Each polynomial keeps one read-only array view of its terms, (nu, c) for
-the cosine and for the sine part (`TrigPolynomial.terms`); the bounds on
-|f'|, |f''| and |f''''| (sums of nu^p |c|, rounded up), the coefficient mass
-and the roundoff bound that `postrig.certify` works with are array
-expressions on it, which hold even where nu*c overflows.  f' itself has one
-surface, `TrigPolynomial.derivative`.  `postrig.certify` runs on `unit_scale`'s
+Each polynomial stores its coefficients once, as read-only float64 copies
+of the caller's, paired with their frequencies (nu, c) for the cosine and
+the sine part (`TrigPolynomial.terms`); the bounds on |f'|, |f''| and
+|f''''| (sums of nu^p |c|, rounded up), the coefficient mass and the
+roundoff bound that `postrig.certify` works with are array expressions on
+them, which hold even where nu*c overflows.  f' itself has one surface,
+`TrigPolynomial.derivative`.  `postrig.certify` runs on `unit_scale`'s
 copy, where none leaves the float range; `values` and `values_grid` take any
 scale, as `kernels.pair_sums_grid` keeps its own power-of-two scaling.
 
@@ -50,15 +51,15 @@ from .kernels import (SUBNORMAL, chirp_cheaper, error_bound, pair_sums, pair_sum
                       pair_sums_period, period_cheaper)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrigPolynomial:
-    """Finite trigonometric sum; see the module docstring for the semantics."""
+    """Finite trigonometric sum; see the module docstring for the semantics.
+    Equality and hashing are by identity."""
 
     a0: float = 0.0
-    cos_coeffs: tuple[float, ...] = ()
-    sin_coeffs: tuple[float, ...] = ()
+    cos_coeffs: np.ndarray = ()
+    sin_coeffs: np.ndarray = ()
     shift: float = 0.0
-    stride: int = 1
 
     def __post_init__(self):
         a0 = float(self.a0)
@@ -70,17 +71,15 @@ class TrigPolynomial:
             raise ParameterDomainError("empty polynomial: a0 = 0 and no coefficients")
         if not (math.isfinite(a0) and np.isfinite(cos).all() and np.isfinite(sin).all()):
             raise ParameterDomainError("coefficients must be finite")
-        if self.stride not in (1, 2):
-            raise ParameterDomainError(f"stride must be 1 or 2, got {self.stride}")
         if not (0.0 <= self.shift < 1.0):
             raise ParameterDomainError(f"shift must lie in [0, 1), got {self.shift}")
         object.__setattr__(self, "a0", a0)
-        object.__setattr__(self, "cos_coeffs", tuple(cos.tolist()))
-        object.__setattr__(self, "sin_coeffs", tuple(sin.tolist()))
+        object.__setattr__(self, "cos_coeffs", cos)
+        object.__setattr__(self, "sin_coeffs", sin)
         view = []
         for c in (cos, sin):
-            nu = self.stride * np.arange(self.index_start, self.index_start + c.size,
-                                         dtype=np.float64) + self.shift
+            nu = np.arange(self.index_start, self.index_start + c.size,
+                           dtype=np.float64) + self.shift
             nu.flags.writeable = c.flags.writeable = False
             view.append((nu, c))
         object.__setattr__(self, "_view", tuple(view))
@@ -92,7 +91,8 @@ class TrigPolynomial:
 
     def terms(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """((nu, c) of the cosine part, (nu, c) of the sine part) as read-only
-        arrays: frequencies and coefficients, built once per polynomial."""
+        arrays: the frequencies, built once per polynomial, and the stored
+        coefficient arrays themselves."""
         return self._view
 
     @functools.cached_property
@@ -104,7 +104,7 @@ class TrigPolynomial:
     def _peel(self, theta: np.ndarray,
               sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
         """a0/2 plus both trig parts at angles theta, given ``sums(body)``:
-        the kernel pair (C, S) of an unshifted coefficient body at stride*theta."""
+        the kernel pair (C, S) of an unshifted coefficient body at theta."""
         out = np.full(theta.shape, 0.5 * self.a0)
         shifted = self.shift != 0.0
         if shifted:
@@ -125,30 +125,26 @@ class TrigPolynomial:
     def values(self, theta) -> np.ndarray:
         """Evaluate at an array of angles."""
         th = np.asarray(theta, dtype=np.float64)
-        x = th if self.stride == 1 else self.stride * th
-        return self._peel(th, lambda body: pair_sums(body, x))
+        return self._peel(th, lambda body: pair_sums(body, th))
 
     def values_grid(self, t0: float, dt: float, idx) -> np.ndarray:
         """Evaluate at the grid points t0 + idx*dt for an integer array idx,
         by chirp-z or by `values`, whichever the cost model picks."""
         j = np.asarray(idx, dtype=np.int64)
-        if chirp_cheaper(max(len(self.cos_coeffs), len(self.sin_coeffs)), j):
-            s = self.stride
-            return self._peel(t0 + j * dt, lambda body: pair_sums_grid(
-                body, s * t0, s * dt, j))
+        if chirp_cheaper(max(self.cos_coeffs.size, self.sin_coeffs.size), j):
+            return self._peel(t0 + j * dt, lambda body: pair_sums_grid(body, t0, dt, j))
         return self.values(t0 + j * dt)
 
     def values_period(self, t0: float, m: int, count: int) -> np.ndarray:
         """Evaluate at the points t0 + 2*pi*j/m themselves, j = 0 .. count - 1,
-        m a multiple of stride, by one FFT of length m/stride
-        (`kernels.pair_sums_period`); the shift is peeled at their floats
-        t0 + j*(2*pi/m).  Where the cost model finds that FFT dearer
-        (`kernels.period_cheaper`: the count points are few of the m), the
-        floats themselves go to `values_grid`."""
-        s, h, j = self.stride, 2.0 * math.pi / m, np.arange(count)
-        if not period_cheaper(max(len(self.cos_coeffs), len(self.sin_coeffs)), m // s, count):
+        by one FFT of length m (`kernels.pair_sums_period`); the shift is
+        peeled at their floats t0 + j*(2*pi/m).  Where the cost model finds
+        that FFT dearer (`kernels.period_cheaper`: the count points are few
+        of the m), the floats themselves go to `values_grid`."""
+        h, j = 2.0 * math.pi / m, np.arange(count)
+        if not period_cheaper(max(self.cos_coeffs.size, self.sin_coeffs.size), m, count):
             return self.values_grid(t0, h, j)
-        return self._peel(t0 + j * h, lambda body: pair_sums_period(body, s * t0, m // s, count))
+        return self._peel(t0 + j * h, lambda body: pair_sums_period(body, t0, m, count))
 
     def value(self, theta: float) -> float:
         return float(self.values(np.array([theta]))[0])
@@ -156,11 +152,11 @@ class TrigPolynomial:
     @np.errstate(over="ignore")  # an overflowing nu*c raises ParameterDomainError
     def derivative(self) -> TrigPolynomial:
         """f' in the same layout: the sine part's nu*c become cosine coefficients,
-        the cosine part's -nu*c sine ones, a0 drops, and shift and stride (so
-        every slot) stay.  A constant gives the zero polynomial."""
+        the cosine part's -nu*c sine ones, a0 drops, and the shift (so every
+        slot) stays.  A constant gives the zero polynomial."""
         (nu_c, cc), (nu_s, sc) = self._view
-        sin = -(nu_c * cc) if cc.size or sc.size else (0.0,)  # a constant: f' = 0
-        return TrigPolynomial(0.0, nu_s * sc, sin, self.shift, self.stride)
+        sin = -(nu_c * cc) if cc.size or sc.size else np.zeros(1)  # a constant: f' = 0
+        return TrigPolynomial(0.0, nu_s * sc, sin, self.shift)
 
     def derivative_value(self, theta: float) -> float:
         """d/dtheta at a point."""
@@ -179,7 +175,7 @@ _TINY_POWER = 2.0 ** -1020
 def _moments(view) -> tuple[float, float, float]:
     """sum over terms of nu^p * |c| for p = 1, 2, 4, each rounded up.
 
-    nu = stride*k + shift is rounded once and each squaring doubles the
+    nu = k + shift is rounded once and each squaring doubles the
     roundings and adds one, so nu^p carries 2p - 1 and its product with |c|
     2p, each a factor 1 - u at worst, u = 2^-53; a product that underflows
     is off by at most half a subnormal spacing instead.  The products are
@@ -262,8 +258,7 @@ def unit_scale(poly: TrigPolynomial) -> tuple[TrigPolynomial, int, float]:
         return poly, 0, 0.0
     s = np.ldexp(c, -e)
     rounding = c.size * SUBNORMAL if not np.array_equal(np.ldexp(s, e), c) else 0.0
-    return (TrigPolynomial(s[0], s[1:1 + cc.size], s[1 + cc.size:], poly.shift, poly.stride),
-            e, rounding)
+    return TrigPolynomial(s[0], s[1:1 + cc.size], s[1 + cc.size:], poly.shift), e, rounding
 
 
 def sine_poly(coeffs: Sequence[float]) -> TrigPolynomial:
@@ -280,21 +275,27 @@ def shifted_poly(coeffs: Sequence[float], shift: float, kind: str,
                  stride: int = 1) -> TrigPolynomial:
     """sum_{k>=0} coeffs[k] trig((stride*k + shift) theta) for trig = cos|sin.
 
-    shift = 0 folds into the standard layout (e0 becomes the constant for
-    cosine sums and drops for sine sums).
+    Stride 2 is laid out at stride 1 with a zero at every skipped frequency
+    (coeffs[0], 0, coeffs[1], 0, ...).  shift = 0 folds into the standard
+    layout (the first coefficient becomes the constant for cosine sums and
+    drops for sine sums).
     """
     e = np.array(coeffs, dtype=np.float64)
     if not e.size:
         raise SizeError("need at least one coefficient")
     if kind not in ("cosine", "sine"):
         raise ParameterDomainError(f"kind must be cosine or sine, got {kind!r}")
+    if stride not in (1, 2):
+        raise ParameterDomainError(f"stride must be 1 or 2, got {stride}")
+    if stride == 2:  # e0, 0, e1, 0, ..., e_{n-1}
+        e = np.column_stack((e, np.zeros(e.size))).ravel()[:-1]
     if shift == 0.0:
         if kind == "cosine":
-            return TrigPolynomial(a0=2.0 * e[0], cos_coeffs=e[1:], stride=stride)
-        return TrigPolynomial(sin_coeffs=e[1:] if e.size > 1 else (0.0,), stride=stride)
+            return TrigPolynomial(a0=2.0 * e[0], cos_coeffs=e[1:])
+        return TrigPolynomial(sin_coeffs=e[1:] if e.size > 1 else (0.0,))
     if kind == "cosine":
-        return TrigPolynomial(cos_coeffs=e, shift=shift, stride=stride)
-    return TrigPolynomial(sin_coeffs=e, shift=shift, stride=stride)
+        return TrigPolynomial(cos_coeffs=e, shift=shift)
+    return TrigPolynomial(sin_coeffs=e, shift=shift)
 
 
 def qk_weight(k: int, alpha: float, beta: float, lam: float, mu: float) -> float:

@@ -16,14 +16,29 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from postrig import TrigPolynomial, shifted_poly
+
 
 def naive_terms(poly):
     """(kind, frequency, coefficient) of every term of a TrigPolynomial, in
-    plain Python floats from its coefficient tuples."""
+    plain Python floats from its coefficient arrays: nu = k + shift, k from 1
+    in the standard layout and from 0 when shifted."""
     k0 = 0 if poly.shift != 0.0 else 1
-    return [(kind, poly.stride * (j + k0) + poly.shift, c)
+    return [(kind, j + k0 + poly.shift, c)
             for kind, coeffs in (("cos", poly.cos_coeffs), ("sin", poly.sin_coeffs))
-            for j, c in enumerate(coeffs)]
+            for j, c in enumerate(coeffs.tolist())]
+
+
+def stride_layout(a0, cc, sc, shift, stride):
+    """TrigPolynomial(a0, cc, sc, shift) with the j-th cosine and sine
+    coefficients at nu = stride*(j + k0) + shift (k0 as in `naive_terms`):
+    at stride 2 `shifted_poly` lays each part out with a zero at every
+    skipped frequency."""
+    if stride == 2:
+        lead = [] if shift else [0.0]  # the standard layout starts at k = 1
+        cc = shifted_poly(lead + list(cc), shift, "cosine", 2).cos_coeffs if len(cc) else ()
+        sc = shifted_poly(lead + list(sc), shift, "sine", 2).sin_coeffs if len(sc) else ()
+    return TrigPolynomial(a0, cc, sc, shift)
 
 
 def naive_trig_value(poly, theta: float) -> float:

@@ -83,6 +83,13 @@ class TestCertifyCommand:
                     "--coeffs", "1,0.6,0.3", "--shift", "0.25"])
         assert code == 0
 
+    def test_double_stride_defaults_to_zero_pi(self, tmp_path):
+        # cos(theta/2) + cos(5 theta/2)/2 is -1.5 at 2 pi and positive on (0, pi)
+        out = tmp_path / "r.json"
+        assert run(["certify", "--family", "shifted-cosine", "--coeffs", "1,.5",
+                    "--shift", ".5", "--stride", "2", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["report"]["interval"] == {"lo": 0.0, "hi": math.pi}
+
     def test_removed_eps_flag_is_usage_error(self):
         # the endpoint inset is a constant: --eps is an unknown flag
         assert run(["certify", "--family", "qk-sine", "--n", "10",
@@ -207,8 +214,8 @@ def test_family_poly_matches_direct_build(family, n):
     poly, interval = cli._family_poly(args)
     want = _DIRECT[family](n)
     assert interval == (0.0, math.pi)
-    assert (poly.a0, poly.cos_coeffs, poly.sin_coeffs) == \
-        (want.a0, want.cos_coeffs, want.sin_coeffs)
+    assert (poly.a0, list(poly.cos_coeffs), list(poly.sin_coeffs)) == \
+        (want.a0, list(want.cos_coeffs), list(want.sin_coeffs))
 
 
 class TestPlotdataCommand:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from postrig import TrigPolynomial, kernels, trigeval
-from conftest import naive_sine_sum, naive_cosine_sum, naive_trig_value
+from conftest import naive_sine_sum, naive_cosine_sum, naive_trig_value, stride_layout
 
 
 def test_empty_inputs():
@@ -473,13 +473,13 @@ def test_period_kernel_underflow_term(n, x0):
 @pytest.mark.parametrize("x0", [0.0, 1e-4, 0.1, 1.2])
 def test_period_values_of_a_shifted_stride_two_sum(x0):
     """values_period peels shift 0.25 at the floats of the lattice points and
-    runs the body at stride 2 over m/2 points; against mpmath at the float
-    step's lattice x0 + j h, h = 2 pi/m rounded, the value is within the
-    roundoff bound and the abscissa term L (j/m) 4 pi 2^-53."""
+    runs the body, its skipped frequencies laid out as zeros, over m points;
+    against mpmath at the float step's lattice x0 + j h, h = 2 pi/m rounded,
+    the value is within the roundoff bound and the abscissa term
+    L (j/m) 4 pi 2^-53."""
     m, count = 8748, 2300
     rng = np.random.default_rng(7)
-    poly = TrigPolynomial(cos_coeffs=rng.normal(size=300), sin_coeffs=rng.normal(size=200),
-                          shift=0.25, stride=2)
+    poly = stride_layout(0.0, rng.normal(size=300), rng.normal(size=200), 0.25, 2)
     got = poly.values_period(x0, m, count)
     h = 2 * math.pi / m
     L = trigeval.lipschitz_bound(poly)
@@ -494,25 +494,23 @@ def test_period_values_of_a_shifted_stride_two_sum(x0):
         assert abs(got[j] - float(want)) <= tol, j
 
 
-@pytest.mark.parametrize("lo, hi, count, stride, want", [
-    (0.0, math.pi, 4096, 1, (8192, 4095)),            # pi itself is past math.pi
-    (1e-4, math.pi - 1e-4, 4096, 1, (8192, 4095)),
-    (0.0, 2 * math.pi, 4096, 1, (4096, 4095)),
-    (0.0, 2 * math.pi, 4096, 2, (4096, 4095)),
-    (0.1, math.pi - 0.1, 4096, 1, (8748, 4095)),
-    (1.2, 8.966370614359173, 3, 1, (2, 2)),
-    (0.0, 3.0, 4096, 2, (8640, 4125)),
+@pytest.mark.parametrize("lo, hi, count, want", [
+    (0.0, math.pi, 4096, (8192, 4095)),            # pi itself is past math.pi
+    (1e-4, math.pi - 1e-4, 4096, (8192, 4095)),
+    (0.0, 2 * math.pi, 4096, (4096, 4095)),
+    (0.1, math.pi - 0.1, 4096, (8748, 4095)),
+    (1.2, 8.966370614359173, 3, (2, 2)),
+    (0.0, 3.0, 4096, (8640, 4125)),
 ])
-def test_period_lattice(lo, hi, count, stride, want):
-    """The smallest 5-smooth multiple of the stride with count points on
-    [lo, hi], none past hi as an exact point or on the float step."""
-    m, last, gap = kernels.period_lattice(lo, hi, count, stride)
-    assert (m, last) == want and m % stride == 0
+def test_period_lattice(lo, hi, count, want):
+    """The smallest 5-smooth length with count points on [lo, hi], none past
+    hi as an exact point or on the float step."""
+    m, last, gap = kernels.period_lattice(lo, hi, count)
+    assert (m, last) == want
     h = Fraction(2 * math.pi / m)
     assert gap == Fraction(hi) - Fraction(lo) - last * h >= 0
     two_pi_up = Fraction("6.2831853071795864769252867666")  # 2 pi + 2e-29
     assert Fraction(lo) + last * two_pi_up / m <= Fraction(hi)
-    below = next((k for k in range(m - stride, 0, -stride)
-                  if kernels._fft_length(k // stride) == k // stride), None)
+    below = next((k for k in range(m - 1, 0, -1) if kernels._fft_length(k) == k), None)
     if below:  # the next smaller candidate holds too few points
         assert kernels._period_last(Fraction(hi) - Fraction(lo), below) + 1 < count

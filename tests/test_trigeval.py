@@ -17,7 +17,7 @@ from postrig.kernels import SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound, 
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               qk_weight, roundoff_bound, unit_scale)
 from conftest import (mp_derivative, naive_cosine_sum, naive_halfangle_derivative,
-                      naive_terms, naive_trig_value, naive_sine_sum)
+                      naive_terms, naive_trig_value, naive_sine_sum, stride_layout)
 
 PI = math.pi
 
@@ -68,10 +68,6 @@ class TestTrigPolynomial:
         with pytest.raises(ParameterDomainError):
             TrigPolynomial()
 
-    def test_rejects_bad_stride(self):
-        with pytest.raises(ParameterDomainError):
-            TrigPolynomial(sin_coeffs=(1.0,), stride=3)
-
     def test_rejects_bad_shift(self):
         with pytest.raises(ParameterDomainError):
             TrigPolynomial(sin_coeffs=(1.0,), shift=1.5)
@@ -86,11 +82,27 @@ class TestTrigPolynomial:
            st.sampled_from([1, 2]),
            st.floats(0.0, 7.0))
     def test_values_match_naive(self, coeffs, shift, stride, theta):
-        poly = TrigPolynomial(a0=0.4, cos_coeffs=tuple(coeffs),
-                              sin_coeffs=tuple(reversed(coeffs)),
-                              shift=shift, stride=stride)
+        poly = stride_layout(0.4, coeffs, coeffs[::-1], shift, stride)
         mass = 0.4 + 2 * sum(abs(c) for c in coeffs) or 1.0
         assert abs(poly.value(theta) - naive_trig_value(poly, theta)) <= 1e-12 * mass
+
+    def test_stores_a_read_only_copy(self):
+        cc, sc = np.array([1.0, 0.5]), np.array([0.25])
+        poly = TrigPolynomial(2.0, cc, sc)
+        before = poly.values(np.linspace(0.0, 7.0, 9))
+        cc[:], sc[:] = 9.0, 9.0  # the caller's arrays, not the polynomial's
+        assert np.array_equal(poly.values(np.linspace(0.0, 7.0, 9)), before)
+        for q in (poly, poly.derivative(), unit_scale(cosine_poly(8.0, [3.0]))[0]):
+            for c in (q.cos_coeffs, q.sin_coeffs):
+                assert c.dtype == np.float64 and not c.flags.writeable
+                with pytest.raises(ValueError):
+                    c[...] = 0.0
+
+    def test_terms_are_the_stored_arrays(self):
+        poly = TrigPolynomial(2.0, [1.0, 0.5], [0.25], 0.0)
+        (_, cc), (_, sc) = poly.terms()
+        assert cc is poly.cos_coeffs and sc is poly.sin_coeffs
+        assert np.shares_memory(cc, poly.cos_coeffs) and np.shares_memory(sc, poly.sin_coeffs)
 
 
 _LAYOUT = dict(
@@ -100,12 +112,13 @@ _LAYOUT = dict(
 
 
 def _layout(a0, cc, sc, shift, stride):
-    """A TrigPolynomial of any layout (a0 only when unshifted); one with
-    nothing else to hold gets a single zero sine term."""
+    """A TrigPolynomial of any layout (a0 only when unshifted; stride 2
+    through `shifted_poly`, see `stride_layout`); one with nothing else to
+    hold gets a single zero sine term."""
     a0 = 0.0 if shift else a0
     if not (cc or sc or a0):
         sc = [0.0]
-    return TrigPolynomial(a0, tuple(cc), tuple(sc), shift, stride)
+    return stride_layout(a0, cc, sc, shift, stride)
 
 
 class TestDerivative:
@@ -122,19 +135,19 @@ class TestDerivative:
                 error_bound(lipschitz_bound(poly), n)
             assert abs(d2.value(t) - mp_derivative(poly, t, 2)) <= \
                 error_bound(curvature_bound(poly), n)
-        assert (d1.shift, d1.stride, d1.a0) == (shift, stride, 0.0)
+        assert (d1.shift, d1.a0) == (shift, 0.0)
 
     @settings(max_examples=80, deadline=None)
     @given(**_LAYOUT)
     @example(a0=0.0, cc=[], sc=[1.1125369292536007e-308], shift=0.125, stride=1)
-    @example(a0=0.0, cc=[], sc=[0.0, 5e-324], shift=0.125, stride=2)
+    @example(a0=0.0, cc=[], sc=[0.0, 0.0, 5e-324], shift=0.125, stride=1)
     def test_bounds_are_the_mass_of_the_derivatives(self, a0, cc, sc, shift, stride):
         # L and L2 bound the masses of f' and f'', the exact sums of nu |c|
         # and nu^2 |c|, from above.  By design (trigeval._moments) they add
         # n + 1 subnormal spacings and round up once more, which 1e-14 of a
         # subnormal bound does not hold, and a product nu^p |c| that
         # underflows rounds to nearest, up to half a spacing above its exact
-        # value: at sc = [0, 5e-324], shift 1/8, stride 2, L2 is 9 spacings
+        # value: at sc = [0, 0, 5e-324], shift 1/8, L2 is 10 spacings
         # and the exact sum 4.52
         poly = _layout(a0, cc, sc, shift, stride)
         terms = sum(c.size for _, c in poly.terms())
@@ -145,26 +158,27 @@ class TestDerivative:
             assert Fraction(bound) - exact <= \
                 Fraction(1e-14 * bound) + Fraction(3 * terms + 4, 2) * Fraction(SUBNORMAL)
 
-    @pytest.mark.parametrize("poly", [cosine_poly(2.0), TrigPolynomial(a0=-3.0, stride=2)])
+    @pytest.mark.parametrize("poly", [cosine_poly(2.0),
+                                      shifted_poly([-1.5], 0.0, "cosine", stride=2)])
     def test_constant_gives_the_zero_polynomial(self, poly):
         d = poly.derivative()
-        assert (d.a0, d.cos_coeffs, d.sin_coeffs) == (0.0, (), (0.0,))
-        assert (d.shift, d.stride) == (poly.shift, poly.stride)
+        assert (d.a0, list(d.cos_coeffs), list(d.sin_coeffs)) == (0.0, [], [0.0])
+        assert d.shift == poly.shift
         assert not d.values(np.linspace(-7.0, 7.0, 50)).any()
 
     def test_the_shift_term_keeps_its_slot(self):
-        # nu = shift + stride*k from k = 0: cos(theta/4) -> -sin(theta/4)/4
+        # nu = shift + k from k = 0: cos(theta/4) -> -sin(theta/4)/4
         d = TrigPolynomial(cos_coeffs=(2.0, 1.0), shift=0.25).derivative()
-        assert (d.cos_coeffs, d.sin_coeffs, d.shift) == ((), (-0.5, -1.25), 0.25)
-        d = TrigPolynomial(sin_coeffs=(1.0, 3.0), shift=0.5, stride=2).derivative()
-        assert (d.cos_coeffs, d.sin_coeffs, d.stride) == ((0.5, 7.5), (), 2)
+        assert (list(d.cos_coeffs), list(d.sin_coeffs), d.shift) == ([], [-0.5, -1.25], 0.25)
+        # stride 2: the zero at nu = 1.5 keeps its slot
+        d = shifted_poly([1.0, 3.0], 0.5, "sine", stride=2).derivative()
+        assert (list(d.cos_coeffs), list(d.sin_coeffs)) == ([0.5, 0.0, 7.5], [])
         # the standard layout starts at k = 1, the constant drops
         d = TrigPolynomial(a0=4.0, cos_coeffs=(1.0,), sin_coeffs=(1.0, 1.0)).derivative()
-        assert (d.a0, d.cos_coeffs, d.sin_coeffs) == (0.0, (1.0, 2.0), (-1.0,))
+        assert (d.a0, list(d.cos_coeffs), list(d.sin_coeffs)) == (0.0, [1.0, 2.0], [-1.0])
 
     @pytest.mark.parametrize("poly", [cosine_poly(0.0, [1.0, 1e308]),
-                                      TrigPolynomial(sin_coeffs=(1e308, 1e308), shift=0.5,
-                                                     stride=2)])
+                                      shifted_poly([1e308, 1e308], 0.5, "sine", stride=2)])
     def test_overflowing_product_raises_without_warning(self, poly):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -176,11 +190,11 @@ class TestDerivative:
         # what refinement with f' samples relies on: the level-0 FFT builds no
         # plan, and f' has f's coefficient lengths (the parts swap), so f' on
         # the level-0 lattice and f at the depth-1 midpoints share one plan
-        poly = TrigPolynomial(0.0 if shift else 1.0, rng.normal(size=400),
-                              rng.normal(size=300), shift, stride)
-        m, last, _ = period_lattice(0.0, math.pi, 4096, stride)
+        poly = _layout(1.0, list(rng.normal(size=400)), list(rng.normal(size=300)),
+                       shift, stride)
+        m, last, _ = period_lattice(0.0, math.pi, 4096)
         h, idx = 2 * math.pi / m, np.arange(last + 1)
-        assert chirp_cheaper(400, idx)
+        assert chirp_cheaper(poly.cos_coeffs.size, idx)
         misses = _chirp_plan.cache_info().misses
         poly.values_period(0.0, m, idx.size)
         assert _chirp_plan.cache_info().misses == misses
@@ -204,7 +218,7 @@ class TestBoundsRoundedUp:
         stride = 1 + seed // 4
         c = rng.standard_normal(n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
         split = int(rng.integers(0, n + 1))
-        poly = TrigPolynomial(0.0 if shift else 1.0, c[:split], c[split:], shift, stride)
+        poly = stride_layout(0.0 if shift else 1.0, c[:split], c[split:], shift, stride)
         k0 = 0 if shift else 1
         nus = [stride * (j + k0) + Fraction(shift) for j in range(split)]
         nus += [stride * (j + k0) + Fraction(shift) for j in range(n - split)]
@@ -244,7 +258,7 @@ class TestUnitScale:
         copy, e, rounding = unit_scale(poly)
         top = max([abs(copy.a0) / 2, *map(abs, copy.cos_coeffs), *map(abs, copy.sin_coeffs)])
         assert 1.0 <= top < 2.0
-        assert (copy.shift, copy.stride) == (poly.shift, poly.stride)
+        assert copy.shift == poly.shift
         # every coefficient is 2^-e times the caller's, or rounded within `rounding`
         pairs = zip((copy.a0, *copy.cos_coeffs, *copy.sin_coeffs),
                     (poly.a0, *poly.cos_coeffs, *poly.sin_coeffs))
@@ -264,7 +278,7 @@ class TestUnitScale:
 
     def test_the_constant_counts_as_a0_over_2(self):
         copy, e, _ = unit_scale(cosine_poly(2.0 ** -1073, [2.0 ** -1074]))
-        assert (copy.a0, copy.cos_coeffs, e) == (2.0, (1.0,), -1074)
+        assert (copy.a0, list(copy.cos_coeffs), e) == (2.0, [1.0], -1074)
 
 
 class TestShiftedSums:
@@ -307,6 +321,11 @@ class TestShiftedSums:
         mass = sum(map(abs, e))
         assert abs(poly.value(theta) - direct) <= 1e-12 * mass
         assert abs(poly.value(theta) - naive_trig_value(poly, theta)) <= 1e-12 * mass
+
+    def test_rejects_bad_stride(self):
+        for stride in (0, 3):
+            with pytest.raises(ParameterDomainError):
+                shifted_poly([1.0], 0.25, "sine", stride=stride)
 
     def test_kind_mismatch_raises(self):
         # the kind is checked once, where the sum is built
