@@ -28,7 +28,7 @@ counts every point at which f or f' is evaluated, and a note gives the f'
 samples and L4.
 
 Computed values are within the evaluation roundoff bound of the exact ones
-(level-0 values within it and `_level0`'s abscissa term), so a cell
+(lattice values within it and the FFT's abscissa term, `_drift`), so a cell
 certifies only when its bound beats that bound (a NaN bound never does),
 and the certified lower bound is the smallest cell bound net of it.  Cells
 that fail the test are bisected (only they are), up to a depth limit; each
@@ -39,8 +39,11 @@ falls short of whi, whi itself is sampled, and the partial cell [x_J, whi]
 is bounded with its own width and bisected on the same lattice, a
 midpoint past whi left out.  A constant sum (L = 0) is not refined, and f'
 is not sampled: no cell bound depends on the cell width.  Every sample but
-whi lies on the dyadic grid wlo + i*h/2^depth, so cells are integer
-indices and each deeper batch goes through `TrigPolynomial.values_grid`.
+whi lies on the dyadic grid wlo + i*h/2^depth, which the FFT takes as the
+lattice wlo + 2*pi*i/M, M = m*2^depth (`_drift`), so cells are integer
+indices and every batch of a level is one `TrigPolynomial.values_period`
+call on that lattice: one FFT, or the direct sums where the cost model
+finds them cheaper (few of the lattice's points asked for).
 A sample below minus the roundoff bound refutes with a witness; a
 non-positive sample inside that bound is no witness, and the cells it
 bounds never certify.  Inconclusive is a first-class outcome and is never
@@ -280,40 +283,54 @@ def _window(caller: TrigPolynomial, lo: float, hi: float):
     return copy, e, rounding, ends[0], ends[1], notes
 
 
-#: the drift of the FFT's points from the float lattice, per point of the
-#: period and unit of L (`_level0` derives it)
-_DRIFT = 4.0 * math.pi * 2.0 ** -53
+#: the abscissa term per unit of L and of window width (`_drift` derives it)
+_DRIFT = 2.0 ** -52
+
+
+def _drift(poly: TrigPolynomial, wlo: float, whi: float) -> float:
+    """How far a value that `values_period` gives at a lattice point of the
+    window [wlo, whi] may lie from poly's value there, beyond the roundoff.
+
+    The FFT evaluates the sum at wlo + 2*pi*i/M, M = m*2^d, not at the
+    lattice point x_i = wlo + i*dx with the float step dx = h/2^d,
+    h = 2*pi/m rounded.  2*math.pi is 2 pi rounded, within 2|pi - math.pi| <
+    0.36 * 2 pi u (u = 2^-53), and the division rounds by at most 2 pi u/m,
+    so |m*h - 2 pi| <= 1.36 * 2 pi u (1 + u) and m*h >= 2 pi (1 - 1.37u).
+    Every point sampled lies in the window, i*dx <= whi - wlo, so
+    i/M = i*dx/(m*h) <= (whi - wlo)/(m*h), and
+
+        |i*dx - 2*pi*i/M| = (i/M) |m*h - 2 pi| <= 1.37 u (whi - wlo)
+
+    at every depth d and every index up to the window's end, a point in a
+    partial last cell included.  The shift is peeled at the float of x_i,
+    as `values` takes it; only the body moves with the point, and its part
+    of f' is at most L = sum nu |c|.  L (whi - wlo) 2u covers this and the
+    roundings of the product and of whi - wlo; it is added wherever lattice
+    values meet the roundoff bound, and the same term of f' (with the L of
+    f') wherever its lattice values do."""
+    return lipschitz_bound(poly) * (whi - wlo) * _DRIFT
 
 
 def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
-    """(h, xs, vals, gap, drift): the level-0 samples of at least n points on
+    """(m, xs, vals, gap, drift): the level-0 samples of at least n points on
     [wlo, whi] that all three entry points scan.
 
     The lattice is wlo + j*h with h = 2*pi/m rounded, m the smallest
     5-smooth length whose lattice holds n points on the window, and x_J its
-    last point there (`kernels.period_lattice`).  Its values come from
-    `values_period`: one FFT of length m, or one `values_grid` batch on the
+    last point there (`kernels.period_lattice`).  Its values come from one
+    `values_period` batch: one FFT of length m, or the direct sums at the
     floats of the lattice points where the cost model finds the FFT dearer
     (a narrow window, whose m grows like 2*pi*n/width).  When x_J falls short
     of whi, whi itself is sampled too (one direct point), so xs ends at whi
     either way, and gap is the exact width whi - x_J (a Fraction) of that
-    partial last cell, else 0.  No sample lies past whi.
-
-    The FFT evaluates f at wlo + 2*pi*j/m, not at the lattice point
-    x_j = wlo + j*h.  2*math.pi is 2 pi rounded, within 2|pi - math.pi| <
-    0.36 * 2 pi u (u = 2^-53), and the division rounds by at most 2 pi u/m,
-    so |j*h - 2*pi*j/m| <= (j/m) * 1.36 * 2 pi u.  The shift is peeled at
-    the float of x_j, as in `values_grid`; only the body moves with the
-    point, and its part of f' is at most L = sum nu |c|, so a value is off
-    f(x_j) by at most its roundoff and L * (J/m) * 1.36 * 2 pi u.  drift =
-    L * (J/m) * 4 pi u covers this and the rounding of the product; it is
-    added wherever level-0 values meet the roundoff bound."""
+    partial last cell, else 0.  No sample lies past whi.  drift is
+    `_drift`, the FFT's abscissa term on the window."""
     m, last, gap = period_lattice(wlo, whi, n)
-    h, vals = 2.0 * math.pi / m, poly.values_period(wlo, m, last + 1)
-    xs = np.minimum(wlo + np.arange(last + 1) * h, whi)
+    vals = poly.values_period(wlo, m, np.arange(last + 1))
+    xs = np.minimum(wlo + np.arange(last + 1) * (2.0 * math.pi / m), whi)
     if gap:
         xs, vals = np.append(xs, whi), np.append(vals, poly.value(whi))
-    return h, xs, vals, gap, lipschitz_bound(poly) * (last / m) * _DRIFT
+    return m, xs, vals, gap, _drift(poly, wlo, whi)
 
 
 def _up(x: Fraction) -> float:
@@ -380,9 +397,9 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
 
     # Every sample lies on the dyadic grid wlo + i*h/2^depth, or is whi: cells
     # are kept as integer left indices il at the current depth, so each batch
-    # is a uniform-grid evaluation and the points are exact grid points.
-    dx, xs, vals, gap, drift = _level0(poly, wlo, whi, opts.grid0)
-    noise = roundoff_bound(poly) + rounding + drift
+    # is one evaluation on the lattice of m*2^depth points.
+    m, xs, vals, gap, drift = _level0(poly, wlo, whi, opts.grid0)
+    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + drift
     total_evals = xs.size
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
@@ -418,9 +435,10 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             il, fl, fr = il[fail], fl[fail], fr[fail]
             ends, at = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
             deriv = poly.derivative()
-            L4, dnoise = fourth_derivative_bound(poly), roundoff_bound(deriv)
+            L4 = fourth_derivative_bound(poly)
+            dnoise = roundoff_bound(deriv) + _drift(deriv, wlo, whi)
             past = int(ends[-1] == last + 1)
-            g = deriv.values_grid(wlo, dx, ends[:ends.size - past])
+            g = deriv.values_period(wlo, m, ends[:ends.size - past])
             if past:
                 g = np.append(g, deriv.value(whi))
             gl, gr = g[at[:il.size]], g[at[il.size:]]
@@ -451,7 +469,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             last, gap = (2 * last + 1, gap - Fraction(dx)) if gap > dx else (2 * last, gap)
         cut = il.size - whole
         im = 2 * il[:cut] + 1
-        fm = poly.values_grid(wlo, dx, im)
+        fm = poly.values_period(wlo, m << depth, im)
         total_evals += im.size
         if im.size and fm.min() < -noise:
             jmin = int(np.argmin(fm))
@@ -461,7 +479,7 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         fl = np.append(_interleave(fl[:cut], fm), fl[cut:])
         fr = np.append(_interleave(fm, fr[:cut]), fr[cut:])
         if deriv is not None:
-            gm = deriv.values_grid(wlo, dx, im)
+            gm = deriv.values_period(wlo, m << depth, im)
             slope_evals += im.size
             total_evals += im.size
             gl = np.append(_interleave(gl[:cut], gm), gl[cut:])
@@ -495,8 +513,8 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     longer tell points apart, or when halving the step no longer moves theta.
     It runs on the unit-scale copy, like `certify_positive`."""
     poly, e, rounding, wlo, whi, _ = _window(poly, lo, hi)
-    dx, xs, vals, gap, drift = _level0(poly, wlo, whi, CertifyOptions.grid0)
-    noise = roundoff_bound(poly) + rounding + drift
+    m, xs, vals, gap, drift = _level0(poly, wlo, whi, CertifyOptions.grid0)
+    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + drift
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
     # the lattice t0 + sign*j*dx: its points 0 <= j <= top lie in the window,
@@ -512,7 +530,7 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
         xm = [min(t0 + sign * j * dx, whi) for j in mids]  # clamped as in _level0
         if best_x in xm:  # halving the step no longer moves theta
             break
-        fm = poly.values_grid(t0, sign * dx, mids).tolist()
+        fm = poly.values(t0 + np.array(mids, dtype=np.int64) * (sign * dx)).tolist()
         flat = all(abs(v - best_v) <= noise for v in fm)
         k, best_x, best_v = min([(k, best_x, best_v), *zip(mids, xm, fm)],
                                 key=lambda c: (c[2], c[1]))
@@ -552,8 +570,8 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    h, xs, vals, gap, drift = _level0(poly, lo, hi, grid + 1)
-    nudge = 1e-6 * h
+    m, xs, vals, gap, drift = _level0(poly, lo, hi, grid + 1)
+    nudge = 1e-6 * (2.0 * math.pi / m)
     if 0 < gap <= nudge:  # x_J, within the nudge of hi, is the end sample
         xs, vals, gap = xs[:-1], vals[:-1], 0
     zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding + drift)

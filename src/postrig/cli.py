@@ -2,7 +2,7 @@
 
 Subcommands: certify | constants | plotdata | zeros | criteria.  Families,
 checks and figures are table entries, defaults are the library's, and both
-plotdata figures are the qk sums through `TrigPolynomial.values_grid`.
+plotdata figures are the qk sums through `TrigPolynomial.values_period`.
 Exit codes are the machine contract: 0 success/certified, 1 usage error,
 2 refuted/violated, 3 inconclusive, 4 solver error, 5 I/O error.  Standard
 output stays human-readable; --output / --outdir write the JSON and CSV data.
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -58,9 +59,9 @@ _CHECKS = {
     "taper": lambda seq, a: seqkit.check_taper_ratio_condition(seq, a.b, a.c, a.alpha),
 }
 
-#: plotdata figure -> (first index i0, span): angles i * span / (points + i0) for
+#: plotdata figure -> (first index i0, M/(points + i0)): angles 2*pi*i/M for
 #: i = i0 .. i0 + points - 1, inside (0, pi) for fig1, round |z| = 1 from 0 for fig2
-_FIGURES = {"fig1": (1, PI), "fig2": (0, 2.0 * PI)}
+_FIGURES = {"fig1": (1, 2), "fig2": (0, 1)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -224,14 +225,14 @@ def cmd_plotdata(args) -> int:
     except OSError as exc:
         print(f"plotdata: cannot create {args.outdir}: {exc}", file=sys.stderr)
         return 5
-    first, span = _FIGURES[args.figure]
+    first, per_point = _FIGURES[args.figure]
     idx = np.arange(first, first + args.points)
-    step = span / (args.points + first)
-    angles = idx * step
+    period = per_point * (args.points + first)
+    angles = idx * (2.0 * PI / period)
     try:
         for n in args.n:
             q = seqkit.qk_sequence(n, args.alpha, args.beta, args.lam, args.mu).values
-            cos_sum, sin_sum = (poly.values_grid(0.0, step, idx) for poly in (
+            cos_sum, sin_sum = (poly.values_period(0.0, period, idx) for poly in (
                 trigeval.cosine_poly(q[0], q[1:]), trigeval.sine_poly(q[1:])))
             if args.figure == "fig1":
                 for tag, values in (("cos", cos_sum), ("sin", sin_sum)):
@@ -300,7 +301,10 @@ def _add_family_params(p: argparse.ArgumentParser) -> None:
     p.add_argument("--coeffs", type=_number_list(float), default=None)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once: each `parse_args` call
+    returns a new namespace, and no command changes a default."""
     parser = _Parser(prog="postrig",
                      description="positivity certificates and special constants "
                                  "for trigonometric and orthogonal sums")

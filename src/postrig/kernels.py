@@ -1,10 +1,10 @@
-"""Evaluation kernels: one contract, three paths.
+"""Evaluation kernels: one contract, two paths.
 
-Every path returns the pair of sums
+Both paths return the pair of sums
 
     C(x) = sum_{k=1}^n c_k cos(k x)    and    S(x) = sum_{k=1}^n c_k sin(k x)
 
-and meets one contract, ``error_bound(sum |c_k|, n)``: the error of either
+and meet one contract, ``error_bound(sum |c_k|, n)``: the error of either
 sum is at most
 
     KERNEL_TOL * sum |c_k|  +  (n + 1) * 2^-1074
@@ -14,12 +14,12 @@ second is underflow: a product whose result is subnormal is off by at most
 half the subnormal spacing 2^-1074, whatever its size; in the direct sums
 the 2n coefficient products reach each sum through the cos and sin of one
 phase (sqrt(2) together at most) and 2R more products follow (R below),
-less than n + 1 spacings in all.  The two FFT paths serve sums at any
-scale: they scale the coefficients by the power of two that brings
-max |c_k| into [1, 2) and scale the sums back.  The scaling is exact; an
-underflow inside the FFTs is then below 2^-1074 max |c_k|, far inside the
-roundoff term, and only the scaling back of a subnormal sum rounds, by at
-most half the subnormal spacing.
+less than n + 1 spacings in all.  The FFT path serves sums at any scale: it
+scales the coefficients by the power of two that brings max |c_k| into
+[1, 2) and scales the sums back.  The scaling is exact; an underflow inside
+the FFT is then below 2^-1074 max |c_k|, far inside the roundoff term, and
+only the scaling back of a subnormal sum rounds, by at most half the
+subnormal spacing.
 
 ``pair_sums(coeffs, x)`` takes any angles and runs ``_direct_sums``.  With
 T = ceil(sqrt(n)), R = ceil(n/T) and k = r*T + s + 1 (0 <= s < T,
@@ -37,75 +37,48 @@ terms exceeds it from n ~ 9000.  Angles are taken in row chunks of about
 ``_DIRECT_CHUNK`` phases, so the working set stays O(sqrt(n)) per point.
 A non-finite angle gives nan.
 
-``pair_sums_grid(coeffs, x0, dx, idx)`` evaluates at the grid points
-x0 + idx*dx (idx an integer array) by blocked Bluestein chirp-z through
-numpy.fft.  The indices are written idx = r + s*q (`sub_lattice`: r the
-smallest index, s the largest power of two dividing every idx - r), and
-chirp-z runs over q with the step s*dx, which is exact because s is a power
-of two.  With k*j = (k^2 + j^2 - (j - k)^2)/2 the sums over one block of
-``GRID_BLOCK`` consecutive q become one convolution with the chirp
-exp(-i m^2 s dx/2); only blocks that hold a requested index are computed,
-and each block's lead phase is taken exactly from r + s*first.  The
-certifier's odd midpoints at depth d thus fill half as many blocks as their
-index range.
-
-``pair_sums_period(coeffs, x0, m, count)`` evaluates at the points
-x0 + 2*pi*j/m themselves, j < count, not at their floats, by one FFT of
-length m: the coefficients times their exact lead phases exp(i k x0) (a
-plain real FFT when x0 = 0), folded modulo m when n >= m, which adds at
-most (n/m) 2^-53 sum |c_k| of rounding.  It needs no plan.
-`period_lattice` picks m for a window: the smallest 5-smooth length whose
+``pair_sums_period(coeffs, x0, M, idx)`` evaluates at the points
+x0 + 2*pi*idx/M themselves (idx an integer array), not at their floats.
+The indices are written idx = r + s*q (`sub_lattice`: r the smallest index,
+s the largest power of two dividing every idx - r).  With g = gcd(s, M),
+L = M/g and t = (idx - r)/g, an integer, the phases k*2*pi*(idx - r)/M are
+k*2*pi*t/L, so one FFT of length L serves every point: the coefficients
+times their exact lead phases exp(i k (x0 + 2*pi*r/M)) (a plain real FFT
+when that lead is 0), folded modulo L when n >= L.  The fold adds pairwise,
+in at most 1 + log2(n/L) levels, so its rounding stays below that many
+times 2^-53 sum |c_k| whatever L.  It needs no plan.  `period_lattice`
+picks the level-0 m for a window: the smallest 5-smooth length whose
 lattice holds the points asked for, none of them past the window's end.
-The certifier's level-0 scan is this path wherever the cost model
-(`period_cheaper`) finds it cheaper than the other two at the same points,
-which fails only on a window that holds few of the m points; its
-refinement, on the dyadic sub-lattices of the same step, is chirp-z.
-
-The plan -- the chirp and the FFT of the convolution kernel -- depends on
-the padded length N and the step only, not on the degree: it is built for
-the largest degree N serves, N - GRID_BLOCK, and at a smaller degree n the
-kernel's lags below -n meet only zero coefficients.  Up to
-``CHIRP_PLANS`` plans are kept, least recently used first out, so every
-degree with one padded length shares a plan (degrees 1 .. 224 all pad to
-4320), and at depth 1 the step 2*(h/2) = h reuses the plan of the
-level-0 lattice's f' batch.  A plan is a function of its key alone, so a
-batch's values do not depend on which plans earlier calls left in the
-cache.
+The certifier's level d lies on the lattice of M = m*2^d, its odd
+midpoints on the sub-lattice s = 2 of it, and the CLI's plot points on the
+lattice of their full period.
 
 Exact phases: angles become 96-bit fixed-point fractions of a turn (Python
 integers times a 256-bit 1/(2 pi)), and their integer multiples are taken
 in uint64 (the top 64 bits wrapping modulo one turn), so every phase -- j x
-in the direct sums, k x0, k J dx for a block start J and k^2 dx/2 in
-chirp-z, k x0 in the period FFT -- is within about 2^-53 turn whatever the
-degree or the grid depth, for angles up to 2^150.  A multiplier must stay
-below 2^32, which bounds the degree of every path by ``MAX_DEGREE``; the
-squares k^2 are split as hi * 2^32 + lo, and hi takes the turns of
-2^32 dx/2, formed as exactly as those of dx/2.
+in the direct sums, k (x0 + 2*pi*r/M) in the FFT -- is within about 2^-53
+turn whatever the degree or the lattice, for angles up to 2^150.  A
+multiplier must stay below 2^32, which bounds the degree of both paths by
+``MAX_DEGREE``.
 
 The cost model is fixed, in ns with weights measured on the numpy code here
 (2-core Intel Xeon virtual machine, one BLAS thread); only a batch's degree
-n and its points enter, and `TrigPolynomial.values_grid` and
-`TrigPolynomial.values_period` decide the path once per batch:
+n, its points and its lattice enter, and `TrigPolynomial.values_period`
+decides the path once per batch:
 
 - direct: p * (1500 + 45 (T + R) + 0.35 n) + 35000 for p points: the
   integer reduction of each angle, its T + R phases and their cos and sin,
   the matrix product, and the numpy calls of a batch;
-- chirp-z: (blocks + 1) * (6 N log2 N + 20000), N the padded convolution
-  length (n + GRID_BLOCK rounded up to a 5-smooth size), blocks counted on
-  the sub-lattice from sorted block numbers, the extra block the plan
-  (charged whether or not it is cached), and 20000 the numpy calls of a
-  block; ``chirp_cheaper`` picks it over the direct sums at the same grid
-  points;
-- period FFT: 4 m log2 m + 45 n + 20000 for the FFT of length m, the n
-  exact lead phases (the direct path's weight per phase) and the numpy
-  calls; ``period_cheaper`` picks it over the cheaper of the other two at
-  the same points.  The weight 4 is the complex FFT, measured at 2.4-3.7
-  ns per m log2 m for m = 9000 .. 65536 (n = 20 .. 4000) in runs where a
-  chirp-z block took 0.77 of its charge; the real FFT of x0 = 0 takes
-  about half, and is charged the same.  At n <= 400 and count = 4096 the
-  switch falls near m = 12000: in those runs one chirp-z block took
-  260-270 us, and the complex FFT 150-160 us at m = 8192 and 290-570 us
-  at m = 16384.
+- FFT: 4 L log2 L + 45 n + 20000 for the FFT of length L, the n exact lead
+  phases (the direct path's weight per phase) and the numpy calls;
+  ``period_cheaper`` picks it over the direct sums at the same points.
+  The weight 4 is the complex FFT, measured at 2.4-3.7 ns per L log2 L for
+  L = 9000 .. 65536 (n = 20 .. 4000); the real FFT of a zero lead takes
+  about half, and is charged the same.
+
+The direct sums thus take a window that holds few of its lattice's points
+(L grows like 2*pi*p/width for p points on it), a deep level where few
+cells are left, and `find_min`'s descent of 1-2 points.
 """
 
 from __future__ import annotations
@@ -120,12 +93,8 @@ import numpy as np
 KERNEL_TOL = 1e-12
 #: 2^-1074, the subnormal spacing: the contract's underflow term per product
 SUBNORMAL = math.ulp(0.0)
-#: outputs per chirp-z block
-GRID_BLOCK = 4096
 #: largest degree either path takes (every multiplier of a phase < 2^32)
 MAX_DEGREE = 2 ** 32 - 1
-#: chirp-z plans kept, one per (padded length, step)
-CHIRP_PLANS = 8
 
 _INV_TWO_PI = 0x28BE60DB9391054A7F09D5F47D4D377036D8A5664F10E4107F9458EAF7AEF158
 """floor(2**256 / (2 pi))"""
@@ -138,9 +107,8 @@ _DIRECT_CALL = 35_000   # one direct batch: its numpy calls
 _DIRECT_POINT = 1_500   # one angle: its reduction in Python integers
 _DIRECT_CIS = 45        # one phase exp(i j x) of the split
 _DIRECT_MAC = 0.35      # one coefficient at one point of the product
-_FFT_STEP = 6.0         # one of N log2 N in a block: two FFTs and the phases
-_PERIOD_STEP = 4.0      # one of m log2 m in the period FFT: one complex FFT
-_BLOCK_CALL = 20_000    # one block: its numpy calls
+_PERIOD_STEP = 4.0      # one of L log2 L in the FFT: one complex FFT
+_PERIOD_CALL = 20_000   # one FFT batch: its numpy calls
 _DIRECT_CHUNK = 65536   # phases per row chunk of the direct path
 
 
@@ -219,7 +187,7 @@ def sub_lattice(idx) -> tuple[int, int]:
     if not j.size:
         return 0, 1
     r = int(j.min())
-    d = int(np.bitwise_or.reduce(j - r, axis=None))
+    d = int(np.bitwise_or.reduce(j - r if r else j, axis=None))
     return r, (d & -d) or 1
 
 
@@ -229,36 +197,22 @@ def _direct_cost(n: int, points: int) -> float:
     return points * (_DIRECT_POINT + _DIRECT_CIS * (T + R) + _DIRECT_MAC * n) + _DIRECT_CALL
 
 
-def _block_cost(n: int) -> float:
-    """The cost model's charge for one chirp-z block of degree n."""
-    size = _fft_length(n + GRID_BLOCK)
-    return _FFT_STEP * size * math.log2(size) + _BLOCK_CALL
+def _period_cost(n: int, L: int) -> float:
+    """The cost model's charge for one FFT of length L at degree n."""
+    return _PERIOD_STEP * L * math.log2(L) + _DIRECT_CIS * n + _PERIOD_CALL
 
 
-def chirp_cheaper(n: int, idx: np.ndarray) -> bool:
-    """True when chirp-z should evaluate degree n at grid indices idx, on
-    their `sub_lattice`.  The plan is charged as one block even when it is
-    cached, so the path, and with it every value, never depends on the
-    calls made before."""
+def period_cheaper(n: int, M: int, idx: np.ndarray) -> bool:
+    """True when one FFT (`pair_sums_period`) should evaluate degree n at the
+    points x0 + 2*pi*idx/M, rather than the direct sums at the same points:
+    the FFT of length L = M/gcd(s, M), s from the `sub_lattice` of idx,
+    against the direct sums' points."""
     if n == 0:
-        return False
-    direct, per_block = _direct_cost(n, idx.size), _block_cost(n)
-    if direct <= 2 * per_block:  # chirp-z loses even with a single block
-        return False
-    r, s = sub_lattice(idx)
-    blocks = np.sort((idx.ravel() - r) // s // GRID_BLOCK)
-    return (np.count_nonzero(np.diff(blocks)) + 2) * per_block < direct
-
-
-def period_cheaper(n: int, m: int, count: int) -> bool:
-    """True when one FFT of length m (`pair_sums_period`) should evaluate
-    degree n at the first count points of its lattice, rather than the
-    cheaper of the direct sums and chirp-z (blocks of consecutive indices
-    and the plan) at the same points.  A window that holds few of the m
-    points, whose m grows like 2*pi*count/width, loses."""
-    period = _PERIOD_STEP * m * math.log2(m) + _DIRECT_CIS * n + _BLOCK_CALL
-    chirp = (-(-count // GRID_BLOCK) + 1) * _block_cost(n)
-    return n == 0 or period < min(_direct_cost(n, count), chirp)
+        return True
+    direct = _direct_cost(n, np.size(idx))
+    # L <= M, so the sub-lattice is asked for only when the full length loses
+    return (_period_cost(n, M) < direct
+            or _period_cost(n, M // math.gcd(sub_lattice(idx)[1], M)) < direct)
 
 
 def _coefficients(coeffs) -> np.ndarray:
@@ -297,78 +251,6 @@ def pair_sums(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _direct_sums(_coefficients(coeffs), np.asarray(x, dtype=np.float64))
 
 
-def _square_phases(k: np.ndarray, dx: float) -> np.ndarray:
-    """frac(k^2 (dx/2) / (2 pi)) in units of 2**-64 turn, for uint64 k < 2**32.
-
-    k^2 = hi * 2^32 + lo with hi, lo < 2^32; hi multiplies the turns of
-    2^32 dx/2, formed from dx as exactly as those of dx/2, so the phase is
-    as exact as `_multiple` at any degree up to MAX_DEGREE.
-    """
-    p, q = dx.as_integer_ratio()
-    sq = k * k
-    return (_multiple(sq >> _U32, _limbs([_turns(p << 32, 2 * q)]))
-            + _multiple(sq & np.uint64(_M32), _limbs([_turns(p, 2 * q)])))
-
-
-@functools.lru_cache(maxsize=CHIRP_PLANS)
-def _chirp_plan(size: int, dx: float) -> tuple[np.ndarray, np.ndarray]:
-    """The chirp exp(i k^2 dx/2) for k <= max(m, GRID_BLOCK - 1) and the FFT
-    of the conjugate-chirp kernel at lags -m .. GRID_BLOCK - 1, for the
-    padded length ``size`` and m = size - GRID_BLOCK, the largest degree it
-    serves.  Every degree n <= m shares the plan: the lags below -n meet
-    only the zeros of the coefficients beyond n.  A plan takes at most
-    32 * size bytes, so the ``CHIRP_PLANS`` kept take at most about
-    8 * 32 * (n + 4096) bytes, n the largest degree among them."""
-    B = GRID_BLOCK
-    m = size - B
-    chirp = _cis(_square_phases(np.arange(max(m + 1, B), dtype=np.uint64), dx))
-    kernel = np.empty(size, dtype=np.complex128)
-    kernel[:B] = chirp[:B].conj()              # t - k = 0 .. B-1
-    kernel[B:] = chirp[m:0:-1].conj()          # t - k = -m .. -1
-    kernel = np.fft.fft(kernel)
-    chirp.flags.writeable = kernel.flags.writeable = False
-    return chirp, kernel
-
-
-def pair_sums_grid(coeffs: np.ndarray, x0: float, dx: float,
-                   idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) at x0 + idx*dx by blocked chirp-z on the `sub_lattice` of idx;
-    see the module docstring."""
-    c = _coefficients(coeffs)
-    j = np.asarray(idx, dtype=np.int64)
-    n = c.size
-    if n == 0 or j.size == 0:
-        return np.zeros(j.shape), np.zeros(j.shape)
-    B = GRID_BLOCK
-    r, s = sub_lattice(j)
-    size = _fft_length(n + B)
-    # the step s*dx is exact, s being a power of two
-    chirp, kernel = _chirp_plan(size, s * float(dx))
-    # scaling by 2^e, max|c| 2^e in [1, 2), is exact and keeps the FFTs'
-    # products clear of underflow; values in the normal range do not move
-    e = 1 - math.frexp(float(np.max(np.abs(c))))[1]
-    weighted = np.ldexp(c, e) * chirp[1:n + 1]    # c_k 2^e exp(i k^2 s dx/2)
-    ks = np.arange(1, n + 1, dtype=np.uint64)
-    p0, q0 = float(x0).as_integer_ratio()
-    p1, q1 = float(dx).as_integer_ratio()
-    a = np.zeros(size, dtype=np.complex128)
-
-    q = (j.ravel() - r) // s
-    order = np.argsort(q, kind="stable")
-    cuts = np.flatnonzero(np.diff(q[order] // B)) + 1
-    out = np.empty(q.size, dtype=np.complex128)
-    for sel in np.split(order, cuts):
-        first = int(q[sel[0]] // B) * B
-        # block start x0 + (r + s*first)*dx, exactly, over the common denominator
-        lead = _turns(p0 * q1 + (r + s * first) * p1 * q0, q0 * q1)
-        a[1:n + 1] = weighted * _cis(_multiple(ks, _limbs([lead])))
-        y = np.fft.ifft(np.fft.fft(a) * kernel)
-        t = q[sel] - first
-        out[sel] = chirp[t] * y[t]
-    out = out.reshape(j.shape)
-    return np.ldexp(out.real, -e), np.ldexp(out.imag, -e)
-
-
 def _period_last(span: Fraction, m: int) -> int:
     """The largest j whose point x0 + 2*pi*j/m and whose float-step point
     x0 + j*(2*pi/m) both lie within x0 + span.  The first is tested with
@@ -392,30 +274,44 @@ def period_lattice(x0: float, x1: float, count: int) -> tuple[int, int, Fraction
     return m, last, span - last * Fraction(2.0 * math.pi / m)
 
 
-def pair_sums_period(coeffs: np.ndarray, x0: float, m: int,
-                     count: int) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) at the points x0 + 2*pi*j/m themselves, j = 0 .. count - 1,
-    by one FFT of length m; see the module docstring."""
+def pair_sums_period(coeffs: np.ndarray, x0: float, M: int,
+                     idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, S) at the points x0 + 2*pi*idx/M themselves, idx an integer array,
+    by one FFT on the `sub_lattice` of idx; see the module docstring."""
     c = _coefficients(coeffs)
+    j = np.asarray(idx, dtype=np.int64)
     n = c.size
-    if n == 0 or count == 0:
-        return np.zeros(count), np.zeros(count)
-    # the scaling of pair_sums_grid
+    if n == 0 or j.size == 0:
+        return np.zeros(j.shape), np.zeros(j.shape)
+    r, s = sub_lattice(j)
+    g = math.gcd(s, M)
+    L = M // g
+    # the turns of x0 + 2 pi r/M, r/M rounded down to 2^-96
+    lead = (_turns(*float(x0).as_integer_ratio()) + ((r % M) << 96) // M) & ((1 << 96) - 1)
+    # scaling by 2^e, max|c| 2^e in [1, 2), is exact and keeps the FFT's
+    # products clear of underflow; values in the normal range do not move
     e = 1 - math.frexp(float(np.max(np.abs(c))))[1]
-    a = np.zeros(-(-(n + 1) // m) * m, dtype=np.float64 if x0 == 0.0 else np.complex128)
+    rows = 1 << (n // L).bit_length()  # a power of two with rows * L > n
+    a = np.zeros(rows * L, dtype=np.complex128 if lead else np.float64)
     a[1:n + 1] = np.ldexp(c, e)
-    if x0 != 0.0:  # c_k exp(i k x0), every lead phase exact
-        lead = _limbs([_turns(*float(x0).as_integer_ratio())])
-        a[1:n + 1] *= _cis(_multiple(np.arange(1, n + 1, dtype=np.uint64), lead))
-    if a.size > m:  # exp(i k 2 pi j/m) has period m in k
-        a = a.reshape(-1, m).sum(axis=0)
-    if x0 == 0.0:
-        # a real transform, sum_k a_k exp(-i k 2 pi j/m) for j <= m/2: the
-        # conjugates of the sums, and those at m - j the sums themselves
-        y, sign = np.fft.rfft(a), -1.0
-        if count > y.size:
-            y = np.concatenate((y, y[m - y.size:0:-1].conj()))
+    if lead:  # c_k exp(i k (x0 + 2 pi r/M)), every lead phase exact
+        a[1:n + 1] *= _cis(_multiple(np.arange(1, n + 1, dtype=np.uint64), _limbs([lead])))
+    a = a.reshape(rows, L)
+    while a.shape[0] > 1:  # exp(i k 2 pi t/L) has period L in k: fold pairwise
+        a = a[:a.shape[0] // 2] + a[a.shape[0] // 2:]
+    t = j - r if r else j  # the points' places in the FFT: g divides j - r
+    if g > 1:
+        t = t >> (g.bit_length() - 1)
+    top = int(t.max())
+    if top >= L:
+        t = t % L
+    if lead:
+        y, sign = np.fft.ifft(a[0], norm="forward"), 1.0
     else:
-        y, sign = np.fft.ifft(a, norm="forward"), 1.0
-    y = y[np.arange(count) % m] if count > m else y[:count]
+        # a real transform, sum_k a_k exp(-i k 2 pi t/L) for t <= L/2: the
+        # conjugates of the sums, and those at L - t the sums themselves
+        y, sign = np.fft.rfft(a[0]), -1.0
+        if top >= y.size:
+            y = np.concatenate((y, y[L - y.size:0:-1].conj()))
+    y = y[t]
     return np.ldexp(y.real, -e), np.ldexp(sign * y.imag, -e)

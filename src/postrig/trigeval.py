@@ -14,27 +14,24 @@ frequency (`shifted_poly`), the stride-2 shape cos((2k+1/2)*theta).
 Each polynomial stores its coefficients once, as read-only float64 copies
 of the caller's, paired with their frequencies (nu, c) for the cosine and
 the sine part (`TrigPolynomial.terms`); the bounds on |f'|, |f''| and
-|f''''| (sums of nu^p |c|, rounded up), the coefficient mass and the
+|f''''| (sums of nu^p |c|), the coefficient mass, all rounded up, and the
 roundoff bound that `postrig.certify` works with are array expressions on
 them, which hold even where nu*c overflows.  f' itself has one surface,
 `TrigPolynomial.derivative`.  `postrig.certify` runs on `unit_scale`'s
-copy, where none leaves the float range; `values` and `values_grid` take any
-scale, as `kernels.pair_sums_grid` keeps its own power-of-two scaling.
+copy, where none leaves the float range; `values` and `values_period` take
+any scale, as `kernels.pair_sums_period` keeps its own power-of-two
+scaling.
 
 Every evaluation, f' included, goes through the kernels of
 `postrig.kernels`; the shift is peeled off with the two angle-addition
 identities, so a shifted sum takes two unshifted sums.
 `TrigPolynomial.values` takes any angles and runs the direct sums
-(`kernels.pair_sums`).  `TrigPolynomial.values_grid` takes the points
-t0 + idx*dt of a uniform grid (idx integer), as the certifier's refinement
-levels, the descent of `find_min` and the CLI's plot points are, and lets
-the kernels' fixed cost model (`kernels.chirp_cheaper`) pick, once per
-batch, the chirp-z grid kernel on the batch's `kernels.sub_lattice` or
-`values` at the points t0 + idx*dt.  `TrigPolynomial.values_period` takes
-the points t0 + 2*pi*j/m of the level-0 scans and runs one FFT
-(`kernels.pair_sums_period`), or, where the cost model
-(`kernels.period_cheaper`) finds a narrow window's m too long for it,
-`values_grid` at their floats.
+(`kernels.pair_sums`).  `TrigPolynomial.values_period` takes the points
+t0 + 2*pi*idx/m of a period lattice (idx integer), as the certifier's
+levels and the CLI's plot points are, and lets the kernels' fixed cost
+model (`kernels.period_cheaper`) pick, once per batch, one FFT on the
+batch's `kernels.sub_lattice` (`kernels.pair_sums_period`) or `values` at
+the points' floats t0 + idx*(2*pi/m).
 """
 
 from __future__ import annotations
@@ -47,8 +44,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ParameterDomainError, SizeError
-from .kernels import (SUBNORMAL, chirp_cheaper, error_bound, pair_sums, pair_sums_grid,
-                      pair_sums_period, period_cheaper)
+from .kernels import SUBNORMAL, error_bound, pair_sums, pair_sums_period, period_cheaper
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +92,15 @@ class TrigPolynomial:
         return self._view
 
     @functools.cached_property
-    def _bounds(self) -> tuple[float, float, float]:
-        """(L, L2, L4) = sum over terms of nu^p * |c| for p = 1, 2, 4, each
-        rounded up (`_moments`), computed once per polynomial."""
-        return _moments(self._view)
+    def _bounds(self) -> tuple[float, float, float, float]:
+        """(mass, L, L2, L4): 0.5|a0| + sum |c| and the sums over terms of
+        nu^p * |c| for p = 1, 2, 4, each rounded up (`_moments`), computed
+        once per polynomial."""
+        body, *derivatives = _moments(self._view)
+        # body + 0.5|a0| rounded to nearest and taken up one float covers
+        # both roundings, the halving of a subnormal a0 included
+        mass = math.nextafter(body + 0.5 * abs(self.a0), math.inf) if self.a0 else body
+        return (mass, *derivatives)
 
     def _peel(self, theta: np.ndarray,
               sums: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
@@ -127,24 +128,17 @@ class TrigPolynomial:
         th = np.asarray(theta, dtype=np.float64)
         return self._peel(th, lambda body: pair_sums(body, th))
 
-    def values_grid(self, t0: float, dt: float, idx) -> np.ndarray:
-        """Evaluate at the grid points t0 + idx*dt for an integer array idx,
-        by chirp-z or by `values`, whichever the cost model picks."""
+    def values_period(self, t0: float, m: int, idx) -> np.ndarray:
+        """Evaluate at the points t0 + 2*pi*idx/m themselves, idx an integer
+        array, by one FFT (`kernels.pair_sums_period`), or, where the cost
+        model finds the direct sums cheaper (`kernels.period_cheaper`), by
+        `values` at their floats t0 + idx*(2*pi/m); the shift is peeled at
+        those floats either way."""
         j = np.asarray(idx, dtype=np.int64)
-        if chirp_cheaper(max(self.cos_coeffs.size, self.sin_coeffs.size), j):
-            return self._peel(t0 + j * dt, lambda body: pair_sums_grid(body, t0, dt, j))
-        return self.values(t0 + j * dt)
-
-    def values_period(self, t0: float, m: int, count: int) -> np.ndarray:
-        """Evaluate at the points t0 + 2*pi*j/m themselves, j = 0 .. count - 1,
-        by one FFT of length m (`kernels.pair_sums_period`); the shift is
-        peeled at their floats t0 + j*(2*pi/m).  Where the cost model finds
-        that FFT dearer (`kernels.period_cheaper`: the count points are few
-        of the m), the floats themselves go to `values_grid`."""
-        h, j = 2.0 * math.pi / m, np.arange(count)
-        if not period_cheaper(max(self.cos_coeffs.size, self.sin_coeffs.size), m, count):
-            return self.values_grid(t0, h, j)
-        return self._peel(t0 + j * h, lambda body: pair_sums_period(body, t0, m, count))
+        x = t0 + j * (2.0 * math.pi / m)
+        if period_cheaper(max(self.cos_coeffs.size, self.sin_coeffs.size), m, j):
+            return self._peel(x, lambda body: pair_sums_period(body, t0, m, j))
+        return self.values(x)
 
     def value(self, theta: float) -> float:
         return float(self.values(np.array([theta]))[0])
@@ -172,62 +166,64 @@ _TINY_POWER = 2.0 ** -1020
 
 
 @np.errstate(over="ignore")
-def _moments(view) -> tuple[float, float, float]:
-    """sum over terms of nu^p * |c| for p = 1, 2, 4, each rounded up.
+def _moments(view) -> tuple[float, float, float, float]:
+    """sum over terms of nu^p * |c| for p = 0, 1, 2, 4, each rounded up.
 
     nu = k + shift is rounded once and each squaring doubles the
     roundings and adds one, so nu^p carries 2p - 1 and its product with |c|
-    2p, each a factor 1 - u at worst, u = 2^-53; a product that underflows
-    is off by at most half a subnormal spacing instead.  The products are
-    summed in np.longdouble, n roundings of unit eps, and the sum rounds
-    once more to float, off by a factor 1 - u or half a spacing.  The n + 1
-    spacings added and the factor 1 + 2*((2p + 2)u + (n + 1)eps) cover all
-    of it with room for the two roundings of applying them, and
-    `math.nextafter` takes the last one up.  Only nu = shift < 2^-255 takes
-    a power below the normal range; it is raised to 2^-1020 first.  A sum
-    beyond the float range is inf; one with no non-zero term is exactly 0.
+    2p, each a factor 1 - u at worst, u = 2^-53 (at p = 0 the terms are the
+    |c| themselves, exact); a product that underflows is off by at most half
+    a subnormal spacing instead.  The products are summed in np.longdouble,
+    n roundings of unit eps, and the sum rounds once more to float, off by a
+    factor 1 - u or half a spacing.  The n + 1 spacings added and the factor
+    1 + 2*((2p + 2)u + (n + 1)eps) cover all of it with room for the two
+    roundings of applying them, and `math.nextafter` takes the last one up.
+    Only nu = shift < 2^-255 takes a power below the normal range; it is
+    raised to 2^-1020 first.  A sum beyond the float range is inf; one with
+    no non-zero term is exactly 0.
     """
-    totals, n = np.zeros(3, dtype=np.longdouble), 0
+    totals, n = np.zeros(4, dtype=np.longdouble), 0
     for nu, c in view:
         if not c.size:
             continue
-        powers = np.empty((3, c.size))
-        powers[0] = nu
-        np.multiply(nu, nu, out=powers[1])
-        np.multiply(powers[1], powers[1], out=powers[2])
+        powers = np.empty((4, c.size))
+        powers[0] = 1.0
+        powers[1] = nu
+        np.multiply(nu, nu, out=powers[2])
+        np.multiply(powers[2], powers[2], out=powers[3])
         if nu[0] < 2.0 ** -255:  # frequencies ascend
             np.maximum(powers, _TINY_POWER, out=powers)
         powers *= np.abs(c)
         totals += np.add.reduce(powers, axis=1, dtype=np.longdouble)
         n += c.size
     if not totals.any() and not any(c.any() for _, c in view):
-        return 0.0, 0.0, 0.0
+        return 0.0, 0.0, 0.0, 0.0
     return tuple(math.nextafter((float(total) + (n + 1) * SUBNORMAL)
                                 * (1.0 + 2.0 * ((2 * p + 2) * _U + (n + 1) * _LONG_U)),
                                 math.inf)
-                 for p, total in zip((1, 2, 4), totals))
+                 for p, total in zip((0, 1, 2, 4), totals))
 
 
 def lipschitz_bound(poly: TrigPolynomial) -> float:
     """sum over terms of frequency * |coefficient|, rounded up: a uniform
     |d/dtheta| bound."""
-    return poly._bounds[0]
+    return poly._bounds[1]
 
 
 def curvature_bound(poly: TrigPolynomial) -> float:
     """Same with frequency^2: a uniform |d^2/dtheta^2| bound."""
-    return poly._bounds[1]
+    return poly._bounds[2]
 
 
 def fourth_derivative_bound(poly: TrigPolynomial) -> float:
     """Same with frequency^4: a uniform |d^4/dtheta^4| bound, the L4 of the
     certifier's Hermite cells."""
-    return poly._bounds[2]
+    return poly._bounds[3]
 
 
-@np.errstate(over="ignore")
 def coefficient_mass(poly: TrigPolynomial) -> float:
-    return 0.5 * abs(poly.a0) + float(sum(np.abs(c).sum() for _, c in poly.terms()))
+    """0.5|a0| + sum |c|, rounded up: the mass the kernels' contract scales."""
+    return poly._bounds[0]
 
 
 def roundoff_bound(poly: TrigPolynomial) -> float:

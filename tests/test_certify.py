@@ -18,8 +18,7 @@ from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bou
                              _level0, vanishing_endpoint)
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               roundoff_bound, unit_scale)
-from postrig.kernels import (SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound,
-                             period_cheaper, period_lattice)
+from postrig.kernels import SUBNORMAL, error_bound, period_lattice
 from postrig import certify, trigeval
 from postrig.errors import ParameterDomainError
 from conftest import naive_terms, naive_trig_value, stride_layout
@@ -405,7 +404,8 @@ class TestSecondOrderCells:
         # than 1/8 would put the lower bound above the minimum, the
         # first-order bound alone 4e-4 below
         c = 2047.5 * PI / 4096
-        h, xs, _, _, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, PI, 4096)
+        m, xs, _, _, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, PI, 4096)
+        h = 2 * PI / m
         assert (h, xs[2047], xs[2048]) == (PI / 4096, c - h / 2, c + h / 2)
         poly = TrigPolynomial(2.002, (-math.cos(c),), (-math.sin(c),))
         rep = certify_positive(poly, 0.0, PI)
@@ -434,10 +434,11 @@ class TestSecondOrderCells:
         assert note in rep.boundary_notes
 
     def test_one_kernel_batch_per_level(self, monkeypatch):
-        # level 0: one FFT batch of f on the lattice and f at whi, then one f'
+        # level 0: one batch of f on the lattice and f at whi, then one f'
         # batch at the unique lattice ends of its failing cells and f' at whi,
-        # the end of the failing partial cell; every deeper level: one f
-        # batch at the midpoints, then one f' batch at the same midpoints
+        # the end of the failing partial cell; every deeper level d: one f
+        # batch at the midpoints, then one f' batch at the same midpoints,
+        # both on the lattice of 8192*2^d points
         poly = _koumandos_cosine(2029, 0.45)
         calls = []
 
@@ -445,24 +446,26 @@ class TestSecondOrderCells:
             method = getattr(TrigPolynomial, kind)
 
             def wrapper(self, *args):
-                size = {"values_period": args[-1], "value": 1}.get(kind, np.size(args[-1]))
-                calls.append((kind, self is poly, size, args))
+                calls.append((kind, self is poly, np.size(args[-1]), args))
                 return method(self, *args)
             monkeypatch.setattr(TrigPolynomial, kind, wrapper)
 
-        for kind in ("values_period", "value", "values_grid"):
+        for kind in ("values_period", "value"):
             counted(kind)
         rep = certify_positive(poly, 0.0, PI)
         whi = PI - EPS
         assert rep.refinement_depth >= 2
         assert [c[:2] for c in calls] == [("values_period", True), ("value", True),
-                                          ("values_grid", False), ("value", False)] + \
-            [("values_grid", True), ("values_grid", False)] * rep.refinement_depth
-        assert calls[0][2:] == (4096, (0.0, 8192, 4096))
+                                          ("values_period", False), ("value", False)] + \
+            [("values_period", True), ("values_period", False)] * rep.refinement_depth
+        assert calls[0][2] == 4096 and calls[0][3][:2] == (0.0, 8192)
+        assert np.array_equal(calls[0][3][2], np.arange(4096))
         assert calls[1][3] == calls[3][3] == (whi,)
+        assert calls[2][3][:2] == (0.0, 8192)
         ends = np.asarray(calls[2][3][2])
         assert 0 < ends.size <= 4096 and (np.diff(ends) > 0).all() and ends[-1] == 4095
-        for f_call, g_call in zip(calls[4::2], calls[5::2]):
+        for d, (f_call, g_call) in enumerate(zip(calls[4::2], calls[5::2]), 1):
+            assert f_call[3][:2] == g_call[3][:2] == (0.0, 8192 << d)
             assert np.array_equal(f_call[3][2], g_call[3][2])
         assert sum(c[2] for c in calls) == rep.grid_points
         slopes = sum(c[2] for c in calls if not c[1])
@@ -476,9 +479,9 @@ class TestSecondOrderCells:
         # [x_J, hi], bounded with its own width, holds the minimum
         poly = cosine_poly(4.0, [1.0])
         lo = 1e-4
-        h, xs, vals, gap, _ = _level0(poly, lo, hi, 4096)
-        J = xs.size - 2
-        assert (h, J) == (2 * PI / 8192, 4095)
+        m, xs, vals, gap, _ = _level0(poly, lo, hi, 4096)
+        J, h = xs.size - 2, 2 * PI / m
+        assert (m, J) == (8192, 4095)
         assert gap == Fraction(hi) - Fraction(lo) - J * Fraction(h) > 0
         assert xs[-2] < xs[-1] == hi and vals[-1] == poly.value(hi)
         two_pi_up = Fraction("6.2831853071795864769252867666")  # 2 pi + 2e-29
@@ -493,57 +496,51 @@ class TestSecondOrderCells:
     def test_level_zero_noise_holds_the_abscissa_term(self):
         # f = 2 + cos falls into pi, so the partial cell [4095 pi/4096, pi]
         # holds the lower bound, net of the roundoff bound and of the FFT's
-        # abscissa term L (J/m) 4 pi 2^-53
+        # abscissa term L (whi - wlo) 2^-52
         poly = cosine_poly(4.0, [1.0])
-        h, xs, vals, gap, drift = _level0(poly, 0.0, PI, 4096)
-        assert drift == lipschitz_bound(poly) * (4095 / 8192) * 4 * PI * 2.0 ** -53
+        m, xs, vals, gap, drift = _level0(poly, 0.0, PI, 4096)
+        assert drift == lipschitz_bound(poly) * PI * 2.0 ** -52
         w = float(gap)
         w = w if Fraction(w) >= gap else math.nextafter(w, math.inf)
         noise = roundoff_bound(poly) + drift
         rep = certify_positive(poly, 0.0, PI)
         assert rep.lower_bound == vals[-1] - 0.125 * curvature_bound(poly) * w * w - noise
 
-    def test_narrow_window_is_scanned_on_the_same_lattice(self, monkeypatch):
-        # [1, 1.3] holds 5% of the m = 86400 points of its lattice, where the
-        # cost model charges an FFT of length m more than chirp-z at the 4096
-        # points: one values_grid batch on the step 2 pi/m, and no FFT
-        poly = sine_poly([1.0, -0.5, 0.25])
-        m, last, _ = period_lattice(1.0, 1.3, 4096)
-        assert not period_cheaper(3, m, last + 1)
-        want = poly.values(1.0 + np.arange(last + 1) * (2 * PI / m))
-        batches, grid = [], TrigPolynomial.values_grid
-
-        def counted(self, t0, dt, idx):
-            batches.append((t0, dt, np.array_equal(idx, np.arange(last + 1))))
-            return grid(self, t0, dt, idx)
-
-        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
-        monkeypatch.setattr(trigeval, "pair_sums_period", None)
-        h, xs, vals, gap, drift = _level0(poly, 1.0, 1.3, 4096)
-        assert (h, xs.size - 1 - bool(gap)) == (2 * PI / m, last)
-        assert batches == [(1.0, h, True)]
-        assert np.abs(vals[:last + 1] - want).max() <= 2 * roundoff_bound(poly)
-
     @pytest.mark.parametrize("lo, hi", [(0.0, PI), (EPS, PI - EPS), (0.0, 2 * PI),
                                         (0.1, PI - 0.1)])
-    def test_level_zero_runs_no_chirp_z(self, rng, monkeypatch, lo, hi):
-        # one FFT per scan: the cost model is not asked, and no chirp plan is
-        # built or looked up
-        asked = []
-        monkeypatch.setattr(trigeval, "chirp_cheaper",
-                            lambda n, idx: asked.append(n) or chirp_cheaper(n, idx))
+    def test_level_zero_runs_one_fft(self, rng, monkeypatch, lo, hi):
+        # one FFT per scan of every benchmark window; the direct sums take
+        # only whi, past the lattice's last point
+        ffts, points = [], []
+        period, direct = trigeval.pair_sums_period, trigeval.pair_sums
+        monkeypatch.setattr(trigeval, "pair_sums_period",
+                            lambda *args: ffts.append(args[2]) or period(*args))
+        monkeypatch.setattr(trigeval, "pair_sums",
+                            lambda c, x: points.append(np.size(x)) or direct(c, x))
         for poly in (sine_poly(rng.normal(size=400)),
                      shifted_poly(rng.normal(size=300), 0.25, "cosine", 2)):
-            info = _chirp_plan.cache_info()
-            _level0(poly, lo, hi, 4096)
-            assert _chirp_plan.cache_info() == info
-        assert asked == []
+            del ffts[:], points[:]
+            m, xs, _, gap, _ = _level0(poly, lo, hi, 4096)
+            assert ffts == [m] and points == [1] * bool(gap)
+
+    @pytest.mark.parametrize("n", [20, 400, 4000])
+    @pytest.mark.parametrize("lo, hi", [(1.0, 1.3), (1.0, 1.1), (2.0, 2.01)])
+    def test_narrow_window_certifies_at_level_zero(self, n, lo, hi):
+        # a window that holds few of its lattice's m points takes the long
+        # FFT or the direct sums, whichever the cost model finds cheaper,
+        # and certifies from its 4126 lattice points and whi alone
+        poly = _koumandos_cosine(n, 0.5)
+        rep = certify_positive(poly, lo, hi)
+        assert (rep.verdict, rep.refinement_depth, rep.grid_points) == (CERTIFIED, 0, 4127)
+        theta, value = find_min(poly, lo, hi)
+        assert lo <= theta <= hi and rep.lower_bound <= value
 
     def test_dip_inside_the_partial_cell_never_certifies(self, monkeypatch):
         # f = a - cos(theta - c) with a = 1 - 1e-9 is negative only within
         # ~4.5e-5 of c, the middle of the partial cell (x_J, 3) of the window
         # [0, 3], and positive at both its ends
-        h, xs, _, gap, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, 3.0, 4096)
+        m, xs, _, gap, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, 3.0, 4096)
+        h = 2 * PI / m
         assert 2e-4 < gap < h
         c = 0.5 * (xs[-2] + 3.0)
         a = 1.0 - 1e-9
@@ -554,13 +551,13 @@ class TestSecondOrderCells:
         # lies past 3: no sample is taken there
         assert gap < h / 2
         points = []
-        grid = TrigPolynomial.values_grid
+        period = TrigPolynomial.values_period
 
-        def recorded(self, t0, dt, idx):
-            points.extend(Fraction(t0) + int(j) * Fraction(dt) for j in idx)
-            return grid(self, t0, dt, idx)
+        def recorded(self, t0, M, idx):
+            points.extend(Fraction(t0) + int(j) * Fraction(2 * PI / M) for j in idx)
+            return period(self, t0, M, idx)
 
-        monkeypatch.setattr(TrigPolynomial, "values_grid", recorded)
+        monkeypatch.setattr(TrigPolynomial, "values_period", recorded)
         rep = certify_positive(poly, 0.0, 3.0)
         assert rep.verdict == REFUTED and rep.refinement_depth >= 2
         assert xs[-2] < rep.witness[0] < 3.0
@@ -938,14 +935,14 @@ class TestFindMin:
         if end == "eps":
             monkeypatch.setattr(certify, "roundoff_bound", lambda poly: 0.0)
             monkeypatch.setattr(certify, "_DRIFT", 0.0)
-        steps = []
-        grid = TrigPolynomial.values_grid
+        batches = []
+        values = TrigPolynomial.values
 
-        def counted(self, t0, dt, idx):
-            steps.append(abs(dt))  # the descent from hi steps down
-            return grid(self, t0, dt, idx)
+        def counted(self, theta):
+            batches.append(np.array(theta, dtype=float))
+            return values(self, theta)
 
-        monkeypatch.setattr(TrigPolynomial, "values_grid", counted)
+        monkeypatch.setattr(TrigPolynomial, "values", counted)
         poly = sine_poly([0.0] * 63 + [1.0])
         # 64c is an odd multiple of pi for a minimum at hi, an even one for lo
         c = (40743 if end == "hi" else 40742) * PI / 64
@@ -957,35 +954,39 @@ class TestFindMin:
             start = EPS if end == "eps" else lo
             assert start <= theta <= start + 4 * math.ulp(start)
         assert m == pytest.approx(naive_trig_value(poly, theta), abs=roundoff_bound(poly))
-        assert steps[-1] <= math.ulp(theta)
+        # the last midpoints lie one or two steps from theta
+        assert np.abs(batches[-1] - theta).max() <= 2 * math.ulp(theta)
 
     def test_one_kernel_batch_per_level(self, monkeypatch):
         # the level-0 scan is one FFT batch on the lattice and the scalar
         # sample at pi past its last point 4095 pi/4096; each descent level is
-        # one values_grid batch of 1-2 midpoints, with no scalar value() probe
+        # one batch of 1-2 midpoints by the direct sums, with no scalar
+        # value() probe
         calls = []
-        grid, period, value = (TrigPolynomial.values_grid, TrigPolynomial.values_period,
-                               TrigPolynomial.value)
+        values, period, value = (TrigPolynomial.values, TrigPolynomial.values_period,
+                                 TrigPolynomial.value)
 
-        def counted_grid(self, t0, dt, idx):
-            calls.append(("grid", len(idx)))
-            return grid(self, t0, dt, idx)
+        def counted_values(self, theta):
+            calls.append(("values", np.size(theta)))
+            return values(self, theta)
 
-        def counted_period(self, t0, m, count):
-            calls.append(("period", count))
-            return period(self, t0, m, count)
+        def counted_period(self, t0, m, idx):
+            calls.append(("period", np.size(idx)))
+            return period(self, t0, m, idx)
 
         def counted_value(self, theta):
             calls.append(("value", theta))
             return value(self, theta)
 
-        monkeypatch.setattr(TrigPolynomial, "values_grid", counted_grid)
+        monkeypatch.setattr(TrigPolynomial, "values", counted_values)
         monkeypatch.setattr(TrigPolynomial, "values_period", counted_period)
         monkeypatch.setattr(TrigPolynomial, "value", counted_value)
         _, c30 = fig1_polys(30)
         theta, m = find_min(c30, 0.0, PI)
-        assert calls[:2] == [("period", 4096), ("value", PI)] and len(calls) >= 12
-        assert all(kind == "grid" and 1 <= k <= 2 for kind, k in calls[2:])
+        # value(pi) evaluates through values
+        assert calls[:3] == [("period", 4096), ("value", PI), ("values", 1)]
+        assert len(calls) >= 13
+        assert all(kind == "values" and 1 <= k <= 2 for kind, k in calls[3:])
 
     def test_flat_minimum_at_pi(self):
         # a qk cosine sum of degree 213 has f' = 0 at its minimum theta = pi,
@@ -1078,7 +1079,7 @@ def _reference_brackets(kind, coeffs, lo, hi, grid):
         xs = np.append(xs, hi)
     vals = poly.values(xs)
     end = xs.size - 1
-    drift = lipschitz_bound(poly) * (last / m) * 4 * PI * 2.0 ** -53
+    drift = lipschitz_bound(poly) * (hi - lo) * 2.0 ** -52
     for i in np.nonzero(np.abs(vals) <= roundoff_bound(poly) + drift)[0]:
         xs[i] += -nudge if i >= end - partial else nudge
         vals[i] = poly.value(float(xs[i]))
@@ -1111,8 +1112,8 @@ class TestBracketZeros:
         # the nudge turns that sample into a bracket around 0
         a = [3.0, 2.0, 1.5, 1.0]
         lo, hi, grid = -PI, PI, 64
-        h, xs, vals, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1)
-        assert (h, xs[36]) == (2 * PI / 72, 0.0)
+        m, xs, vals, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1)
+        assert (m, xs[36]) == (72, 0.0)
         assert abs(vals[36]) <= roundoff_bound(_qp_poly("q", a))
         got = bracket_zeros("q", a, lo, hi, grid)
         assert got.brackets == _reference_brackets("q", a, lo, hi, grid)

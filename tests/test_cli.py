@@ -6,9 +6,10 @@ import json
 import math
 from dataclasses import asdict
 
+import numpy as np
 import pytest
 
-from postrig import cli, seqkit, specfun, trigeval
+from postrig import cli, kernels, seqkit, specfun, trigeval
 from postrig.certify import CertifyOptions, PositivityReport
 
 
@@ -26,6 +27,14 @@ class TestCertifyCommand:
         payload = json.loads(out.read_text())
         assert payload["report"]["verdict"] == "certified-positive"
         assert payload["report"]["lower_bound"] > 0
+
+    def test_narrow_window_exits_zero(self, tmp_path):
+        # the README example: [1, 1.1] holds few points of its lattice
+        out = tmp_path / "report.json"
+        assert run(["certify", "--family", "koumandos-cosine", "--n", "400", "--alpha", ".5",
+                    "--lo", "1", "--hi", "1.1", "-o", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert (report["verdict"], report["refinement_depth"]) == ("certified-positive", 0)
 
     def test_raw_sine_refuted(self, tmp_path):
         out = tmp_path / "r.json"
@@ -255,6 +264,26 @@ class TestPlotdataCommand:
                 assert abs(im - math.fsum(v * math.sin(k * angle)
                                           for k, v in enumerate(q))) <= tol
 
+    def test_points_on_a_lattice_that_is_not_5_smooth(self, tmp_path):
+        # --points 2002 puts fig1 on the lattice of M = 4006 = 2*2003 points,
+        # one FFT of a length with a large prime factor; its values are the
+        # sums at 2 pi i/M within the roundoff bound, here against the direct
+        # sums at the angles written, which lie within 2^-52 theta of them
+        assert run(["plotdata", "--figure", "fig1", "--n", "40", "--points", "2002",
+                    "--outdir", str(tmp_path)]) == 0
+        q = seqkit.qk_sequence(40, **cli.FIG1_PARAMS).values
+        idx = np.arange(1, 2003)
+        assert kernels.period_cheaper(40, 4006, idx)
+        for tag, poly in (("cos", trigeval.cosine_poly(q[0], q[1:])),
+                          ("sin", trigeval.sine_poly(q[1:]))):
+            with open(tmp_path / f"fig1_{tag}_n40.csv", newline="") as fh:
+                rows = np.array([[float(v) for v in r] for r in list(csv.reader(fh))[1:]])
+            thetas, values = rows[:, 0], rows[:, 1]
+            assert np.array_equal(thetas, idx * (math.pi / 2003))
+            tol = 2 * trigeval.roundoff_bound(poly) + \
+                trigeval.lipschitz_bound(poly) * thetas * 2.0 ** -52
+            assert (np.abs(values - poly.values(thetas)) <= tol).all()
+
     def test_empty_n_usage_error(self, tmp_path):
         assert run(["plotdata", "--figure", "fig1",
                     "--outdir", str(tmp_path)]) == 1
@@ -293,6 +322,13 @@ class TestZerosCommand:
 
     def test_unordered_exit_one(self):
         assert run(["zeros", "--kind", "p", "--coeffs", "1,2"]) == 1
+
+    def test_narrow_window_without_a_zero(self, tmp_path):
+        # the README example: [1, 1.2] holds few points of its lattice
+        out = tmp_path / "z.json"
+        assert run(["zeros", "--kind", "q", "--coeffs", "3,2,1", "--lo", "1", "--hi", "1.2",
+                    "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["brackets"] == []
 
 
 class TestCriteriaCommand:
@@ -354,6 +390,21 @@ class TestThreadsEnvAndDeterminism:
         run(["plotdata", "--figure", "fig1", "--n", "25", "--outdir", str(d2)])
         for name in ("fig1_cos_n25.csv", "fig1_sin_n25.csv"):
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_parser_is_built_once_and_calls_stay_independent(tmp_path):
+    # main parses with the one cached parser; each call gets its own
+    # namespace, so one call's arguments never reach the next
+    assert cli.build_parser() is cli.build_parser()
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run(["certify", "--family", "raw-sine", "--coeffs", "1,1", "-o", str(a)]) == 2
+    assert run(["certify", "--family", "raw-sine", "--coeffs", "1,0.5", "--lo", "0.5",
+                "--hi", "2.5", "-o", str(b)]) == 0
+    ra, rb = (json.loads(p.read_text())["report"] for p in (a, b))
+    assert ra["interval"] == {"lo": 0.0, "hi": math.pi}
+    assert rb["interval"] == {"lo": 0.5, "hi": 2.5}
+    args = cli.build_parser().parse_args(["certify", "--family", "qk-sine"])
+    assert (args.coeffs, args.lo, args.hi) == (None, None, None)
 
 
 def test_certify_defaults_are_the_certifier_defaults():

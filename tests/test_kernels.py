@@ -1,5 +1,5 @@
-"""Kernel contracts: the direct sums and the chirp-z grid kernel against
-naive and exact sums, and the cost model between them."""
+"""Kernel contracts: the direct sums and the period FFT against naive and
+exact sums, and the cost model between them."""
 
 import math
 from fractions import Fraction
@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from postrig import TrigPolynomial, kernels, trigeval
+from postrig import TrigPolynomial, kernels, sine_poly, trigeval
 from conftest import naive_sine_sum, naive_cosine_sum, naive_trig_value, stride_layout
 
 
@@ -71,80 +71,6 @@ def test_angle_reduction():
     assert S1[0] == pytest.approx(S0[0], abs=5e-13)
 
 
-# ---------------------------------------------------------------------------
-# the uniform-grid kernel
-
-def _naive_pair(coeffs, thetas):
-    """Per-frequency sums at the double points thetas, in row chunks."""
-    ks = np.arange(1, coeffs.size + 1, dtype=np.float64)
-    C = np.empty(thetas.size)
-    S = np.empty(thetas.size)
-    for i in range(0, thetas.size, 256):
-        arg = np.outer(thetas[i:i + 256], ks)
-        C[i:i + 256] = np.cos(arg) @ coeffs
-        S[i:i + 256] = np.sin(arg) @ coeffs
-    return C, S
-
-
-def _grid_error(coeffs, x0, dx, idx):
-    C, S = kernels.pair_sums_grid(coeffs, x0, dx, idx)
-    ref_c, ref_s = _naive_pair(coeffs, x0 + idx * dx)
-    return max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) / np.abs(coeffs).sum()
-
-
-@pytest.mark.parametrize("n", [10_000, 20_000, 70_000])
-def test_grid_kernel_contract_at_large_n(n):
-    """<= 1e-12 sum|c| on the certifier's initial grid and deep in a depth-14
-    level, where the chirp phases k^2 dx/2 and k x0 are largest.  Above
-    degree 65535 the squares k^2 exceed 2^32; the initial grid is checked on
-    a 64-point subset there, to keep the naive reference cheap."""
-    rng = np.random.default_rng(n)
-    coeffs = rng.uniform(0.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
-    x0, h = 1e-4, (math.pi - 2e-4) / 4095
-    grid = np.arange(4096) if n < 65_536 else np.sort(rng.choice(4096, 64, replace=False))
-    assert _grid_error(coeffs, x0, h, grid) <= 1e-12
-    deep = np.sort(rng.integers(0, 4095 * 2 ** 13, 64)) * 2 + 1
-    assert _grid_error(coeffs, x0, h / 2 ** 14, deep) <= 1e-12
-
-
-@pytest.mark.parametrize("x0", [0.0, 1e-9, math.pi - 1e-9, math.pi, -3.7, 13.1,
-                                2 * math.pi + 1e-3])
-def test_grid_kernel_origins(x0):
-    rng = np.random.default_rng(5)
-    coeffs = rng.normal(size=300)
-    idx = np.concatenate([np.arange(-5, 40), [4095, 4096, 9000, 123456]])
-    assert _grid_error(coeffs, x0, 7.7e-4, idx) <= 1e-12
-
-
-def test_grid_kernel_empty_and_small():
-    C, S = kernels.pair_sums_grid(np.array([]), 0.1, 0.01, np.arange(5))
-    assert not C.any() and not S.any()
-    C, S = kernels.pair_sums_grid(np.array([1.0]), 0.1, 0.01, np.array([], dtype=int))
-    assert C.size == 0 and S.size == 0
-    C, S = kernels.pair_sums_grid(np.array([2.0]), 0.25, 0.5, np.array([3]))
-    assert C[0] == pytest.approx(2.0 * math.cos(1.75), abs=2e-12)
-    assert S[0] == pytest.approx(2.0 * math.sin(1.75), abs=2e-12)
-
-
-@pytest.mark.parametrize("n", [1, 5, 20])
-def test_grid_kernel_underflow_term(n):
-    """Coefficients of 2^-1040 .. 2^-1070 on the certifier's initial grid stay
-    within error_bound against the direct sums of the coefficients scaled
-    exactly by 2^1100 (all normal) and scaled back; unscaled, the FFTs'
-    subnormal products broke it by up to 2.0x at n = 1."""
-    x0, h = 1e-4, (math.pi - 2e-4) / 4095
-    idx = np.arange(4096)
-    for seed in range(10):
-        rng = np.random.default_rng(seed)
-        coeffs = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n),
-                          -rng.integers(1040, 1071, n))
-        C, S = kernels.pair_sums_grid(coeffs, x0, h, idx)
-        ref_c, ref_s = kernels._direct_sums(np.ldexp(coeffs, 1100), x0 + idx * h)
-        bound = kernels.error_bound(np.abs(coeffs).sum(), n)
-        assert np.abs(C - np.ldexp(ref_c, -1100)).max() <= bound
-        assert np.abs(S - np.ldexp(ref_s, -1100)).max() <= bound
-
-
 def test_sub_lattice():
     assert kernels.sub_lattice(np.arange(4096)) == (0, 1)
     assert kernels.sub_lattice(np.arange(1, 8191, 2)) == (1, 2)
@@ -154,151 +80,22 @@ def test_sub_lattice():
     assert kernels.sub_lattice(np.array([], dtype=np.int64)) == (0, 1)
 
 
-_ODD = np.arange(1, 8 * 4095, 2)
-
-
-@pytest.mark.parametrize("idx", [
-    _ODD[::3],                                           # odd: step 2
-    _ODD[1::10] + 2,                                     # step 4
-    np.array([[32001, 5, 4097], [12289, 77, 9]]),       # unsorted, step 4
-    np.array([12345]),                                   # a single index
-], ids=["odd", "stride-4", "unsorted", "single"])
-def test_sub_lattice_chirp_matches_direct(idx):
-    """Chirp-z over q, idx = r + s*q, with the step s*dx, equals the direct
-    sums at x0 + idx*dx."""
-    rng = np.random.default_rng(11)
-    coeffs = rng.normal(size=700)
-    x0, dx = 1e-4, (math.pi - 2e-4) / 4095 / 8
-    C, S = kernels.pair_sums_grid(coeffs, x0, dx, idx)
-    assert C.shape == S.shape == idx.shape
-    ref_c, ref_s = kernels._direct_sums(coeffs, x0 + idx * dx)
-    mass = np.abs(coeffs).sum()
-    assert max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) <= 1e-12 * mass
-
-
-def test_level_one_reuses_the_level_zero_plan():
-    """A level's odd midpoints at h/2 lie on the step-h lattice: they reuse
-    the step-h plan, and all 4095 fill one block where two were used."""
-    coeffs = np.random.default_rng(2).normal(size=1000)
-    x0, h = 1e-4, (math.pi - 2e-4) / 4095
-    kernels._chirp_plan.cache_clear()
-    kernels.pair_sums_grid(coeffs, x0, h, np.arange(4096))
-    before = kernels._chirp_plan.cache_info()
-    with mock.patch.object(kernels.np.fft, "fft", wraps=np.fft.fft) as fft:
-        kernels.pair_sums_grid(coeffs, x0, h / 2, np.arange(1, 8190, 2))
-    after = kernels._chirp_plan.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
-    assert fft.call_count == 1
-
-
-def test_one_plan_serves_every_degree_of_its_length():
-    """Degrees 100 and 224 both pad to 4320 points: the first builds the
-    plan, the second reuses it, and each stays within the contract of the
-    direct sums."""
-    x0, h = 1e-4, (math.pi - 2e-4) / 4095
-    idx = np.arange(4096)
-    rng = np.random.default_rng(5)
-    kernels._chirp_plan.cache_clear()
-    for n in (100, 224):
-        assert kernels._fft_length(n + kernels.GRID_BLOCK) == 4320
-        coeffs = rng.normal(size=n)
-        C, S = kernels.pair_sums_grid(coeffs, x0, h, idx)
-        ref_c, ref_s = kernels._direct_sums(coeffs, x0 + idx * h)
-        bound = kernels.error_bound(np.abs(coeffs).sum(), n)
-        assert max(np.abs(C - ref_c).max(), np.abs(S - ref_s).max()) <= bound
-    info = kernels._chirp_plan.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
-
-
-def test_values_do_not_depend_on_the_cached_plans():
-    """One batch is bitwise the same from a cold cache, from the plan another
-    degree of its length built, and after CHIRP_PLANS other steps evicted
-    that plan."""
-    coeffs = np.random.default_rng(6).normal(size=150)
-    x0, h = 1e-4, (math.pi - 2e-4) / 4095
-    idx = np.arange(1, 8190, 2)
-
-    def batch():
-        C, S = kernels.pair_sums_grid(coeffs, x0, h / 2, idx)
-        return C.tobytes() + S.tobytes()
-
-    kernels._chirp_plan.cache_clear()
-    cold = batch()
-    kernels._chirp_plan.cache_clear()
-    kernels.pair_sums_grid(coeffs[:40], x0, h / 2, idx)   # degree 40, length 4320
-    before = kernels._chirp_plan.cache_info()
-    warm = batch()
-    assert kernels._chirp_plan.cache_info().hits == before.hits + 1
-    for i in range(kernels.CHIRP_PLANS):
-        kernels.pair_sums_grid(coeffs, x0, h * (i + 2), idx)
-    before = kernels._chirp_plan.cache_info()
-    evicted = batch()
-    assert kernels._chirp_plan.cache_info().misses == before.misses + 1
-    assert warm == cold and evicted == cold
-
-
 def test_inverse_two_pi_constant():
     import mpmath as mp
     with mp.workprec(400):
         assert kernels._INV_TWO_PI == int(mp.floor(mp.mpf(2) ** 256 / (2 * mp.pi)))
 
 
-def test_cost_model():
-    grid = np.arange(4096)
-    assert kernels.chirp_cheaper(10, grid)              # low degree: chirp-z
-    assert kernels.chirp_cheaper(1000, grid)            # high degree: chirp-z
-    assert kernels.chirp_cheaper(70_000, grid)          # above 65535: chirp-z
-    assert not kernels.chirp_cheaper(1000, np.arange(512) * 4097)  # one point a block
-    assert kernels.chirp_cheaper(1000, np.arange(512) * 4096)      # one sub-lattice block
-    assert not kernels.chirp_cheaper(1000, np.array([0, 5000, 9000]))       # scattered: direct
-    assert not kernels.chirp_cheaper(10, grid[:3])      # a few points: direct
-    assert not kernels.chirp_cheaper(0, grid)
-    assert kernels.MAX_DEGREE == 2 ** 32 - 1
-
-
-def test_square_phases_are_exact_up_to_the_degree_limit():
-    """The chirp phases k^2 dx/2, split as (k^2 >> 32) * 2^32 dx/2 +
-    (k^2 mod 2^32) * dx/2, within 2 units of 2^-64 turn of the turns of
-    k^2 dx/2 formed in Python integers, for k up to MAX_DEGREE.  Taking the
-    high part's turns by shifting the 96-bit turns of dx/2 instead leaves
-    errors of ~3e9 units (~2^-32 turn) at k = 2^32 - 1."""
-    ks = [0, 1, 65_535, 65_536, 70_000, 2 ** 31 + 7, kernels.MAX_DEGREE]
-    for dx in (1.2345e-3, (math.pi - 2e-4) / 4095 / 2 ** 14, 3.0, 1e6 + 0.1):
-        p, q = dx.as_integer_ratio()
-        got = kernels._square_phases(np.array(ks, dtype=np.uint64), dx)
-        for k, phase in zip(ks, got.tolist()):
-            exact = kernels._turns(k * k * p, 2 * q) >> 32
-            assert min((phase - exact) % 2 ** 64, (exact - phase) % 2 ** 64) <= 2, (dx, k)
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5), st.floats(-5, -1e-3)),
-                min_size=1, max_size=40),
-       st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
-       st.sampled_from(["cosine", "sine"]), st.floats(-7.0, 7.0),
-       st.floats(1e-6, 0.05), st.lists(st.integers(-3000, 3000), min_size=1, max_size=30),
-       st.booleans())
-def test_values_grid_matches_values(coeffs, shift, stride, kind, t0, dt, idx, chirp):
-    """values_grid(t0, dt, idx) == values(t0 + idx*dt) through either kernel."""
-    assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
-    poly = trigeval.shifted_poly(coeffs, shift, kind, stride)
-    j = np.array(idx)
-    with mock.patch.object(trigeval, "chirp_cheaper", lambda n, idx: chirp):
-        got = poly.values_grid(t0, dt, j)
-    want = poly.values(t0 + j * dt)
-    mass = sum(abs(c) for c in coeffs) or 1.0
-    assert np.max(np.abs(got - want)) <= 2e-12 * mass
-
-
 # ---------------------------------------------------------------------------
 # the direct path of pair_sums
 
 def _exact_pair(coeffs, x, bits=256):
-    """(C, S) at the double x: mpmath's cis(x) to `bits` bits, then the sum
-    of c_k w^k by Horner's rule in `bits`-bit fixed-point Python integers."""
+    """(C, S) at the double (or mpmath) angle x: mpmath's cis(x) to `bits`
+    bits, then the sum of c_k w^k by Horner's rule in `bits`-bit fixed-point
+    Python integers."""
     import mpmath as mp
     with mp.workprec(bits + 64):
-        w = mp.expj(mp.mpf(float(x)))
+        w = mp.expj(x if isinstance(x, mp.mpf) else mp.mpf(float(x)))
         wr = int(mp.nint(w.real * 2 ** bits))
         wi = int(mp.nint(w.imag * 2 ** bits))
     re = im = 0
@@ -381,33 +178,8 @@ def test_direct_nonfinite_angles_give_nan():
     assert S[0, 1] == pytest.approx(naive_sine_sum(coeffs, 0.3), abs=1e-15)
 
 
-def test_direct_cost_model():
-    # a few grid points in distinct blocks: direct beats chirp-z
-    assert kernels.chirp_cheaper(4000, np.arange(4096))
-    assert not kernels.chirp_cheaper(4000, np.array([0, 5000, 9000]))
-    # arbitrary angles always take the direct sums, one point or a large batch
-    with mock.patch.object(kernels, "_direct_sums", wraps=kernels._direct_sums) as direct:
-        kernels.pair_sums(np.ones(400), np.array([0.3]))
-        kernels.pair_sums(np.ones(400), np.linspace(0.0, 1.0, 4096))
-        assert direct.call_count == 2
-
-
 # ---------------------------------------------------------------------------
 # the period FFT
-
-def test_period_cost_model():
-    # the scans' windows, [0, pi], its inset [1e-4, pi - 1e-4], [0, 2 pi] and
-    # [0.1, pi - 0.1], take the FFT at every degree; [1, 1.3] holds 5% of
-    # its m = 86400 points, and chirp-z at them is cheaper
-    for lo, hi in ((0.0, math.pi), (1e-4, math.pi - 1e-4), (0.0, 2 * math.pi),
-                   (0.1, math.pi - 0.1)):
-        m, last, _ = kernels.period_lattice(lo, hi, 4096)
-        assert all(kernels.period_cheaper(n, m, last + 1) for n in (1, 20, 400, 4000, 20001))
-    m, last, _ = kernels.period_lattice(1.0, 1.3, 4096)
-    assert m == 86400
-    assert not any(kernels.period_cheaper(n, m, last + 1) for n in (1, 20, 400, 4000))
-    assert kernels.period_cheaper(0, m, last + 1)
-
 
 def _mp_pair(coeffs, theta):
     """(C, S) at the mpmath angle theta, by Horner's rule in 30 digits."""
@@ -437,7 +209,7 @@ def test_period_kernel_at_the_exact_lattice(m, x0, fold):
     rng = np.random.default_rng(m + n)
     coeffs = rng.uniform(-1.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
     count = 2 * m + 1 if m < 10 else m // 2 + 3
-    C, S = kernels.pair_sums_period(coeffs, x0, m, count)
+    C, S = kernels.pair_sums_period(coeffs, x0, m, np.arange(count))
     assert C.shape == S.shape == (count,)
     bound = kernels.error_bound(np.abs(coeffs).sum(), n)
     for j in sorted({0, count // 3, count - 1}):
@@ -445,25 +217,111 @@ def test_period_kernel_at_the_exact_lattice(m, x0, fold):
         assert abs(C[j] - float(ref_c)) <= bound and abs(S[j] - float(ref_s)) <= bound, j
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-10, 10), min_size=1, max_size=120),
+       st.sampled_from([0.0, 1e-4, 0.7, -2.5, 13.1]), st.integers(1, 3000),
+       st.integers(0, 20_000), st.integers(1, 2 ** 12),
+       st.lists(st.integers(0, 400), min_size=1, max_size=60),
+       st.sampled_from([0.0, 0.25, 0.5]), st.data())
+@example(coeffs=[1.0] * 50, x0=0.0, M=3, r=4, s=4096, q=list(range(60)), shift=0.0,
+         data=None)
+@example(coeffs=[0.3, -1.0, 2.0, 0.5], x0=0.0, M=7, r=14, s=3, q=list(range(60)),
+         shift=0.0, data=None)  # a real FFT, and sums past half its length
+@example(coeffs=[0.5, -1.0, 2.0], x0=0.7, M=2000, r=1, s=2, q=[0, 1, 5], shift=0.25,
+         data=None)
+def test_lattice_kernel_against_mpmath(coeffs, x0, M, r, s, q, shift, data):
+    """At idx = r + s*q, the stride s not always a power of two or a divisor
+    of M and the indices often more than M, the kernel is within error_bound
+    of the exact sums at x0 + 2 pi idx/M.  A sum through values_period on
+    the FFT, shifted or not, is within its roundoff bound of the exact sum at
+    the floats x of its points, and of L times their distance from the FFT's
+    points: 1.37 2^-53 |idx| (2 pi/M) for the rounded step, and the roundings
+    of idx*h and of x."""
+    import mpmath as mp
+    c = np.array(coeffs)
+    idx = r + s * np.array(q)
+    C, S = kernels.pair_sums_period(c, x0, M, idx)
+    bound = kernels.error_bound(np.abs(c).sum(), c.size)
+    picks = range(min(idx.size, 7)) if data is None else \
+        data.draw(st.lists(st.integers(0, idx.size - 1), min_size=1, max_size=4))
+    for i in picks:
+        ref_c, ref_s = _mp_pair(c, _mp_lattice(x0, M, int(idx[i])))
+        assert abs(C[i] - float(ref_c)) <= bound and abs(S[i] - float(ref_s)) <= bound, i
+    # a point's value does not depend on the order or the shape of its batch
+    C2, S2 = kernels.pair_sums_period(c, x0, M, idx[::-1, None])
+    assert np.array_equal(C2[::-1, 0], C) and np.array_equal(S2[::-1, 0], S)
+    poly = TrigPolynomial(cos_coeffs=c[::-1], sin_coeffs=c, shift=shift) if shift else \
+        TrigPolynomial(1.0, c[::-1], c)
+    with mock.patch.object(trigeval, "period_cheaper", lambda n, M, idx: True):
+        got = poly.values_period(x0, M, idx)
+    x = x0 + idx * (2 * math.pi / M)
+    tol = trigeval.roundoff_bound(poly) + trigeval.lipschitz_bound(poly) * 2.0 ** -52 * \
+        float((np.abs(x - x0) + np.abs(x)).max())
+    for i in picks:
+        with mp.workdps(30):
+            theta = mp.mpf(float(x[i]))
+            want = 0.5 * mp.mpf(poly.a0) + sum(
+                mp.mpf(float(cf)) * trig(mp.mpf(float(nu)) * theta)
+                for (nus, cs), trig in zip(poly.terms(), (mp.cos, mp.sin))
+                for nu, cf in zip(nus, cs))
+        assert abs(got[i] - float(want)) <= tol, i
+
+
+@pytest.mark.parametrize("n", [10_000, 20_000, 70_000])
+def test_period_kernel_contract_at_large_n(n):
+    """<= error_bound against exact sums (256-bit Horner) on the certifier's
+    level-0 lattice and on its level-1 midpoints, whose sub-lattice s = 2
+    halves the FFT; the coefficients are folded over up to 9 periods, and
+    above degree 65535 the multipliers k pass 2^16."""
+    import mpmath as mp
+    rng = np.random.default_rng(n)
+    coeffs = rng.uniform(0.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
+    bound = kernels.error_bound(np.abs(coeffs).sum(), n)
+    for M, idx in ((8192, np.arange(4096)), (16384, np.arange(1, 8190, 2))):
+        C, S = kernels.pair_sums_period(coeffs, 1e-4, M, idx)
+        for i in (0, 1234, idx.size - 1):
+            with mp.workprec(320):
+                theta = mp.mpf(1e-4) + 2 * mp.pi * int(idx[i]) / M
+            ref_c, ref_s = _exact_pair(coeffs, theta)
+            assert abs(C[i] - ref_c) <= bound and abs(S[i] - ref_s) <= bound, (M, i)
+
+
+@pytest.mark.parametrize("x0", [0.0, 1e-9, math.pi - 1e-9, math.pi, -3.7, 13.1,
+                                2 * math.pi + 1e-3])
+def test_period_kernel_origins(x0):
+    """Within error_bound of the exact sums at x0 + 2 pi idx/M from any
+    origin, with negative indices and indices past M."""
+    rng = np.random.default_rng(5)
+    coeffs = rng.normal(size=300)
+    M = 8160
+    idx = np.concatenate([np.arange(-5, 40), [4095, 4096, 9000, 123456]])
+    C, S = kernels.pair_sums_period(coeffs, x0, M, idx)
+    bound = kernels.error_bound(np.abs(coeffs).sum(), coeffs.size)
+    for i in (0, 5, 44, 46, 48):
+        ref_c, ref_s = _exact_pair(coeffs, _mp_lattice(x0, M, int(idx[i])))
+        assert abs(C[i] - ref_c) <= bound and abs(S[i] - ref_s) <= bound, idx[i]
+
+
 def test_period_kernel_empty():
-    C, S = kernels.pair_sums_period(np.array([]), 0.3, 16, 5)
+    C, S = kernels.pair_sums_period(np.array([]), 0.3, 16, np.arange(5))
     assert C.shape == S.shape == (5,) and not C.any() and not S.any()
+    C, S = kernels.pair_sums_period(np.array([1.0]), 0.3, 16, np.array([], dtype=int))
+    assert C.size == S.size == 0
 
 
 @pytest.mark.parametrize("n", [1, 5, 20])
 @pytest.mark.parametrize("x0", [0.0, 1e-4])
 def test_period_kernel_underflow_term(n, x0):
-    """Scaled exactly inside the kernel, like chirp-z: coefficients of
-    2^-1040 .. 2^-1070 stay within error_bound against the direct sums of
-    their normal images (the points' floats move them by far less than a
-    subnormal spacing)."""
+    """Scaled exactly inside the kernel: coefficients of 2^-1040 .. 2^-1070
+    stay within error_bound against the direct sums of their normal images
+    (the points' floats move them by far less than a subnormal spacing)."""
     m = 4096
     points = x0 + np.arange(m // 2) * (2 * math.pi / m)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         coeffs = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n),
                           -rng.integers(1040, 1071, n))
-        C, S = kernels.pair_sums_period(coeffs, x0, m, m // 2)
+        C, S = kernels.pair_sums_period(coeffs, x0, m, np.arange(m // 2))
         ref_c, ref_s = kernels._direct_sums(np.ldexp(coeffs, 1100), points)
         bound = kernels.error_bound(np.abs(coeffs).sum(), n)
         assert np.abs(C - np.ldexp(ref_c, -1100)).max() <= bound
@@ -480,7 +338,7 @@ def test_period_values_of_a_shifted_stride_two_sum(x0):
     m, count = 8748, 2300
     rng = np.random.default_rng(7)
     poly = stride_layout(0.0, rng.normal(size=300), rng.normal(size=200), 0.25, 2)
-    got = poly.values_period(x0, m, count)
+    got = poly.values_period(x0, m, np.arange(count))
     h = 2 * math.pi / m
     L = trigeval.lipschitz_bound(poly)
     import mpmath as mp
@@ -492,6 +350,81 @@ def test_period_values_of_a_shifted_stride_two_sum(x0):
                        for nu, c in zip(nu_c, c_c))
         tol = trigeval.roundoff_bound(poly) + L * (j / m) * 4 * math.pi * 2.0 ** -53
         assert abs(got[j] - float(want)) <= tol, j
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5), st.floats(-5, -1e-3)),
+                min_size=1, max_size=40),
+       st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
+       st.sampled_from(["cosine", "sine"]), st.floats(-7.0, 7.0),
+       st.integers(130, 2 ** 17), st.lists(st.integers(-3000, 3000), min_size=1, max_size=30),
+       st.booleans())
+def test_values_period_matches_values(coeffs, shift, stride, kind, t0, M, idx, fft):
+    """values_period(t0, M, idx) == values(t0 + idx*(2 pi/M)) through either
+    path, up to the roundoff and L times the distance of the floats from the
+    FFT's points (see test_lattice_kernel_against_mpmath)."""
+    assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
+    poly = trigeval.shifted_poly(coeffs, shift, kind, stride)
+    j = np.array(idx)
+    with mock.patch.object(trigeval, "period_cheaper", lambda n, M, idx: fft):
+        got = poly.values_period(t0, M, j)
+    x = t0 + j * (2 * math.pi / M)
+    want = poly.values(x)
+    mass = sum(abs(c) for c in coeffs) or 1.0
+    drift = trigeval.lipschitz_bound(poly) * 2.0 ** -52 * float((np.abs(x - t0) + np.abs(x)).max())
+    assert np.max(np.abs(got - want)) <= 2e-12 * mass + drift
+
+
+def test_cost_model():
+    """One comparison, the FFT on the batch's sub-lattice against the direct
+    sums at its points.  Every benchmark window takes the FFT at level 0 and
+    a dense level 1 takes it at high degree; a window that holds few of its
+    lattice's points, a sparse deep level and single points take the direct
+    sums."""
+    for lo, hi in ((0.0, math.pi), (1e-4, math.pi - 1e-4), (0.0, 2 * math.pi),
+                   (0.1, math.pi - 0.1)):
+        m, last, _ = kernels.period_lattice(lo, hi, 4096)
+        idx = np.arange(last + 1)
+        assert all(kernels.period_cheaper(n, m, idx) for n in (1, 20, 400, 4000, 20001))
+        odd = 2 * idx[:-1] + 1
+        assert all(kernels.period_cheaper(n, 2 * m, odd) for n in (1000, 4000))
+    # [1, 1.3] holds 5% of its m = 86400 points, and the FFT still wins;
+    # [2, 2.01] holds 0.16% of its m, and loses at every degree
+    m, last, _ = kernels.period_lattice(1.0, 1.3, 4096)
+    assert m == 86400
+    assert all(kernels.period_cheaper(n, m, np.arange(last + 1)) for n in (1, 20, 400, 4000))
+    m, last, _ = kernels.period_lattice(2.0, 2.01, 4096)
+    assert not any(kernels.period_cheaper(n, m, np.arange(last + 1)) for n in (1, 20, 400, 4000))
+    assert not kernels.period_cheaper(4000, 8192 << 12, np.array([4001, 80003, 3_000_001]))
+    assert not kernels.period_cheaper(20, 8192, np.array([17]))
+    assert kernels.period_cheaper(0, 8192 << 12, np.array([3]))
+    assert kernels.MAX_DEGREE == 2 ** 32 - 1
+
+
+def test_sparse_deep_batch_takes_the_direct_sums():
+    """3 cells left at depth 12 of a highdeg certificate: the direct sums
+    at the points' floats, and no FFT is allocated; a dense level-1 batch
+    of the same degree takes the FFT, of length 8192 on the odd
+    sub-lattice."""
+    poly = sine_poly(np.random.default_rng(4).uniform(0.5, 1.0, 2000))
+    M, idx = 8192 << 12, np.array([4001, 80003, 3_000_001])
+    with mock.patch.object(trigeval, "pair_sums_period") as fft, \
+            mock.patch.object(np.fft, "ifft") as ifft, \
+            mock.patch.object(np.fft, "rfft") as rfft:
+        got = poly.values_period(1e-4, M, idx)
+    assert not (fft.called or ifft.called or rfft.called)
+    assert np.array_equal(got, poly.values(1e-4 + idx * (2 * math.pi / M)))
+    odd = np.arange(1, 8190, 2)
+    with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
+        poly.values_period(1e-4, 16384, odd)
+    assert ifft.call_count == 1 and ifft.call_args[0][0].size == 8192
+
+
+def test_arbitrary_angles_take_the_direct_sums():
+    with mock.patch.object(kernels, "_direct_sums", wraps=kernels._direct_sums) as direct:
+        kernels.pair_sums(np.ones(400), np.array([0.3]))
+        kernels.pair_sums(np.ones(400), np.linspace(0.0, 1.0, 4096))
+        assert direct.call_count == 2
 
 
 @pytest.mark.parametrize("lo, hi, count, want", [

@@ -3,6 +3,7 @@
 import math
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +12,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 import postrig
 from postrig import (TrigPolynomial, abel_resum, cosine_poly, fejer_h, fejer_sigma,
                      lipschitz_bound, qk_sequence, shifted_poly, sine_poly,
-                     halfangle_product_negated_poly)
+                     halfangle_product_negated_poly, trigeval)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.kernels import SUBNORMAL, _chirp_plan, chirp_cheaper, error_bound, period_lattice
+from postrig.kernels import SUBNORMAL, error_bound, period_lattice
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               qk_weight, roundoff_bound, unit_scale)
 from conftest import (mp_derivative, naive_cosine_sum, naive_halfangle_derivative,
@@ -186,29 +187,33 @@ class TestDerivative:
                 poly.derivative()
 
     @pytest.mark.parametrize("shift, stride", [(0.0, 1), (0.25, 2)])
-    def test_level_zero_grid_builds_no_new_chirp_plan(self, rng, shift, stride):
-        # what refinement with f' samples relies on: the level-0 FFT builds no
-        # plan, and f' has f's coefficient lengths (the parts swap), so f' on
-        # the level-0 lattice and f at the depth-1 midpoints share one plan
+    def test_level_one_runs_the_level_zero_fft_length(self, rng, shift, stride):
+        # what refinement with f' samples relies on: f' on the level-0
+        # lattice of m points and f at the depth-1 midpoints, the odd points
+        # of the lattice of 2m, each run FFTs of length m and no direct sums
         poly = _layout(1.0, list(rng.normal(size=400)), list(rng.normal(size=300)),
                        shift, stride)
         m, last, _ = period_lattice(0.0, math.pi, 4096)
         h, idx = 2 * math.pi / m, np.arange(last + 1)
-        assert chirp_cheaper(poly.cos_coeffs.size, idx)
-        misses = _chirp_plan.cache_info().misses
-        poly.values_period(0.0, m, idx.size)
-        assert _chirp_plan.cache_info().misses == misses
-        got = poly.derivative().values_grid(0.0, h, idx)
-        misses = _chirp_plan.cache_info().misses
-        poly.values_grid(0.0, h / 2, 2 * idx + 1)
-        assert _chirp_plan.cache_info().misses == misses
+        with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft, \
+                mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft, \
+                mock.patch.object(trigeval, "pair_sums") as direct:
+            got = poly.derivative().values_period(0.0, m, idx)
+            mid = poly.values_period(0.0, 2 * m, 2 * idx + 1)
+        lengths = [c.args[0].size for c in ifft.call_args_list + rfft.call_args_list]
+        assert not direct.called and lengths and set(lengths) == {m}
         want = poly.derivative().values(idx * h)
-        assert np.abs(got - want).max() <= 2 * error_bound(lipschitz_bound(poly), 700)
+        assert np.abs(got - want).max() <= 2 * error_bound(lipschitz_bound(poly), 700) + \
+            lipschitz_bound(poly.derivative()) * math.pi * 2.0 ** -51
+        want = poly.values((2 * idx + 1) * (h / 2))
+        assert np.abs(mid - want).max() <= 2 * roundoff_bound(poly) + \
+            lipschitz_bound(poly) * math.pi * 2.0 ** -51
 
 
 class TestBoundsRoundedUp:
-    """L, L2 and L4: float sums of non-negative terms, rounded up so that
-    each is at least the exact sum over the exact frequencies."""
+    """L, L2, L4 and the coefficient mass: float sums of non-negative terms,
+    rounded up so that each is at least the exact sum over the exact
+    frequencies."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_at_or_above_the_exact_sum(self, seed):
@@ -228,6 +233,25 @@ class TestBoundsRoundedUp:
             exact = sum(nu ** p * m for nu, m in zip(nus, mags))
             got = Fraction(bound(poly))
             assert exact <= got <= exact * (1 + Fraction(1, 10 ** 13)), p
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-3, 3) | st.floats(-1e-307, 1e-307),
+           st.lists(st.floats(-5, 5) | st.floats(-1e-307, 1e-307), max_size=30),
+           st.lists(st.floats(-5, 5) | st.floats(-1e-307, 1e-307), max_size=30),
+           st.sampled_from([0.0, 0.125, 0.5]))
+    @example(a0=5e-324, cc=[], sc=[], shift=0.0)
+    @example(a0=0.0, cc=[], sc=[5e-324, 0.1, 0.2], shift=0.25)
+    @example(a0=2.0, cc=[2.0 ** -53], sc=[], shift=0.0)
+    def test_mass_at_or_above_the_exact_sum(self, a0, cc, sc, shift):
+        # 0.5|a0| + sum |c|, subnormal coefficients and a0 included, from
+        # above, and within 1e-13 of it and a few subnormal spacings
+        poly = TrigPolynomial(0.0 if shift else a0, cc, sc or [0.0], shift)
+        exact = abs(Fraction(poly.a0)) / 2 + sum(
+            abs(Fraction(float(c))) for _, cs in poly.terms() for c in cs)
+        terms = sum(c.size for _, c in poly.terms())
+        mass = Fraction(coefficient_mass(poly))
+        assert exact <= mass <= exact * (1 + Fraction(1, 10 ** 13)) + \
+            (terms + 4) * Fraction(SUBNORMAL)
 
     def test_zero_sum_stays_zero(self):
         for poly in (cosine_poly(2.0), TrigPolynomial(sin_coeffs=(0.0, 0.0), shift=0.5)):
