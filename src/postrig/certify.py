@@ -18,12 +18,13 @@ interpolant's error bound).  L2 grows like n^3 with bounded coefficients,
 while f'' near a minimum stays small, so at high degree a cell that fails
 is tested again at the same depth with a bound from local data: f' =
 `TrigPolynomial.derivative()` is sampled in one batch at the failing cells'
-unique end indices (and at whi, by one direct point, where the partial cell
-fails), and the cubic Hermite interpolant of (f, f') bounds f
-on the cell (`_hermite_bound`).  The cell's bound is the larger of the two,
-a NaN one ignored.  Only level 0 can be the first level with failing cells,
-so f' is sampled from depth 0 on, and then at every level's midpoints
-beside f: most certificates end at level 0 without it.  `grid_points`
+unique lattice ends (and at the window ends that are no lattice points, in
+one direct batch, where a partial cell fails), and the cubic Hermite
+interpolant of (f, f') bounds f on the cell (`_hermite_bound`).  The
+cell's bound is the larger of the two, a NaN one ignored.  Only level 0
+can be the first level with failing cells, so f' is sampled from depth 0
+on, and then at every level's midpoints beside f: most certificates end at
+level 0 without it.  `grid_points`
 counts every point at which f or f' is evaluated, and a note gives the f'
 samples and L4.
 
@@ -34,16 +35,19 @@ and the certified lower bound is the smallest cell bound net of it.  Cells
 that fail the test are bisected (only they are), up to a depth limit; each
 level evaluates the sum once at the failing cells' midpoints, and f' once
 at the same points.  The level-0 step is h = 2*pi/m, m picked so that one
-FFT of length m scans the window (`_level0`); where its last point x_J
-falls short of whi, whi itself is sampled, and the partial cell [x_J, whi]
-is bounded with its own width and bisected on the same lattice, a
-midpoint past whi left out.  A constant sum (L = 0) is not refined, and f'
-is not sampled: no cell bound depends on the cell width.  Every sample but
-whi lies on the dyadic grid wlo + i*h/2^depth, which the FFT takes as the
-lattice wlo + 2*pi*i/M, M = m*2^depth (`_drift`), so cells are integer
-indices and every batch of a level is one `TrigPolynomial.values_period`
-call on that lattice: one FFT, or the direct sums where the cost model
-finds them cheaper (few of the lattice's points asked for).
+real FFT of length m scans the window (`_level0`), on the lattice j*h
+anchored at 0 whatever the window.  Its points x_first .. x_last on the
+window are sampled, and so are the window ends that are no lattice points,
+in one direct batch; the partial cells [wlo, x_first] and [x_last, whi]
+are bounded with their own widths and bisected on the same lattice where
+the new lattice point falls inside them, and carry on whole otherwise.  A
+constant sum (L = 0) is not refined, and f' is not sampled: no cell bound
+depends on the cell width.  Every sample but the window ends lies on the
+grid i*h/2^depth, which the FFT takes as the lattice 2*pi*i/M, M =
+m*2^depth (`_drift`), so cells are integer indices and every batch of a
+level is one `TrigPolynomial.values_period` call on that lattice: one real
+FFT, or the direct sums where the cost model finds them cheaper (few of the
+lattice's points asked for).
 A sample below minus the roundoff bound refutes with a witness; a
 non-positive sample inside that bound is no witness, and the cells it
 bounds never certify.  Inconclusive is a first-class outcome and is never
@@ -283,54 +287,74 @@ def _window(caller: TrigPolynomial, lo: float, hi: float):
     return copy, e, rounding, ends[0], ends[1], notes
 
 
-#: the abscissa term per unit of L and of window width (`_drift` derives it)
-_DRIFT = 2.0 ** -52
+#: the abscissa term per unit of L and of max(|wlo|, |whi|) (`_drift` derives it)
+_DRIFT = 2.38 * 2.0 ** -53
 
 
 def _drift(poly: TrigPolynomial, wlo: float, whi: float) -> float:
     """How far a value that `values_period` gives at a lattice point of the
     window [wlo, whi] may lie from poly's value there, beyond the roundoff.
 
-    The FFT evaluates the sum at wlo + 2*pi*i/M, M = m*2^d, not at the
-    lattice point x_i = wlo + i*dx with the float step dx = h/2^d,
-    h = 2*pi/m rounded.  2*math.pi is 2 pi rounded, within 2|pi - math.pi| <
-    0.36 * 2 pi u (u = 2^-53), and the division rounds by at most 2 pi u/m,
-    so |m*h - 2 pi| <= 1.36 * 2 pi u (1 + u) and m*h >= 2 pi (1 - 1.37u).
-    Every point sampled lies in the window, i*dx <= whi - wlo, so
-    i/M = i*dx/(m*h) <= (whi - wlo)/(m*h), and
+    The lattice point is x_i = i*dx, with the float step dx = h/2^d, h =
+    2*pi/m rounded, M = m*2^d.  The FFT evaluates the body at p_i =
+    2*pi*i/M, and the shift is peeled (the direct sums evaluate) at the
+    float x~_i of i*dx.  2*math.pi lies within 2|pi - math.pi| < 0.36 * 2 pi
+    u of 2 pi (u = 2^-53), and the division rounds by at most 2 pi u/m, so
+    |m*h - 2 pi| <= 1.36 * 2 pi u (1 + u), and
 
-        |i*dx - 2*pi*i/M| = (i/M) |m*h - 2 pi| <= 1.37 u (whi - wlo)
+        |x_i - p_i| = (|i|/M) |m*h - 2 pi| <= 1.37 u |x_i|;
 
-    at every depth d and every index up to the window's end, a point in a
-    partial last cell included.  The shift is peeled at the float of x_i,
-    as `values` takes it; only the body moves with the point, and its part
-    of f' is at most L = sum nu |c|.  L (whi - wlo) 2u covers this and the
-    roundings of the product and of whi - wlo; it is added wherever lattice
-    values meet the roundoff bound, and the same term of f' (with the L of
-    f') wherever its lattice values do."""
-    return lipschitz_bound(poly) * (whi - wlo) * _DRIFT
+    the product i*dx rounds once (|i| < 2^53, and dx is h times a power of
+    two), so |x~_i - x_i| <= u |x_i|.  The peel's part of f' is at most
+    shift * sum |c| and the body's sum k |c|, together at most L = sum nu
+    |c|, so the value lies within L (|x~_i - x_i| + |p_i - x_i|) <= 2.37 u L
+    |x_i| of f(x_i), whichever path, and |x_i| <= max(|wlo|, |whi|) for
+    every point of the window, a midpoint in a partial cell included.  2.38
+    covers the two roundings of the product.  The window ends, sampled at
+    their floats, carry no such term.  It is added wherever lattice values
+    meet the roundoff bound, and the same term of f' (with the L of f')
+    wherever its lattice values do."""
+    return lipschitz_bound(poly) * max(abs(wlo), abs(whi)) * _DRIFT
+
+
+def _sample(poly: TrigPolynomial, M: int, idx: np.ndarray, ends, wlo: float,
+            whi: float) -> np.ndarray:
+    """poly at the ascending indices idx of the lattice of M, where the
+    indices ends = (lo, hi) stand for wlo and whi: the lattice points by one
+    `values_period` batch, the window ends among idx by one direct batch."""
+    head, tail = int(idx[0] == ends[0]), int(idx[-1] == ends[1])
+    out = np.empty(idx.size)
+    out[head:idx.size - tail] = poly.values_period(M, idx[head:idx.size - tail])
+    if head or tail:
+        v = poly.values(np.array([wlo] * head + [whi] * tail))
+        out[:head], out[idx.size - tail:] = v[:head], v[head:]
+    return out
 
 
 def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
-    """(m, xs, vals, gap, drift): the level-0 samples of at least n points on
-    [wlo, whi] that all three entry points scan.
+    """(m, idx, ends, gaps, xs, vals): the level-0 samples of at least n
+    points on [wlo, whi] that all three entry points scan.
 
-    The lattice is wlo + j*h with h = 2*pi/m rounded, m the smallest
-    5-smooth length whose lattice holds n points on the window, and x_J its
-    last point there (`kernels.period_lattice`).  Its values come from one
-    `values_period` batch: one FFT of length m, or the direct sums at the
-    floats of the lattice points where the cost model finds the FFT dearer
-    (a narrow window, whose m grows like 2*pi*n/width).  When x_J falls short
-    of whi, whi itself is sampled too (one direct point), so xs ends at whi
-    either way, and gap is the exact width whi - x_J (a Fraction) of that
-    partial last cell, else 0.  No sample lies past whi.  drift is
-    `_drift`, the FFT's abscissa term on the window."""
-    m, last, gap = period_lattice(wlo, whi, n)
-    vals = poly.values_period(wlo, m, np.arange(last + 1))
-    xs = np.minimum(wlo + np.arange(last + 1) * (2.0 * math.pi / m), whi)
-    if gap:
-        xs, vals = np.append(xs, whi), np.append(vals, poly.value(whi))
-    return m, xs, vals, gap, _drift(poly, wlo, whi)
+    The lattice is j*h with h = 2*pi/m rounded, m the smallest 5-smooth
+    length whose step fits n - 1 times into the window, and x_first ..
+    x_last its points on the window (`kernels.period_lattice`).  Their
+    values come from one `values_period` batch: one real FFT of length m, or
+    the direct sums at the floats of the lattice points where the cost model
+    finds the FFT dearer (a narrow window, whose m grows like 2*pi*n/width).
+    A window end that is no lattice point is sampled too, both in one direct
+    batch, so xs runs from wlo to whi.  idx holds the samples' lattice
+    indices, where ends = (first - 1, last + 1) stand for wlo and whi, and
+    gaps = (x_first - wlo, whi - x_last) are the exact widths (Fractions) of
+    the partial first and last cells, 0 where an end is a lattice point.  No
+    sample lies outside the window."""
+    m, first, last = period_lattice(wlo, whi, n)
+    h = Fraction(2.0 * math.pi / m)
+    gaps = (first * h - Fraction(wlo), Fraction(whi) - last * h)
+    ends = (first - 1, last + 1)
+    idx = np.arange(first - bool(gaps[0]), last + 1 + bool(gaps[1]))
+    xs = np.concatenate(([wlo] * bool(gaps[0]), np.arange(first, last + 1) * (2.0 * math.pi / m),
+                         [whi] * bool(gaps[1])))
+    return m, idx, ends, gaps, xs, _sample(poly, m, idx, ends, wlo, whi)
 
 
 def _up(x: Fraction) -> float:
@@ -395,11 +419,11 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         return PositivityReport(verdict, lower, witness, total_evals, depth,
                                 lipschitz, (lo, hi), "; ".join(notes))
 
-    # Every sample lies on the dyadic grid wlo + i*h/2^depth, or is whi: cells
-    # are kept as integer left indices il at the current depth, so each batch
-    # is one evaluation on the lattice of m*2^depth points.
-    m, xs, vals, gap, drift = _level0(poly, wlo, whi, opts.grid0)
-    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + drift
+    # Every sample lies on the lattice i*h/2^depth, or is wlo or whi: cells are
+    # kept as integer left indices il at the current depth, so each batch is
+    # one evaluation on the lattice of m*2^depth points.
+    m, idx, ends, gaps, xs, vals = _level0(poly, wlo, whi, opts.grid0)
+    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + _drift(poly, wlo, whi)
     total_evals = xs.size
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
@@ -407,11 +431,11 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
 
     # Cell arrays, kept in ascending-theta order so ties resolve
     # deterministically: left index il at the current depth, the endpoint
-    # values and, once sampled, the endpoint slopes.  When gap > 0 the cell
-    # at index `last` is the partial cell [wlo + last*dx, whi] of width gap.
-    il = np.arange(xs.size - 1)
-    last = il[-1] if gap else -1
-    fl, fr = vals[:-1], vals[1:]
+    # values and, once sampled, the endpoint slopes.  The indices ends[0] and
+    # ends[1] stand for wlo and whi: where gaps[0] > 0 the cell at ends[0] is
+    # the partial first cell [wlo, (ends[0] + 1)*dx] of width gaps[0], and
+    # where gaps[1] > 0 the cell at ends[1] - 1 is the partial last cell.
+    il, fl, fr = idx[:-1], vals[:-1], vals[1:]
     depth, lower = 0, math.inf
 
     def tested():
@@ -419,8 +443,10 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         and whether it fails: a NaN bound fails, and so does a cell with a
         sample at or below 0 that is no witness."""
         w = np.full(il.size, dx)
-        if il.size and il[-1] == last:
-            w[-1] = _up(gap)
+        if il.size and il[0] == ends[0]:
+            w[0] = _up(gaps[0])
+        if il.size and il[-1] + 1 == ends[1]:
+            w[-1] = _up(gaps[1])
         bound = np.minimum(fl, fr) - 0.125 * L2 * w * w - noise
         if deriv is not None:
             bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, w, L4, noise, dnoise))
@@ -429,21 +455,17 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     while True:
         bound, fail = tested()
         if depth == 0 and L != 0.0 and fail.any():
-            # the failing cells are tested again with f' at their ends; the
-            # index past the partial cell stands for whi
+            # the failing cells are tested again with f' at their ends
             lower = min(lower, float(bound[~fail].min(initial=math.inf)))
             il, fl, fr = il[fail], fl[fail], fr[fail]
-            ends, at = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
+            at, inverse = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
             deriv = poly.derivative()
             L4 = fourth_derivative_bound(poly)
             dnoise = roundoff_bound(deriv) + _drift(deriv, wlo, whi)
-            past = int(ends[-1] == last + 1)
-            g = deriv.values_period(wlo, m, ends[:ends.size - past])
-            if past:
-                g = np.append(g, deriv.value(whi))
-            gl, gr = g[at[:il.size]], g[at[il.size:]]
-            slope_evals = ends.size
-            total_evals += ends.size
+            g = _sample(deriv, m, at, ends, wlo, whi)
+            gl, gr = g[inverse[:il.size]], g[inverse[il.size:]]
+            slope_evals = at.size
+            total_evals += at.size
             bound, fail = tested()
         lower = min(lower, float(bound[~fail].min(initial=math.inf)))
         if not fail.any():
@@ -455,35 +477,34 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         if depth >= opts.max_depth:
             worst = int(np.argmin(bound))
             notes.append(f"refinement depth exhausted near theta = "
-                         f"{min(float(wlo + (il[worst] + 0.5) * dx), whi):.9g}")
+                         f"{min(max(float((il[worst] + 0.5) * dx), wlo), whi):.9g}")
             return report(INCONCLUSIVE, None, None, depth)
         depth += 1
         dx *= 0.5
         il, fl, fr = il[fail], fl[fail], fr[fail]
         if deriv is not None:
             gl, gr = gl[fail], gr[fail]
-        # the partial cell is bisected where the new lattice point lies inside
-        # it, and otherwise carries on whole as [wlo + 2*last*dx, whi]
-        whole = int(il.size > 0 and il[-1] == last and gap <= dx)
-        if gap:
-            last, gap = (2 * last + 1, gap - Fraction(dx)) if gap > dx else (2 * last, gap)
-        cut = il.size - whole
-        im = 2 * il[:cut] + 1
-        fm = poly.values_period(wlo, m << depth, im)
+        # a partial cell is bisected where the new lattice point lies inside
+        # it, and otherwise carries on whole, its far end's index doubled
+        cut = (gaps[0] > dx, gaps[1] > dx)
+        head = int(il.size > 0 and il[0] == ends[0] and not cut[0])
+        tail = int(il.size > 0 and il[-1] + 1 == ends[1] and not cut[1])
+        ends = (2 * ends[0] + (not cut[0]), 2 * ends[1] - (not cut[1]))
+        gaps = tuple(g - Fraction(dx) if c else g for g, c in zip(gaps, cut))
+        im = 2 * il[head:il.size - tail] + 1
+        fm = poly.values_period(m << depth, im)
         total_evals += im.size
         if im.size and fm.min() < -noise:
             jmin = int(np.argmin(fm))
-            witness = (min(float(wlo + im[jmin] * dx), whi), float(fm[jmin]))
-            return report(REFUTED, None, witness, depth)
-        il = np.append(_interleave(2 * il[:cut], im), 2 * il[cut:])
-        fl = np.append(_interleave(fl[:cut], fm), fl[cut:])
-        fr = np.append(_interleave(fm, fr[:cut]), fr[cut:])
+            return report(REFUTED, None, (float(im[jmin] * dx), float(fm[jmin])), depth)
+        il = _bisected(2 * il, im, head, tail, True)
+        il[:head] += 1  # a whole partial first cell: its right end is 2*ends[0] + 2
+        fl, fr = _bisected(fl, fm, head, tail, True), _bisected(fr, fm, head, tail, False)
         if deriv is not None:
-            gm = deriv.values_period(wlo, m << depth, im)
+            gm = deriv.values_period(m << depth, im)
             slope_evals += im.size
             total_evals += im.size
-            gl = np.append(_interleave(gl[:cut], gm), gl[cut:])
-            gr = np.append(_interleave(gm, gr[:cut]), gr[cut:])
+            gl, gr = _bisected(gl, gm, head, tail, True), _bisected(gr, gm, head, tail, False)
 
     # every cell certified: 0 < lower < inf, scaled back rounded toward zero,
     # so clamped to the largest float where it overflows
@@ -494,9 +515,13 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     return report(INCONCLUSIVE, None, None, depth)
 
 
-def _interleave(a, b):
-    """a[0], b[0], a[1], b[1], ...: the values at the ends of bisected cells."""
-    return np.stack((a, b), axis=1).ravel()
+def _bisected(a, mid, head, tail, left):
+    """a, the values at the left (or right) ends of the cells, after every
+    cell but the first head and the last tail ones is bisected, with the
+    values mid at its midpoints."""
+    inner = a[head:a.size - tail]
+    pairs = np.stack((inner, mid) if left else (mid, inner), axis=1).ravel()
+    return np.concatenate((a[:head], pairs, a[a.size - tail:]))
 
 
 def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
@@ -504,8 +529,9 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
 
     The window ends obey certify_positive's endpoint rule, and the level-0
     grid is the certifier's default one.  After its scan the search descends
-    on a dyadic lattice: the certifier's, or, when the best sample is whi
-    itself, the lattice from whi toward its left neighbour.  Each level halves
+    on a dyadic lattice: the certifier's, or, when the best sample is a
+    window end off that lattice, the lattice from that end toward its
+    lattice neighbour.  Each level halves
     the step, evaluates in one batch the one or two midpoints beside the best
     sample (whose neighbours are no lower), and moves to the lowest of the
     three, the smallest theta on ties.  It stops when both midpoints are
@@ -513,24 +539,25 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     longer tell points apart, or when halving the step no longer moves theta.
     It runs on the unit-scale copy, like `certify_positive`."""
     poly, e, rounding, wlo, whi, _ = _window(poly, lo, hi)
-    m, xs, vals, gap, drift = _level0(poly, wlo, whi, CertifyOptions.grid0)
-    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + drift
+    m, idx, ends, gaps, xs, vals = _level0(poly, wlo, whi, CertifyOptions.grid0)
+    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + _drift(poly, wlo, whi)
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
-    # the lattice t0 + sign*j*dx: its points 0 <= j <= top lie in the window,
-    # and a point past top is tested exactly (only the lattice from wlo has one)
-    t0, sign, top = wlo, 1.0, xs.size - 1 - bool(gap)
-    if k > top:
-        t0, sign, dx, k, top = whi, -1.0, float(gap), 0, 1
-    while k < 2 ** 52:  # lattice indices stay exact in a float
+    # the lattice t0 + sign*j*dx: its points bot <= j <= top lie in the
+    # window, and any other is tested exactly
+    t0, sign, k, bot, top = 0.0, 1.0, int(idx[k]), ends[0] + 1, ends[1] - 1
+    if k in ends:  # a window end off the lattice: the lattice from it inward
+        t0, sign, dx = (wlo, 1.0, float(gaps[0])) if k == ends[0] else (whi, -1.0, float(gaps[1]))
+        k, bot, top = 0, 0, 1
+    while abs(k) < 2 ** 52:  # lattice indices stay exact in a float
         dx *= 0.5
-        k, top = 2 * k, 2 * top
+        k, bot, top = 2 * k, 2 * bot, 2 * top
         mids = [j for j in (k - 1, k + 1)
-                if 0 <= j and (j <= top or Fraction(t0) + j * Fraction(dx) <= whi)]
-        xm = [min(t0 + sign * j * dx, whi) for j in mids]  # clamped as in _level0
+                if bot <= j <= top or wlo <= Fraction(t0) + sign * j * Fraction(dx) <= whi]
+        xm = [min(max(t0 + sign * j * dx, wlo), whi) for j in mids]
         if best_x in xm:  # halving the step no longer moves theta
             break
-        fm = poly.values(t0 + np.array(mids, dtype=np.int64) * (sign * dx)).tolist()
+        fm = poly.values(np.array(xm)).tolist()
         flat = all(abs(v - best_v) <= noise for v in fm)
         k, best_x, best_v = min([(k, best_x, best_v), *zip(mids, xm, fm)],
                                 key=lambda c: (c[2], c[1]))
@@ -570,17 +597,21 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    m, xs, vals, gap, drift = _level0(poly, lo, hi, grid + 1)
+    m, _, _, gaps, xs, vals = _level0(poly, lo, hi, grid + 1)
     nudge = 1e-6 * (2.0 * math.pi / m)
-    if 0 < gap <= nudge:  # x_J, within the nudge of hi, is the end sample
-        xs, vals, gap = xs[:-1], vals[:-1], 0
-    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding + drift)
+    # a window end within the nudge of its lattice neighbour is dropped:
+    # that neighbour is the end sample
+    head, tail = int(0 < gaps[0] <= nudge), int(0 < gaps[1] <= nudge)
+    xs, vals = xs[head:xs.size - tail], vals[head:vals.size - tail]
+    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding
+                          + _drift(poly, lo, hi))
     if zero.size:
         # nudge samples whose sign is roundoff off the zero by a millionth of
         # the level-0 step: inward at the ends, so endpoint zeros of the open
-        # interval do not fake a crossing, and x_J toward lo beside a partial
-        # last cell, so that no nudged sample passes another
-        xs[zero] += np.where(zero >= xs.size - 1 - bool(gap), -nudge, nudge)
+        # interval do not fake a crossing, and x_last toward lo beside a
+        # partial last cell, so that no nudged sample passes another
+        before_hi = xs.size - 1 - bool(gaps[1] and not tail)
+        xs[zero] += np.where(zero >= before_hi, -nudge, nudge)
         vals[zero] = poly.values(xs[zero])
     sign = np.sign(vals)  # products of neighbouring values would under- or overflow
     cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)

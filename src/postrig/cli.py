@@ -232,7 +232,7 @@ def cmd_plotdata(args) -> int:
     try:
         for n in args.n:
             q = seqkit.qk_sequence(n, args.alpha, args.beta, args.lam, args.mu).values
-            cos_sum, sin_sum = (poly.values_period(0.0, period, idx) for poly in (
+            cos_sum, sin_sum = (poly.values_period(period, idx) for poly in (
                 trigeval.cosine_poly(q[0], q[1:]), trigeval.sine_poly(q[1:])))
             if args.figure == "fig1":
                 for tag, values in (("cos", cos_sum), ("sin", sin_sum)):

@@ -37,47 +37,48 @@ terms exceeds it from n ~ 9000.  Angles are taken in row chunks of about
 ``_DIRECT_CHUNK`` phases, so the working set stays O(sqrt(n)) per point.
 A non-finite angle gives nan.
 
-``pair_sums_period(coeffs, x0, M, idx)`` evaluates at the points
-x0 + 2*pi*idx/M themselves (idx an integer array), not at their floats.
-The indices are written idx = r + s*q (`sub_lattice`: r the smallest index,
-s the largest power of two dividing every idx - r).  With g = gcd(s, M),
-L = M/g and t = (idx - r)/g, an integer, the phases k*2*pi*(idx - r)/M are
-k*2*pi*t/L, so one FFT of length L serves every point: the coefficients
-times their exact lead phases exp(i k (x0 + 2*pi*r/M)) (a plain real FFT
-when that lead is 0), folded modulo L when n >= L.  The fold adds pairwise,
-in at most 1 + log2(n/L) levels, so its rounding stays below that many
-times 2^-53 sum |c_k| whatever L.  It needs no plan.  `period_lattice`
-picks the level-0 m for a window: the smallest 5-smooth length whose
-lattice holds the points asked for, none of them past the window's end.
-The certifier's level d lies on the lattice of M = m*2^d, its odd
-midpoints on the sub-lattice s = 2 of it, and the CLI's plot points on the
-lattice of their full period.
+``pair_sums_period(coeffs, M, idx)`` evaluates at the points 2*pi*idx/M
+themselves, idx any integer array: negative indices and indices past M are
+the same points as their residues mod M.  The coefficients, folded modulo M
+when n >= M, go through one real FFT of length M, sum_k a_k exp(-i k 2 pi
+t/M) for t <= M/2; the sums at t = idx mod M are the conjugates of its
+values at t, or, for t > M/2, its values at M - t themselves.  The phases
+are the FFT's own twiddles, inside its roundoff, and none is formed here.
+The fold adds pairwise, in at most 1 + log2(n/M) levels, so its rounding
+stays below that many times 2^-53 sum |c_k| whatever M.  It needs no plan.
+`period_lattice` picks the level-0 m for a window: the smallest 5-smooth
+length whose step fits the points asked for into the window, and the first
+and last of its points 2*pi*j/m there.  The certifier's level d lies on the
+lattice of M = m*2^d, and the CLI's plot points on the lattice of their
+full period.
 
 Exact phases: angles become 96-bit fixed-point fractions of a turn (Python
 integers times a 256-bit 1/(2 pi)), and their integer multiples are taken
-in uint64 (the top 64 bits wrapping modulo one turn), so every phase -- j x
-in the direct sums, k (x0 + 2*pi*r/M) in the FFT -- is within about 2^-53
-turn whatever the degree or the lattice, for angles up to 2^150.  A
-multiplier must stay below 2^32, which bounds the degree of both paths by
-``MAX_DEGREE``.
+in uint64 (the top 64 bits wrapping modulo one turn), so every phase j x of
+the direct sums is within about 2^-53 turn whatever the degree, for angles
+up to 2^150.  A multiplier must stay below 2^32, which bounds the degree of
+both paths by ``MAX_DEGREE``.
 
 The cost model is fixed, in ns with weights measured on the numpy code here
-(2-core Intel Xeon virtual machine, one BLAS thread); only a batch's degree
-n, its points and its lattice enter, and `TrigPolynomial.values_period`
-decides the path once per batch:
+(2-core Intel Xeon virtual machine, one BLAS thread, numpy 2.4); only a
+batch's degree n, its points and its lattice enter, and
+`TrigPolynomial.values_period` decides the path once per batch:
 
 - direct: p * (1500 + 45 (T + R) + 0.35 n) + 35000 for p points: the
   integer reduction of each angle, its T + R phases and their cos and sin,
   the matrix product, and the numpy calls of a batch;
-- FFT: 4 L log2 L + 45 n + 20000 for the FFT of length L, the n exact lead
-  phases (the direct path's weight per phase) and the numpy calls;
-  ``period_cheaper`` picks it over the direct sums at the same points.
-  The weight 4 is the complex FFT, measured at 2.4-3.7 ns per L log2 L for
-  L = 9000 .. 65536 (n = 20 .. 4000); the real FFT of a zero lead takes
-  about half, and is charged the same.
+- FFT: 1.0 M log2 M + 20000 for the real FFT of length M and the numpy
+  calls; ``period_cheaper`` picks it over the direct sums at the same
+  points.  The weight 1.0 is the whole call, fold and gather included, at
+  0.5-1.1 ns per M log2 M for M = m*2^d, m in {8192, 8748, 9000}, d <= 8,
+  on sparse batches (up to 1.7 ns with M/2 points).  Lengths with a large
+  prime factor, which numpy runs by Bluestein, take 6-9 ns (M = 4006 =
+  2*2003 and 32764 = 4*8191); no certifier lattice has one, and the CLI's
+  plot lattices, which can, ask for M/2 points, where the FFT wins by far
+  more than that.
 
 The direct sums thus take a window that holds few of its lattice's points
-(L grows like 2*pi*p/width for p points on it), a deep level where few
+(M grows like 2*pi*p/width for p points on it), a deep level where few
 cells are left, and `find_min`'s descent of 1-2 points.
 """
 
@@ -107,7 +108,7 @@ _DIRECT_CALL = 35_000   # one direct batch: its numpy calls
 _DIRECT_POINT = 1_500   # one angle: its reduction in Python integers
 _DIRECT_CIS = 45        # one phase exp(i j x) of the split
 _DIRECT_MAC = 0.35      # one coefficient at one point of the product
-_PERIOD_STEP = 4.0      # one of L log2 L in the FFT: one complex FFT
+_PERIOD_STEP = 1.0      # one of M log2 M in the real FFT
 _PERIOD_CALL = 20_000   # one FFT batch: its numpy calls
 _DIRECT_CHUNK = 65536   # phases per row chunk of the direct path
 
@@ -179,40 +180,21 @@ def _split(n: int) -> tuple[int, int, np.ndarray]:
     return T, R, ks
 
 
-def sub_lattice(idx) -> tuple[int, int]:
-    """(r, s) with idx = r + s*q for integers q >= 0: r = min(idx) and s the
-    largest power of two dividing every idx - r (1 for fewer than two
-    distinct indices)."""
-    j = np.asarray(idx, dtype=np.int64)
-    if not j.size:
-        return 0, 1
-    r = int(j.min())
-    d = int(np.bitwise_or.reduce(j - r if r else j, axis=None))
-    return r, (d & -d) or 1
-
-
 def _direct_cost(n: int, points: int) -> float:
     """The cost model's charge for the direct sums of degree n at points."""
     T, R, _ = _split(n)
     return points * (_DIRECT_POINT + _DIRECT_CIS * (T + R) + _DIRECT_MAC * n) + _DIRECT_CALL
 
 
-def _period_cost(n: int, L: int) -> float:
-    """The cost model's charge for one FFT of length L at degree n."""
-    return _PERIOD_STEP * L * math.log2(L) + _DIRECT_CIS * n + _PERIOD_CALL
+def _period_cost(n: int, M: int) -> float:
+    """The cost model's charge for one real FFT of length M at degree n."""
+    return _PERIOD_STEP * M * math.log2(M) + _PERIOD_CALL
 
 
 def period_cheaper(n: int, M: int, idx: np.ndarray) -> bool:
     """True when one FFT (`pair_sums_period`) should evaluate degree n at the
-    points x0 + 2*pi*idx/M, rather than the direct sums at the same points:
-    the FFT of length L = M/gcd(s, M), s from the `sub_lattice` of idx,
-    against the direct sums' points."""
-    if n == 0:
-        return True
-    direct = _direct_cost(n, np.size(idx))
-    # L <= M, so the sub-lattice is asked for only when the full length loses
-    return (_period_cost(n, M) < direct
-            or _period_cost(n, M // math.gcd(sub_lattice(idx)[1], M)) < direct)
+    points 2*pi*idx/M, rather than the direct sums at the same points."""
+    return n == 0 or _period_cost(n, M) < _direct_cost(n, np.size(idx))
 
 
 def _coefficients(coeffs) -> np.ndarray:
@@ -251,67 +233,53 @@ def pair_sums(coeffs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return _direct_sums(_coefficients(coeffs), np.asarray(x, dtype=np.float64))
 
 
-def _period_last(span: Fraction, m: int) -> int:
-    """The largest j whose point x0 + 2*pi*j/m and whose float-step point
-    x0 + j*(2*pi/m) both lie within x0 + span.  The first is tested with
-    the 256-bit 1/(2 pi) cut below its value, so no point past is counted."""
-    p, q = span.as_integer_ratio()
-    exact = p * m * _INV_TWO_PI // (q << 256)
-    return min(exact, math.floor(span / Fraction(2.0 * math.pi / m)))
+def _last_in(x: Fraction, m: int) -> int:
+    """The largest j whose point 2*pi*j/m and whose float-step point
+    j*(2*pi/m) both lie at or below x.  The first is tested with the 256-bit
+    1/(2 pi) cut toward the safe side (below for x >= 0, above for x < 0),
+    so no point past x is counted."""
+    p, q = x.as_integer_ratio()
+    exact = p * m * (_INV_TWO_PI + (p < 0)) // (q << 256)
+    return min(exact, math.floor(x / Fraction(2.0 * math.pi / m)))
 
 
 @functools.lru_cache(maxsize=64)
-def period_lattice(x0: float, x1: float, count: int) -> tuple[int, int, Fraction]:
-    """(m, last, gap): m the smallest 5-smooth length whose lattice
-    x0 + 2*pi*j/m holds at least count points on [x0, x1], last the
-    index of its last point there (see `_period_last`), and gap the exact
-    width x1 - x0 - last*(2*pi/m), the step rounded, beyond that point."""
-    span = Fraction(x1) - Fraction(x0)
+def period_lattice(wlo: float, whi: float, count: int) -> tuple[int, int, int]:
+    """(m, first, last): m the smallest 5-smooth length whose step 2*pi/m fits
+    count - 1 times into whi - wlo (`_last_in` of the span), and first and
+    last the indices of the first and last points 2*pi*j/m of its lattice on
+    [wlo, whi], each of them and its float-step point j*(2*pi/m) inside."""
+    span = Fraction(whi) - Fraction(wlo)
     estimate = (count - 1) * 2.0 * math.pi / float(span) * (1.0 - 2.0 ** -40)
     m = _fft_length(max(1, int(estimate)))
-    while (last := _period_last(span, m)) + 1 < count:
+    while True:
+        first, last = -_last_in(-Fraction(wlo), m), _last_in(Fraction(whi), m)
+        if _last_in(span, m) + 1 >= count and first <= last:
+            return m, first, last
         m = _fft_length(m + 1)
-    return m, last, span - last * Fraction(2.0 * math.pi / m)
 
 
-def pair_sums_period(coeffs: np.ndarray, x0: float, M: int,
+def pair_sums_period(coeffs: np.ndarray, M: int,
                      idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(C, S) at the points x0 + 2*pi*idx/M themselves, idx an integer array,
-    by one FFT on the `sub_lattice` of idx; see the module docstring."""
+    """(C, S) at the points 2*pi*idx/M themselves, idx any integer array, by
+    one real FFT of length M; see the module docstring."""
     c = _coefficients(coeffs)
     j = np.asarray(idx, dtype=np.int64)
     n = c.size
     if n == 0 or j.size == 0:
         return np.zeros(j.shape), np.zeros(j.shape)
-    r, s = sub_lattice(j)
-    g = math.gcd(s, M)
-    L = M // g
-    # the turns of x0 + 2 pi r/M, r/M rounded down to 2^-96
-    lead = (_turns(*float(x0).as_integer_ratio()) + ((r % M) << 96) // M) & ((1 << 96) - 1)
     # scaling by 2^e, max|c| 2^e in [1, 2), is exact and keeps the FFT's
     # products clear of underflow; values in the normal range do not move
     e = 1 - math.frexp(float(np.max(np.abs(c))))[1]
-    rows = 1 << (n // L).bit_length()  # a power of two with rows * L > n
-    a = np.zeros(rows * L, dtype=np.complex128 if lead else np.float64)
+    rows = 1 << (n // M).bit_length()  # a power of two with rows * M > n
+    a = np.zeros(rows * M)
     a[1:n + 1] = np.ldexp(c, e)
-    if lead:  # c_k exp(i k (x0 + 2 pi r/M)), every lead phase exact
-        a[1:n + 1] *= _cis(_multiple(np.arange(1, n + 1, dtype=np.uint64), _limbs([lead])))
-    a = a.reshape(rows, L)
-    while a.shape[0] > 1:  # exp(i k 2 pi t/L) has period L in k: fold pairwise
+    a = a.reshape(rows, M)
+    while a.shape[0] > 1:  # exp(i k 2 pi t/M) has period M in k: fold pairwise
         a = a[:a.shape[0] // 2] + a[a.shape[0] // 2:]
-    t = j - r if r else j  # the points' places in the FFT: g divides j - r
-    if g > 1:
-        t = t >> (g.bit_length() - 1)
-    top = int(t.max())
-    if top >= L:
-        t = t % L
-    if lead:
-        y, sign = np.fft.ifft(a[0], norm="forward"), 1.0
-    else:
-        # a real transform, sum_k a_k exp(-i k 2 pi t/L) for t <= L/2: the
-        # conjugates of the sums, and those at L - t the sums themselves
-        y, sign = np.fft.rfft(a[0]), -1.0
-        if top >= y.size:
-            y = np.concatenate((y, y[L - y.size:0:-1].conj()))
-    y = y[t]
-    return np.ldexp(y.real, -e), np.ldexp(sign * y.imag, -e)
+    # sum_k a_k exp(-i k 2 pi t/M) for t <= M/2: the conjugates of the sums,
+    # and those at M - t the sums themselves
+    t = j % M
+    upper = t > M // 2
+    y = np.fft.rfft(a[0])[np.where(upper, M - t, t)]
+    return np.ldexp(y.real, -e), np.ldexp(np.where(upper, y.imag, -y.imag), -e)

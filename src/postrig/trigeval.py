@@ -27,11 +27,11 @@ Every evaluation, f' included, goes through the kernels of
 identities, so a shifted sum takes two unshifted sums.
 `TrigPolynomial.values` takes any angles and runs the direct sums
 (`kernels.pair_sums`).  `TrigPolynomial.values_period` takes the points
-t0 + 2*pi*idx/m of a period lattice (idx integer), as the certifier's
-levels and the CLI's plot points are, and lets the kernels' fixed cost
-model (`kernels.period_cheaper`) pick, once per batch, one FFT on the
-batch's `kernels.sub_lattice` (`kernels.pair_sums_period`) or `values` at
-the points' floats t0 + idx*(2*pi/m).
+2*pi*idx/m of a period lattice anchored at 0 (idx integer), as the
+certifier's levels and the CLI's plot points are, and lets the kernels'
+fixed cost model (`kernels.period_cheaper`) pick, once per batch, one real
+FFT of length m (`kernels.pair_sums_period`) or `values` at the points'
+floats idx*(2*pi/m).
 """
 
 from __future__ import annotations
@@ -128,16 +128,16 @@ class TrigPolynomial:
         th = np.asarray(theta, dtype=np.float64)
         return self._peel(th, lambda body: pair_sums(body, th))
 
-    def values_period(self, t0: float, m: int, idx) -> np.ndarray:
-        """Evaluate at the points t0 + 2*pi*idx/m themselves, idx an integer
-        array, by one FFT (`kernels.pair_sums_period`), or, where the cost
-        model finds the direct sums cheaper (`kernels.period_cheaper`), by
-        `values` at their floats t0 + idx*(2*pi/m); the shift is peeled at
-        those floats either way."""
+    def values_period(self, m: int, idx) -> np.ndarray:
+        """Evaluate at the points 2*pi*idx/m themselves, idx an integer array,
+        by one real FFT (`kernels.pair_sums_period`), or, where the cost model
+        finds the direct sums cheaper (`kernels.period_cheaper`), by `values`
+        at their floats idx*(2*pi/m); the shift is peeled at those floats
+        either way."""
         j = np.asarray(idx, dtype=np.int64)
-        x = t0 + j * (2.0 * math.pi / m)
+        x = j * (2.0 * math.pi / m)
         if period_cheaper(max(self.cos_coeffs.size, self.sin_coeffs.size), m, j):
-            return self._peel(x, lambda body: pair_sums_period(body, t0, m, j))
+            return self._peel(x, lambda body: pair_sums_period(body, m, j))
         return self.values(x)
 
     def value(self, theta: float) -> float:

@@ -404,7 +404,7 @@ class TestSecondOrderCells:
         # than 1/8 would put the lower bound above the minimum, the
         # first-order bound alone 4e-4 below
         c = 2047.5 * PI / 4096
-        m, xs, _, _, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, PI, 4096)
+        m, _, _, _, xs, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, PI, 4096)
         h = 2 * PI / m
         assert (h, xs[2047], xs[2048]) == (PI / 4096, c - h / 2, c + h / 2)
         poly = TrigPolynomial(2.002, (-math.cos(c),), (-math.sin(c),))
@@ -433,6 +433,31 @@ class TestSecondOrderCells:
         assert rep.verdict == CERTIFIED
         assert note in rep.boundary_notes
 
+    @staticmethod
+    def _record_batches(monkeypatch):
+        """A list that records (kind, poly, M or None, points) for every
+        values_period batch and every values batch that is not one of its
+        direct fallbacks."""
+        calls, inside = [], []
+        period, values = TrigPolynomial.values_period, TrigPolynomial.values
+
+        def recorded_period(self, M, idx):
+            calls.append(("values_period", self, M, np.array(idx)))
+            inside.append(1)
+            try:
+                return period(self, M, idx)
+            finally:
+                inside.pop()
+
+        def recorded_values(self, theta):
+            if not inside:
+                calls.append(("values", self, None, np.array(theta, dtype=float)))
+            return values(self, theta)
+
+        monkeypatch.setattr(TrigPolynomial, "values_period", recorded_period)
+        monkeypatch.setattr(TrigPolynomial, "values", recorded_values)
+        return calls
+
     def test_one_kernel_batch_per_level(self, monkeypatch):
         # level 0: one batch of f on the lattice and f at whi, then one f'
         # batch at the unique lattice ends of its failing cells and f' at whi,
@@ -440,108 +465,137 @@ class TestSecondOrderCells:
         # batch at the midpoints, then one f' batch at the same midpoints,
         # both on the lattice of 8192*2^d points
         poly = _koumandos_cosine(2029, 0.45)
-        calls = []
-
-        def counted(kind):
-            method = getattr(TrigPolynomial, kind)
-
-            def wrapper(self, *args):
-                calls.append((kind, self is poly, np.size(args[-1]), args))
-                return method(self, *args)
-            monkeypatch.setattr(TrigPolynomial, kind, wrapper)
-
-        for kind in ("values_period", "value"):
-            counted(kind)
+        calls = self._record_batches(monkeypatch)
         rep = certify_positive(poly, 0.0, PI)
         whi = PI - EPS
         assert rep.refinement_depth >= 2
-        assert [c[:2] for c in calls] == [("values_period", True), ("value", True),
-                                          ("values_period", False), ("value", False)] + \
-            [("values_period", True), ("values_period", False)] * rep.refinement_depth
-        assert calls[0][2] == 4096 and calls[0][3][:2] == (0.0, 8192)
-        assert np.array_equal(calls[0][3][2], np.arange(4096))
-        assert calls[1][3] == calls[3][3] == (whi,)
-        assert calls[2][3][:2] == (0.0, 8192)
-        ends = np.asarray(calls[2][3][2])
+        assert [(c[0], c[1] is poly) for c in calls] == \
+            [("values_period", True), ("values", True), ("values_period", False),
+             ("values", False)] + [("values_period", True), ("values_period", False)] \
+            * rep.refinement_depth
+        assert calls[0][2] == 8192 and np.array_equal(calls[0][3], np.arange(4096))
+        assert calls[1][3].tolist() == calls[3][3].tolist() == [whi]
+        assert calls[2][2] == 8192
+        ends = calls[2][3]
         assert 0 < ends.size <= 4096 and (np.diff(ends) > 0).all() and ends[-1] == 4095
         for d, (f_call, g_call) in enumerate(zip(calls[4::2], calls[5::2]), 1):
-            assert f_call[3][:2] == g_call[3][:2] == (0.0, 8192 << d)
-            assert np.array_equal(f_call[3][2], g_call[3][2])
-        assert sum(c[2] for c in calls) == rep.grid_points
-        slopes = sum(c[2] for c in calls if not c[1])
+            assert f_call[2] == g_call[2] == 8192 << d
+            assert np.array_equal(f_call[3], g_call[3])
+        assert sum(c[3].size for c in calls) == rep.grid_points
+        slopes = sum(c[3].size for c in calls if c[1] is not poly)
         assert f"f' sampled at {slopes} points from depth 0" in rep.boundary_notes
+
+    def test_window_ends_take_one_direct_batch(self, monkeypatch):
+        # at degree 8000 every level-0 cell of [0.1, pi - 0.1] fails, the two
+        # partial cells included: f and then f' are sampled at both window
+        # ends, neither of them a lattice point, in one direct batch each
+        poly = _koumandos_cosine(8000, 0.4)
+        lo, hi = 0.1, PI - 0.1
+        m, _, ends, gaps, _, _ = _level0(poly, lo, hi, 4096)
+        assert m == 8748 and gaps[0] > 0 and gaps[1] > 0
+        calls = self._record_batches(monkeypatch)
+        rep = certify_positive(poly, lo, hi, CertifyOptions(max_depth=0))
+        assert rep.verdict == INCONCLUSIVE
+        assert [c[0] for c in calls] == ["values_period", "values"] * 2
+        assert calls[1][1] is poly and calls[3][1] is not poly
+        assert calls[1][3].tolist() == calls[3][3].tolist() == [lo, hi]
+        assert np.array_equal(calls[0][3], np.arange(ends[0] + 1, ends[1]))
+        assert np.array_equal(calls[2][3], calls[0][3])
+        assert rep.grid_points == 2 * (calls[0][3].size + 2)
 
     @pytest.mark.parametrize("hi", [PI - 1e-4, PI])
     def test_partial_last_cell_samples_whi(self, hi):
-        # the lattice's last point x_J = lo + J h falls short of hi, both as
-        # the FFT's point lo + 2 pi J/m and on the float step h; hi itself is
-        # then sampled, and f = 2 + cos falls into hi, so the partial cell
+        # the lattice's last point x_J = J h falls short of hi, both as the
+        # FFT's point 2 pi J/m and on the float step h; hi itself is then
+        # sampled, and f = 2 + cos falls into hi, so the partial cell
         # [x_J, hi], bounded with its own width, holds the minimum
         poly = cosine_poly(4.0, [1.0])
         lo = 1e-4
-        m, xs, vals, gap, _ = _level0(poly, lo, hi, 4096)
-        J, h = xs.size - 2, 2 * PI / m
-        assert (m, J) == (8192, 4095)
-        assert gap == Fraction(hi) - Fraction(lo) - J * Fraction(h) > 0
+        m, idx, ends, gaps, xs, vals = _level0(poly, lo, hi, 4096)
+        h = 2 * PI / m
+        assert (m, idx[1], idx[-2], ends) == (8192, 1, 4095, (0, 4096))
+        assert gaps[1] == Fraction(hi) - 4095 * Fraction(h) > 0
         assert xs[-2] < xs[-1] == hi and vals[-1] == poly.value(hi)
-        two_pi_up = Fraction("6.2831853071795864769252867666")  # 2 pi + 2e-29
-        assert (Fraction(hi) - Fraction(lo)) * 8192 / J > two_pi_up
+        two_pi_down = Fraction("6.283185307179586476925286766")
+        assert Fraction(hi) * 8192 / 4096 < two_pi_down  # the point 4096 lies past hi
         rep = certify_positive(poly, lo, hi)
         assert rep.verdict == CERTIFIED
         noise = roundoff_bound(poly)
         L2 = curvature_bound(poly)
-        assert vals[-1] - L2 * float(gap) ** 2 / 8 - 2 * noise <= rep.lower_bound
+        assert vals[-1] - L2 * float(gaps[1]) ** 2 / 8 - 2 * noise <= rep.lower_bound
         assert rep.lower_bound <= vals[-1] - noise
 
     def test_level_zero_noise_holds_the_abscissa_term(self):
         # f = 2 + cos falls into pi, so the partial cell [4095 pi/4096, pi]
         # holds the lower bound, net of the roundoff bound and of the FFT's
-        # abscissa term L (whi - wlo) 2^-52
+        # abscissa term L max(|wlo|, |whi|) 2.38 2^-53
         poly = cosine_poly(4.0, [1.0])
-        m, xs, vals, gap, drift = _level0(poly, 0.0, PI, 4096)
-        assert drift == lipschitz_bound(poly) * PI * 2.0 ** -52
-        w = float(gap)
-        w = w if Fraction(w) >= gap else math.nextafter(w, math.inf)
+        _, _, _, gaps, _, vals = _level0(poly, 0.0, PI, 4096)
+        drift = certify._drift(poly, 0.0, PI)
+        assert drift == lipschitz_bound(poly) * PI * (2.38 * 2.0 ** -53)
+        assert certify._drift(poly, -2.0, 1.0) == \
+            lipschitz_bound(poly) * 2.0 * (2.38 * 2.0 ** -53)
+        assert gaps[0] == 0
+        w = float(gaps[1])
+        w = w if Fraction(w) >= gaps[1] else math.nextafter(w, math.inf)
         noise = roundoff_bound(poly) + drift
         rep = certify_positive(poly, 0.0, PI)
         assert rep.lower_bound == vals[-1] - 0.125 * curvature_bound(poly) * w * w - noise
 
     @pytest.mark.parametrize("lo, hi", [(0.0, PI), (EPS, PI - EPS), (0.0, 2 * PI),
-                                        (0.1, PI - 0.1)])
+                                        (0.1, PI - 0.1), (-1.0, 1.0), (1.0, 1.3)])
     def test_level_zero_runs_one_fft(self, rng, monkeypatch, lo, hi):
-        # one FFT per scan of every benchmark window; the direct sums take
-        # only whi, past the lattice's last point
+        # one real FFT per scan of every benchmark window and of a window
+        # across 0; the direct sums take only the window ends off the
+        # lattice, in one batch
         ffts, points = [], []
         period, direct = trigeval.pair_sums_period, trigeval.pair_sums
         monkeypatch.setattr(trigeval, "pair_sums_period",
-                            lambda *args: ffts.append(args[2]) or period(*args))
+                            lambda *args: ffts.append(args[1]) or period(*args))
         monkeypatch.setattr(trigeval, "pair_sums",
                             lambda c, x: points.append(np.size(x)) or direct(c, x))
         for poly in (sine_poly(rng.normal(size=400)),
                      shifted_poly(rng.normal(size=300), 0.25, "cosine", 2)):
             del ffts[:], points[:]
-            m, xs, _, gap, _ = _level0(poly, lo, hi, 4096)
-            assert ffts == [m] and points == [1] * bool(gap)
+            m, _, _, gaps, _, _ = _level0(poly, lo, hi, 4096)
+            off = bool(gaps[0]) + bool(gaps[1])
+            assert ffts == [m] and points == [off] * bool(off)
 
     @pytest.mark.parametrize("n", [20, 400, 4000])
     @pytest.mark.parametrize("lo, hi", [(1.0, 1.3), (1.0, 1.1), (2.0, 2.01)])
     def test_narrow_window_certifies_at_level_zero(self, n, lo, hi):
         # a window that holds few of its lattice's m points takes the long
         # FFT or the direct sums, whichever the cost model finds cheaper,
-        # and certifies from its 4126 lattice points and whi alone
+        # and certifies from its lattice points and both ends alone
         poly = _koumandos_cosine(n, 0.5)
+        m, first, last = period_lattice(lo, hi, 4096)
         rep = certify_positive(poly, lo, hi)
-        assert (rep.verdict, rep.refinement_depth, rep.grid_points) == (CERTIFIED, 0, 4127)
+        assert (rep.verdict, rep.refinement_depth, rep.grid_points) == \
+            (CERTIFIED, 0, last - first + 3)
+        assert last - first + 1 >= 4095
         theta, value = find_min(poly, lo, hi)
         assert lo <= theta <= hi and rep.lower_bound <= value
+
+    @staticmethod
+    def _record_points(monkeypatch):
+        """A list that records (M, j) for every lattice point evaluated."""
+        points = []
+        period = TrigPolynomial.values_period
+
+        def recorded(self, M, idx):
+            points.extend((M, int(j)) for j in idx)
+            return period(self, M, idx)
+
+        monkeypatch.setattr(TrigPolynomial, "values_period", recorded)
+        return points
 
     def test_dip_inside_the_partial_cell_never_certifies(self, monkeypatch):
         # f = a - cos(theta - c) with a = 1 - 1e-9 is negative only within
         # ~4.5e-5 of c, the middle of the partial cell (x_J, 3) of the window
         # [0, 3], and positive at both its ends
-        m, xs, _, gap, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, 3.0, 4096)
+        m, _, _, gaps, xs, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, 3.0, 4096)
         h = 2 * PI / m
-        assert 2e-4 < gap < h
+        assert 2e-4 < gaps[1] < h
         c = 0.5 * (xs[-2] + 3.0)
         a = 1.0 - 1e-9
         poly = TrigPolynomial(2.0 * a, (-math.cos(c),), (-math.sin(c),))
@@ -549,21 +603,42 @@ class TestSecondOrderCells:
                                                    naive_trig_value(poly, 3.0))
         # the cell is too narrow to take the depth-1 midpoint x_J + h/2, which
         # lies past 3: no sample is taken there
-        assert gap < h / 2
-        points = []
-        period = TrigPolynomial.values_period
-
-        def recorded(self, t0, M, idx):
-            points.extend(Fraction(t0) + int(j) * Fraction(2 * PI / M) for j in idx)
-            return period(self, t0, M, idx)
-
-        monkeypatch.setattr(TrigPolynomial, "values_period", recorded)
+        assert gaps[1] < h / 2
+        points = self._record_points(monkeypatch)
         rep = certify_positive(poly, 0.0, 3.0)
         assert rep.verdict == REFUTED and rep.refinement_depth >= 2
         assert xs[-2] < rep.witness[0] < 3.0
-        assert max(points) < 3
+        assert max(j * Fraction(2 * PI / M) for M, j in points) < 3
         for opts in (CertifyOptions(max_depth=0), CertifyOptions(max_depth=2)):
             assert certify_positive(poly, 0.0, 3.0, opts).verdict != CERTIFIED
+
+    @pytest.mark.parametrize("share", [0.3, 0.7])
+    def test_dip_inside_the_partial_first_cell_never_certifies(self, monkeypatch, share):
+        # the mirror at wlo: lo = (1 - share) h puts the first lattice point
+        # at h, and the partial first cell (lo, h) of width share*h holds the
+        # dip of a - cos(theta - c) at its middle c.  It is bisected at the
+        # depth whose new lattice point falls inside it, h/2 at depth 1 for
+        # share 0.7 and 3h/4 at depth 2 for share 0.3, and stays whole before
+        h = 2 * PI / 8192
+        lo = (1.0 - share) * h
+        m, idx, ends, gaps, xs, _ = _level0(cosine_poly(2.0, [1.0]), lo, PI, 4096)
+        assert (m, idx[1], ends[0], xs[0]) == (8192, 1, 0, lo)
+        assert gaps[0] == Fraction(h) - Fraction(lo)
+        c = 0.5 * (lo + h)
+        poly = TrigPolynomial(2.0 * (1.0 - 1e-9), (-math.cos(c),), (-math.sin(c),))
+        assert naive_trig_value(poly, c) < 0 < min(naive_trig_value(poly, lo),
+                                                   naive_trig_value(poly, h))
+        points = self._record_points(monkeypatch)
+        rep = certify_positive(poly, lo, PI)
+        assert rep.verdict == REFUTED and rep.refinement_depth >= 2
+        assert lo < rep.witness[0] < h
+        assert min(j * Fraction(2 * PI / M) for M, j in points) >= lo
+        first_mid = (16384, 1) if share > 0.5 else (32768, 3)
+        assert first_mid in points
+        if share < 0.5:
+            assert (16384, 1) not in points  # h/2 lies before lo: the cell stays whole
+        for opts in (CertifyOptions(max_depth=0), CertifyOptions(max_depth=2)):
+            assert certify_positive(poly, lo, PI, opts).verdict != CERTIFIED
 
     def test_lower_bound_is_net_of_roundoff(self):
         poly = cosine_poly(2.0, [])  # f = 1: every cell bound is exactly 1
@@ -584,7 +659,7 @@ class TestSecondOrderCells:
         poly = cosine_poly(0.0, [0.0])
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict == INCONCLUSIVE
-        # 4096 lattice points, the last 4095 pi/4096, and pi itself
+        # 4096 lattice points from 0, the last 4095 pi/4096, and pi itself
         assert (rep.grid_points, rep.refinement_depth) == (4097, 0)
         assert "constant" in rep.boundary_notes
 
@@ -596,6 +671,88 @@ def _hermite_cell(poly, left, w):
     (fl, fr), (gl, gr) = poly.values(xs), deriv.values(xs)
     return float(_hermite_bound(fl, fr, gl, gr, w, fourth_derivative_bound(poly),
                                 roundoff_bound(poly), roundoff_bound(deriv)))
+
+
+def _product_error(a, b):
+    """a*b - fl(a*b), exactly, for float arrays whose products neither
+    overflow nor underflow (Dekker's two-product)."""
+    def halves(v):
+        t = 134217729.0 * v  # 2^27 + 1
+        hi = t - (t - v)
+        return hi, v - hi
+    p = a * b
+    (ah, al), (bh, bl) = halves(a), halves(b)
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+class TestDrift:
+    """certify._drift against the exact distance of every float that
+    values_period takes from its lattice point 2 pi j/M."""
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    @pytest.mark.parametrize("lo, hi", [(0.0, PI), (1e-4, PI - 1e-4), (0.1, PI - 0.1),
+                                        (1.0, 1.3), (2.0, 2.01), (1.2, 8.966370614359173),
+                                        (-1.0, 1.0)])
+    def test_drift_covers_every_lattice_float(self, lo, hi, depth):
+        # every index j of the lattice of M = m*2^depth on the window, the
+        # engine's level-0 lattice at depth 0: x = j*h rounded, h = 2 pi/M
+        # rounded, lies within _drift/L of 2 pi j/M.  x - 2 pi j/M = (x - j h)
+        # + j (h - 2 pi/M), the first term exact by the two-product and the
+        # second from 30-digit mpmath; a few points check the split in full
+        import mpmath as mp
+        poly = cosine_poly(2.0, [1.0, -0.5])
+        m, first, last = period_lattice(lo, hi, 4096)
+        M = m << depth
+        h = 2 * PI / M
+        j = np.arange((first - 1) << depth, ((last + 1) << depth) + 1)
+        x = j * h
+        j, x = j[(x >= lo) & (x <= hi)], x[(x >= lo) & (x <= hi)]
+        assert j.size >= 4095 << depth
+        with mp.workdps(30):
+            delta = float(mp.mpf(h) - 2 * mp.pi / M)
+        dist = np.abs(j * delta - _product_error(j.astype(float), np.full(j.size, h)))
+        worst = int(np.argmax(dist))
+        with mp.workdps(30):
+            for i in {0, worst, j.size - 1}:
+                exact = abs(mp.mpf(float(x[i])) - 2 * mp.pi * int(j[i]) / M)
+                assert float(exact) == pytest.approx(dist[i], rel=1e-6, abs=1e-40)
+        allowed = certify._drift(poly, lo, hi) / lipschitz_bound(poly)
+        assert dist.max() <= allowed
+        # the derivation's 2.37 u max(|lo|, |hi|) is what the floats can reach
+        assert dist.max() <= 2.37 * 2.0 ** -53 * max(abs(lo), abs(hi))
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, PI), (EPS, PI - EPS), (0.1, PI - 0.1),
+                                    (1.0, 1.3), (-1.0, 1.0)])
+def test_no_complex_fft(monkeypatch, tmp_path, lo, hi):
+    """Every lattice is anchored at 0, so every FFT is a real one: with the
+    complex transforms made to raise, the three entry points run on windows
+    at and away from 0 and across it, a shifted sum runs on (0, 2 pi), and
+    plotdata writes both figures."""
+    from postrig import cli
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a complex FFT was called")
+
+    monkeypatch.setattr(np.fft, "ifft", forbidden)
+    monkeypatch.setattr(np.fft, "fft", forbidden)
+    a = np.linspace(2.0, 0.5, 40)
+    polys = (cosine_poly(2.0 * a[-1], a[:-1][::-1]),
+             sine_poly(qk_sequence(400, 0.2, 0.4, 0.3, 0.7).values[1:]),
+             _koumandos_cosine(4000, 0.5))
+    for poly in polys:
+        rep = certify_positive(poly, lo, hi)
+        assert rep.verdict in (CERTIFIED, REFUTED, INCONCLUSIVE)
+        theta, _ = find_min(poly, lo, hi)
+        assert lo <= theta <= hi
+    for kind in ("p", "q"):
+        bracket_zeros(kind, a, lo, hi, 16 * 41)
+    shifted = shifted_poly(np.linspace(1.0, 0.2, 300), 0.25, "sine")
+    certify_positive(shifted, 0.0, 2 * PI, CertifyOptions(max_depth=2))
+    find_min(shifted, 0.0, 2 * PI)
+    for figure in ("fig1", "fig2"):
+        assert cli.main(["plotdata", "--figure", figure, "--n", "30", "--points", "500",
+                         "--outdir", str(tmp_path)]) == 0
 
 
 class TestHermiteCells:
@@ -676,14 +833,14 @@ class TestHugeCoefficients:
     def test_overflowing_cell_mean_is_refuted(self):
         # a0/2 + c cos(theta) is -8.99e306 at pi; the mean of two samples
         # near 1e308 overflowed as (f_l + f_r)/2, whose bound then read +inf
-        # and certified the sum.  The level-0 lattice is 1.2 + j pi, and the
-        # first midpoint 1.2 + pi/2 refutes
+        # and certified the sum.  The level-0 lattice is j pi, and its first
+        # point in the window, pi, refutes
         poly = cosine_poly(1.6179238213760842e308, [8.988465674311579e307])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rep = certify_positive(poly, 1.2, 8.966370614359173, CertifyOptions(grid0=3))
-        assert rep.verdict == REFUTED
-        theta = 1.2 + PI / 2
+        assert rep.verdict == REFUTED and rep.refinement_depth == 0
+        theta = PI
         assert rep.witness == (theta, pytest.approx(naive_trig_value(poly, theta), rel=1e-12))
         assert rep.witness[1] < -2.8e306
 
@@ -958,35 +1115,39 @@ class TestFindMin:
         assert np.abs(batches[-1] - theta).max() <= 2 * math.ulp(theta)
 
     def test_one_kernel_batch_per_level(self, monkeypatch):
-        # the level-0 scan is one FFT batch on the lattice and the scalar
-        # sample at pi past its last point 4095 pi/4096; each descent level is
-        # one batch of 1-2 midpoints by the direct sums, with no scalar
-        # value() probe
+        # the level-0 scan is one FFT batch on the lattice and one direct
+        # batch at pi, past its last point 4095 pi/4096; each descent level is
+        # one batch of 1-2 midpoints by the direct sums
         calls = []
-        values, period, value = (TrigPolynomial.values, TrigPolynomial.values_period,
-                                 TrigPolynomial.value)
+        values, period = TrigPolynomial.values, TrigPolynomial.values_period
 
         def counted_values(self, theta):
             calls.append(("values", np.size(theta)))
             return values(self, theta)
 
-        def counted_period(self, t0, m, idx):
+        def counted_period(self, m, idx):
             calls.append(("period", np.size(idx)))
-            return period(self, t0, m, idx)
-
-        def counted_value(self, theta):
-            calls.append(("value", theta))
-            return value(self, theta)
+            return period(self, m, idx)
 
         monkeypatch.setattr(TrigPolynomial, "values", counted_values)
         monkeypatch.setattr(TrigPolynomial, "values_period", counted_period)
-        monkeypatch.setattr(TrigPolynomial, "value", counted_value)
         _, c30 = fig1_polys(30)
         theta, m = find_min(c30, 0.0, PI)
-        # value(pi) evaluates through values
-        assert calls[:3] == [("period", 4096), ("value", PI), ("values", 1)]
-        assert len(calls) >= 13
-        assert all(kind == "values" and 1 <= k <= 2 for kind, k in calls[3:])
+        assert calls[:2] == [("period", 4096), ("values", 1)]
+        assert len(calls) >= 12
+        assert all(kind == "values" and 1 <= k <= 2 for kind, k in calls[2:])
+
+    @pytest.mark.parametrize("lo, hi", [(0.1, 3.0), (-1.0, 1.0), (1.0, 1.3)])
+    def test_minimum_at_wlo(self, lo, hi):
+        # 2 - cos(theta - lo + 0.1) rises from lo across the window: its
+        # minimum is the window end lo, no lattice point, sampled directly,
+        # and the descent from lo toward the first lattice point keeps it
+        poly = TrigPolynomial(4.0, (-math.cos(lo - 0.1),), (-math.sin(lo - 0.1),))
+        _, _, _, gaps, xs, _ = _level0(poly, lo, hi, 4096)
+        assert gaps[0] > 0 and xs[0] == lo
+        theta, value = find_min(poly, lo, hi)
+        assert theta == lo
+        assert value == pytest.approx(naive_trig_value(poly, lo), abs=roundoff_bound(poly))
 
     def test_flat_minimum_at_pi(self):
         # a qk cosine sum of degree 213 has f' = 0 at its minimum theta = pi,
@@ -1064,24 +1225,24 @@ def _qp_poly(kind, a):
 
 def _reference_brackets(kind, coeffs, lo, hi, grid):
     """bracket_zeros' scan as a loop over its grid, one nudge at a time: the
-    lattice lo + j h of at least grid + 1 points, h = 2 pi/m, and hi where
-    the lattice falls short of it by more than the nudge.  A sample within
-    the roundoff bound (and the FFT's abscissa term) of 0 has no reliable
-    sign and is nudged by a millionth of h, toward lo at hi and at the
-    lattice point before hi (the direct sums here, one FFT in the library,
-    differ by roundoff)."""
+    points j h (h = 2 pi/m) on [lo, hi] of the lattice of at least grid + 1
+    points, and lo and hi where the lattice falls short of them by more than
+    the nudge.  A sample within the roundoff bound (and the FFT's abscissa
+    term) of 0 has no reliable sign and is nudged by a millionth of h,
+    toward lo at hi and at the lattice point before hi, toward hi elsewhere
+    (the direct sums here, one FFT in the library, differ by roundoff)."""
     poly = _qp_poly(kind, coeffs)
-    m, last, gap = period_lattice(lo, hi, grid + 1)
-    nudge = 1e-6 * (2 * PI / m)
-    xs = np.minimum(lo + np.arange(last + 1) * (2 * PI / m), hi)
-    partial = gap > nudge
-    if partial:
-        xs = np.append(xs, hi)
+    m, first, last = period_lattice(lo, hi, grid + 1)
+    h = 2 * PI / m
+    nudge = 1e-6 * h
+    head = first * Fraction(h) - Fraction(lo) > nudge
+    tail = Fraction(hi) - last * Fraction(h) > nudge
+    xs = np.concatenate(([lo] * head, np.arange(first, last + 1) * h, [hi] * tail))
     vals = poly.values(xs)
     end = xs.size - 1
-    drift = lipschitz_bound(poly) * (hi - lo) * 2.0 ** -52
+    drift = lipschitz_bound(poly) * max(abs(lo), abs(hi)) * 2.38 * 2.0 ** -53
     for i in np.nonzero(np.abs(vals) <= roundoff_bound(poly) + drift)[0]:
-        xs[i] += -nudge if i >= end - partial else nudge
+        xs[i] += -nudge if i >= end - tail else nudge
         vals[i] = poly.value(float(xs[i]))
     out = []
     for i in range(end):
@@ -1107,13 +1268,14 @@ class TestBracketZeros:
         assert got.brackets
 
     def test_exact_zero_sample_is_nudged(self):
-        # q is odd, so it vanishes exactly at the lattice point 0.0 = -pi +
-        # 36 h of this grid (h = 2 pi/72), where the FFT gives roundoff; only
-        # the nudge turns that sample into a bracket around 0
+        # q is odd, so it vanishes exactly at the lattice point 0 of this
+        # grid (h = 2 pi/72), the 36th sample after -pi and the 35 points
+        # -35 h .. -h, where the FFT gives roundoff; only the nudge turns that
+        # sample into a bracket around 0
         a = [3.0, 2.0, 1.5, 1.0]
         lo, hi, grid = -PI, PI, 64
-        m, xs, vals, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1)
-        assert (m, xs[36]) == (72, 0.0)
+        m, idx, _, _, xs, vals = _level0(_qp_poly("q", a), lo, hi, grid + 1)
+        assert (m, idx[36], xs[0], xs[36]) == (72, 0, -PI, 0.0)
         assert abs(vals[36]) <= roundoff_bound(_qp_poly("q", a))
         got = bracket_zeros("q", a, lo, hi, grid)
         assert got.brackets == _reference_brackets("q", a, lo, hi, grid)
@@ -1128,7 +1290,8 @@ class TestBracketZeros:
         a = np.linspace(1.0, 0.1, n)
         a[0] += 0.5
         for grid in (4800, 4808, 4813):
-            assert period_lattice(0.0, 2 * PI, grid + 1)[2] > 0  # 2pi sampled directly
+            m, _, last = period_lattice(0.0, 2 * PI, grid + 1)
+            assert last * Fraction(2 * PI / m) < 2 * PI  # 2pi sampled directly
             got = bracket_zeros("q", a, 0.0, 2 * PI, grid).brackets
             assert len(got) == 2 * n - 1, grid
             for lo, hi, s_lo, s_hi in got:
@@ -1137,22 +1300,24 @@ class TestBracketZeros:
                                       for k, ak in enumerate(a))
                     assert value * sign > 0, (grid, theta, value, sign)
 
-    @pytest.mark.parametrize("lo", [1.0013826583317464, 1.0013826583317453])
-    def test_zero_samples_beside_a_partial_cell_of_ulps_move_by_the_step(self, monkeypatch,
-                                                                         lo):
-        """q vanishes at pi, and from these lo the last lattice point x_J
-        falls 0.46 or 2.96 ulps short of it, so x_J reads roundoff like pi.
-        The zero samples move by a millionth of h toward lo (pi itself,
-        within the nudge of x_J, is dropped), not by a millionth of the
-        partial cell, which leaves them where roundoff signs can fake a
-        crossing at the open end."""
+    @pytest.mark.parametrize("lo, hi", [(-1e-12, PI), (-4e-9, PI), (1.0, 2 * PI + 1e-12),
+                                        (1.0, 2 * PI + 4e-9)])
+    def test_zero_samples_beside_a_partial_cell_within_the_nudge(self, monkeypatch, lo, hi):
+        """q vanishes at 0 and 2 pi, lattice points that lie within the
+        nudge of these lo or hi, so that they and the window end read
+        roundoff alike.  The window end is dropped, and the lattice point
+        moves by a millionth of h inward, toward hi at 0 and toward lo at
+        2 pi; nudged both, a zero at lo could pass the lattice point beside
+        it and fake a crossing at the open end."""
         a = np.linspace(1.0, 0.1, 40)
         a[0] += 0.5
         grid = 16 * 40
-        m, last, gap = period_lattice(lo, PI, grid + 1)
+        m, idx, _, gaps, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1)
         h = 2 * PI / m
-        assert 0 < gap < 3 * math.ulp(PI)
-        want = _reference_brackets("q", a, lo, PI, grid)
+        nudge = 1e-6 * h
+        end, at = (0, 0.0) if lo < 0 else (1, 2 * PI)
+        assert 0 < gaps[end] <= nudge and idx[-2 if end else 1] * h == at
+        want = _reference_brackets("q", a, lo, hi, grid)
         probes, values = [], TrigPolynomial.values
 
         def counted(self, theta):
@@ -1160,9 +1325,11 @@ class TestBracketZeros:
             return values(self, theta)
 
         monkeypatch.setattr(TrigPolynomial, "values", counted)
-        got = bracket_zeros("q", a, lo, PI, grid).brackets
-        assert probes[-1].max() == pytest.approx(PI - 1e-6 * h, abs=4 * math.ulp(PI))
-        assert got == want
+        got = bracket_zeros("q", a, lo, hi, grid).brackets
+        nudged = probes[-1].max() if end else probes[-1].min()
+        assert nudged == pytest.approx(at - nudge if end else nudge, abs=4 * math.ulp(2 * PI))
+        assert got == want and got
+        assert (got[-1][1] <= nudged) if end else (got[0][0] >= nudged)  # no end crossing
         for b_lo, b_hi, s_lo, s_hi in got:
             for theta, sign in ((b_lo, s_lo), (b_hi, s_hi)):
                 assert sign * math.fsum(ak * math.sin((40 - k) * theta)

@@ -106,12 +106,12 @@ class TestCertifyCommand:
 
     def test_overflowing_cell_mean_is_refuted(self, tmp_path):
         # the sum is -8.99e306 at pi; an overflowing cell mean certified it.
-        # The witness is the first midpoint of the level-0 lattice 1.2 + j pi
+        # The witness is pi, the first point of the level-0 lattice j pi
         out = tmp_path / "r.json"
         assert run(["certify", "--family", "raw-cosine", "--coeffs",
                     "1.6179238213760842e308,8.988465674311579e307", "--lo", "1.2",
                     "--hi", "8.966370614359173", "--grid", "3", "-o", str(out)]) == 2
-        assert json.loads(out.read_text())["report"]["witness"]["theta"] == 1.2 + math.pi / 2
+        assert json.loads(out.read_text())["report"]["witness"]["theta"] == math.pi
 
     def test_mass_beyond_the_float_range_is_refuted(self, tmp_path):
         # refuted like 1,1, at the same theta

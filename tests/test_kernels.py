@@ -12,6 +12,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from postrig import TrigPolynomial, kernels, sine_poly, trigeval
 from conftest import naive_sine_sum, naive_cosine_sum, naive_trig_value, stride_layout
 
+PI = math.pi
+
 
 def test_empty_inputs():
     C, S = kernels.pair_sums(np.array([]), np.array([0.5, 1.0]))
@@ -69,15 +71,6 @@ def test_angle_reduction():
     C1, S1 = kernels.pair_sums(coeffs, base + 6 * math.pi)
     assert C1[0] == pytest.approx(C0[0], abs=5e-13)
     assert S1[0] == pytest.approx(S0[0], abs=5e-13)
-
-
-def test_sub_lattice():
-    assert kernels.sub_lattice(np.arange(4096)) == (0, 1)
-    assert kernels.sub_lattice(np.arange(1, 8191, 2)) == (1, 2)
-    assert kernels.sub_lattice(np.array([[13, 5], [9, 29]])) == (5, 4)
-    assert kernels.sub_lattice(np.array([-3, 5, 13])) == (-3, 8)
-    assert kernels.sub_lattice(np.array([7, 7])) == (7, 1)
-    assert kernels.sub_lattice(np.array([], dtype=np.int64)) == (0, 1)
 
 
 def test_inverse_two_pi_constant():
@@ -191,72 +184,74 @@ def _mp_pair(coeffs, theta):
         return acc.real, acc.imag
 
 
-def _mp_lattice(x0, m, j):
-    """x0 + 2 pi j/m in 30 digits."""
+def _mp_lattice(M, j):
+    """2 pi j/M in 30 digits."""
     import mpmath as mp
     with mp.workdps(30):
-        return mp.mpf(x0) + 2 * mp.pi * j / m
+        return 2 * mp.pi * j / M
+
+
+#: the distance of the float of a lattice point from the point, per unit of
+#: its modulus (`certify._drift` derives it)
+_ABSCISSA = 2.38 * 2.0 ** -53
 
 
 @pytest.mark.parametrize("m", [2, 5, 4096, 8192, 8748])
-@pytest.mark.parametrize("x0", [0.0, 1e-4, 0.1, 1.2])
+@pytest.mark.parametrize("start", [0, 1, -1, 3])
 @pytest.mark.parametrize("fold", [False, True])
-def test_period_kernel_at_the_exact_lattice(m, x0, fold):
-    """The sums at x0 + 2 pi j/m themselves, within error_bound, for n < m
-    and n >= m (the coefficients folded mod m); m = 2 and 5 take points past
-    pi and past 2 pi, the latter equal to points of the first period."""
+def test_period_kernel_at_the_exact_lattice(m, start, fold):
+    """The sums at 2 pi j/m themselves, within error_bound, for n < m and
+    n >= m (the coefficients folded mod m), on index runs that start at
+    start*m + 1 (start*m for start = 0): negative indices and indices past m
+    are the points of their residues, and m = 2 and 5 take points past pi
+    and past 2 pi."""
     n = m + 37 if fold else min(m - 1, 300)
     rng = np.random.default_rng(m + n)
     coeffs = rng.uniform(-1.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
     count = 2 * m + 1 if m < 10 else m // 2 + 3
-    C, S = kernels.pair_sums_period(coeffs, x0, m, np.arange(count))
+    idx = start * m + bool(start) + np.arange(count)
+    C, S = kernels.pair_sums_period(coeffs, m, idx)
     assert C.shape == S.shape == (count,)
     bound = kernels.error_bound(np.abs(coeffs).sum(), n)
-    for j in sorted({0, count // 3, count - 1}):
-        ref_c, ref_s = _mp_pair(coeffs, _mp_lattice(x0, m, j))
-        assert abs(C[j] - float(ref_c)) <= bound and abs(S[j] - float(ref_s)) <= bound, j
+    for i in sorted({0, count // 3, count - 1}):
+        ref_c, ref_s = _mp_pair(coeffs, _mp_lattice(m, int(idx[i])))
+        assert abs(C[i] - float(ref_c)) <= bound and abs(S[i] - float(ref_s)) <= bound, i
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=1, max_size=120),
-       st.sampled_from([0.0, 1e-4, 0.7, -2.5, 13.1]), st.integers(1, 3000),
-       st.integers(0, 20_000), st.integers(1, 2 ** 12),
-       st.lists(st.integers(0, 400), min_size=1, max_size=60),
+@given(st.lists(st.floats(-10, 10), min_size=1, max_size=120), st.integers(1, 3000),
+       st.lists(st.integers(-20_000, 20_000), min_size=1, max_size=60),
        st.sampled_from([0.0, 0.25, 0.5]), st.data())
-@example(coeffs=[1.0] * 50, x0=0.0, M=3, r=4, s=4096, q=list(range(60)), shift=0.0,
-         data=None)
-@example(coeffs=[0.3, -1.0, 2.0, 0.5], x0=0.0, M=7, r=14, s=3, q=list(range(60)),
-         shift=0.0, data=None)  # a real FFT, and sums past half its length
-@example(coeffs=[0.5, -1.0, 2.0], x0=0.7, M=2000, r=1, s=2, q=[0, 1, 5], shift=0.25,
-         data=None)
-def test_lattice_kernel_against_mpmath(coeffs, x0, M, r, s, q, shift, data):
-    """At idx = r + s*q, the stride s not always a power of two or a divisor
-    of M and the indices often more than M, the kernel is within error_bound
-    of the exact sums at x0 + 2 pi idx/M.  A sum through values_period on
-    the FFT, shifted or not, is within its roundoff bound of the exact sum at
-    the floats x of its points, and of L times their distance from the FFT's
-    points: 1.37 2^-53 |idx| (2 pi/M) for the rounded step, and the roundings
-    of idx*h and of x."""
+@example(coeffs=[1.0] * 50, M=3, idx=list(range(-30, 30)), shift=0.0, data=None)
+@example(coeffs=[0.3, -1.0, 2.0, 0.5], M=7, idx=list(range(-20, 40)), shift=0.0,
+         data=None)  # odd M, and sums past half its length
+@example(coeffs=[0.5, -1.0, 2.0], M=4006, idx=[-4007, -1, 0, 2003, 2004, 4005, 4006, 12001],
+         shift=0.25, data=None)  # a length with a large prime factor, shifted
+def test_lattice_kernel_against_mpmath(coeffs, M, idx, shift, data):
+    """At any indices, negative or past M, on lattices of any length M (odd,
+    not 5-smooth, often shorter than the degree, so folded), the kernel is
+    within error_bound of the exact sums at 2 pi idx/M.  A sum through
+    values_period on the FFT, shifted or not, is within its roundoff bound of
+    the exact sum at the floats x of its points, and of L times their
+    distance from the FFT's points, at most 2.37 2^-53 |x|."""
     import mpmath as mp
     c = np.array(coeffs)
-    idx = r + s * np.array(q)
-    C, S = kernels.pair_sums_period(c, x0, M, idx)
+    j = np.array(idx)
+    C, S = kernels.pair_sums_period(c, M, j)
     bound = kernels.error_bound(np.abs(c).sum(), c.size)
-    picks = range(min(idx.size, 7)) if data is None else \
-        data.draw(st.lists(st.integers(0, idx.size - 1), min_size=1, max_size=4))
+    picks = range(min(j.size, 7)) if data is None else \
+        data.draw(st.lists(st.integers(0, j.size - 1), min_size=1, max_size=4))
     for i in picks:
-        ref_c, ref_s = _mp_pair(c, _mp_lattice(x0, M, int(idx[i])))
+        ref_c, ref_s = _mp_pair(c, _mp_lattice(M, int(j[i])))
         assert abs(C[i] - float(ref_c)) <= bound and abs(S[i] - float(ref_s)) <= bound, i
     # a point's value does not depend on the order or the shape of its batch
-    C2, S2 = kernels.pair_sums_period(c, x0, M, idx[::-1, None])
+    C2, S2 = kernels.pair_sums_period(c, M, j[::-1, None])
     assert np.array_equal(C2[::-1, 0], C) and np.array_equal(S2[::-1, 0], S)
     poly = TrigPolynomial(cos_coeffs=c[::-1], sin_coeffs=c, shift=shift) if shift else \
         TrigPolynomial(1.0, c[::-1], c)
     with mock.patch.object(trigeval, "period_cheaper", lambda n, M, idx: True):
-        got = poly.values_period(x0, M, idx)
-    x = x0 + idx * (2 * math.pi / M)
-    tol = trigeval.roundoff_bound(poly) + trigeval.lipschitz_bound(poly) * 2.0 ** -52 * \
-        float((np.abs(x - x0) + np.abs(x)).max())
+        got = poly.values_period(M, j)
+    x = j * (2 * math.pi / M)
     for i in picks:
         with mp.workdps(30):
             theta = mp.mpf(float(x[i]))
@@ -264,137 +259,150 @@ def test_lattice_kernel_against_mpmath(coeffs, x0, M, r, s, q, shift, data):
                 mp.mpf(float(cf)) * trig(mp.mpf(float(nu)) * theta)
                 for (nus, cs), trig in zip(poly.terms(), (mp.cos, mp.sin))
                 for nu, cf in zip(nus, cs))
+        tol = trigeval.roundoff_bound(poly) + \
+            trigeval.lipschitz_bound(poly) * _ABSCISSA * abs(float(x[i]))
         assert abs(got[i] - float(want)) <= tol, i
 
 
 @pytest.mark.parametrize("n", [10_000, 20_000, 70_000])
 def test_period_kernel_contract_at_large_n(n):
     """<= error_bound against exact sums (256-bit Horner) on the certifier's
-    level-0 lattice and on its level-1 midpoints, whose sub-lattice s = 2
-    halves the FFT; the coefficients are folded over up to 9 periods, and
-    above degree 65535 the multipliers k pass 2^16."""
+    level-0 lattice and on its level-1 midpoints, one real FFT of twice the
+    length; the coefficients are folded over up to 9 periods, and above
+    degree 65535 the multipliers k pass 2^16."""
     import mpmath as mp
     rng = np.random.default_rng(n)
     coeffs = rng.uniform(0.0, 1.0, n) / np.arange(1, n + 1) ** 0.5
     bound = kernels.error_bound(np.abs(coeffs).sum(), n)
-    for M, idx in ((8192, np.arange(4096)), (16384, np.arange(1, 8190, 2))):
-        C, S = kernels.pair_sums_period(coeffs, 1e-4, M, idx)
+    for M, idx in ((8192, np.arange(1, 4096)), (16384, np.arange(1, 8190, 2))):
+        C, S = kernels.pair_sums_period(coeffs, M, idx)
         for i in (0, 1234, idx.size - 1):
             with mp.workprec(320):
-                theta = mp.mpf(1e-4) + 2 * mp.pi * int(idx[i]) / M
+                theta = 2 * mp.pi * int(idx[i]) / M
             ref_c, ref_s = _exact_pair(coeffs, theta)
             assert abs(C[i] - ref_c) <= bound and abs(S[i] - ref_s) <= bound, (M, i)
 
 
-@pytest.mark.parametrize("x0", [0.0, 1e-9, math.pi - 1e-9, math.pi, -3.7, 13.1,
-                                2 * math.pi + 1e-3])
-def test_period_kernel_origins(x0):
-    """Within error_bound of the exact sums at x0 + 2 pi idx/M from any
-    origin, with negative indices and indices past M."""
+@pytest.mark.parametrize("M", [8160, 8191, 4006, 1])
+def test_period_kernel_any_index(M):
+    """Within error_bound of the exact sums at 2 pi idx/M for negative
+    indices, indices past M and both halves of the real FFT's range, on a
+    5-smooth, a prime, a non-5-smooth and the one-point lattice."""
     rng = np.random.default_rng(5)
     coeffs = rng.normal(size=300)
-    M = 8160
-    idx = np.concatenate([np.arange(-5, 40), [4095, 4096, 9000, 123456]])
-    C, S = kernels.pair_sums_period(coeffs, x0, M, idx)
+    idx = np.array([-123456, -M - 1, -M, -5, -1, 0, 1, M // 2, M // 2 + 1, M - 1, M,
+                    M + 3, 9000, 123456])
+    C, S = kernels.pair_sums_period(coeffs, M, idx)
     bound = kernels.error_bound(np.abs(coeffs).sum(), coeffs.size)
-    for i in (0, 5, 44, 46, 48):
-        ref_c, ref_s = _exact_pair(coeffs, _mp_lattice(x0, M, int(idx[i])))
-        assert abs(C[i] - ref_c) <= bound and abs(S[i] - ref_s) <= bound, idx[i]
+    for i, j in enumerate(idx.tolist()):
+        ref_c, ref_s = _exact_pair(coeffs, _mp_lattice(M, j))
+        assert abs(C[i] - ref_c) <= bound and abs(S[i] - ref_s) <= bound, j
+        k = j % M  # the same point as its residue
+        assert (C[i], S[i]) == tuple(v[0] for v in kernels.pair_sums_period(coeffs, M, [k]))
 
 
 def test_period_kernel_empty():
-    C, S = kernels.pair_sums_period(np.array([]), 0.3, 16, np.arange(5))
+    C, S = kernels.pair_sums_period(np.array([]), 16, np.arange(5))
     assert C.shape == S.shape == (5,) and not C.any() and not S.any()
-    C, S = kernels.pair_sums_period(np.array([1.0]), 0.3, 16, np.array([], dtype=int))
+    C, S = kernels.pair_sums_period(np.array([1.0]), 16, np.array([], dtype=int))
     assert C.size == S.size == 0
 
 
 @pytest.mark.parametrize("n", [1, 5, 20])
-@pytest.mark.parametrize("x0", [0.0, 1e-4])
-def test_period_kernel_underflow_term(n, x0):
+@pytest.mark.parametrize("start", [0, -4096])
+def test_period_kernel_underflow_term(n, start):
     """Scaled exactly inside the kernel: coefficients of 2^-1040 .. 2^-1070
     stay within error_bound against the direct sums of their normal images
     (the points' floats move them by far less than a subnormal spacing)."""
     m = 4096
-    points = x0 + np.arange(m // 2) * (2 * math.pi / m)
+    idx = start + np.arange(m // 2)
+    points = idx * (2 * math.pi / m)
     for seed in range(10):
         rng = np.random.default_rng(seed)
         coeffs = np.ldexp(rng.uniform(0.5, 1.0, n) * rng.choice([-1.0, 1.0], n),
                           -rng.integers(1040, 1071, n))
-        C, S = kernels.pair_sums_period(coeffs, x0, m, np.arange(m // 2))
+        C, S = kernels.pair_sums_period(coeffs, m, idx)
         ref_c, ref_s = kernels._direct_sums(np.ldexp(coeffs, 1100), points)
         bound = kernels.error_bound(np.abs(coeffs).sum(), n)
         assert np.abs(C - np.ldexp(ref_c, -1100)).max() <= bound
         assert np.abs(S - np.ldexp(ref_s, -1100)).max() <= bound
 
 
-@pytest.mark.parametrize("x0", [0.0, 1e-4, 0.1, 1.2])
-def test_period_values_of_a_shifted_stride_two_sum(x0):
+@pytest.mark.parametrize("first", [0, 1, 140, -2300])
+def test_period_values_of_a_shifted_stride_two_sum(first):
     """values_period peels shift 0.25 at the floats of the lattice points and
     runs the body, its skipped frequencies laid out as zeros, over m points;
-    against mpmath at the float step's lattice x0 + j h, h = 2 pi/m rounded,
-    the value is within the roundoff bound and the abscissa term
-    L (j/m) 4 pi 2^-53."""
+    against mpmath at the float step's lattice j h, h = 2 pi/m rounded, the
+    value is within the roundoff bound and the abscissa term L 2.38 2^-53
+    |j h| (`certify._drift`)."""
     m, count = 8748, 2300
     rng = np.random.default_rng(7)
     poly = stride_layout(0.0, rng.normal(size=300), rng.normal(size=200), 0.25, 2)
-    got = poly.values_period(x0, m, np.arange(count))
+    idx = first + np.arange(count)
+    got = poly.values_period(m, idx)
     h = 2 * math.pi / m
     L = trigeval.lipschitz_bound(poly)
     import mpmath as mp
-    for j in (0, 1, 1000, count - 1):
+    for i in (0, 1, 1000, count - 1):
+        j = int(idx[i])
         with mp.workdps(30):
-            theta = mp.mpf(x0) + j * mp.mpf(h)
+            theta = j * mp.mpf(h)
             want = sum(mp.mpf(float(c)) * trig(mp.mpf(float(nu)) * theta)
                        for (nu_c, c_c), trig in zip(poly.terms(), (mp.cos, mp.sin))
                        for nu, c in zip(nu_c, c_c))
-        tol = trigeval.roundoff_bound(poly) + L * (j / m) * 4 * math.pi * 2.0 ** -53
-        assert abs(got[j] - float(want)) <= tol, j
+        tol = trigeval.roundoff_bound(poly) + L * _ABSCISSA * abs(j * h)
+        assert abs(got[i] - float(want)) <= tol, j
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 5), st.floats(-5, -1e-3)),
                 min_size=1, max_size=40),
        st.sampled_from([0.0, 0.25, 0.5]), st.sampled_from([1, 2]),
-       st.sampled_from(["cosine", "sine"]), st.floats(-7.0, 7.0),
+       st.sampled_from(["cosine", "sine"]),
        st.integers(130, 2 ** 17), st.lists(st.integers(-3000, 3000), min_size=1, max_size=30),
        st.booleans())
-def test_values_period_matches_values(coeffs, shift, stride, kind, t0, M, idx, fft):
-    """values_period(t0, M, idx) == values(t0 + idx*(2 pi/M)) through either
-    path, up to the roundoff and L times the distance of the floats from the
-    FFT's points (see test_lattice_kernel_against_mpmath)."""
+def test_values_period_matches_values(coeffs, shift, stride, kind, M, idx, fft):
+    """values_period(M, idx) == values(idx*(2 pi/M)) through either path, up
+    to the roundoff and L times the distance of the floats from the FFT's
+    points (see test_lattice_kernel_against_mpmath)."""
     assume(any(coeffs[1:] if shift == 0.0 and kind == "sine" else coeffs))
     poly = trigeval.shifted_poly(coeffs, shift, kind, stride)
     j = np.array(idx)
     with mock.patch.object(trigeval, "period_cheaper", lambda n, M, idx: fft):
-        got = poly.values_period(t0, M, j)
-    x = t0 + j * (2 * math.pi / M)
+        got = poly.values_period(M, j)
+    x = j * (2 * math.pi / M)
     want = poly.values(x)
+    if not fft:
+        assert np.array_equal(got, want)
     mass = sum(abs(c) for c in coeffs) or 1.0
-    drift = trigeval.lipschitz_bound(poly) * 2.0 ** -52 * float((np.abs(x - t0) + np.abs(x)).max())
-    assert np.max(np.abs(got - want)) <= 2e-12 * mass + drift
+    drift = trigeval.lipschitz_bound(poly) * _ABSCISSA * np.abs(x)
+    assert (np.abs(got - want) <= 2e-12 * mass + drift).all()
 
 
 def test_cost_model():
-    """One comparison, the FFT on the batch's sub-lattice against the direct
-    sums at its points.  Every benchmark window takes the FFT at level 0 and
-    a dense level 1 takes it at high degree; a window that holds few of its
-    lattice's points, a sparse deep level and single points take the direct
-    sums."""
+    """One comparison, the real FFT of the batch's lattice against the
+    direct sums at its points.  Every benchmark window takes the FFT at level
+    0, and its odd level-1 midpoints at every degree; a window that holds
+    few of its lattice's points, a sparse deep level and single points take
+    the direct sums."""
     for lo, hi in ((0.0, math.pi), (1e-4, math.pi - 1e-4), (0.0, 2 * math.pi),
-                   (0.1, math.pi - 0.1)):
-        m, last, _ = kernels.period_lattice(lo, hi, 4096)
-        idx = np.arange(last + 1)
+                   (0.1, math.pi - 0.1), (-1.0, 1.0)):
+        m, first, last = kernels.period_lattice(lo, hi, 4096)
+        idx = np.arange(first, last + 1)
         assert all(kernels.period_cheaper(n, m, idx) for n in (1, 20, 400, 4000, 20001))
         odd = 2 * idx[:-1] + 1
-        assert all(kernels.period_cheaper(n, 2 * m, odd) for n in (1000, 4000))
+        assert all(kernels.period_cheaper(n, 2 * m, odd) for n in (1, 20, 1000, 4000))
     # [1, 1.3] holds 5% of its m = 86400 points, and the FFT still wins;
-    # [2, 2.01] holds 0.16% of its m, and loses at every degree
-    m, last, _ = kernels.period_lattice(1.0, 1.3, 4096)
+    # [2, 2.01] holds 0.16% of its m, and loses up to degree 4000
+    m, first, last = kernels.period_lattice(1.0, 1.3, 4096)
     assert m == 86400
-    assert all(kernels.period_cheaper(n, m, np.arange(last + 1)) for n in (1, 20, 400, 4000))
-    m, last, _ = kernels.period_lattice(2.0, 2.01, 4096)
-    assert not any(kernels.period_cheaper(n, m, np.arange(last + 1)) for n in (1, 20, 400, 4000))
+    idx = np.arange(first, last + 1)
+    assert all(kernels.period_cheaper(n, m, idx) for n in (1, 20, 400, 4000))
+    m, first, last = kernels.period_lattice(2.0, 2.01, 4096)
+    idx = np.arange(first, last + 1)
+    assert not any(kernels.period_cheaper(n, m, idx) for n in (1, 20, 400, 4000))
+    assert kernels.period_cheaper(20001, m, idx)
+    # 3 cells at depth 12, and single points
     assert not kernels.period_cheaper(4000, 8192 << 12, np.array([4001, 80003, 3_000_001]))
     assert not kernels.period_cheaper(20, 8192, np.array([17]))
     assert kernels.period_cheaper(0, 8192 << 12, np.array([3]))
@@ -404,20 +412,18 @@ def test_cost_model():
 def test_sparse_deep_batch_takes_the_direct_sums():
     """3 cells left at depth 12 of a highdeg certificate: the direct sums
     at the points' floats, and no FFT is allocated; a dense level-1 batch
-    of the same degree takes the FFT, of length 8192 on the odd
-    sub-lattice."""
+    of the same degree takes one real FFT of length 16384."""
     poly = sine_poly(np.random.default_rng(4).uniform(0.5, 1.0, 2000))
     M, idx = 8192 << 12, np.array([4001, 80003, 3_000_001])
     with mock.patch.object(trigeval, "pair_sums_period") as fft, \
-            mock.patch.object(np.fft, "ifft") as ifft, \
             mock.patch.object(np.fft, "rfft") as rfft:
-        got = poly.values_period(1e-4, M, idx)
-    assert not (fft.called or ifft.called or rfft.called)
-    assert np.array_equal(got, poly.values(1e-4 + idx * (2 * math.pi / M)))
+        got = poly.values_period(M, idx)
+    assert not (fft.called or rfft.called)
+    assert np.array_equal(got, poly.values(idx * (2 * math.pi / M)))
     odd = np.arange(1, 8190, 2)
-    with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft:
-        poly.values_period(1e-4, 16384, odd)
-    assert ifft.call_count == 1 and ifft.call_args[0][0].size == 8192
+    with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft:
+        poly.values_period(16384, odd)
+    assert rfft.call_count == 1 and rfft.call_args[0][0].size == 16384
 
 
 def test_arbitrary_angles_take_the_direct_sums():
@@ -427,23 +433,45 @@ def test_arbitrary_angles_take_the_direct_sums():
         assert direct.call_count == 2
 
 
+#: 2 pi rounded down and up to 28 digits
+_TWO_PI_DOWN = Fraction("6.283185307179586476925286766")
+_TWO_PI_UP = Fraction("6.283185307179586476925286767")
+
+
+def _inside(j, m, lo, hi):
+    """Whether the point 2 pi j/m (for either bound on 2 pi) and the float
+    step's point j*(2 pi/m) both lie on [lo, hi]."""
+    h = Fraction(2 * math.pi / m)
+    return all(Fraction(lo) <= x <= Fraction(hi)
+               for x in (j * _TWO_PI_DOWN / m, j * _TWO_PI_UP / m, j * h))
+
+
 @pytest.mark.parametrize("lo, hi, count, want", [
-    (0.0, math.pi, 4096, (8192, 4095)),            # pi itself is past math.pi
-    (1e-4, math.pi - 1e-4, 4096, (8192, 4095)),
-    (0.0, 2 * math.pi, 4096, (4096, 4095)),
-    (0.1, math.pi - 0.1, 4096, (8748, 4095)),
-    (1.2, 8.966370614359173, 3, (2, 2)),
-    (0.0, 3.0, 4096, (8640, 4125)),
+    (0.0, math.pi, 4096, (8192, 0, 4095)),            # pi itself is past math.pi
+    (1e-4, math.pi - 1e-4, 4096, (8192, 1, 4095)),
+    (0.0, 2 * math.pi, 4096, (4096, 0, 4095)),
+    (0.1, math.pi - 0.1, 4096, (8748, 140, 4234)),
+    (1.2, 8.966370614359173, 3, (2, 1, 2)),
+    (0.0, 3.0, 4096, (8640, 0, 4125)),
+    (-1.0, 1.0, 4096, (12960, -2062, 2062)),
+    (2.0, 2.01, 4096, (2592000, 825060, 829184)),
+    (-7.0, -6.5, 3, (27, -30, -28)),
+    # m = 24 fits the step but holds no point: 11 h lies before lo, and the
+    # point 12, pi itself, past math.pi; the next length holds one
+    (2.8797932657906435, PI, 2, (25, 12, 12)),
 ])
 def test_period_lattice(lo, hi, count, want):
-    """The smallest 5-smooth length with count points on [lo, hi], none past
-    hi as an exact point or on the float step."""
-    m, last, gap = kernels.period_lattice(lo, hi, count)
-    assert (m, last) == want
-    h = Fraction(2 * math.pi / m)
-    assert gap == Fraction(hi) - Fraction(lo) - last * h >= 0
-    two_pi_up = Fraction("6.2831853071795864769252867666")  # 2 pi + 2e-29
-    assert Fraction(lo) + last * two_pi_up / m <= Fraction(hi)
+    """Today's m, the smallest 5-smooth length whose step fits count - 1
+    times into hi - lo, and the first and last indices of its points 2 pi
+    j/m on [lo, hi], each inside as an exact point and on the float step,
+    and the indices next to them outside."""
+    m, first, last = kernels.period_lattice(lo, hi, count)
+    assert (m, first, last) == want
+    assert _inside(first, m, lo, hi) and _inside(last, m, lo, hi)
+    assert not _inside(first - 1, m, lo, hi) and not _inside(last + 1, m, lo, hi)
+    span = Fraction(hi) - Fraction(lo)
     below = next((k for k in range(m - 1, 0, -1) if kernels._fft_length(k) == k), None)
-    if below:  # the next smaller candidate holds too few points
-        assert kernels._period_last(Fraction(hi) - Fraction(lo), below) + 1 < count
+    if below:  # the next smaller candidate's step does not fit, or it holds no point
+        first = -kernels._last_in(-Fraction(lo), below)
+        last = kernels._last_in(Fraction(hi), below)
+        assert kernels._last_in(span, below) + 1 < count or first > last

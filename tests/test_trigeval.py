@@ -187,21 +187,22 @@ class TestDerivative:
                 poly.derivative()
 
     @pytest.mark.parametrize("shift, stride", [(0.0, 1), (0.25, 2)])
-    def test_level_one_runs_the_level_zero_fft_length(self, rng, shift, stride):
+    def test_levels_zero_and_one_run_one_real_fft_each(self, rng, shift, stride):
         # what refinement with f' samples relies on: f' on the level-0
         # lattice of m points and f at the depth-1 midpoints, the odd points
-        # of the lattice of 2m, each run FFTs of length m and no direct sums
+        # of the lattice of 2m, each run real FFTs of that lattice's length
+        # and no direct sums
         poly = _layout(1.0, list(rng.normal(size=400)), list(rng.normal(size=300)),
                        shift, stride)
-        m, last, _ = period_lattice(0.0, math.pi, 4096)
-        h, idx = 2 * math.pi / m, np.arange(last + 1)
-        with mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft) as ifft, \
-                mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft, \
+        m, first, last = period_lattice(0.0, math.pi, 4096)
+        h, idx = 2 * math.pi / m, np.arange(first, last + 1)
+        with mock.patch.object(np.fft, "rfft", wraps=np.fft.rfft) as rfft, \
                 mock.patch.object(trigeval, "pair_sums") as direct:
-            got = poly.derivative().values_period(0.0, m, idx)
-            mid = poly.values_period(0.0, 2 * m, 2 * idx + 1)
-        lengths = [c.args[0].size for c in ifft.call_args_list + rfft.call_args_list]
-        assert not direct.called and lengths and set(lengths) == {m}
+            got = poly.derivative().values_period(m, idx)
+            mid = poly.values_period(2 * m, 2 * idx + 1)
+        lengths = [c.args[0].size for c in rfft.call_args_list]
+        # one for the cosine and one for the sine part of each batch
+        assert not direct.called and lengths == [m, m, 2 * m, 2 * m]
         want = poly.derivative().values(idx * h)
         assert np.abs(got - want).max() <= 2 * error_bound(lipschitz_bound(poly), 700) + \
             lipschitz_bound(poly.derivative()) * math.pi * 2.0 ** -51
