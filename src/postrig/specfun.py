@@ -456,12 +456,18 @@ def _bessel_series(nu: float, t: np.ndarray) -> np.ndarray:
         rows = min(_BESSEL_MAX_TERMS, 2 * rows)
 
 
+def _with_known(f: Callable[[float], float], known: dict) -> Callable[[float], float]:
+    """f, looking up the points of `known` in place of calling f there."""
+    return lambda x: known[x] if x in known else f(x)
+
+
 def bessel_zero(nu: float, m: int) -> float:
     """m-th positive zero of J_nu (m in {1, 2}), by scan + Brent on the series.
 
     The scan walks the grid t = 0.05 k, k = 1 .. 600, evaluating _ZERO_CHUNK
     points a call of bessel_j, and stops at the chunk that holds the m-th sign
-    change (or exact zero); Brent then refines that step.
+    change (or exact zero); Brent then refines that step, starting from the
+    scan's values at its ends.
     """
     if m not in (1, 2):
         raise ParameterDomainError(f"m must be 1 or 2, got {m}")
@@ -478,8 +484,12 @@ def bessel_zero(nu: float, m: int) -> float:
             i = hits[m - found - 1]
             if f_prev[i] == 0.0:
                 return float(ts[i])
-            return brent_root(lambda x: bessel_j(nu, x), float(ts[i]), float(ts[i + 1]),
-                              tol=1e-12)
+            lo, hi = float(ts[i]), float(ts[i + 1])
+            # the scan's values at the bracket ends are bit for bit those of
+            # scalar calls, so Brent takes the same steps without them
+            f = _with_known(lambda x: bessel_j(nu, x),
+                            {lo: float(f_prev[i]), hi: float(f_cur[i])})
+            return brent_root(f, lo, hi, tol=1e-12)
         found += hits.size
     raise RootOutOfRangeError(f"zero {m} of J_{nu} not located below t = 30")
 

@@ -280,7 +280,13 @@ class TestOpucPositivity:
             cum = np.cumsum(np.asarray(opuc_coeffs(b, omega, 100).coeffs))
             psi = opuc_log_route_cumulative(b, omega, 100)
             rel = np.max(np.abs(cum - psi) / np.maximum(1.0, np.abs(psi)))
-            assert rel < 1e-10
+            assert rel < 1e-13
+
+    def test_partial_sums_are_route_one(self):
+        for b, omega, N in ((-0.49, -0.99, 2000), (3.0, 0.5, 200), (0.5, 0.3, 0)):
+            rep = opuc_cumulative_positive(b, omega, N)
+            want = np.cumsum(np.asarray(opuc_coeffs(b, omega, N).coeffs))
+            assert np.array(rep.partial_sums).tobytes() == want.tobytes()
 
     def test_weighted_with_taper_compliant_coefficients(self):
         # Abel reduction: positive cumulative sums + admissible weights
@@ -311,6 +317,67 @@ class TestOpucPositivity:
             opuc_cumulative_positive(0.5, 1.0, 10)
 
 
+def _dot_product_route(b, omega, N):
+    """The log route as one dot product per n: n psi_n = sum_m g'_m psi_{n-m}."""
+    gp = np.empty(N + 1)
+    pw = 1.0
+    for m in range(1, N + 1):
+        pw *= omega
+        gp[m] = (b + 2.0) + (b + 1.0) * pw
+    psi = np.empty(N + 1)
+    psi[0] = 1.0
+    for n in range(1, N + 1):
+        psi[n] = float(np.dot(gp[1:n + 1], psi[n - 1::-1])) / n
+    return psi
+
+
+CRITERION_8_B = (-0.49, -0.25, 0.0, 1.0, 3.0)
+CRITERION_8_OMEGA = (-0.99, -0.5, 0.0, 0.5, 0.99)
+
+
+class TestOpucLogRoute:
+    @pytest.mark.parametrize("b", CRITERION_8_B)
+    @pytest.mark.parametrize("omega", CRITERION_8_OMEGA)
+    def test_matches_the_dot_product_recurrence(self, b, omega):
+        for N in (0, 1, 2, 200, 2000):
+            got = opuc_log_route_cumulative(b, omega, N)
+            want = _dot_product_route(b, omega, N)
+            assert np.max(np.abs(got - want) / want) <= 1e-13, N
+
+    @pytest.mark.parametrize("b", CRITERION_8_B)
+    @pytest.mark.parametrize("omega", CRITERION_8_OMEGA)
+    def test_positive(self, b, omega):
+        assert (opuc_log_route_cumulative(b, omega, 2000) > 0).all()
+
+    @pytest.mark.parametrize("N", [0, 1, 200])
+    def test_writable_float64_of_length_n_plus_one(self, N):
+        psi = opuc_log_route_cumulative(0.5, 0.3, N)
+        assert psi.dtype == np.float64
+        assert psi.shape == (N + 1,)
+        assert psi.flags.writeable
+
+    @pytest.mark.parametrize("b, omega", [(-0.49, -0.99), (-0.49, 0.99),
+                                          (3.0, -0.99), (3.0, 0.99)])
+    def test_against_mpmath(self, b, omega):
+        # the cumulative sums are the coefficients of
+        # (1 - omega z)^-(b+1) (1 - z)^-(b+2)
+        N = 2000
+        psi = opuc_log_route_cumulative(b, omega, N)
+        with mpmath.workdps(40):
+            bm, om = mpmath.mpf(b), mpmath.mpf(omega)
+            fa, fb = [mpmath.mpf(1)], [mpmath.mpf(1)]
+            for m in range(N):
+                fa.append(fa[-1] * (bm + 1 + m) / (m + 1) * om)
+                fb.append(fb[-1] * (bm + 2 + m) / (m + 1))
+            for n in (0, 1, N):
+                want = mpmath.fsum(fa[j] * fb[n - j] for j in range(n + 1))
+                assert abs(psi[n] - want) <= 1e-13 * want, n
+
+    def test_domain(self):
+        with pytest.raises(ParameterDomainError):
+            opuc_log_route_cumulative(0.5, 0.3, -1)
+
+
 class TestJacobiSumCheck:
     def test_n0_is_one(self):
         assert jacobi_sum_check(0, 0.5, 1.0, 1.0, 0.5, 0.3, 1.2) == pytest.approx(1.0)
@@ -338,4 +405,14 @@ def test_series_coefficients_validation():
     with pytest.raises(ParameterDomainError):
         SeriesCoefficients((math.nan,), 0)
     with pytest.raises(ParameterDomainError):
+        SeriesCoefficients(np.array([1.0, math.inf]), 1)
+    with pytest.raises(ParameterDomainError):
+        SeriesCoefficients(np.ones((2, 2)), 3)
+    with pytest.raises(ParameterDomainError):
         SeriesCoefficients((1.0,), 0, tail_bound=-1.0)
+
+
+def test_series_coefficients_store_python_floats():
+    out = SeriesCoefficients(np.array([1.0, 0.5]), 1)
+    assert out.coeffs == (1.0, 0.5)
+    assert all(type(v) is float for v in out.coeffs)

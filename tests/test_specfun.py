@@ -285,6 +285,45 @@ class TestLambdaPrime:
         assert c.value - 0.5 == pytest.approx(-0.26938703, abs=1e-6)
 
 
+class TestBracketEndsFromTheScan:
+    """bessel_zero hands Brent the scan's values at the bracket ends."""
+
+    @staticmethod
+    def _scalar_calls(monkeypatch):
+        points = []
+        inner = specfun.bessel_j
+
+        def counting(nu, t):
+            if np.ndim(t) == 0:
+                points.append(t)
+            return inner(nu, t)
+
+        monkeypatch.setattr(specfun, "bessel_j", counting)
+        return points
+
+    def test_no_scalar_call_at_a_bracket_end(self, monkeypatch):
+        points = self._scalar_calls(monkeypatch)
+        for nu in (-0.3, 0.0, 0.5):
+            for m in (1, 2):
+                bessel_zero(nu, m)
+        ends = 0.05 * np.arange(1, 601)
+        assert points and not np.isin(points, ends).any()
+
+    def test_lambda_prime_scalar_calls(self, monkeypatch):
+        # 9 zeros, each 2 scalar calls fewer: 54 without the lookup
+        points = self._scalar_calls(monkeypatch)
+        lambda_prime()
+        assert len(points) == 36
+
+    def test_same_roots_without_the_lookup(self, monkeypatch):
+        cases = [(nu, m) for nu in (-0.3, 0.0, 0.5) for m in (1, 2)]
+        got = [bessel_zero(nu, m) for nu, m in cases] + [lambda_prime().value]
+        monkeypatch.setattr(specfun, "_with_known", lambda f, known: f)
+        want = [bessel_zero(nu, m) for nu, m in cases] + [lambda_prime().value]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert got[-1] == 0.23061297141093945
+
+
 # ---------------------------------------------------------------------------
 # the array contract of quad_singular, bessel_j and bessel_zero
 
