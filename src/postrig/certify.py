@@ -331,6 +331,19 @@ def _sample(poly: TrigPolynomial, M: int, idx: np.ndarray, ends, wlo: float,
     return out
 
 
+def _cell_ends(il: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(at, left): the sorted union of the cells' end indices il and il + 1,
+    in one linear pass (il is ascending and unique), and where each cell's
+    left end sits in it; its right end sits at left + 1."""
+    gap = np.append(il[1:] != il[:-1] + 1, True)
+    step = 1 + gap
+    left = np.cumsum(step) - step
+    at = np.empty(left[-1] + 2, dtype=il.dtype)
+    at[left] = il
+    at[left[gap] + 1] = il[gap] + 1
+    return at, left
+
+
 def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
     """(m, idx, ends, gaps, xs, vals): the level-0 samples of at least n
     points on [wlo, whi] that all three entry points scan.
@@ -458,12 +471,12 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             # the failing cells are tested again with f' at their ends
             lower = min(lower, float(bound[~fail].min(initial=math.inf)))
             il, fl, fr = il[fail], fl[fail], fr[fail]
-            at, inverse = np.unique(np.concatenate((il, il + 1)), return_inverse=True)
+            at, left = _cell_ends(il)
             deriv = poly.derivative()
             L4 = fourth_derivative_bound(poly)
             dnoise = roundoff_bound(deriv) + _drift(deriv, wlo, whi)
             g = _sample(deriv, m, at, ends, wlo, whi)
-            gl, gr = g[inverse[:il.size]], g[inverse[il.size:]]
+            gl, gr = g[left], g[left + 1]
             slope_evals = at.size
             total_evals += at.size
             bound, fail = tested()

@@ -256,7 +256,8 @@ def opuc_cumulative_positive(b: float, omega: float, N: int) -> CriterionReport:
     agree on positivity.  On the criterion-8 grid at N = 2000 they agree to
     1.7e-13 relative, except at b = 3, omega = -0.99: there route one's
     product with the alternating factor cancels and the gap reaches 4.1e-9,
-    while route two stays within 1e-15 of mpmath.
+    while route two stays within 1e-15 of mpmath.  So ``partial_sums`` are
+    route two's.
     """
     if not b > -0.5:
         raise ParameterDomainError(f"b > -1/2 violated (b = {b})")
@@ -265,7 +266,7 @@ def opuc_cumulative_positive(b: float, omega: float, N: int) -> CriterionReport:
     cum = np.cumsum(_opuc_array(b, omega, N))
     psi = opuc_log_route_cumulative(b, omega, N)
     return _report(np.arange(N + 1), np.vstack((cum, psi)),
-                   partial_sums=tuple(cum.tolist()))
+                   partial_sums=tuple(psi.tolist()))
 
 
 def jacobi_sum_check(n: int, lam_p: float, delta: float, a: float, b: float,

@@ -13,8 +13,11 @@ those every named constant:
 
 alpha0 and alpha0_prime each have two independent routes (quadrature root and
 the zero of the closed-form 2F3 expression); both are exposed and the prime
-solver cross-checks them to 1e-8.  The series, quadrature and Brent budgets
-are module constants; a solver that spends its budget raises ConvergenceError.
+solver cross-checks them to 1e-8: it searches the 2F3 root first, and the
+quadrature route confirms it by a root search confined to the 1e-8 window
+around it.  Every residual is the value Brent computed at its root.  The
+series, quadrature and Brent budgets are module constants; a solver that
+spends its budget raises ConvergenceError.
 
 The quadrature and the Bessel series work on arrays.  ``quad_singular``
 passes its integrand a 1-D float64 array of abscissae strictly inside (a, b),
@@ -335,14 +338,16 @@ def alpha0(route: str = "quadrature-root") -> SpecialConstant:
         fn = K_closed
     else:
         raise ParameterDomainError(f"unknown route {route!r}")
+    fn = functools.cache(fn)  # the residual is Brent's last evaluation
     root = brent_root(fn, 0.2, 0.4, tol=1e-12)
     return SpecialConstant("alpha0", root, route, abs(fn(root)), 1e-8)
 
 
-def _root_in_alpha(fn: Callable[[float], float], d: float,
-                   hi: float = 1.0 - 1e-6) -> float:
-    """Root of fn over the extended alpha bracket [-0.6, hi]: each route
-    changes sign there exactly once for d <= 1.5, and not at all from d = 2."""
+def _root_in_alpha(fn: Callable[[float], float], d: float) -> float:
+    """Root of fn over the extended alpha bracket [-0.6, 1 - 1e-6]: each
+    route changes sign there exactly once for d <= 1.5 (the quadrature route
+    on [-0.6, 0.9]), and not at all from d = 2."""
+    hi = 1.0 - 1e-6
     try:
         return brent_root(fn, -0.6, hi, tol=1e-12)
     except BracketError:
@@ -354,7 +359,8 @@ def alpha0_prime(d: float, route: str = "quadrature-root") -> SpecialConstant:
     """Root alpha0'(d) of the weighted integral; d = b - c >= 0.
 
     Always solves both the quadrature route and the 2F3 route and requires
-    them to agree within _CROSS_CHECK_TOL.  The root leaves (0, 1) beyond
+    them to agree within _CROSS_CHECK_TOL (ConvergenceError otherwise): the
+    quadrature route confirms the 2F3 root.  The root leaves (0, 1) beyond
     d = 1 - alpha0; the bracket extends to -0.6 before reporting
     RootOutOfRangeError.
     """
@@ -363,19 +369,33 @@ def alpha0_prime(d: float, route: str = "quadrature-root") -> SpecialConstant:
 
 def _solve_alpha0_prime(d: float, route: str) -> tuple[SpecialConstant, float]:
     """alpha0_prime(d, route) and the other route's root,
-    from the one solve of both routes."""
+    from the one solve of both routes.
+
+    The cheap 2F3 route is searched over the extended bracket; the
+    quadrature route then confirms its root.  Each route changes sign exactly
+    once on that bracket (``_root_in_alpha``), so the quadrature root lies
+    within _CROSS_CHECK_TOL of the 2F3 root exactly when the quadrature
+    integral changes sign on that window, and Brent on the window gives the
+    quadrature integral's own root to 1e-12.  Both routes are solved; the
+    quadrature route needs no search of its own over the bracket.
+    """
     if d < 0:
         raise ParameterDomainError(f"d >= 0 violated (d = {d})")
-    quad_fn = lambda a: _weighted_integral(a, d)
-    hyp_fn = lambda a: _hyp_factor(a, d)
-    # the root never exceeds alpha0 for d >= 0; capping the quadrature
-    # bracket at 0.9 keeps it clear of the nearly non-integrable t^(alpha-1)
-    # regime
-    root_q = _root_in_alpha(quad_fn, d, hi=0.9)
+    # cached, so each residual is the value Brent computed at its root
+    quad_fn = functools.cache(lambda a: _weighted_integral(a, d))
+    hyp_fn = functools.cache(lambda a: _hyp_factor(a, d))
     root_h = _root_in_alpha(hyp_fn, d)
-    if abs(root_q - root_h) > _CROSS_CHECK_TOL:
+    # the root never exceeds alpha0 for d >= 0; capping the quadrature
+    # window at 0.9 keeps it clear of the nearly non-integrable t^(alpha-1)
+    # regime
+    try:
+        root_q = brent_root(quad_fn, root_h - _CROSS_CHECK_TOL,
+                            min(root_h + _CROSS_CHECK_TOL, 0.9), tol=1e-12)
+    except BracketError:
         raise ConvergenceError(
-            f"alpha0_prime routes disagree at d = {d}: {root_q} vs {root_h}")
+            f"alpha0_prime routes disagree at d = {d}: the quadrature integral "
+            f"does not change sign within {_CROSS_CHECK_TOL} of the 2F3 root "
+            f"{root_h}") from None
     if route == "quadrature-root":
         return (SpecialConstant("alpha0_prime", root_q, route, abs(quad_fn(root_q)), 1e-8),
                 root_h)
@@ -437,7 +457,11 @@ def bessel_j(nu: float, t: float | np.ndarray) -> float | np.ndarray:
 def _bessel_series(nu: float, t: np.ndarray) -> np.ndarray:
     """The ascending series of J_nu at the points t > 0 (1-D)."""
     q = -0.25 * t * t
-    rows = min(_BESSEL_MAX_TERMS, 16 + 2 * math.ceil(t.max()))  # enough up to t = 30
+    # Near a zero of J the stop rule (five terms below 1e-17 of the partial
+    # sum) runs past 16 + 2 ceil(t) rows, so the table starts at twice that:
+    # every series lambda' needs is summed in one pass.  A larger table has
+    # the same cumprod/cumsum prefix, so its size never changes a value.
+    rows = min(_BESSEL_MAX_TERMS, 32 + 4 * math.ceil(t.max()))
     while True:
         m = np.arange(rows, dtype=np.float64)[:, None]
         table = np.empty((rows + 1, t.size))
@@ -500,6 +524,7 @@ def lambda_prime() -> SpecialConstant:
     alpha' solves int_0^{j_{a,2}} t^-a J_a(t) dt = 0 over the negative-order
     region (order > -1), the upper limit moving with a.
     """
+    @functools.cache  # the residual is Brent's last evaluation
     def G(a: float) -> float:
         j2 = bessel_zero(a, 2)
         return quad_singular(lambda t: t ** (-a) * bessel_j(a, t), 0.0, j2, tol=1e-13)

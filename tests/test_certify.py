@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
                      certify_positive, ck_sequence, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bound,
-                             _level0, vanishing_endpoint)
+from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _cell_ends,
+                             _hermite_bound, _level0, vanishing_endpoint)
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               roundoff_bound, unit_scale)
 from postrig.kernels import SUBNORMAL, error_bound, period_lattice
@@ -773,6 +773,19 @@ class TestHermiteCells:
         w = (1 + mantissa / 1024) * 2.0 ** -halvings
         cell_min = min(naive_trig_value(poly, t) for t in np.linspace(left, left + w, 65))
         assert _hermite_cell(poly, left, w) <= cell_min
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(-50, 50), min_size=1))
+    @example({0})
+    @example({-3, -2, -1})
+    @example({1, 3, 5})
+    def test_cell_ends_are_the_sorted_union(self, cells):
+        il = np.array(sorted(cells))
+        at, left = _cell_ends(il)
+        assert at.dtype == il.dtype
+        assert at.tobytes() == np.unique(np.concatenate((il, il + 1))).tobytes()
+        assert at[left].tobytes() == il.tobytes()
+        assert at[left + 1].tobytes() == (il + 1).tobytes()
 
     def test_tighter_than_second_order_on_a_fine_cell(self):
         # f = 2 + cos(8 theta) on a cell of width 2^-6 around its minimum

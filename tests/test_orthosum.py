@@ -282,11 +282,19 @@ class TestOpucPositivity:
             rel = np.max(np.abs(cum - psi) / np.maximum(1.0, np.abs(psi)))
             assert rel < 1e-13
 
-    def test_partial_sums_are_route_one(self):
+    def test_partial_sums_are_route_two(self):
         for b, omega, N in ((-0.49, -0.99, 2000), (3.0, 0.5, 200), (0.5, 0.3, 0)):
             rep = opuc_cumulative_positive(b, omega, N)
-            want = np.cumsum(np.asarray(opuc_coeffs(b, omega, N).coeffs))
+            want = opuc_log_route_cumulative(b, omega, N)
             assert np.array(rep.partial_sums).tobytes() == want.tobytes()
+
+    def test_partial_sums_against_mpmath_where_route_one_cancels(self):
+        # route one is 4.1e-9 relative off at n = 1846 here
+        N = 2000
+        rep = opuc_cumulative_positive(3.0, -0.99, N)
+        indices = (0, 1, 500, 1846, N)
+        for n, want in zip(indices, _mp_cumulative(3.0, -0.99, N, indices)):
+            assert abs(rep.partial_sums[n] - want) <= 1e-13 * want, n
 
     def test_weighted_with_taper_compliant_coefficients(self):
         # Abel reduction: positive cumulative sums + admissible weights
@@ -335,6 +343,18 @@ CRITERION_8_B = (-0.49, -0.25, 0.0, 1.0, 3.0)
 CRITERION_8_OMEGA = (-0.99, -0.5, 0.0, 0.5, 0.99)
 
 
+def _mp_cumulative(b, omega, N, indices):
+    """The cumulative sums at `indices` in 40 digits: the coefficients of
+    (1 - omega z)^-(b+1) (1 - z)^-(b+2)."""
+    with mpmath.workdps(40):
+        bm, om = mpmath.mpf(b), mpmath.mpf(omega)
+        fa, fb = [mpmath.mpf(1)], [mpmath.mpf(1)]
+        for m in range(N):
+            fa.append(fa[-1] * (bm + 1 + m) / (m + 1) * om)
+            fb.append(fb[-1] * (bm + 2 + m) / (m + 1))
+        return [mpmath.fsum(fa[j] * fb[n - j] for j in range(n + 1)) for n in indices]
+
+
 class TestOpucLogRoute:
     @pytest.mark.parametrize("b", CRITERION_8_B)
     @pytest.mark.parametrize("omega", CRITERION_8_OMEGA)
@@ -359,19 +379,10 @@ class TestOpucLogRoute:
     @pytest.mark.parametrize("b, omega", [(-0.49, -0.99), (-0.49, 0.99),
                                           (3.0, -0.99), (3.0, 0.99)])
     def test_against_mpmath(self, b, omega):
-        # the cumulative sums are the coefficients of
-        # (1 - omega z)^-(b+1) (1 - z)^-(b+2)
         N = 2000
         psi = opuc_log_route_cumulative(b, omega, N)
-        with mpmath.workdps(40):
-            bm, om = mpmath.mpf(b), mpmath.mpf(omega)
-            fa, fb = [mpmath.mpf(1)], [mpmath.mpf(1)]
-            for m in range(N):
-                fa.append(fa[-1] * (bm + 1 + m) / (m + 1) * om)
-                fb.append(fb[-1] * (bm + 2 + m) / (m + 1))
-            for n in (0, 1, N):
-                want = mpmath.fsum(fa[j] * fb[n - j] for j in range(n + 1))
-                assert abs(psi[n] - want) <= 1e-13 * want, n
+        for n, want in zip((0, 1, N), _mp_cumulative(b, omega, N, (0, 1, N))):
+            assert abs(psi[n] - want) <= 1e-13 * want, n
 
     def test_domain(self):
         with pytest.raises(ParameterDomainError):

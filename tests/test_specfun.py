@@ -198,8 +198,8 @@ class TestAlpha0Prime:
                 alpha0_prime(d)
 
     def test_benchmark_references(self):
-        # the one Brent solve on [-0.6, hi] meets every mpmath reference that
-        # the benchmark checks alpha0' against
+        # the quadrature root, confirmed on the cross-check window, meets
+        # every mpmath reference that the benchmark checks alpha0' against
         refs = json.loads((Path(__file__).parents[1] / "perfbench" / "refs.json")
                           .read_text())["alpha0_prime"]
         for d, want in refs.items():
@@ -310,10 +310,11 @@ class TestBracketEndsFromTheScan:
         assert points and not np.isin(points, ends).any()
 
     def test_lambda_prime_scalar_calls(self, monkeypatch):
-        # 9 zeros, each 2 scalar calls fewer: 54 without the lookup
+        # 8 zeros, one per Brent step on G (the residual is looked up), each
+        # 2 scalar calls fewer: 48 without the lookup
         points = self._scalar_calls(monkeypatch)
         lambda_prime()
-        assert len(points) == 36
+        assert len(points) == 32
 
     def test_same_roots_without_the_lookup(self, monkeypatch):
         cases = [(nu, m) for nu in (-0.3, 0.0, 0.5) for m in (1, 2)]
@@ -322,6 +323,109 @@ class TestBracketEndsFromTheScan:
         want = [bessel_zero(nu, m) for nu, m in cases] + [lambda_prime().value]
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert got[-1] == 0.23061297141093945
+
+
+def _two_pass_bessel_series(nu, t):
+    """The Bessel series with a first table of 16 + 2 ceil(t) rows, doubled
+    until every point's stop rule falls inside it: bessel_j's values, which
+    a larger first table must keep bit for bit."""
+    q = -0.25 * t * t
+    rows = min(500, 16 + 2 * math.ceil(t.max()))
+    while True:
+        m = np.arange(rows, dtype=np.float64)[:, None]
+        table = np.empty((rows + 1, t.size))
+        table[0] = (0.5 * t) ** nu / gamma_fn(nu + 1.0)
+        table[1:] = q / ((m + 1.0) * (nu + m + 1.0))
+        terms = np.cumprod(table, axis=0)
+        acc = np.cumsum(terms, axis=0)
+        small = np.abs(terms[1:]) <= 1e-17 * np.maximum(np.abs(acc[1:]), 1e-300)
+        done = small[4:] & small[3:-1] & small[2:-2] & small[1:-3] & small[:-4]
+        if done.any(axis=0).all():
+            return acc[done.argmax(axis=0) + 5, np.arange(t.size)]
+        assert rows < 500
+        rows = min(500, 2 * rows)
+
+
+class TestSolverEvaluations:
+    """The constant solvers evaluate each objective once per point, and the
+    quadrature route of alpha0' confirms the 2F3 root on the cross-check
+    window."""
+
+    @staticmethod
+    def _count(monkeypatch, name):
+        points = []
+        inner = getattr(specfun, name)
+
+        def counting(*args, **kwargs):
+            points.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, counting)
+        return points
+
+    @pytest.mark.parametrize("delta, agree", [(2e-8, False), (5e-9, True)])
+    def test_cross_check_catches_a_shifted_route(self, monkeypatch, delta, agree):
+        # the 2F3 root moved by delta: outside the 1e-8 window the quadrature
+        # integral has no sign change there, inside it confirms its own root
+        hyp = specfun._hyp_factor
+        monkeypatch.setattr(specfun, "_hyp_factor", lambda a, d: hyp(a - delta, d))
+        if not agree:
+            with pytest.raises(ConvergenceError, match="disagree"):
+                alpha0_prime(0.3)
+            return
+        quad, hyp_root = specfun._solve_alpha0_prime(0.3, "quadrature-root")
+        assert 4e-9 <= abs(quad.value - hyp_root) <= 6e-9
+
+    def test_quadrature_calls_per_alpha0_prime(self, monkeypatch):
+        points = self._count(monkeypatch, "_weighted_integral")
+        alpha0_prime(0.3)
+        assert len(points) <= 5
+
+    @pytest.mark.parametrize("solve, name", [
+        (lambda: alpha0("quadrature-root"), "_weighted_integral"),
+        (lambda: alpha0("hyp2f3-root"), "K_closed"),
+        (lambda: alpha0_prime(0.3, "quadrature-root"), "_weighted_integral"),
+        (lambda: alpha0_prime(0.3, "hyp2f3-root"), "_hyp_factor"),
+        (lambda: lambda_prime(), "bessel_zero"),
+    ])
+    def test_no_point_evaluated_twice(self, monkeypatch, solve, name):
+        # the residual looks up Brent's value at the root
+        points = self._count(monkeypatch, name)
+        c = solve()
+        assert len(set(points)) == len(points)
+        assert c.residual <= c.tol
+
+    def test_bessel_j_matches_the_two_pass_series(self):
+        ts = np.concatenate((np.linspace(0.0, 30.0, 601), np.linspace(0.001, 6.0, 63)))
+        pos = ts > 0
+        for nu in np.linspace(-0.9, 2.5, 35):
+            nu = float(nu)
+            got = bessel_j(nu, ts)
+            assert got[pos].tobytes() == _two_pass_bessel_series(nu, ts[pos]).tobytes()
+            for t in ts[pos][::8]:
+                want = _two_pass_bessel_series(nu, np.array([t]))[0]
+                assert bessel_j(nu, float(t)).hex() == float(want).hex(), (nu, t)
+
+    def test_zeros_and_lambda_prime_match_the_two_pass_series(self, monkeypatch):
+        cases = [(float(nu), m) for nu in np.linspace(-0.9, 2.5, 18) for m in (1, 2)]
+        got = [bessel_zero(nu, m) for nu, m in cases] + [lambda_prime().value]
+        monkeypatch.setattr(specfun, "_bessel_series", _two_pass_bessel_series)
+        want = [bessel_zero(nu, m) for nu, m in cases] + [lambda_prime().value]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert got[-1] == 0.23061297141093945
+
+    def test_one_table_per_series_in_lambda_prime(self, monkeypatch):
+        series = self._count(monkeypatch, "_bessel_series")
+        tables = []
+        cumprod = np.cumprod
+
+        def counting(*args, **kwargs):
+            tables.append(1)
+            return cumprod(*args, **kwargs)
+
+        monkeypatch.setattr(np, "cumprod", counting)
+        lambda_prime()
+        assert len(tables) == len(series) == 48
 
 
 # ---------------------------------------------------------------------------
