@@ -542,38 +542,26 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
 
     The window ends obey certify_positive's endpoint rule, and the level-0
     grid is the certifier's default one.  After its scan the search descends
-    on a dyadic lattice: the certifier's, or, when the best sample is a
-    window end off that lattice, the lattice from that end toward its
-    lattice neighbour.  Each level halves
-    the step, evaluates in one batch the one or two midpoints beside the best
-    sample (whose neighbours are no lower), and moves to the lowest of the
-    three, the smallest theta on ties.  It stops when both midpoints are
-    within the roundoff bound of the best value, where computed values no
-    longer tell points apart, or when halving the step no longer moves theta.
-    It runs on the unit-scale copy, like `certify_positive`."""
+    from the best sample on floats: each level halves the step dx, evaluates
+    in one batch the one or two of best_x - dx, best_x + dx that lie in the
+    window, and moves to the lowest of the three, the smallest theta on
+    ties.  It stops when both midpoints are within the roundoff bound of the
+    best value, where computed values no longer tell points apart, or when
+    halving the step no longer moves theta.  It runs on the unit-scale copy,
+    like `certify_positive`."""
     poly, e, rounding, wlo, whi, _ = _window(poly, lo, hi)
-    m, idx, ends, gaps, xs, vals = _level0(poly, wlo, whi, CertifyOptions.grid0)
+    m, _, _, _, xs, vals = _level0(poly, wlo, whi, CertifyOptions.grid0)
     dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + _drift(poly, wlo, whi)
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
-    # the lattice t0 + sign*j*dx: its points bot <= j <= top lie in the
-    # window, and any other is tested exactly
-    t0, sign, k, bot, top = 0.0, 1.0, int(idx[k]), ends[0] + 1, ends[1] - 1
-    if k in ends:  # a window end off the lattice: the lattice from it inward
-        t0, sign, dx = (wlo, 1.0, float(gaps[0])) if k == ends[0] else (whi, -1.0, float(gaps[1]))
-        k, bot, top = 0, 0, 1
-    while abs(k) < 2 ** 52:  # lattice indices stay exact in a float
+    while True:
         dx *= 0.5
-        k, bot, top = 2 * k, 2 * bot, 2 * top
-        mids = [j for j in (k - 1, k + 1)
-                if bot <= j <= top or wlo <= Fraction(t0) + sign * j * Fraction(dx) <= whi]
-        xm = [min(max(t0 + sign * j * dx, wlo), whi) for j in mids]
+        xm = [x for x in (best_x - dx, best_x + dx) if wlo <= x <= whi]
         if best_x in xm:  # halving the step no longer moves theta
             break
         fm = poly.values(np.array(xm)).tolist()
         flat = all(abs(v - best_v) <= noise for v in fm)
-        k, best_x, best_v = min([(k, best_x, best_v), *zip(mids, xm, fm)],
-                                key=lambda c: (c[2], c[1]))
+        best_v, best_x = min([(best_v, best_x), *zip(fm, xm)])
         if flat:
             break
     return best_x, _at_scale(best_v, e)

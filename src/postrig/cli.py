@@ -178,11 +178,10 @@ def cmd_constants(args) -> int:
     payload: dict = {}
     try:
         if wanted("alpha0"):
-            quad = specfun.alpha0("quadrature-root")
-            hyp = specfun.alpha0("hyp2f3-root")
-            payload["alpha0"] = asdict(quad)
-            payload["alpha0"]["hyp2f3_value"] = hyp.value
-            payload["alpha0"]["route_difference"] = abs(quad.value - hyp.value)
+            # alpha0 is alpha0_prime at d = 0: one solve gives both routes' roots
+            quad, hyp_value = specfun._solve_alpha0_prime(0.0, "quadrature-root")
+            payload["alpha0"] = {**asdict(quad), "name": "alpha0", "hyp2f3_value": hyp_value,
+                                 "route_difference": abs(quad.value - hyp_value)}
             print(f"alpha0         = {quad.value:.9f}  (routes differ by "
                   f"{payload['alpha0']['route_difference']:.2e})")
         if wanted("alpha0_prime"):

@@ -23,11 +23,13 @@ violation; the margin is the smallest slack, NaN skipped, or 0.0 when there
 is none, and NaN when the violation rests on NaN slacks alone.
 
 Pochhammer symbols are built by forward products; pair-equal entries are
-stored from one computation so the pairing is bit-exact.  Every ratio
-(1+a)_k / (1+c)_k z^k of the package comes from one recurrence,
-`_rising_ratios`: the three paired families take (1-alpha)_k / k! from it at
-a = -alpha (vietoris is koumandos at alpha = 1/2, bit for bit), and
-`postrig.orthosum` its norms, weights and binomial factors.
+stored from one computation so the pairing is bit-exact.  The ratios
+(1+a)_k / (1+c)_k z^k come from one recurrence, `_rising_ratios`: the three
+paired families take (1-alpha)_k / k! from it at a = -alpha (vietoris is
+koumandos at alpha = 1/2, bit for bit), and `postrig.orthosum` its norms,
+weights and binomial factors.  The taper B_k of ck has a loop of its own,
+whose rounding the ck coefficients keep.  q_k is `trigeval.qk_weight` at
+the negated exponents.
 """
 
 from __future__ import annotations
@@ -147,9 +149,7 @@ def qk_sequence(n: int, alpha: float, beta: float, lam: float, mu: float) -> Coe
         raise ParameterDomainError("n must be >= 1")
     if alpha < 0 or beta < 0:
         raise ParameterDomainError("alpha and beta must be >= 0")
-    vals = [2.0, 1.0]
-    for k in range(2, n + 1):
-        vals.append((k + alpha) ** (-lam) * (k + beta) ** (-mu))
+    vals = [2.0, 1.0] + [qk_weight(k, alpha, beta, -lam, -mu) for k in range(2, n + 1)]
     return CoefficientSequence(tuple(vals), "qk",
                                {"n": n, "alpha": alpha, "beta": beta, "lam": lam, "mu": mu})
 

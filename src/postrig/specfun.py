@@ -6,18 +6,19 @@ integrands with algebraic endpoint singularities, a bracketing Brent solver,
 the ascending Bessel-J series with its first two positive zeros, and on top of
 those every named constant:
 
-    alpha0        unique root in (0,1) of  int_0^{3pi/2} t^-a cos t dt = 0
     alpha0_prime  root of  int_0^{3pi/2} t^-a cos t (1 - 2t/(3pi))^d dt = 0
+    alpha0        alpha0_prime at d = 0, the unique root in (0,1) of
+                  int_0^{3pi/2} t^-a cos t dt = 0
     beta0, beta1  cubic-fit expansion coefficients of alpha0_prime(d) at d = 0
     lambda_prime  a' + 1/2 where  int_0^{j_{a',2}} t^-a' J_a'(t) dt = 0
 
-alpha0 and alpha0_prime each have two independent routes (quadrature root and
-the zero of the closed-form 2F3 expression); both are exposed and the prime
-solver cross-checks them to 1e-8: it searches the 2F3 root first, and the
-quadrature route confirms it by a root search confined to the 1e-8 window
-around it.  Every residual is the value Brent computed at its root.  The
-series, quadrature and Brent budgets are module constants; a solver that
-spends its budget raises ConvergenceError.
+alpha0_prime, and with it alpha0, has two independent routes (quadrature
+root and the zero of the closed-form 2F3 expression); both are exposed and
+every solve cross-checks them to 1e-8: it searches the 2F3 root first, and
+the quadrature route confirms it by a root search confined to the 1e-8
+window around it.  Every residual is the value Brent computed at its root.
+The series, quadrature and Brent budgets are module constants; a solver
+that spends its budget raises ConvergenceError.
 
 The quadrature and the Bessel series work on arrays.  ``quad_singular``
 passes its integrand a 1-D float64 array of abscissae strictly inside (a, b),
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -331,16 +332,10 @@ def h_corr(alpha: float, d: float) -> float:
 # constants
 
 def alpha0(route: str = "quadrature-root") -> SpecialConstant:
-    """Littlewood-Salem-Izumi constant, root in (0, 1) of the cosine integral."""
-    if route == "quadrature-root":
-        fn = lambda a: _weighted_integral(a, 0.0)
-    elif route == "hyp2f3-root":
-        fn = K_closed
-    else:
-        raise ParameterDomainError(f"unknown route {route!r}")
-    fn = functools.cache(fn)  # the residual is Brent's last evaluation
-    root = brent_root(fn, 0.2, 0.4, tol=1e-12)
-    return SpecialConstant("alpha0", root, route, abs(fn(root)), 1e-8)
+    """Littlewood-Salem-Izumi constant, root in (0, 1) of the cosine integral:
+    alpha0_prime at d = 0, where the weight is 1, so both routes are solved
+    and cross-checked."""
+    return replace(_solve_alpha0_prime(0.0, route)[0], name="alpha0")
 
 
 def _root_in_alpha(fn: Callable[[float], float], d: float) -> float:
@@ -379,6 +374,8 @@ def _solve_alpha0_prime(d: float, route: str) -> tuple[SpecialConstant, float]:
     quadrature integral's own root to 1e-12.  Both routes are solved; the
     quadrature route needs no search of its own over the bracket.
     """
+    if route not in ("quadrature-root", "hyp2f3-root"):
+        raise ParameterDomainError(f"unknown route {route!r}")
     if d < 0:
         raise ParameterDomainError(f"d >= 0 violated (d = {d})")
     # cached, so each residual is the value Brent computed at its root
@@ -399,10 +396,8 @@ def _solve_alpha0_prime(d: float, route: str) -> tuple[SpecialConstant, float]:
     if route == "quadrature-root":
         return (SpecialConstant("alpha0_prime", root_q, route, abs(quad_fn(root_q)), 1e-8),
                 root_h)
-    if route == "hyp2f3-root":
-        return (SpecialConstant("alpha0_prime", root_h, route, abs(hyp_fn(root_h)), 1e-8),
-                root_q)
-    raise ParameterDomainError(f"unknown route {route!r}")
+    return (SpecialConstant("alpha0_prime", root_h, route, abs(hyp_fn(root_h)), 1e-8),
+            root_q)
 
 
 def expansion_fit() -> tuple[SpecialConstant, SpecialConstant]:

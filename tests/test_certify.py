@@ -1100,8 +1100,7 @@ class TestFindMin:
         # spacing stops the descent.  Near EPS, the inset end of (0, 0.01),
         # its ulp is 1.4e-20, below what the roundoff bound tells apart; with
         # that bound taken to 0 the descent runs some 48 halvings of the
-        # level-0 step 2.4e-6 down to EPS's float spacing, past the 40 that
-        # would keep the lattice's last index below 2^52
+        # level-0 step 2.4e-6 down to EPS's float spacing
         if end == "eps":
             monkeypatch.setattr(certify, "roundoff_bound", lambda poly: 0.0)
             monkeypatch.setattr(certify, "_DRIFT", 0.0)

@@ -176,6 +176,26 @@ class TestConstantsCommand:
             assert entry["hyp2f3_value"] == hyp.value
             assert entry["route_difference"] == abs(quad.value - hyp.value)
 
+    def test_alpha0_solved_once(self, tmp_path, monkeypatch):
+        """alpha0 is alpha0_prime at d = 0: one solve gives both routes, and
+        the entry keeps its keys and what the two single-route calls return."""
+        solves = []
+        solve = specfun._solve_alpha0_prime
+
+        def counted(d, route):
+            solves.append((d, route))
+            return solve(d, route)
+
+        monkeypatch.setattr(specfun, "_solve_alpha0_prime", counted)
+        out = tmp_path / "c.json"
+        assert run(["constants", "--only", "alpha0", "-o", str(out)]) == 0
+        assert solves == [(0.0, "quadrature-root")]
+        monkeypatch.undo()
+        entry = json.loads(out.read_text())["alpha0"]
+        quad, hyp = specfun.alpha0("quadrature-root"), specfun.alpha0("hyp2f3-root")
+        assert entry == {**asdict(quad), "hyp2f3_value": hyp.value,
+                         "route_difference": abs(quad.value - hyp.value)}
+
     def test_solver_error_exit_four(self):
         code = run(["constants", "--only", "alpha0_prime", "--d", "4.0"])
         assert code == 4

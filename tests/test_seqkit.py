@@ -64,6 +64,17 @@ class TestQkSequence:
         assert q2 == pytest.approx(
             math.exp(-0.3 * math.log(2.2) - 0.7 * math.log(2.4)), rel=1e-14)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60), st.floats(0.0, 5.0), st.floats(0.0, 5.0),
+           st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+    def test_same_bits_as_the_explicit_loop(self, n, alpha, beta, lam, mu):
+        # q_k is qk_weight at the negated exponents: the loop it replaced
+        want = [2.0, 1.0]
+        for k in range(2, n + 1):
+            want.append((k + alpha) ** (-lam) * (k + beta) ** (-mu))
+        got = qk_sequence(n, alpha, beta, lam, mu).values
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_preconditions(self):
         with pytest.raises(ParameterDomainError):
             qk_sequence(0, 0, 0, 1, 1)

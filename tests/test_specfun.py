@@ -163,6 +163,26 @@ class TestAlpha0:
         with pytest.raises(ParameterDomainError):
             alpha0("bogus")
 
+    @pytest.mark.parametrize("route", ["quadrature-root", "hyp2f3-root"])
+    def test_is_alpha0_prime_at_d_zero(self, route):
+        # the weight (1 - 2t/(3pi))^0 is 1: one solver, renamed
+        c = alpha0(route)
+        p = specfun._solve_alpha0_prime(0.0, route)[0]
+        assert c.name == "alpha0"
+        assert (c.value, c.route, c.residual, c.tol) == (p.value, p.route, p.residual, p.tol)
+
+    def test_quadrature_root_is_the_frozen_value(self):
+        c = alpha0("quadrature-root")
+        assert c.value == ALPHA0
+        assert abs(alpha0("hyp2f3-root").value - ALPHA0) <= 1e-15
+
+    def test_routes_are_cross_checked(self, monkeypatch):
+        # a 2F3 root moved by 2e-8 leaves the quadrature route's 1e-8 window
+        hyp = specfun._hyp_factor
+        monkeypatch.setattr(specfun, "_hyp_factor", lambda a, d: hyp(a - 2e-8, d))
+        with pytest.raises(ConvergenceError, match="disagree"):
+            alpha0()
+
 
 class TestAlpha0Prime:
     def test_d_zero_is_alpha0(self):
@@ -376,6 +396,16 @@ class TestSolverEvaluations:
         quad, hyp_root = specfun._solve_alpha0_prime(0.3, "quadrature-root")
         assert 4e-9 <= abs(quad.value - hyp_root) <= 6e-9
 
+    @pytest.mark.parametrize("solve", [lambda: alpha0_prime(0.1, "bogus"),
+                                       lambda: alpha0("bogus")],
+                             ids=["alpha0_prime", "alpha0"])
+    def test_unknown_route_evaluates_nothing(self, monkeypatch, solve):
+        hyp = self._count(monkeypatch, "_hyp_factor")
+        quad = self._count(monkeypatch, "_weighted_integral")
+        with pytest.raises(ParameterDomainError, match="route"):
+            solve()
+        assert hyp == quad == []
+
     def test_quadrature_calls_per_alpha0_prime(self, monkeypatch):
         points = self._count(monkeypatch, "_weighted_integral")
         alpha0_prime(0.3)
@@ -383,7 +413,7 @@ class TestSolverEvaluations:
 
     @pytest.mark.parametrize("solve, name", [
         (lambda: alpha0("quadrature-root"), "_weighted_integral"),
-        (lambda: alpha0("hyp2f3-root"), "K_closed"),
+        pytest.param(lambda: alpha0("hyp2f3-root"), "_hyp_factor", id="alpha0-_hyp_factor"),
         (lambda: alpha0_prime(0.3, "quadrature-root"), "_weighted_integral"),
         (lambda: alpha0_prime(0.3, "hyp2f3-root"), "_hyp_factor"),
         (lambda: lambda_prime(), "bessel_zero"),
