@@ -11,8 +11,8 @@ from .specfun import (SpecialConstant, alpha0, alpha0_prime, bessel_j,
                       bessel_zero, brent_root, expansion_fit, gamma_fn,
                       h_corr, hyp2f3, K_closed, lambda_prime, P_closed,
                       quad_singular)
-from .trigeval import (TrigPolynomial, abel_resum, cosine_poly, fejer_h,
-                       fejer_sigma, halfangle_product_negated_poly,
-                       lipschitz_bound, shifted_poly, sine_poly)
+from .trigeval import (TrigPolynomial, abel_resum, cosine_poly,
+                       halfangle_product_negated_poly, lipschitz_bound,
+                       shifted_poly, sine_poly)
 
 __version__ = "0.1.0"

@@ -344,9 +344,10 @@ def _cell_ends(il: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return at, left
 
 
-def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
-    """(m, idx, ends, gaps, xs, vals): the level-0 samples of at least n
-    points on [wlo, whi] that all three entry points scan.
+def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int, rounding: float):
+    """(m, idx, ends, gaps, xs, vals, noise): the level-0 samples of at least
+    n points on [wlo, whi] that all three entry points scan, and the roundoff
+    bound they are tested against, the unit-scale copy's `rounding` included.
 
     The lattice is j*h with h = 2*pi/m rounded, m the smallest 5-smooth
     length whose step fits n - 1 times into the window, and x_first ..
@@ -367,7 +368,8 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int):
     idx = np.arange(first - bool(gaps[0]), last + 1 + bool(gaps[1]))
     xs = np.concatenate(([wlo] * bool(gaps[0]), np.arange(first, last + 1) * (2.0 * math.pi / m),
                          [whi] * bool(gaps[1])))
-    return m, idx, ends, gaps, xs, _sample(poly, m, idx, ends, wlo, whi)
+    noise = roundoff_bound(poly) + rounding + _drift(poly, wlo, whi)
+    return m, idx, ends, gaps, xs, _sample(poly, m, idx, ends, wlo, whi), noise
 
 
 def _up(x: Fraction) -> float:
@@ -435,8 +437,8 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     # Every sample lies on the lattice i*h/2^depth, or is wlo or whi: cells are
     # kept as integer left indices il at the current depth, so each batch is
     # one evaluation on the lattice of m*2^depth points.
-    m, idx, ends, gaps, xs, vals = _level0(poly, wlo, whi, opts.grid0)
-    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + _drift(poly, wlo, whi)
+    m, idx, ends, gaps, xs, vals, noise = _level0(poly, wlo, whi, opts.grid0, rounding)
+    dx = 2.0 * math.pi / m
     total_evals = xs.size
     imin = int(np.argmin(vals))
     if vals[imin] < -noise:
@@ -465,21 +467,21 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, w, L4, noise, dnoise))
         return bound, ~(bound > 0.0) | (fl <= 0.0) | (fr <= 0.0)
 
-    while True:
+    bound, fail = tested()
+    if L != 0.0 and fail.any():
+        # the failing cells are tested again with f' at their ends
+        lower = min(lower, float(bound[~fail].min(initial=math.inf)))
+        il, fl, fr = il[fail], fl[fail], fr[fail]
+        at, left = _cell_ends(il)
+        deriv = poly.derivative()
+        L4 = fourth_derivative_bound(poly)
+        dnoise = roundoff_bound(deriv) + _drift(deriv, wlo, whi)
+        g = _sample(deriv, m, at, ends, wlo, whi)
+        gl, gr = g[left], g[left + 1]
+        slope_evals = at.size
+        total_evals += at.size
         bound, fail = tested()
-        if depth == 0 and L != 0.0 and fail.any():
-            # the failing cells are tested again with f' at their ends
-            lower = min(lower, float(bound[~fail].min(initial=math.inf)))
-            il, fl, fr = il[fail], fl[fail], fr[fail]
-            at, left = _cell_ends(il)
-            deriv = poly.derivative()
-            L4 = fourth_derivative_bound(poly)
-            dnoise = roundoff_bound(deriv) + _drift(deriv, wlo, whi)
-            g = _sample(deriv, m, at, ends, wlo, whi)
-            gl, gr = g[left], g[left + 1]
-            slope_evals = at.size
-            total_evals += at.size
-            bound, fail = tested()
+    while True:
         lower = min(lower, float(bound[~fail].min(initial=math.inf)))
         if not fail.any():
             break
@@ -494,9 +496,8 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
             return report(INCONCLUSIVE, None, None, depth)
         depth += 1
         dx *= 0.5
-        il, fl, fr = il[fail], fl[fail], fr[fail]
-        if deriv is not None:
-            gl, gr = gl[fail], gr[fail]
+        # f' is sampled: refinement only follows a depth-0 failure with L != 0
+        il, fl, fr, gl, gr = il[fail], fl[fail], fr[fail], gl[fail], gr[fail]
         # a partial cell is bisected where the new lattice point lies inside
         # it, and otherwise carries on whole, its far end's index doubled
         cut = (gaps[0] > dx, gaps[1] > dx)
@@ -513,11 +514,11 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         il = _bisected(2 * il, im, head, tail, True)
         il[:head] += 1  # a whole partial first cell: its right end is 2*ends[0] + 2
         fl, fr = _bisected(fl, fm, head, tail, True), _bisected(fr, fm, head, tail, False)
-        if deriv is not None:
-            gm = deriv.values_period(m << depth, im)
-            slope_evals += im.size
-            total_evals += im.size
-            gl, gr = _bisected(gl, gm, head, tail, True), _bisected(gr, gm, head, tail, False)
+        gm = deriv.values_period(m << depth, im)
+        slope_evals += im.size
+        total_evals += im.size
+        gl, gr = _bisected(gl, gm, head, tail, True), _bisected(gr, gm, head, tail, False)
+        bound, fail = tested()
 
     # every cell certified: 0 < lower < inf, scaled back rounded toward zero,
     # so clamped to the largest float where it overflows
@@ -550,8 +551,8 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     halving the step no longer moves theta.  It runs on the unit-scale copy,
     like `certify_positive`."""
     poly, e, rounding, wlo, whi, _ = _window(poly, lo, hi)
-    m, _, _, _, xs, vals = _level0(poly, wlo, whi, CertifyOptions.grid0)
-    dx, noise = 2.0 * math.pi / m, roundoff_bound(poly) + rounding + _drift(poly, wlo, whi)
+    m, _, _, _, xs, vals, noise = _level0(poly, wlo, whi, CertifyOptions.grid0, rounding)
+    dx = 2.0 * math.pi / m
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])
     while True:
@@ -598,14 +599,13 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    m, _, _, gaps, xs, vals = _level0(poly, lo, hi, grid + 1)
+    m, _, _, gaps, xs, vals, noise = _level0(poly, lo, hi, grid + 1, rounding)
     nudge = 1e-6 * (2.0 * math.pi / m)
     # a window end within the nudge of its lattice neighbour is dropped:
     # that neighbour is the end sample
     head, tail = int(0 < gaps[0] <= nudge), int(0 < gaps[1] <= nudge)
     xs, vals = xs[head:xs.size - tail], vals[head:vals.size - tail]
-    zero = np.flatnonzero(np.abs(vals) <= roundoff_bound(poly) + rounding
-                          + _drift(poly, lo, hi))
+    zero = np.flatnonzero(np.abs(vals) <= noise)
     if zero.size:
         # nudge samples whose sign is roundoff off the zero by a millionth of
         # the level-0 step: inward at the ends, so endpoint zeros of the open

@@ -175,30 +175,30 @@ def cmd_constants(args) -> int:
     if bad_d:
         print(f"constants: d >= 0 violated (d = {bad_d[0]})", file=sys.stderr)
         return 1
+    # one solve per distinct d gives both routes' roots; alpha0 is
+    # alpha0_prime at d = 0, and the expansion fit reads the same solves
+    solve = functools.cache(lambda d: specfun._solve_alpha0_prime(d, "quadrature-root"))
+
+    def entry(d: float) -> dict:
+        quad, hyp_value = solve(d)
+        return {**asdict(quad), "hyp2f3_value": hyp_value,
+                "route_difference": abs(quad.value - hyp_value)}
+
     payload: dict = {}
     try:
         if wanted("alpha0"):
-            # alpha0 is alpha0_prime at d = 0: one solve gives both routes' roots
-            quad, hyp_value = specfun._solve_alpha0_prime(0.0, "quadrature-root")
-            payload["alpha0"] = {**asdict(quad), "name": "alpha0", "hyp2f3_value": hyp_value,
-                                 "route_difference": abs(quad.value - hyp_value)}
-            print(f"alpha0         = {quad.value:.9f}  (routes differ by "
+            payload["alpha0"] = {**entry(0.0), "name": "alpha0"}
+            print(f"alpha0         = {payload['alpha0']['value']:.9f}  (routes differ by "
                   f"{payload['alpha0']['route_difference']:.2e})")
         if wanted("alpha0_prime"):
             payload["alpha0_prime"] = []
             for d in args.d:
-                # one solve gives both routes' roots
-                quad, hyp_value = specfun._solve_alpha0_prime(d, "quadrature-root")
-                entry = asdict(quad)
-                entry["d"] = d
-                entry["hyp2f3_value"] = hyp_value
-                entry["route_difference"] = abs(quad.value - hyp_value)
-                payload["alpha0_prime"].append(entry)
-                print(f"alpha0_prime({d:g}) = {quad.value:.9f}")
+                payload["alpha0_prime"].append({**entry(d), "d": d})
+                print(f"alpha0_prime({d:g}) = {payload['alpha0_prime'][-1]['value']:.9f}")
         if wanted("beta0") or wanted("beta1"):
-            beta0, beta1 = specfun.expansion_fit()
-            payload["beta0"] = asdict(beta0)
-            payload["beta1"] = asdict(beta1)
+            beta0, beta1 = specfun._fit_expansion(
+                [solve(d)[0].value for d in specfun._EXPANSION_DS])
+            payload["beta0"], payload["beta1"] = asdict(beta0), asdict(beta1)
             print(f"beta0          = {beta0.value:.7f}")
             print(f"beta1          = {beta1.value:.8f}")
         if wanted("lambda_prime"):
@@ -219,11 +219,7 @@ def cmd_plotdata(args) -> int:
     if args.points < 1:
         print(f"plotdata: --points must be >= 1, got {args.points}", file=sys.stderr)
         return 1
-    try:
-        os.makedirs(args.outdir, exist_ok=True)
-    except OSError as exc:
-        print(f"plotdata: cannot create {args.outdir}: {exc}", file=sys.stderr)
-        return 5
+    os.makedirs(args.outdir, exist_ok=True)
     first, per_point = _FIGURES[args.figure]
     idx = np.arange(first, first + args.points)
     period = per_point * (args.points + first)
@@ -240,9 +236,6 @@ def cmd_plotdata(args) -> int:
             else:  # sum_k q_k z^k at z = e^{i angle}: the cosine sum's a_0/2 is q_0/2
                 _write_csv(os.path.join(args.outdir, f"fig2_n{n}.csv"), ["angle", "re", "im"],
                            zip(angles, cos_sum + 0.5 * q[0], sin_sum))
-    except OSError as exc:
-        print(f"plotdata: I/O error: {exc}", file=sys.stderr)
-        return 5
     except PostrigError as exc:
         print(f"plotdata: {exc}", file=sys.stderr)
         return 1
@@ -369,7 +362,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:  # an -o file or --outdir that cannot be written
+        print(f"{args.command}: I/O error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

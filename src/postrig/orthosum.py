@@ -1,15 +1,18 @@
-"""Orthogonal-polynomial sums: Chebyshev/Gegenbauer/Jacobi recurrences, the
-Fejer-type Gegenbauer partial sums, and the para-orthogonal (OPUC) coefficient
-families from the two-factor binomial generating function
+"""Orthogonal-polynomial sums: the Chebyshev pullback of the q_k cosine sum,
+the Fejer-type and normalized Gegenbauer partial sums, the Jacobi sum on
+|z| = 1, and the para-orthogonal (OPUC) coefficient families from the
+two-factor binomial generating function
 
     (1 - omega z)^-(b+1) (1 - z)^-(b+1) = sum_k F_k^b(omega) z^k .
 
 Everything is recurrence-based; no closed-form hypergeometric evaluation is
 used for polynomial values.  Each family's three-term recurrence is written
-once, as a table builder returning the list P_0(x)..P_n(x) at a float or an
-ndarray x (`_chebyshev_table`, `_gegenbauer_table`, `_jacobi_table`), and
-every Pochhammer ratio (1+a)_k/(1+c)_k z^k comes from the one product of
-`seqkit._rising_ratios`; the public functions are reductions over these.
+once, as a private table builder returning the list P_0(x)..P_n(x) at a
+float or an ndarray x (`_chebyshev_table`, `_gegenbauer_table`,
+`_jacobi_table`), and every Pochhammer ratio (1+a)_k/(1+c)_k z^k, the
+norms C_k^lam(1) and P_k^{(a,b)}(1) among them, comes from the one product
+of `seqkit._rising_ratios`.  The public functions are the sums, reductions
+over these tables.
 """
 
 from __future__ import annotations
@@ -81,39 +84,6 @@ def _jacobi_table(n: int, a: float, b: float, x) -> list:
         prev, cur = cur, ((c2 + c3 * x) * cur - c4 * prev) / c1
         P.append(cur)
     return P if n else P[:1]
-
-
-def chebyshev_T(k: int, t: float) -> float:
-    """Chebyshev T_k(t) by the three-term recurrence."""
-    if k < 0:
-        raise ParameterDomainError("k must be >= 0")
-    return _chebyshev_table(k, t)[-1]
-
-
-def gegenbauer_C(k: int, lam: float, x) -> float | np.ndarray:
-    """Gegenbauer C_k^lam(x); lam > 0.  Accepts scalar or array x."""
-    if k < 0:
-        raise ParameterDomainError("k must be >= 0")
-    if lam <= 0:
-        raise ParameterDomainError(f"lam > 0 violated (lam = {lam})")
-    xs = np.asarray(x, dtype=np.float64)
-    return _gegenbauer_table(k, lam, float(xs) if xs.ndim == 0 else xs)[-1]
-
-
-def gegenbauer_C1(k: int, lam: float) -> float:
-    """C_k^lam(1) = (2 lam)_k / k!."""
-    if k < 0:
-        raise ParameterDomainError("k must be >= 0")
-    return _rising_ratios(k, 2.0 * lam - 1.0)[-1]
-
-
-def jacobi_P(k: int, a: float, b: float, x: float) -> float:
-    """Jacobi P_k^{(a,b)}(x) by the standard three-term recurrence; a, b > -1."""
-    if k < 0:
-        raise ParameterDomainError("k must be >= 0")
-    if a <= -1 or b <= -1:
-        raise ParameterDomainError("Jacobi parameters must exceed -1")
-    return _jacobi_table(k, a, b, x)[-1]
 
 
 def chebyshev_qk_sum(n: int, alpha: float, beta: float, lam: float, mu: float,

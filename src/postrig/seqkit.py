@@ -109,16 +109,6 @@ class CriterionReport:
             raise ValueError("satisfied must match absence of a violation index")
 
 
-def pochhammer(x: float, k: int) -> float:
-    """Rising factorial (x)_k by forward product (safe at non-positive x)."""
-    if k < 0:
-        raise ParameterDomainError("k must be >= 0")
-    acc = 1.0
-    for j in range(k):
-        acc *= x + j
-    return acc
-
-
 def _rising_ratios(n: int, a: float, c: float = 0.0, z: float = 1.0) -> list[float]:
     """[(1+a)_k / (1+c)_k * z^k for k = 0..n] by one forward product, each
     term r * (j + a) / (j + c) * z from the last; at a = -1/2 (c = 0, z = 1)

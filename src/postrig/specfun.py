@@ -400,14 +400,22 @@ def _solve_alpha0_prime(d: float, route: str) -> tuple[SpecialConstant, float]:
             root_q)
 
 
+#: the d grid {0, 0.02, ..., 0.2} of the expansion fit
+_EXPANSION_DS = (0.02 * np.arange(11)).tolist()
+
+
 def expansion_fit() -> tuple[SpecialConstant, SpecialConstant]:
     """Least-squares cubic fit of alpha0_prime(d) on d in {0, 0.02, ..., 0.2}.
 
     Returns (beta0, beta1): the negated linear and quadratic coefficients of
     alpha0' = alpha0 - beta0 d - beta1 d^2 + O(d^3).
     """
-    ds = 0.02 * np.arange(11)
-    roots = np.array([alpha0_prime(float(d)).value for d in ds])
+    return _fit_expansion([alpha0_prime(d).value for d in _EXPANSION_DS])
+
+
+def _fit_expansion(roots: list[float]) -> tuple[SpecialConstant, SpecialConstant]:
+    """`expansion_fit` over the given roots alpha0_prime(d), d in _EXPANSION_DS."""
+    ds, roots = np.array(_EXPANSION_DS), np.array(roots)
     scale = ds[-1]
     design = np.vander(ds / scale, 4, increasing=True)
     coef, *_ = np.linalg.lstsq(design, roots, rcond=None)

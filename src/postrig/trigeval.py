@@ -318,20 +318,6 @@ def halfangle_product_negated_poly(n: int, alpha: float, beta: float, lam: float
     return TrigPolynomial(cos_coeffs=-p, shift=0.5).derivative()
 
 
-def fejer_sigma(k: int, x: float) -> float:
-    """sigma_k(x) = sum_{j=1}^k (k - j + 1) sin(j x)."""
-    if k < 1:
-        raise ParameterDomainError("k must be >= 1")
-    return sine_poly(np.arange(k, 0, -1.0)).value(x)
-
-
-def fejer_h(k: int, x: float) -> float:
-    """h_k(x) = sin(x) + ... + sin((k-1)x) + sin(kx)/2."""
-    if k < 1:
-        raise ParameterDomainError("k must be >= 1")
-    return sine_poly(np.append(np.ones(k - 1), 0.5)).value(x)
-
-
 def abel_resum(b_seq: Iterable[float], c_seq: Iterable[float]) -> float:
     """Right-hand side of the summation-by-parts identity.
 

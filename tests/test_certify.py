@@ -404,7 +404,7 @@ class TestSecondOrderCells:
         # than 1/8 would put the lower bound above the minimum, the
         # first-order bound alone 4e-4 below
         c = 2047.5 * PI / 4096
-        m, _, _, _, xs, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, PI, 4096)
+        m, _, _, _, xs, _, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, PI, 4096, 0.0)
         h = 2 * PI / m
         assert (h, xs[2047], xs[2048]) == (PI / 4096, c - h / 2, c + h / 2)
         poly = TrigPolynomial(2.002, (-math.cos(c),), (-math.sin(c),))
@@ -491,7 +491,7 @@ class TestSecondOrderCells:
         # ends, neither of them a lattice point, in one direct batch each
         poly = _koumandos_cosine(8000, 0.4)
         lo, hi = 0.1, PI - 0.1
-        m, _, ends, gaps, _, _ = _level0(poly, lo, hi, 4096)
+        m, _, ends, gaps, _, _, _ = _level0(poly, lo, hi, 4096, 0.0)
         assert m == 8748 and gaps[0] > 0 and gaps[1] > 0
         calls = self._record_batches(monkeypatch)
         rep = certify_positive(poly, lo, hi, CertifyOptions(max_depth=0))
@@ -511,7 +511,7 @@ class TestSecondOrderCells:
         # [x_J, hi], bounded with its own width, holds the minimum
         poly = cosine_poly(4.0, [1.0])
         lo = 1e-4
-        m, idx, ends, gaps, xs, vals = _level0(poly, lo, hi, 4096)
+        m, idx, ends, gaps, xs, vals, _ = _level0(poly, lo, hi, 4096, 0.0)
         h = 2 * PI / m
         assert (m, idx[1], idx[-2], ends) == (8192, 1, 4095, (0, 4096))
         assert gaps[1] == Fraction(hi) - 4095 * Fraction(h) > 0
@@ -530,7 +530,7 @@ class TestSecondOrderCells:
         # holds the lower bound, net of the roundoff bound and of the FFT's
         # abscissa term L max(|wlo|, |whi|) 2.38 2^-53
         poly = cosine_poly(4.0, [1.0])
-        _, _, _, gaps, _, vals = _level0(poly, 0.0, PI, 4096)
+        _, _, _, gaps, _, vals, _ = _level0(poly, 0.0, PI, 4096, 0.0)
         drift = certify._drift(poly, 0.0, PI)
         assert drift == lipschitz_bound(poly) * PI * (2.38 * 2.0 ** -53)
         assert certify._drift(poly, -2.0, 1.0) == \
@@ -557,7 +557,7 @@ class TestSecondOrderCells:
         for poly in (sine_poly(rng.normal(size=400)),
                      shifted_poly(rng.normal(size=300), 0.25, "cosine", 2)):
             del ffts[:], points[:]
-            m, _, _, gaps, _, _ = _level0(poly, lo, hi, 4096)
+            m, _, _, gaps, _, _, _ = _level0(poly, lo, hi, 4096, 0.0)
             off = bool(gaps[0]) + bool(gaps[1])
             assert ffts == [m] and points == [off] * bool(off)
 
@@ -593,7 +593,7 @@ class TestSecondOrderCells:
         # f = a - cos(theta - c) with a = 1 - 1e-9 is negative only within
         # ~4.5e-5 of c, the middle of the partial cell (x_J, 3) of the window
         # [0, 3], and positive at both its ends
-        m, _, _, gaps, xs, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, 3.0, 4096)
+        m, _, _, gaps, xs, _, _ = _level0(cosine_poly(2.0, [1.0]), 0.0, 3.0, 4096, 0.0)
         h = 2 * PI / m
         assert 2e-4 < gaps[1] < h
         c = 0.5 * (xs[-2] + 3.0)
@@ -621,7 +621,7 @@ class TestSecondOrderCells:
         # share 0.7 and 3h/4 at depth 2 for share 0.3, and stays whole before
         h = 2 * PI / 8192
         lo = (1.0 - share) * h
-        m, idx, ends, gaps, xs, _ = _level0(cosine_poly(2.0, [1.0]), lo, PI, 4096)
+        m, idx, ends, gaps, xs, _, _ = _level0(cosine_poly(2.0, [1.0]), lo, PI, 4096, 0.0)
         assert (m, idx[1], ends[0], xs[0]) == (8192, 1, 0, lo)
         assert gaps[0] == Fraction(h) - Fraction(lo)
         c = 0.5 * (lo + h)
@@ -1155,7 +1155,7 @@ class TestFindMin:
         # minimum is the window end lo, no lattice point, sampled directly,
         # and the descent from lo toward the first lattice point keeps it
         poly = TrigPolynomial(4.0, (-math.cos(lo - 0.1),), (-math.sin(lo - 0.1),))
-        _, _, _, gaps, xs, _ = _level0(poly, lo, hi, 4096)
+        _, _, _, gaps, xs, _, _ = _level0(poly, lo, hi, 4096, 0.0)
         assert gaps[0] > 0 and xs[0] == lo
         theta, value = find_min(poly, lo, hi)
         assert theta == lo
@@ -1286,7 +1286,7 @@ class TestBracketZeros:
         # sample into a bracket around 0
         a = [3.0, 2.0, 1.5, 1.0]
         lo, hi, grid = -PI, PI, 64
-        m, idx, _, _, xs, vals = _level0(_qp_poly("q", a), lo, hi, grid + 1)
+        m, idx, _, _, xs, vals, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1, 0.0)
         assert (m, idx[36], xs[0], xs[36]) == (72, 0, -PI, 0.0)
         assert abs(vals[36]) <= roundoff_bound(_qp_poly("q", a))
         got = bracket_zeros("q", a, lo, hi, grid)
@@ -1324,7 +1324,7 @@ class TestBracketZeros:
         a = np.linspace(1.0, 0.1, 40)
         a[0] += 0.5
         grid = 16 * 40
-        m, idx, _, gaps, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1)
+        m, idx, _, gaps, _, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1, 0.0)
         h = 2 * PI / m
         nudge = 1e-6 * h
         end, at = (0, 0.0) if lo < 0 else (1, 2 * PI)

@@ -196,6 +196,27 @@ class TestConstantsCommand:
         assert entry == {**asdict(quad), "hyp2f3_value": hyp.value,
                          "route_difference": abs(quad.value - hyp.value)}
 
+    @pytest.mark.parametrize("argv, solves", [([], 11), (["--d", "0,0.1,0.25,0.04"], 12)])
+    def test_alpha0_prime_solved_once_per_distinct_d(self, tmp_path, monkeypatch, argv,
+                                                     solves):
+        """alpha0, the --d entries and the expansion fit's 11 grid points
+        share one solve per distinct d, and the fit is expansion_fit's."""
+        calls = []
+        solve = specfun._solve_alpha0_prime
+
+        def counted(d, route):
+            calls.append(d)
+            return solve(d, route)
+
+        monkeypatch.setattr(specfun, "_solve_alpha0_prime", counted)
+        out = tmp_path / "c.json"
+        assert run(["constants", *argv, "-o", str(out)]) == 0
+        assert len(calls) == len(set(calls)) == solves
+        monkeypatch.undo()
+        payload = json.loads(out.read_text())
+        beta0, beta1 = specfun.expansion_fit()
+        assert (payload["beta0"], payload["beta1"]) == (asdict(beta0), asdict(beta1))
+
     def test_solver_error_exit_four(self):
         code = run(["constants", "--only", "alpha0_prime", "--d", "4.0"])
         assert code == 4
@@ -320,6 +341,27 @@ class TestPlotdataCommand:
         raw = (tmp_path / "fig1_cos_n20.csv").read_bytes()
         assert b"\r" not in raw
         assert raw.count(b"\n") == 2001
+
+
+class TestIOErrors:
+    """An output that cannot be written is an I/O error: exit 5 with a
+    one-line message, from every command."""
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "raw-cosine", "--coeffs", "3,1"],
+        ["zeros", "--kind", "q", "--coeffs", "3,2,1"],
+        ["criteria", "--check", "vietoris", "--family", "vietoris", "--n", "10"],
+        ["constants", "--only", "alpha0"],
+    ])
+    def test_output_in_missing_directory(self, tmp_path, capsys, argv):
+        assert run([*argv, "-o", str(tmp_path / "missing" / "out.json")]) == 5
+        assert capsys.readouterr().err.startswith(f"{argv[0]}: I/O error: ")
+
+    def test_outdir_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert run(["plotdata", "--figure", "fig1", "--n", "20",
+                    "--outdir", str(tmp_path / "file" / "data")]) == 5
+        assert capsys.readouterr().err.startswith("plotdata: I/O error: ")
 
 
 class TestZerosCommand:

@@ -12,7 +12,7 @@ from postrig import (CoefficientSequence, check_belov, check_chain_condition,
                      koumandos_bk, qk_sequence, ratio_qk_sequence,
                      vietoris_gamma)
 from postrig.errors import ParameterDomainError, SizeError
-from postrig.seqkit import A0_FAMILIES, CRITERION_TOL, _rising_ratios, pochhammer
+from postrig.seqkit import A0_FAMILIES, CRITERION_TOL, _rising_ratios
 from conftest import poch_fraction
 
 
@@ -174,16 +174,20 @@ class TestCkSequence:
 
 
 class TestPochhammer:
+    """`_rising_ratios`, the one Pochhammer product: (x)_k / k! is its last
+    entry at a = x - 1."""
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 25), st.floats(0.05, 8.0))
     def test_forward_product_vs_gamma_ratio(self, k, x):
         from postrig import gamma_fn
-        want = gamma_fn(x + k) / gamma_fn(x)
-        assert pochhammer(x, k) == pytest.approx(want, rel=1e-11)
+        want = gamma_fn(x + k) / (gamma_fn(x) * math.factorial(k))
+        assert _rising_ratios(k, x - 1.0)[-1] == pytest.approx(want, rel=1e-11)
 
     def test_non_positive_base(self):
-        assert pochhammer(0.0, 3) == 0.0
-        assert pochhammer(-2.0, 4) == pytest.approx(-2 * -1 * 0 * 1, abs=0)
+        # (0)_3 / 3! and (-2)_4 / 4! = -2 * -1 * 0 * 1 / 24
+        assert _rising_ratios(3, -1.0)[-1] == 0.0
+        assert _rising_ratios(4, -3.0)[-1] == 0.0
 
     @pytest.mark.parametrize("a, c, z", [(-0.5, 0.0, 1.0), (-0.45, 0.0, 1.0),
                                          (0.6, 0.0, 1.0), (0.3, 1.0, 1.0),
