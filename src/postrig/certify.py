@@ -2,13 +2,14 @@
 
 This module is the engine (endpoint policy, `certify_positive`, `find_min`,
 `bracket_zeros`); L, L2, L4 and the roundoff bounds come from
-`postrig.trigeval`.  All three scan one level-0 grid; `find_min` then
-descends on its lattice.  All three run on the caller's polynomial at the
-unit scale (`trigeval.unit_scale`), where every value and bound is finite,
-and scale the lower bound, witness value, minimum and the slopes,
-curvatures and L4 of the notes back by 2^e at the report (`_at_scale`,
-the lower bound rounded toward zero); `lipschitz` is the copy's L scaled
-back and rounded up, or the caller's own where the copy is rounded.
+`postrig.trigeval`.  All three scan a level-0 grid (`_level0`), each sized
+its own way; `find_min` then descends on floats.  All three run on the
+caller's polynomial at the unit scale (`trigeval.unit_scale`), where every
+value and bound is finite, and scale the lower bound, witness value,
+minimum and the slopes, curvatures and L4 of the notes back by 2^e at the
+report (`_at_scale`, the lower bound rounded toward zero); `lipschitz` is
+the copy's L scaled back and rounded up, or the caller's own where the
+copy is rounded.
 
 A sum is certified strictly positive on a working interval when, cell by
 cell, the sampled endpoint values beat the largest possible dip between
@@ -34,9 +35,12 @@ certifies only when its bound beats that bound (a NaN bound never does),
 and the certified lower bound is the smallest cell bound net of it.  Cells
 that fail the test are bisected (only they are), up to a depth limit; each
 level evaluates the sum once at the failing cells' midpoints, and f' once
-at the same points.  The level-0 step is h = 2*pi/m, m picked so that one
-real FFT of length m scans the window (`_level0`), on the lattice j*h
-anchored at 0 whatever the window.  Its points x_first .. x_last on the
+at the same points.  Level 0 holds max(1024, min(4096, 16*ceil(nu)),
+ceil(nu*W/pi)) points by default, nu the top frequency and W the window's
+width, or at least `CertifyOptions.grid0` (`_level0_size`), and a note names
+the term that set the count.  The level-0 step is h = 2*pi/m, m picked so
+that one real FFT of length m scans the window (`_level0`), on the lattice
+j*h anchored at 0 whatever the window.  Its points x_first .. x_last on the
 window are sampled, and so are the window ends that are no lattice points,
 in one direct batch; the partial cells [wlo, x_first] and [x_last, whi]
 are bounded with their own widths and bisected on the same lattice where
@@ -70,6 +74,7 @@ criterion executable here.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,11 +99,14 @@ EPS = 1e-4
 
 @dataclass(frozen=True)
 class CertifyOptions:
-    grid0: int = 4096
+    """grid0: at least this many level-0 points, or None for a count sized by
+    the sum's top frequency and the window (`_level0_size`); max_depth: the
+    deepest refinement level."""
+    grid0: int | None = None
     max_depth: int = 8
 
     def __post_init__(self):
-        if self.grid0 < 2:
+        if self.grid0 is not None and self.grid0 < 2:
             raise ParameterDomainError("grid0 must be >= 2")
         if self.max_depth < 0:
             raise ParameterDomainError("max_depth must be >= 0")
@@ -372,6 +380,31 @@ def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int, rounding: floa
     return m, idx, ends, gaps, xs, _sample(poly, m, idx, ends, wlo, whi), noise
 
 
+#: the default level 0: a floor, points per unit of the top frequency up to
+#: a cap, and two points per period of the top frequency beyond it
+_LEVEL0_FLOOR, _LEVEL0_DENSITY, _LEVEL0_CAP = 1024, 16, 4096
+#: `find_min`'s level 0, whatever the degree
+_FIND_MIN_GRID0 = 4096
+
+
+def _level0_size(poly: TrigPolynomial, wlo: float, whi: float,
+                 grid0: int | None) -> tuple[int, str]:
+    """(count, why): the least number of level-0 points on [wlo, whi] and
+    the term that sets it.  An explicit grid0 is the count.  Otherwise, with
+    nu the top frequency and W = whi - wlo, it is the largest of the floor
+    1024, 16*ceil(nu) capped at 4096, and ceil(nu*W/pi), two points per
+    period of nu; the first of equal terms names it."""
+    if grid0 is not None:
+        return grid0, "explicit grid0"
+    nu = max((float(f.max()) for f, _ in poly.terms() if f.size), default=0.0)
+    dense = _LEVEL0_DENSITY * math.ceil(nu)
+    terms = [(_LEVEL0_FLOOR, f"the {_LEVEL0_FLOOR} floor"),
+             (dense, f"{_LEVEL0_DENSITY} per unit of frequency {nu:.9g}")
+             if dense < _LEVEL0_CAP else (_LEVEL0_CAP, f"the {_LEVEL0_CAP} cap"),
+             (math.ceil(nu * (whi - wlo) / math.pi), f"two per period of frequency {nu:.9g}")]
+    return max(terms, key=lambda t: t[0])
+
+
 def _up(x: Fraction) -> float:
     """x rounded up to a float."""
     f = float(x)
@@ -407,7 +440,8 @@ def _hermite_bound(fl, fr, gl, gr, w, L4: float, noise: float,
     b1, b2 = fl + t * gl, fr - t * gr
     c01, c12, c23 = 0.5 * fl + 0.5 * b1, 0.5 * b1 + 0.5 * b2, 0.5 * b2 + 0.5 * fr
     d0, d1 = 0.5 * c01 + 0.5 * c12, 0.5 * c12 + 0.5 * c23
-    hull = np.minimum.reduce([fl, c01, d0, 0.5 * d0 + 0.5 * d1, d1, c23, fr])
+    # pairwise, in order: no 7-row stack of the control points
+    hull = functools.reduce(np.minimum, (fl, c01, d0, 0.5 * d0 + 0.5 * d1, d1, c23, fr))
     scale = np.abs(fl) + np.abs(fr) + w * (np.abs(gl) + np.abs(gr))
     w2 = w * w
     return hull - (L4 * w2 * w2 / 384.0 + 0.25 * w * dnoise + noise
@@ -416,7 +450,8 @@ def _hermite_bound(fl, fr, gl, gr, w, L4: float, noise: float,
 
 def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
                      opts: CertifyOptions | None = None) -> PositivityReport:
-    """Certify strict positivity of the sum on (lo, hi); see module docstring."""
+    """Certify strict positivity of the sum on (lo, hi); see module docstring.
+    The default options size level 0 by the degree (`_level0_size`)."""
     opts = opts or CertifyOptions()
     caller, (poly, e, rounding, wlo, whi, notes) = poly, _window(poly, lo, hi)
     L, L2 = lipschitz_bound(poly), curvature_bound(poly)
@@ -437,7 +472,9 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     # Every sample lies on the lattice i*h/2^depth, or is wlo or whi: cells are
     # kept as integer left indices il at the current depth, so each batch is
     # one evaluation on the lattice of m*2^depth points.
-    m, idx, ends, gaps, xs, vals, noise = _level0(poly, wlo, whi, opts.grid0, rounding)
+    count, why = _level0_size(poly, wlo, whi, opts.grid0)
+    m, idx, ends, gaps, xs, vals, noise = _level0(poly, wlo, whi, count, rounding)
+    notes.append(f"level 0: {count} points, m = {m} ({why})")
     dx = 2.0 * math.pi / m
     total_evals = xs.size
     imin = int(np.argmin(vals))
@@ -542,16 +579,16 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
     """(theta, value) of the smallest computed value of the sum on (lo, hi).
 
     The window ends obey certify_positive's endpoint rule, and the level-0
-    grid is the certifier's default one.  After its scan the search descends
-    from the best sample on floats: each level halves the step dx, evaluates
-    in one batch the one or two of best_x - dx, best_x + dx that lie in the
-    window, and moves to the lowest of the three, the smallest theta on
-    ties.  It stops when both midpoints are within the roundoff bound of the
-    best value, where computed values no longer tell points apart, or when
-    halving the step no longer moves theta.  It runs on the unit-scale copy,
-    like `certify_positive`."""
+    grid holds 4096 points whatever the degree.  After its scan the search
+    descends from the best sample on floats: each level halves the step dx,
+    evaluates in one batch the one or two of best_x - dx, best_x + dx that
+    lie in the window, and moves to the lowest of the three, the smallest
+    theta on ties.  It stops when both midpoints are within the roundoff
+    bound of the best value, where computed values no longer tell points
+    apart, or when halving the step no longer moves theta.  It runs on the
+    unit-scale copy, like `certify_positive`."""
     poly, e, rounding, wlo, whi, _ = _window(poly, lo, hi)
-    m, _, _, _, xs, vals, noise = _level0(poly, wlo, whi, CertifyOptions.grid0, rounding)
+    m, _, _, _, xs, vals, noise = _level0(poly, wlo, whi, _FIND_MIN_GRID0, rounding)
     dx = 2.0 * math.pi / m
     k = int(np.argmin(vals))
     best_x, best_v = float(xs[k]), float(vals[k])

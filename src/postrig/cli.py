@@ -311,8 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--grid", type=int, default=certify_mod.CertifyOptions.grid0,
-                   help="at least this many level-0 samples (default %(default)s)")
+    p.add_argument("--grid", type=int, default=None,
+                   help="at least this many level-0 samples (default: 1024, 16 per unit "
+                        "of the top frequency up to 4096, or two per period of it, "
+                        "whichever is most)")
     p.add_argument("--depth", type=int, default=certify_mod.CertifyOptions.max_depth)
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_certify)

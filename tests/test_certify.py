@@ -222,7 +222,8 @@ class TestVanishDetection:
 
 class TestCertifyPositive:
     def test_single_sine(self):
-        rep = certify_positive(sine_poly([1.0]), 0.0, PI)
+        # the eps-zone's lower bound is within 1% of sin(EPS) on 4096 points
+        rep = certify_positive(sine_poly([1.0]), 0.0, PI, CertifyOptions(grid0=4096))
         assert rep.verdict == CERTIFIED
         assert rep.lower_bound > 0.99 * math.sin(1e-4)
         assert "vanishes" in rep.boundary_notes
@@ -334,13 +335,13 @@ class TestCertifyPositive:
     def test_negative_slope_vanishing_endpoint_refuted_by_the_grid(self):
         # Belov's sum fails for the even-length Koumandos sine sum, so its
         # inward slope at pi is negative: pi is sampled, not inset, and the
-        # level-0 grid holds the witness
+        # default level 0, 16 points per unit of frequency, holds the witness
         poly = sine_poly(koumandos_bk(86, 0.45).values[1:])
         slope, _ = vanishing_endpoint(poly, PI)
         assert slope > 0.0  # the inward slope is -slope
         rep = certify_positive(poly, 0.0, PI)
-        assert rep.verdict == REFUTED
-        assert rep.grid_points >= 4096
+        assert (rep.verdict, rep.refinement_depth) == (REFUTED, 0)
+        assert rep.grid_points >= 16 * 86
         assert rep.witness[1] < -roundoff_bound(poly)
         assert "right endpoint 3.14159265 vanishes identically; inward slope -" \
             in rep.boundary_notes
@@ -408,7 +409,7 @@ class TestSecondOrderCells:
         h = 2 * PI / m
         assert (h, xs[2047], xs[2048]) == (PI / 4096, c - h / 2, c + h / 2)
         poly = TrigPolynomial(2.002, (-math.cos(c),), (-math.sin(c),))
-        rep = certify_positive(poly, 0.0, PI)
+        rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=4096))
         f_min = naive_trig_value(poly, c)
         assert f_min - 1e-9 <= rep.lower_bound <= f_min
 
@@ -494,7 +495,7 @@ class TestSecondOrderCells:
         m, _, ends, gaps, _, _, _ = _level0(poly, lo, hi, 4096, 0.0)
         assert m == 8748 and gaps[0] > 0 and gaps[1] > 0
         calls = self._record_batches(monkeypatch)
-        rep = certify_positive(poly, lo, hi, CertifyOptions(max_depth=0))
+        rep = certify_positive(poly, lo, hi, CertifyOptions(grid0=4096, max_depth=0))
         assert rep.verdict == INCONCLUSIVE
         assert [c[0] for c in calls] == ["values_period", "values"] * 2
         assert calls[1][1] is poly and calls[3][1] is not poly
@@ -518,7 +519,7 @@ class TestSecondOrderCells:
         assert xs[-2] < xs[-1] == hi and vals[-1] == poly.value(hi)
         two_pi_down = Fraction("6.283185307179586476925286766")
         assert Fraction(hi) * 8192 / 4096 < two_pi_down  # the point 4096 lies past hi
-        rep = certify_positive(poly, lo, hi)
+        rep = certify_positive(poly, lo, hi, CertifyOptions(grid0=4096))
         assert rep.verdict == CERTIFIED
         noise = roundoff_bound(poly)
         L2 = curvature_bound(poly)
@@ -539,7 +540,7 @@ class TestSecondOrderCells:
         w = float(gaps[1])
         w = w if Fraction(w) >= gaps[1] else math.nextafter(w, math.inf)
         noise = roundoff_bound(poly) + drift
-        rep = certify_positive(poly, 0.0, PI)
+        rep = certify_positive(poly, 0.0, PI, CertifyOptions(grid0=4096))
         assert rep.lower_bound == vals[-1] - 0.125 * curvature_bound(poly) * w * w - noise
 
     @pytest.mark.parametrize("lo, hi", [(0.0, PI), (EPS, PI - EPS), (0.0, 2 * PI),
@@ -566,13 +567,16 @@ class TestSecondOrderCells:
     def test_narrow_window_certifies_at_level_zero(self, n, lo, hi):
         # a window that holds few of its lattice's m points takes the long
         # FFT or the direct sums, whichever the cost model finds cheaper,
-        # and certifies from its lattice points and both ends alone
+        # and certifies from its default level 0's lattice points and both
+        # ends alone
         poly = _koumandos_cosine(n, 0.5)
-        m, first, last = period_lattice(lo, hi, 4096)
+        count, _ = certify._level0_size(poly, lo, hi, None)
+        assert count == (1024 if n == 20 else 4096)
+        m, first, last = period_lattice(lo, hi, count)
         rep = certify_positive(poly, lo, hi)
         assert (rep.verdict, rep.refinement_depth, rep.grid_points) == \
             (CERTIFIED, 0, last - first + 3)
-        assert last - first + 1 >= 4095
+        assert last - first + 1 >= count - 1
         theta, value = find_min(poly, lo, hi)
         assert lo <= theta <= hi and rep.lower_bound <= value
 
@@ -659,8 +663,9 @@ class TestSecondOrderCells:
         poly = cosine_poly(0.0, [0.0])
         rep = certify_positive(poly, 0.0, PI)
         assert rep.verdict == INCONCLUSIVE
-        # 4096 lattice points from 0, the last 4095 pi/4096, and pi itself
-        assert (rep.grid_points, rep.refinement_depth) == (4097, 0)
+        # the 1024 floor: lattice points from 0, the last 1023 pi/1024, and
+        # pi itself
+        assert (rep.grid_points, rep.refinement_depth) == (1025, 0)
         assert "constant" in rep.boundary_notes
 
 
@@ -787,6 +792,31 @@ class TestHermiteCells:
         assert at[left].tobytes() == il.tobytes()
         assert at[left + 1].tobytes() == (il + 1).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 16).flatmap(lambda k: st.tuples(*[st.lists(
+        st.floats(-1e150, 1e150) | st.just(math.nan), min_size=k, max_size=k)] * 4)),
+        st.floats(0.0, 8.0), st.sampled_from([(0.0, 0.0, 0.0), (1e-3, 1e-12, 2e-12)]))
+    @example(([0.0, -0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, 0.0]), 1.0, (0.0, 0.0, 0.0))
+    # d0 = d1 = 2^-1074, and their halved sum, the split's middle point, is 0
+    @example(([2e-323], [2e-323], [-2e-323], [2e-323]), 3.0, (0.0, 0.0, 0.0))
+    def test_hull_is_the_seven_point_minimum(self, ends, w, terms):
+        # the pairwise minima give the bits of one minimum over the stacked
+        # control points, NaN and the sign of zero included: the bound below
+        # is the one taken with np.minimum.reduce
+        fl, fr, gl, gr = (np.array(v) for v in ends)
+        L4, noise, dnoise = terms
+        t = w / 3.0
+        b1, b2 = fl + t * gl, fr - t * gr
+        c01, c12, c23 = 0.5 * fl + 0.5 * b1, 0.5 * b1 + 0.5 * b2, 0.5 * b2 + 0.5 * fr
+        d0, d1 = 0.5 * c01 + 0.5 * c12, 0.5 * c12 + 0.5 * c23
+        hull = np.minimum.reduce([fl, c01, d0, 0.5 * d0 + 0.5 * d1, d1, c23, fr])
+        scale = np.abs(fl) + np.abs(fr) + w * (np.abs(gl) + np.abs(gr))
+        w2 = w * w
+        expected = hull - (L4 * w2 * w2 / 384.0 + 0.25 * w * dnoise + noise
+                           + certify._HULL_ROUNDING * scale + 4 * SUBNORMAL)
+        got = _hermite_bound(fl, fr, gl, gr, w, L4, noise, dnoise)
+        assert got.tobytes() == expected.tobytes()
+
     def test_tighter_than_second_order_on_a_fine_cell(self):
         # f = 2 + cos(8 theta) on a cell of width 2^-6 around its minimum
         poly = cosine_poly(4.0, [0.0] * 7 + [1.0])
@@ -825,6 +855,96 @@ class TestHermiteCells:
     def test_touching_or_dipping_sums_never_certified(self, poly):
         # even Fejer-Jackson-Gronwall sums touch 0 at pi to third order
         assert certify_positive(poly, 0.0, PI).verdict != CERTIFIED
+
+
+class TestLevelZeroSize:
+    """The default level 0: max(1024, min(4096, 16*ceil(nu)), ceil(nu*W/pi))
+    points, nu the top frequency and W the window's width."""
+
+    @pytest.mark.parametrize("nu, counts", [
+        (5, (1024, 1024, 1024)),
+        (100, (1600, 1600, 1600)),
+        (300, (4096, 4096, 4096)),
+        (3000, (4096, 6000, 4096)),
+        (10 ** 5, (100000, 200000, 4096)),
+    ])
+    def test_point_count(self, nu, counts):
+        poly = cosine_poly(2.0, [0.0] * (nu - 1) + [1.0])
+        windows = ((0.0, PI), (0.0, 2 * PI), (2.0, 2.01))
+        assert tuple(certify._level0_size(poly, lo, hi, None)[0]
+                     for lo, hi in windows) == counts
+        assert certify._level0_size(poly, 0.0, PI, 4096) == (4096, "explicit grid0")
+
+    def test_top_frequency_counts_the_shift_and_stride(self):
+        poly = shifted_poly([1.0] * 51, 0.5, "cosine", 2)  # nu = 2*50 + 0.5
+        assert certify._level0_size(poly, 0.0, PI, None) == \
+            (1616, "16 per unit of frequency 100.5")
+        assert certify._level0_size(cosine_poly(3.0, []), 0.0, PI, None) == \
+            (1024, "the 1024 floor")
+
+    @pytest.mark.parametrize("poly, opts, note", [
+        (cosine_poly(4.0, [1.0]), None, "level 0: 1024 points, m = 2048 (the 1024 floor)"),
+        (cosine_poly(4.0, [1.0]), CertifyOptions(grid0=4096),
+         "level 0: 4096 points, m = 8192 (explicit grid0)"),
+        (_koumandos_cosine(100, 0.5), None,
+         "level 0: 1600 points, m = 3200 (16 per unit of frequency 100)"),
+        (_koumandos_cosine(3000, 0.5), CertifyOptions(max_depth=0),
+         "level 0: 4096 points, m = 8192 (the 4096 cap)"),
+        (_koumandos_cosine(10000, 0.5), CertifyOptions(max_depth=0),
+         "level 0: 10000 points, m = 20000 (two per period of frequency 10000)"),
+    ])
+    def test_note_names_the_term(self, poly, opts, note):
+        notes = certify_positive(poly, 0.0, PI, opts).boundary_notes.split("; ")
+        assert [n for n in notes if n.startswith("level 0:")] == [note]
+
+    # the reports of the 4096-point default, frozen before the level 0 was
+    # sized by the degree; the level-0 note is new
+    FROZEN = [
+        (_koumandos_cosine(2000, 0.4), 0.0, PI, {
+            "verdict": "certified-positive", "lower_bound": 0.00012330965501608504,
+            "witness": None, "grid_points": 8701, "refinement_depth": 1,
+            "lipschitz": 105959.46369613291, "interval": {"lo": 0.0, "hi": PI},
+            "boundary_notes": "left endpoint 0 sampled directly; right endpoint "
+                              "3.14159265 sampled directly; f' sampled at 4345 points "
+                              "from depth 0; L4 = 2.95073045e+14"}),
+        (sine_poly(koumandos_bk(86, 0.45).values[1:]), 0.0, PI, {
+            "verdict": "refuted", "lower_bound": None,
+            "witness": {"theta": 3.133922749650365, "value": -0.004587397212750588},
+            "grid_points": 4097, "refinement_depth": 0, "lipschitz": 547.8943729948808,
+            "interval": {"lo": 0.0, "hi": PI},
+            "boundary_notes": "left endpoint 0 vanishes identically; inward slope "
+                              "547.894373 covers the eps-zone rigorously (slope > "
+                              "curvature*eps); right endpoint 3.14159265 vanishes "
+                              "identically; inward slope -0.887811696, curvature 0: "
+                              "not inset, sampled directly"}),
+        (_koumandos_cosine(400, 0.5), 1.0, 1.1, {
+            "verdict": "certified-positive", "lower_bound": 0.8675639837689728,
+            "witness": None, "grid_points": 4128, "refinement_depth": 0,
+            "lipschitz": 4263.357356661594, "interval": {"lo": 1.0, "hi": 1.1},
+            "boundary_notes": "left endpoint 1 sampled directly; right endpoint 1.1 "
+                              "sampled directly"}),
+    ]
+
+    @pytest.mark.parametrize("poly, lo, hi, frozen", FROZEN)
+    def test_explicit_4096_reproduces_the_frozen_report(self, poly, lo, hi, frozen):
+        got = certify_positive(poly, lo, hi, CertifyOptions(grid0=4096)).to_dict()
+        notes = got["boundary_notes"].split("; ")
+        level0 = [n for n in notes if n.startswith("level 0:")]
+        assert len(level0) == 1 and level0[0].startswith("level 0: 4096 points")
+        got["boundary_notes"] = "; ".join(n for n in notes if n not in level0)
+        assert got == frozen
+
+    @pytest.mark.parametrize("poly", [
+        _koumandos_cosine(100000, 0.4),
+        sine_poly(koumandos_bk(100001, 0.4).values[1:]),
+    ])
+    def test_degree_100000_certified_by_default(self, poly):
+        # positive by Koumandos' theorem; the 4096-point level 0 ran out of
+        # depth here
+        rep = certify_positive(poly, 0.0, PI)
+        assert rep.verdict == CERTIFIED
+        assert "points, m = 2" in rep.boundary_notes
+        assert "(two per period of frequency 10000" in rep.boundary_notes
 
 
 #: a slope, curvature or L4 printed in the notes
