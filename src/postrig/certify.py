@@ -339,19 +339,6 @@ def _sample(poly: TrigPolynomial, M: int, idx: np.ndarray, ends, wlo: float,
     return out
 
 
-def _cell_ends(il: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(at, left): the sorted union of the cells' end indices il and il + 1,
-    in one linear pass (il is ascending and unique), and where each cell's
-    left end sits in it; its right end sits at left + 1."""
-    gap = np.append(il[1:] != il[:-1] + 1, True)
-    step = 1 + gap
-    left = np.cumsum(step) - step
-    at = np.empty(left[-1] + 2, dtype=il.dtype)
-    at[left] = il
-    at[left[gap] + 1] = il[gap] + 1
-    return at, left
-
-
 def _level0(poly: TrigPolynomial, wlo: float, whi: float, n: int, rounding: float):
     """(m, idx, ends, gaps, xs, vals, noise): the level-0 samples of at least
     n points on [wlo, whi] that all three entry points scan, and the roundoff
@@ -493,7 +480,9 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
     def tested():
         """Each cell's bound, net of the roundoff bound (module docstring),
         and whether it fails: a NaN bound fails, and so does a cell with a
-        sample at or below 0 that is no witness."""
+        sample at or below 0 that is no witness, since both bounds are at
+        most min(fl, fr) less positive terms (fl and fr are control points of
+        the Hermite hull)."""
         w = np.full(il.size, dx)
         if il.size and il[0] == ends[0]:
             w[0] = _up(gaps[0])
@@ -502,14 +491,15 @@ def certify_positive(poly: TrigPolynomial, lo: float, hi: float,
         bound = np.minimum(fl, fr) - 0.125 * L2 * w * w - noise
         if deriv is not None:
             bound = np.fmax(bound, _hermite_bound(fl, fr, gl, gr, w, L4, noise, dnoise))
-        return bound, ~(bound > 0.0) | (fl <= 0.0) | (fr <= 0.0)
+        return bound, ~(bound > 0.0)
 
     bound, fail = tested()
     if L != 0.0 and fail.any():
         # the failing cells are tested again with f' at their ends
         lower = min(lower, float(bound[~fail].min(initial=math.inf)))
+        take = np.append(fail, False) | np.insert(fail, 0, False)  # failing cells' ends
+        at, left = idx[take], np.cumsum(take)[:-1][fail] - 1  # right ends at left + 1
         il, fl, fr = il[fail], fl[fail], fr[fail]
-        at, left = _cell_ends(il)
         deriv = poly.derivative()
         L4 = fourth_derivative_bound(poly)
         dnoise = roundoff_bound(deriv) + _drift(deriv, wlo, whi)
@@ -606,12 +596,18 @@ def find_min(poly: TrigPolynomial, lo: float, hi: float) -> tuple[float, float]:
 
 
 def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
-                  grid: int) -> ZeroBracketList:
+                  grid: int | None = None) -> ZeroBracketList:
     """Sign-change brackets for p(theta) = sum a_k cos((n-k)theta) or
     q(theta) = sum a_k sin((n-k)theta), coefficients a_0 > a_1 >= ... >= a_n > 0.
 
-    Only signs are read, on the unit-scale copy of the coefficients, scaled
-    once as q's before p is built from them: p's a0 = 2*a_n then stays a float.
+    The level-0 scan holds at least grid cells, by default 512 or 16 per
+    coefficient if that is more.  A sample within the roundoff bound of 0
+    carries no sign, as in `certify_positive`, and a bracket joins
+    consecutive signed samples of opposite sign: a zero on a sample is
+    bracketed by its signed neighbours.  Only signs are read (products of
+    neighbours would under- or overflow), on the unit-scale copy of the
+    coefficients, scaled once as q's before p is built from them: p's a0 =
+    2*a_n then stays a float.
     """
     if kind not in ("p", "q"):
         raise ParameterDomainError(f"kind must be p or q, got {kind!r}")
@@ -631,27 +627,15 @@ def bracket_zeros(kind: str, coeffs: Sequence[float], lo: float, hi: float,
     q, _, rounding = unit_scale(TrigPolynomial(sin_coeffs=a[::-1]))  # the a_k, scaled once
     n, poly = (a.size, q) if kind == "q" else \
         (a.size - 1, TrigPolynomial(2.0 * q.sin_coeffs[0], q.sin_coeffs[1:]))
+    grid = max(512, 16 * a.size) if grid is None else grid
     min_grid = max(2, 16 * n)
     if grid < min_grid:
         raise ParameterDomainError(
             f"grid = {grid} undersamples degree {n}; need >= {min_grid}")
 
-    m, _, _, gaps, xs, vals, noise = _level0(poly, lo, hi, grid + 1, rounding)
-    nudge = 1e-6 * (2.0 * math.pi / m)
-    # a window end within the nudge of its lattice neighbour is dropped:
-    # that neighbour is the end sample
-    head, tail = int(0 < gaps[0] <= nudge), int(0 < gaps[1] <= nudge)
-    xs, vals = xs[head:xs.size - tail], vals[head:vals.size - tail]
-    zero = np.flatnonzero(np.abs(vals) <= noise)
-    if zero.size:
-        # nudge samples whose sign is roundoff off the zero by a millionth of
-        # the level-0 step: inward at the ends, so endpoint zeros of the open
-        # interval do not fake a crossing, and x_last toward lo beside a
-        # partial last cell, so that no nudged sample passes another
-        before_hi = xs.size - 1 - bool(gaps[1] and not tail)
-        xs[zero] += np.where(zero >= before_hi, -nudge, nudge)
-        vals[zero] = poly.values(xs[zero])
-    sign = np.sign(vals)  # products of neighbouring values would under- or overflow
-    cross = np.flatnonzero(sign[:-1] * sign[1:] < 0.0)
+    _, _, _, _, xs, vals, noise = _level0(poly, lo, hi, grid + 1, rounding)
+    signed = np.abs(vals) > noise
+    xs, sign = xs[signed], np.sign(vals[signed])
+    cross = np.flatnonzero(sign[:-1] != sign[1:])
     return ZeroBracketList(tuple((float(xs[i]), float(xs[i + 1]), int(sign[i]),
                                   int(sign[i + 1])) for i in cross.tolist()), kind)

@@ -252,9 +252,8 @@ def _write_csv(path: str, header: list[str], rows) -> None:
 
 def cmd_zeros(args) -> int:
     try:
-        grid = args.grid if args.grid is not None else max(512, 16 * len(args.coeffs))
         result = certify_mod.bracket_zeros(args.kind, args.coeffs,
-                                           args.lo, args.hi, grid)
+                                           args.lo, args.hi, args.grid)
     except PostrigError as exc:
         print(f"zeros: {exc}", file=sys.stderr)
         return 1
@@ -345,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi", type=float, default=2.0 * PI)
     p.add_argument("--grid", type=int, default=None,
                    help="at least this many cells on [lo, hi] (default 512, or 16 per "
-                        "coefficient when that is more)")
+                        "coefficient when that is more); a zero on a sample is bracketed "
+                        "by the signed samples beside it")
     p.add_argument("--output", "-o", default=None)
     p.set_defaults(func=cmd_zeros)
 

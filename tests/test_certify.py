@@ -14,8 +14,8 @@ from hypothesis import assume, example, given, settings, strategies as st
 from postrig import (CertifyOptions, PositivityReport, TrigPolynomial, bracket_zeros,
                      certify_positive, ck_sequence, cosine_poly, find_min, lipschitz_bound,
                      koumandos_bk, qk_sequence, shifted_poly, sine_poly)
-from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _cell_ends,
-                             _hermite_bound, _level0, vanishing_endpoint)
+from postrig.certify import (CERTIFIED, EPS, INCONCLUSIVE, REFUTED, _hermite_bound,
+                             _level0, vanishing_endpoint)
 from postrig.trigeval import (coefficient_mass, curvature_bound, fourth_derivative_bound,
                               roundoff_bound, unit_scale)
 from postrig.kernels import SUBNORMAL, error_bound, period_lattice
@@ -780,19 +780,6 @@ class TestHermiteCells:
         assert _hermite_cell(poly, left, w) <= cell_min
 
     @settings(max_examples=200, deadline=None)
-    @given(st.sets(st.integers(-50, 50), min_size=1))
-    @example({0})
-    @example({-3, -2, -1})
-    @example({1, 3, 5})
-    def test_cell_ends_are_the_sorted_union(self, cells):
-        il = np.array(sorted(cells))
-        at, left = _cell_ends(il)
-        assert at.dtype == il.dtype
-        assert at.tobytes() == np.unique(np.concatenate((il, il + 1))).tobytes()
-        assert at[left].tobytes() == il.tobytes()
-        assert at[left + 1].tobytes() == (il + 1).tobytes()
-
-    @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 16).flatmap(lambda k: st.tuples(*[st.lists(
         st.floats(-1e150, 1e150) | st.just(math.nan), min_size=k, max_size=k)] * 4)),
         st.floats(0.0, 8.0), st.sampled_from([(0.0, 0.0, 0.0), (1e-3, 1e-12, 2e-12)]))
@@ -1356,32 +1343,30 @@ def _qp_poly(kind, a):
 
 
 def _reference_brackets(kind, coeffs, lo, hi, grid):
-    """bracket_zeros' scan as a loop over its grid, one nudge at a time: the
-    points j h (h = 2 pi/m) on [lo, hi] of the lattice of at least grid + 1
-    points, and lo and hi where the lattice falls short of them by more than
-    the nudge.  A sample within the roundoff bound (and the FFT's abscissa
-    term) of 0 has no reliable sign and is nudged by a millionth of h,
-    toward lo at hi and at the lattice point before hi, toward hi elsewhere
+    """bracket_zeros' scan as a loop over its grid: the points j h (h = 2
+    pi/m) on [lo, hi] of the lattice of at least grid + 1 points, and lo and
+    hi where the lattice falls short of them.  A sample within the roundoff
+    bound (and the FFT's abscissa term) of 0 has no reliable sign and is
+    skipped, and a bracket joins consecutive signed samples of opposite sign
     (the direct sums here, one FFT in the library, differ by roundoff)."""
     poly = _qp_poly(kind, coeffs)
     m, first, last = period_lattice(lo, hi, grid + 1)
     h = 2 * PI / m
-    nudge = 1e-6 * h
-    head = first * Fraction(h) - Fraction(lo) > nudge
-    tail = Fraction(hi) - last * Fraction(h) > nudge
+    head = first * Fraction(h) > Fraction(lo)
+    tail = Fraction(hi) > last * Fraction(h)
     xs = np.concatenate(([lo] * head, np.arange(first, last + 1) * h, [hi] * tail))
     vals = poly.values(xs)
-    end = xs.size - 1
     drift = lipschitz_bound(poly) * max(abs(lo), abs(hi)) * 2.38 * 2.0 ** -53
-    for i in np.nonzero(np.abs(vals) <= roundoff_bound(poly) + drift)[0]:
-        xs[i] += -nudge if i >= end - tail else nudge
-        vals[i] = poly.value(float(xs[i]))
-    out = []
-    for i in range(end):
-        if vals[i] * vals[i + 1] < 0.0:
-            out.append((float(xs[i]), float(xs[i + 1]), 1 if vals[i] > 0 else -1,
-                        1 if vals[i + 1] > 0 else -1))
-    return tuple(out)
+    signed = [(float(x), 1 if v > 0 else -1) for x, v in zip(xs, vals)
+              if abs(v) > roundoff_bound(poly) + drift]
+    return tuple((x0, x1, s0, s1) for (x0, s0), (x1, s1) in zip(signed, signed[1:])
+                 if s0 != s1)
+
+
+def _fsum_value(a, kind, theta):
+    """p or q at theta from the a_k, with math.fsum."""
+    n, trig = (len(a) - 1, math.cos) if kind == "p" else (len(a), math.sin)
+    return math.fsum(ak * trig((n - k) * theta) for k, ak in enumerate(a))
 
 
 class TestBracketZeros:
@@ -1399,25 +1384,30 @@ class TestBracketZeros:
         assert got.brackets == _reference_brackets(kind, a, lo, hi, grid)
         assert got.brackets
 
-    def test_exact_zero_sample_is_nudged(self):
-        # q is odd, so it vanishes exactly at the lattice point 0 of this
-        # grid (h = 2 pi/72), the 36th sample after -pi and the 35 points
-        # -35 h .. -h, where the FFT gives roundoff; only the nudge turns that
-        # sample into a bracket around 0
-        a = [3.0, 2.0, 1.5, 1.0]
-        lo, hi, grid = -PI, PI, 64
-        m, idx, _, _, xs, vals, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1, 0.0)
-        assert (m, idx[36], xs[0], xs[36]) == (72, 0, -PI, 0.0)
-        assert abs(vals[36]) <= roundoff_bound(_qp_poly("q", a))
-        got = bracket_zeros("q", a, lo, hi, grid)
-        assert got.brackets == _reference_brackets("q", a, lo, hi, grid)
-        assert any(b[0] < 0.0 < b[1] for b in got.brackets)
+    def test_exact_zero_sample_is_skipped(self):
+        # q vanishes exactly at lattice points k h of this grid (h = 2 pi/72,
+        # m = 72): at 0, q being odd, where the FFT gives 0, and at +-2 pi/3
+        # for 3 sin 3t + sin 2t + sin t (a_1 = a_2), where it gives roundoff
+        # of either sign.  That sample carries no sign, and the signed
+        # samples (k - 1) h and (k + 1) h bracket the zero.
+        lo, hi, grid, h = -PI, PI, 64, 2 * PI / 72
+        for a, k in (([3.0, 2.0, 1.5, 1.0], 0), ([3.0, 1.0, 1.0], 24), ([3.0, 1.0, 1.0], -24)):
+            poly = _qp_poly("q", a)
+            m, idx, _, _, xs, vals, _ = _level0(poly, lo, hi, grid + 1, 0.0)
+            assert (m, idx[36 + k], xs[0]) == (72, k, -PI)
+            assert abs(vals[36 + k]) <= roundoff_bound(poly)
+            got = bracket_zeros("q", a, lo, hi, grid).brackets
+            assert got == _reference_brackets("q", a, lo, hi, grid)
+            around = [b for b in got if b[0] <= k * h <= b[1]]
+            assert [b[:2] for b in around] == [((k - 1) * h, (k + 1) * h)], (a, k)
+            for theta, sign in zip(around[0][:2], around[0][2:]):
+                assert sign * _fsum_value(a, "q", theta) > roundoff_bound(poly)
 
     def test_q_on_the_full_circle_has_every_zero_once(self):
         """q of degree 300 on [0, 2pi] has 2n - 1 simple zeros inside.  q
         vanishes at 0 and 2pi, where the FFT and the direct sample at 2pi
-        give roundoff of either sign; the roundoff zero rule nudges those
-        samples inward instead of taking their sign."""
+        give roundoff of either sign; those samples carry no sign, so no
+        bracket ends at them."""
         n = 300
         a = np.linspace(1.0, 0.1, n)
         a[0] += 0.5
@@ -1428,28 +1418,28 @@ class TestBracketZeros:
             assert len(got) == 2 * n - 1, grid
             for lo, hi, s_lo, s_hi in got:
                 for theta, sign in ((lo, s_lo), (hi, s_hi)):
-                    value = math.fsum(ak * math.sin((n - k) * theta)
-                                      for k, ak in enumerate(a))
+                    value = _fsum_value(a, "q", theta)
                     assert value * sign > 0, (grid, theta, value, sign)
 
-    @pytest.mark.parametrize("lo, hi", [(-1e-12, PI), (-4e-9, PI), (1.0, 2 * PI + 1e-12),
-                                        (1.0, 2 * PI + 4e-9)])
-    def test_zero_samples_beside_a_partial_cell_within_the_nudge(self, monkeypatch, lo, hi):
-        """q vanishes at 0 and 2 pi, lattice points that lie within the
-        nudge of these lo or hi, so that they and the window end read
-        roundoff alike.  The window end is dropped, and the lattice point
-        moves by a millionth of h inward, toward hi at 0 and toward lo at
-        2 pi; nudged both, a zero at lo could pass the lattice point beside
-        it and fake a crossing at the open end."""
+    @pytest.mark.parametrize("lo, hi, count", [(-1e-12, PI, 40), (-4e-9, PI, 40),
+                                               (1.0, 2 * PI + 1e-12, 68),
+                                               (1.0, 2 * PI + 4e-9, 68)])
+    def test_zero_beside_a_window_end_is_bracketed_by_it(self, monkeypatch, lo, hi, count):
+        """q vanishes at 0 and 2 pi, lattice points within a millionth of h
+        of these lo or hi, inside the window.  The lattice point reads
+        roundoff and carries no sign, while the window end beside it has a
+        reliable one, so the window end brackets that zero, and nothing but
+        the level-0 end batch is evaluated directly."""
         a = np.linspace(1.0, 0.1, 40)
         a[0] += 0.5
         grid = 16 * 40
-        m, idx, _, gaps, _, _, _ = _level0(_qp_poly("q", a), lo, hi, grid + 1, 0.0)
+        poly = _qp_poly("q", a)
+        m, idx, _, gaps, xs, vals, noise = _level0(poly, lo, hi, grid + 1, 0.0)
         h = 2 * PI / m
-        nudge = 1e-6 * h
         end, at = (0, 0.0) if lo < 0 else (1, 2 * PI)
-        assert 0 < gaps[end] <= nudge and idx[-2 if end else 1] * h == at
-        want = _reference_brackets("q", a, lo, hi, grid)
+        near = -2 if end else 1
+        assert 0 < gaps[end] <= 1e-6 * h and idx[near] * h == at
+        assert abs(vals[near]) <= noise < abs(vals[-1 if end else 0])
         probes, values = [], TrigPolynomial.values
 
         def counted(self, theta):
@@ -1458,14 +1448,35 @@ class TestBracketZeros:
 
         monkeypatch.setattr(TrigPolynomial, "values", counted)
         got = bracket_zeros("q", a, lo, hi, grid).brackets
-        nudged = probes[-1].max() if end else probes[-1].min()
-        assert nudged == pytest.approx(at - nudge if end else nudge, abs=4 * math.ulp(2 * PI))
-        assert got == want and got
-        assert (got[-1][1] <= nudged) if end else (got[0][0] >= nudged)  # no end crossing
+        assert len(probes) == 1 and set(probes[0].tolist()) <= {lo, hi}
+        assert got == _reference_brackets("q", a, lo, hi, grid)
+        assert len(got) == count
+        if end:
+            assert got[-1] == (float(xs[-3]), hi, -1, 1)
+        else:
+            assert got[0] == (lo, float(xs[2]), -1, 1)
         for b_lo, b_hi, s_lo, s_hi in got:
             for theta, sign in ((b_lo, s_lo), (b_hi, s_hi)):
-                assert sign * math.fsum(ak * math.sin((40 - k) * theta)
-                                        for k, ak in enumerate(a)) > 0
+                assert sign * _fsum_value(a, "q", theta) > 0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_random_decreasing_sequences_have_every_zero(self, seed):
+        """With a_0 > a_1 >= ... >= a_n > 0, p has 2n zeros and q 2n - 1 on
+        (0, 2 pi).  Each bracket end's exact value clears the roundoff bound
+        with the reported sign, and the brackets are sorted and disjoint."""
+        rng = np.random.default_rng(seed)
+        for kind in ("p", "q"):
+            n = int(rng.integers(1, 120))
+            a = np.sort(rng.uniform(0.1, 2.0, n + 1 if kind == "p" else n))[::-1]
+            a[0] += 0.5
+            got = bracket_zeros(kind, a, 0.0, 2 * PI).brackets
+            assert len(got) == (2 * n if kind == "p" else 2 * n - 1), (kind, n)
+            noise = roundoff_bound(_qp_poly(kind, a))
+            for b_lo, b_hi, s_lo, s_hi in got:
+                for theta, sign in ((b_lo, s_lo), (b_hi, s_hi)):
+                    assert sign * _fsum_value(a, kind, theta) > noise, (kind, n, theta)
+            ends = [x for b in got for x in b[:2]]
+            assert ends == sorted(ends) and 0.0 <= ends[0] and ends[-1] <= 2 * PI
 
     def test_constant_p_has_no_zeros(self):
         out = bracket_zeros("p", [1.0], 0.0, 2 * PI, 512)
